@@ -4,11 +4,11 @@ Modules
 -------
 matkernel   dense complex linear-algebra kernels and state containers
 lindblad    model definition, condition checks, exact and product-formula oracles
-kraus       series construction (general, reduced, factored) and application
+kraus       model preparation, series construction and selection, application
 circuits    gate-level realization, statevector emulation, shots and tomography
 mitigation  Pauli/depolarizing channel fitting, inversion, twirling, projection
 models      benchmark system constructors and the named registry
-analysis    quadratures, real-space densities, Wigner fields, oscillator fits
+analysis    quadratures, real-space densities, Wigner fields
 cli         batch experiment runner
 """
 
@@ -36,16 +36,18 @@ from .kraus import (
     GroupStructure,
     KrausSeries,
     KrausTerm,
+    PreparedModel,
     apply_factored_evolution,
     apply_series,
-    build_factored_evolution,
     build_reduced_series,
+    build_series,
     build_tp_series,
     detect_group_structure,
     effective_evolution,
     effective_hamiltonian,
     f_of_t,
     gen_hyperbolic,
+    prepare,
 )
 
 __all__ = [
@@ -55,11 +57,12 @@ __all__ = [
     "KrausSeries",
     "KrausTerm",
     "LindbladModel",
+    "PreparedModel",
     "QuantumState",
     "apply_factored_evolution",
     "apply_series",
-    "build_factored_evolution",
     "build_reduced_series",
+    "build_series",
     "build_superoperator",
     "build_tp_series",
     "check_conditions",
@@ -74,6 +77,7 @@ __all__ = [
     "matexp",
     "normalize_lindblads",
     "pinv",
+    "prepare",
     "psd_sqrt",
     "trace_distance",
     "trotter_evolve",

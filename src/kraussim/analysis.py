@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .matkernel import _as_matrix
 
@@ -158,92 +157,3 @@ def wigner_marginal(field: np.ndarray, grid: PhaseSpaceGrid, which: str = POSITI
         return np.trapezoid(field, grid.x, axis=0)
     raise ValueError(f"unknown marginal {which!r}")
 
-
-def gaussian_time_interpolation(sample_times, samples, query_times, sigma: float | None = None) -> np.ndarray:
-    """Smooth a sampled trajectory of fields between snapshots.
-
-    Presentation-layer only: each query point gets a Gaussian-weighted
-    convex combination of the snapshots, with sigma defaulting to half the
-    sample spacing.  Never used in numerical checks.
-    """
-    sample_times = np.asarray(sample_times, dtype=float)
-    samples = np.asarray(samples, dtype=float)
-    query_times = np.asarray(query_times, dtype=float)
-    if samples.shape[0] != sample_times.size:
-        raise ValueError("one sample per sample time required")
-    if sigma is None:
-        if sample_times.size < 2:
-            raise ValueError("need at least two samples to infer sigma")
-        sigma = float(np.mean(np.diff(sample_times))) / 2
-    weights = np.exp(-((query_times[:, None] - sample_times[None, :]) ** 2) / (2 * sigma**2))
-    weights /= weights.sum(axis=1, keepdims=True)
-    return np.tensordot(weights, samples, axes=(1, 0))
-
-
-@dataclass(frozen=True)
-class OscillatorFit:
-    """Damped-cosine fit ``x = A e^{-kt} cos(wt + phi)`` with its residual."""
-
-    amplitude: float
-    frequency: float
-    damping: float
-    phase: float
-    residual: float
-
-    def astuple(self) -> tuple[float, float, float, float]:
-        return (self.amplitude, self.frequency, self.damping, self.phase)
-
-
-def _dominant_frequency(times: np.ndarray, values: np.ndarray) -> float:
-    if times.size < 4:
-        return 1.0
-    dt = float(np.mean(np.diff(times)))
-    spectrum = np.abs(np.fft.rfft(values - values.mean()))
-    freqs = np.fft.rfftfreq(values.size, dt)
-    peak = freqs[int(np.argmax(spectrum[1:])) + 1] if spectrum.size > 1 else 0.0
-    return float(2 * np.pi * peak) if peak > 0 else 1.0
-
-
-def fit_damped_oscillator(times, xs, ps) -> OscillatorFit:
-    """Joint least-squares fit of the classical damped-oscillator trajectory.
-
-    x(t) is fit to ``A e^{-kt} cos(wt + phi)`` and p(t) to the quadrature
-    shift ``-A e^{-kt} sin(wt + phi)`` with shared parameters; eight initial
-    phases seed a multistart to dodge local minima.
-    """
-    times = np.asarray(times, dtype=float)
-    xs = np.asarray(xs, dtype=float)
-    ps = np.asarray(ps, dtype=float)
-    if times.size < 4:
-        raise ValueError("need at least four samples")
-    peak = max(float(np.abs(xs).max()), float(np.abs(ps).max()))
-    if peak < 1e-14:
-        return OscillatorFit(0.0, 0.0, 0.0, 0.0, 0.0)
-    if float(np.std(xs)) < 1e-14 and float(np.std(ps)) < 1e-14:
-        raise ValueError("constant nonzero signal cannot be fit")
-
-    omega0 = _dominant_frequency(times, xs if np.std(xs) > np.std(ps) else ps)
-
-    def residuals(params):
-        amp, omega, kappa, phi = params
-        envelope = amp * np.exp(-kappa * times)
-        return np.concatenate(
-            [
-                envelope * np.cos(omega * times + phi) - xs,
-                -envelope * np.sin(omega * times + phi) - ps,
-            ]
-        )
-
-    best = None
-    for phi0 in np.linspace(0.0, 2 * np.pi, 8, endpoint=False):
-        result = scipy.optimize.least_squares(
-            residuals,
-            x0=[peak, omega0, 0.5, phi0],
-            bounds=([0.0, 0.0, 0.0, -2 * np.pi], [np.inf, np.inf, np.inf, 4 * np.pi]),
-        )
-        if best is None or result.cost < best.cost:
-            best = result
-    amp, omega, kappa, phi = best.x
-    return OscillatorFit(
-        float(amp), float(omega), float(kappa), float(phi % (2 * np.pi)), float(best.cost)
-    )

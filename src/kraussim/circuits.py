@@ -17,18 +17,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kraus import (
+    ConditionError,
     KrausSeries,
     KrausTerm,
-    effective_spectrum,
+    PreparedModel,
     factor_weights,
-    _abelian_work_model,
+    prepare,
+    _require_abelian,
 )
-from .lindblad import (
-    LindbladModel,
-    normalize_lindblads,
-    _matrix_from_json,
-    _matrix_to_json,
-)
+from .lindblad import LindbladModel, _matrix_from_json, _matrix_to_json
 from .matkernel import DensityMatrix, QuantumState, pauli_labels, pauli_string_matrix, psd_sqrt
 
 DILATION_NORM_TOL = 1e-10
@@ -403,7 +400,7 @@ def prepare_distribution(amplitudes) -> Circuit:
 
 
 def _t_block_gates(
-    model: LindbladModel,
+    prep: PreparedModel,
     t: float,
     system_qubits: list[int],
     contraction_ancilla: int | None,
@@ -415,8 +412,9 @@ def _t_block_gates(
     diagonal contraction on ``contraction_ancilla`` (skipped when None, in
     which case the decays must be uniform and handled by the caller).
     """
-    u, energies, decays = effective_spectrum(model)
-    n = len(system_qubits)
+    if prep.spectrum is None:
+        raise ConditionError("H and the dissipators share no eigenbasis; conditions (i)/(ii) unmet")
+    u, energies, decays = prep.spectrum
     gates: list[Gate] = []
     basis_change = np.abs(u - np.eye(u.shape[0])).max() > 1e-12
     if basis_change:
@@ -448,7 +446,7 @@ def _shift_gate(gate: Gate, qubit_map) -> Gate:
 
 def build_kraus_circuit(
     term: KrausTerm,
-    model: LindbladModel,
+    model: LindbladModel | PreparedModel,
     t: float,
     scheme: str = SCHEME_BINARY,
     ancilla_budget: int = DEFAULT_ANCILLA_BUDGET,
@@ -460,8 +458,8 @@ def build_kraus_circuit(
     ancilla on 0 leaves the system in ``T prod(L) |psi>`` normalized, with
     survival probability equal to its squared norm.
     """
-    work = normalize_lindblads(model)
-    n_sys = _qubit_count(work.dim, "system dimension")
+    prep = prepare(model)
+    n_sys = _qubit_count(prep.dim, "system dimension")
     m = term.order
     total_anc = m + 1
     if n_sys + total_anc > ancilla_budget:
@@ -472,10 +470,10 @@ def build_kraus_circuit(
     gates: list[Gate] = []
     # Rightmost factor in the operator product acts first.
     for slot, op_index in enumerate(reversed(term.indices)):
-        dilation = sznagy_dilation(work.lindblads[op_index])
+        dilation = sznagy_dilation(prep.normalized.lindblads[op_index])
         anc = n_sys + slot
         gates.append(Gate("unitary", (anc, *system), matrix=dilation))
-    gates += _t_block_gates(work, t, system, n_sys + m, scheme)
+    gates += _t_block_gates(prep, t, system, n_sys + m, scheme)
     return Circuit(
         n_sys,
         total_anc,
@@ -513,7 +511,9 @@ def _controlled_operator_gates(op: np.ndarray, control: int, system: list[int]) 
     return gates
 
 
-def build_group_circuit(model: LindbladModel, t: float, scheme: str = SCHEME_BINARY) -> Circuit:
+def build_group_circuit(
+    model: LindbladModel | PreparedModel, t: float, scheme: str = SCHEME_BINARY
+) -> Circuit:
     """Abelian factored-evolution circuit with per-factor ancilla registers.
 
     Each factor prepares the hyperbolic weight distribution on
@@ -522,12 +522,16 @@ def build_group_circuit(model: LindbladModel, t: float, scheme: str = SCHEME_BIN
     ancillas are traced out, not post-selected; they hold the classical
     mixture over powers, so no trace weight is discarded.
     """
-    work, structure, _report = _abelian_work_model(model, t)
+    if t < 0:
+        raise ValueError("evolution time must be nonnegative")
+    prep = prepare(model)
+    _require_abelian(prep)
+    work = prep.rescaled
     n_sys = _qubit_count(work.dim, "system dimension")
     system = list(range(n_sys))
     gates: list[Gate] = []
     next_anc = n_sys
-    for op, g, ell in zip(work.lindblads, work.gammas, structure.periods):
+    for op, g, ell in zip(work.lindblads, work.gammas, prep.structure.periods):
         n_anc = max(1, math.ceil(math.log2(ell)))
         block = list(range(next_anc, next_anc + n_anc))
         next_anc += n_anc
@@ -542,7 +546,7 @@ def build_group_circuit(model: LindbladModel, t: float, scheme: str = SCHEME_BIN
                 continue
             op_power = np.linalg.matrix_power(op, power)
             gates += _controlled_operator_gates(op_power, anc, system)
-    gates += _t_block_gates(work, t, system, None, scheme)
+    gates += _t_block_gates(prep, t, system, None, scheme)
     return Circuit(n_sys, next_anc - n_sys, tuple(gates))
 
 
@@ -669,7 +673,7 @@ def tomography(terms: list[TermMeasurements], num_qubits: int) -> DensityMatrix:
 
 
 def execute_series_tomography(
-    model: LindbladModel,
+    model: LindbladModel | PreparedModel,
     series: KrausSeries,
     t: float,
     initial_state: QuantumState,
@@ -683,13 +687,14 @@ def execute_series_tomography(
     shot count samples each (term, basis) job with a deterministic child
     seed, so parallel and serial schedules agree bit for bit.
     """
-    n_sys = _qubit_count(model.dim, "system dimension")
+    prep = prepare(model)
+    n_sys = _qubit_count(prep.dim, "system dimension")
     seed_base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
     bases = ["".join(b) for b in itertools.product("XYZ", repeat=n_sys)]
     measurements: list[TermMeasurements] = []
     diagnostics: list[dict] = []
     for term_index, term in enumerate(series.terms):
-        circuit = build_kraus_circuit(term, model, t, scheme)
+        circuit = build_kraus_circuit(term, prep, t, scheme)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
         results: dict[str, ShotResult] = {}
@@ -754,15 +759,4 @@ def circuit_from_json(text: str) -> Circuit:
         doc["num_ancilla_qubits"],
         gates,
         tuple(doc["postselect"]),
-    )
-
-
-def shot_result_to_json(result: ShotResult) -> str:
-    return json.dumps(
-        {
-            "basis": result.basis,
-            "counts": dict(sorted(result.counts.items())),
-            "accepted_fraction": result.accepted_fraction,
-        },
-        sort_keys=True,
     )

@@ -31,6 +31,7 @@ from .lindblad import (
     _matrix_to_json,
 )
 from .matkernel import (
+    DensityMatrix,
     QuantumState,
     fidelity,
     hermiticity_defect,
@@ -224,19 +225,9 @@ def _build_noise(config: ExperimentConfig, dim: int):
     raise ConfigError(f"unknown noise kind {kind!r}")
 
 
-def _series_for(config: ExperimentConfig, model: LindbladModel, t: float) -> kraus.KrausSeries:
-    variant = config.series
-    if variant == "auto":
-        structure = kraus.detect_group_structure(model)
-        variant = "reduced" if structure is not None else "truncated"
-    if variant == "reduced":
-        return kraus.build_reduced_series(model, t)
-    return kraus.build_tp_series(model, t, config.order)
-
-
 def _run_method(
     config: ExperimentConfig,
-    model: LindbladModel,
+    model: LindbladModel | kraus.PreparedModel,
     psi0: QuantumState,
     rho0: np.ndarray,
     t: float,
@@ -252,7 +243,7 @@ def _run_method(
         if config.series == "factored":
             out = kraus.apply_factored_evolution(model, t, rho0)
             return out.matrix, [], 1e-9
-        series = _series_for(config, model, t)
+        series = kraus.build_series(model, t, config.series, config.order)
         out = kraus.apply_series(series, rho0, renormalize=config.renormalize)
         diags = [
             {"order": term.order, "indices": list(term.indices), "weight": term.weight}
@@ -264,7 +255,7 @@ def _run_method(
             circuit = circuits.build_group_circuit(model, t, config.scheme)
             out = circuits.apply_group_circuit(circuit, psi0)
             return out, [], 1e-9
-        series = _series_for(config, model, t)
+        series = kraus.build_series(model, t, config.series, config.order)
         shots = config.shots if config.method == "kraus-circuit-shots" else None
         rho, diags = circuits.execute_series_tomography(
             model, series, t, psi0, shots=shots, seed=(config.seed, t_index), scheme=config.scheme
@@ -289,7 +280,7 @@ class _MitigationChain:
         self.fitted = self.kind == "none"
 
     def _twirl(self, mat: np.ndarray) -> np.ndarray:
-        return (mat + self.parity @ mat @ self.parity.conj().T) / 2
+        return mitigation.parity_twirl(DensityMatrix(mat, raw=True), self.parity).matrix
 
     def fit(self, oracle0: np.ndarray, noisy0: np.ndarray) -> None:
         if self.fitted:
@@ -371,12 +362,13 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     model = spec.model
     psi0 = _resolve_state(config, model.dim)
     rho0 = psi0.density().matrix
+    work: LindbladModel | kraus.PreparedModel = model
     if config.method in ("kraus", "kraus-circuit", "kraus-circuit-shots"):
-        report = check_conditions(model)
-        if not report.all_satisfied:
+        work = kraus.prepare(model)
+        if not work.report.all_satisfied:
             raise ConditionError(
                 "commutation conditions fail for the Kraus method: "
-                + ", ".join(report.failing())
+                + ", ".join(work.report.failing())
             )
     noise = _build_noise(config, model.dim)
     chain = _MitigationChain(config, model.dim)
@@ -384,7 +376,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     ts = np.linspace(config.t_start, config.t_stop, config.steps)
     for index, t in enumerate(ts):
         oracle = exact_evolve(model, rho0, float(t)).matrix
-        raw, diagnostics, bound = _run_method(config, model, psi0, rho0, float(t), index, oracle)
+        raw, diagnostics, bound = _run_method(config, work, psi0, rho0, float(t), index, oracle)
         noisy = noise(raw) if noise is not None else raw
         chain.fit(oracle, noisy)
         mitigated = chain.apply(noisy)
@@ -491,14 +483,7 @@ def _load_config(args) -> ExperimentConfig:
     for key in ("method", "series", "order", "shots", "seed", "mitigation", "steps"):
         value = getattr(args, key, None)
         if value is not None:
-            if key == "steps":
-                doc.setdefault("time", {})
-                if isinstance(doc.get("time"), dict):
-                    doc["time"]["steps"] = value
-                else:
-                    doc["steps"] = value
-            else:
-                doc[key] = value
+            doc[key] = value
     if getattr(args, "check", False):
         doc["check"] = True
     if getattr(args, "check_tol", None) is not None:
@@ -597,12 +582,7 @@ def _cmd_evolve(args) -> int:
 
 def _cmd_kraus(args) -> int:
     spec = models.build_model(args.model, **_model_params(args.param))
-    if args.series == "reduced" or (
-        args.series == "auto" and kraus.detect_group_structure(spec.model) is not None
-    ):
-        series = kraus.build_reduced_series(spec.model, args.time)
-    else:
-        series = kraus.build_tp_series(spec.model, args.time, args.order)
+    series = kraus.build_series(spec.model, args.time, args.series, args.order)
     if args.out:
         Path(args.out).write_text(kraus.series_to_json(series))
     summary = {
@@ -627,13 +607,10 @@ def _cmd_circuit(args) -> int:
     if args.group:
         docs = [json.loads(circuits.circuit_to_json(circuits.build_group_circuit(spec.model, args.time, args.scheme)))]
     else:
-        series = (
-            kraus.build_reduced_series(spec.model, args.time)
-            if kraus.detect_group_structure(spec.model) is not None
-            else kraus.build_tp_series(spec.model, args.time, args.order)
-        )
+        prep = kraus.prepare(spec.model)
+        series = kraus.build_series(prep, args.time, "auto", args.order)
         docs = [
-            json.loads(circuits.circuit_to_json(circuits.build_kraus_circuit(term, spec.model, args.time, args.scheme)))
+            json.loads(circuits.circuit_to_json(circuits.build_kraus_circuit(term, prep, args.time, args.scheme)))
             for term in series.terms
         ]
     payload = json.dumps({"circuits": docs}, sort_keys=True)

@@ -8,7 +8,12 @@ terms ``K = a * T(t) * L_{k_1} ... L_{k_m}`` sharing one contraction
 * the general truncated series over all index vectors up to order M,
 * the exact finite series for operators with power-law structure
   (``L^l = c I`` or ``L^l = 0`` plus commutativity up to phase),
-* the factored single-operator form valid for the abelian case.
+* the factored channel, one operator at a time, valid for the abelian case.
+
+Everything that does not depend on time (unit-norm operators, the condition
+report, the group structure and the shared eigenbasis) is computed once by
+:func:`prepare`; every construction accepts a plain model or its
+:class:`PreparedModel`.
 
 Weights use the accumulated jump weight ``x_n = gamma_n * f(t)`` where
 ``f(t) = t`` for the linear branch and ``(1 - exp(-alpha t)) / alpha``
@@ -91,6 +96,30 @@ class GroupStructure:
         return tuple(th == 0.0 for th in self.thetas)
 
 
+@dataclass(frozen=True)
+class PreparedModel:
+    """Time-independent data of a Lindblad model, built once by :func:`prepare`.
+
+    ``normalized`` has unit-norm jump operators and ``report`` is its
+    condition report.  ``rescaled`` further polishes every non-nilpotent
+    theta to exactly 1 and ``structure`` describes it (thetas 1, or 0 when
+    nilpotent); both are None when the operators lack power-law structure.
+    ``spectrum`` is the shared eigenbasis ``(u, energies, decays)`` of
+    ``normalized``, None when conditions (i) or (ii) fail.
+    """
+
+    model: LindbladModel
+    normalized: LindbladModel
+    report: ConditionReport
+    structure: GroupStructure | None
+    rescaled: LindbladModel | None
+    spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+
 def f_of_t(alpha: float, t: float) -> float:
     """Time weight of the series, ``t`` when alpha = 0 else ``(1-e^{-at})/a``.
 
@@ -148,9 +177,36 @@ def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np
     return u, energies, np.clip(decays, 0.0, None)
 
 
-def effective_evolution(
-    model: LindbladModel, t: float, report: ConditionReport | None = None
-) -> np.ndarray:
+def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
+    """Normalize, check, detect structure and diagonalize a model once.
+
+    A :class:`PreparedModel` is returned unchanged.
+    """
+    if isinstance(model, PreparedModel):
+        return model
+    normalized = normalize_lindblads(model)
+    report = check_conditions(normalized)
+    structure = detect_group_structure(normalized)
+    rescaled = None
+    if structure is not None:
+        scales = [
+            1.0 if theta == 0.0 else theta ** (1.0 / (2 * ell))
+            for ell, theta in zip(structure.periods, structure.thetas)
+        ]
+        rescaled = LindbladModel(
+            model.hamiltonian,
+            tuple(op / b for op, b in zip(normalized.lindblads, scales)),
+            tuple(b * b * g for g, b in zip(normalized.gammas, scales)),
+        )
+        thetas = tuple(0.0 if theta == 0.0 else 1.0 for theta in structure.thetas)
+        structure = GroupStructure(structure.periods, thetas)
+    spectrum = None
+    if report.hamiltonian_commutes and report.dissipators_commute:
+        spectrum = effective_spectrum(normalized)
+    return PreparedModel(model, normalized, report, structure, rescaled, spectrum)
+
+
+def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.ndarray:
     """Contraction ``T(t) = exp(-i t H_eff)`` built in the shared eigenbasis.
 
     Falls back to a dense matrix exponential with a warning when conditions
@@ -158,15 +214,14 @@ def effective_evolution(
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    if report is None:
-        report = check_conditions(model)
-    if not (report.hamiltonian_commutes and report.dissipators_commute):
+    prep = prepare(model)
+    if prep.spectrum is None:
         warnings.warn(
             "commutation conditions unmet; using dense expm for T(t)",
             ConditionFallbackWarning,
         )
-        return matexp(-1j * t * effective_hamiltonian(model))
-    u, energies, decays = effective_spectrum(model)
+        return matexp(-1j * t * effective_hamiltonian(prep.model))
+    u, energies, decays = prep.spectrum
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
     t_op = (u * diag) @ u.conj().T
     top = float(np.linalg.norm(t_op, 2))
@@ -182,6 +237,11 @@ def _require_conditions(report: ConditionReport) -> None:
         )
 
 
+def _require_structure(prep: PreparedModel) -> None:
+    if prep.structure is None:
+        raise ConditionError("no finite group or semigroup structure detected")
+
+
 def _series_tail(x: float, order: int) -> float:
     """Upper bound sum_{m > order} x^m / m! = e^x P(order+1, x)."""
     if x <= 0.0:
@@ -189,7 +249,7 @@ def _series_tail(x: float, order: int) -> float:
     return float(np.exp(x) * gammainc(order + 1, x))
 
 
-def build_tp_series(model: LindbladModel, t: float, order: int) -> KrausSeries:
+def build_tp_series(model: LindbladModel | PreparedModel, t: float, order: int) -> KrausSeries:
     """General truncated series over all index vectors of length <= order.
 
     The model is brought to unit-norm jump operators first (a generator
@@ -200,16 +260,16 @@ def build_tp_series(model: LindbladModel, t: float, order: int) -> KrausSeries:
         raise ValueError("truncation order must be nonnegative")
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    norm_model = normalize_lindblads(model)
-    report = check_conditions(norm_model)
-    _require_conditions(report)
-    t_op = effective_evolution(norm_model, t, report)
-    f_t = f_of_t(report.alpha, t)
+    prep = prepare(model)
+    _require_conditions(prep.report)
+    norm_model = prep.normalized
+    t_op = effective_evolution(prep, t)
+    f_t = f_of_t(prep.report.alpha, t)
     n_ops = len(norm_model.lindblads)
     sqrt_gammas = [math.sqrt(g) for g in norm_model.gammas]
 
     terms: list[KrausTerm] = []
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(model.dim, dtype=complex))]
+    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(prep.dim, dtype=complex))]
     for m in range(order + 1):
         base = math.sqrt(f_t**m / math.factorial(m))
         if m > 0:
@@ -241,7 +301,7 @@ def build_tp_series(model: LindbladModel, t: float, order: int) -> KrausSeries:
         terms=tuple(terms),
         truncation_order=order,
         tail_bound=tail,
-        dim=model.dim,
+        dim=prep.dim,
     )
 
 
@@ -333,30 +393,7 @@ def detect_group_structure(model: LindbladModel) -> GroupStructure | None:
     return GroupStructure(tuple(periods), tuple(thetas))
 
 
-def _group_rescaled(model: LindbladModel) -> tuple[LindbladModel, GroupStructure]:
-    """Unit-norm model polished so every non-nilpotent theta is exactly 1."""
-    norm_model = normalize_lindblads(model)
-    structure = detect_group_structure(norm_model)
-    if structure is None:
-        raise ConditionError("no finite group or semigroup structure detected")
-    ops = []
-    gammas = []
-    for op, g, ell, theta in zip(
-        norm_model.lindblads, norm_model.gammas, structure.periods, structure.thetas
-    ):
-        if theta == 0.0:
-            ops.append(op)
-            gammas.append(g)
-        else:
-            b = theta ** (1.0 / (2 * ell))
-            ops.append(op / b)
-            gammas.append(b * b * g)
-    polished = LindbladModel(model.hamiltonian, tuple(ops), tuple(gammas))
-    thetas = tuple(0.0 if th == 0.0 else 1.0 for th in structure.thetas)
-    return polished, GroupStructure(structure.periods, thetas)
-
-
-def build_reduced_series(model: LindbladModel, t: float) -> KrausSeries:
+def build_reduced_series(model: LindbladModel | PreparedModel, t: float) -> KrausSeries:
     """Exact finite series for power-law structured operator sets.
 
     One term per power vector ``(m_1 .. m_N)`` with ``m_n < period_n`` and
@@ -366,11 +403,12 @@ def build_reduced_series(model: LindbladModel, t: float) -> KrausSeries:
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    work, structure = _group_rescaled(model)
-    report = check_conditions(work)
-    _require_conditions(report)
-    t_op = effective_evolution(work, t, report)
-    f_t = f_of_t(report.alpha, t)
+    prep = prepare(model)
+    _require_structure(prep)
+    _require_conditions(prep.report)
+    work, structure = prep.rescaled, prep.structure
+    t_op = effective_evolution(prep, t)
+    f_t = f_of_t(prep.report.alpha, t)
 
     terms: list[KrausTerm] = []
     for powers in itertools.product(*(range(ell) for ell in structure.periods)):
@@ -387,54 +425,39 @@ def build_reduced_series(model: LindbladModel, t: float) -> KrausSeries:
             continue
         terms.append(KrausTerm(len(indices), tuple(indices), weight, op))
     max_order = sum(ell - 1 for ell in structure.periods)
-    return KrausSeries(tuple(terms), max_order, 0.0, model.dim)
+    return KrausSeries(tuple(terms), max_order, 0.0, prep.dim)
 
 
-def build_factored_evolution(model: LindbladModel, t: float) -> np.ndarray:
-    """Factored evolution operator for the abelian (all theta > 0) case.
+def build_series(
+    model: LindbladModel | PreparedModel, t: float, variant: str, order: int
+) -> KrausSeries:
+    """The series selector: ``reduced``, ``truncated`` at ``order``, or ``auto``.
 
-    ``S(t) = e^{G t / 2} T(t) prod_n sum_m sqrt(e^{-g_n t} F_{l,m}(g_n t)) L_n^m``
-    over the power-law rescaled operators.  The factors define the channel
-    one operator at a time; applying the flat product as ``S rho S^dag``
-    reintroduces cross terms between powers and is only a channel action on
-    states left invariant by those cross terms (see
-    :func:`apply_factored_evolution` for the channel itself).
+    ``auto`` picks the exact reduced series exactly when the model has
+    power-law structure, and the truncated series otherwise.
     """
-    work, structure, report = _abelian_work_model(model, t)
-    total_rate = sum(work.gammas)
-    s = np.exp(total_rate * t / 2) * effective_evolution(work, t, report)
-    for factor in _evolution_factors(work, structure, t):
-        s = s @ factor
-    return s
+    prep = prepare(model)
+    if variant == "auto":
+        variant = "reduced" if prep.structure is not None else "truncated"
+    if variant == "reduced":
+        return build_reduced_series(prep, t)
+    if variant == "truncated":
+        return build_tp_series(prep, t, order)
+    raise ValueError(f"unknown series variant {variant!r}; choose auto, reduced or truncated")
 
 
-def _abelian_work_model(model: LindbladModel, t: float):
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    work, structure = _group_rescaled(model)
-    if any(structure.nilpotent):
+def _require_abelian(prep: PreparedModel) -> None:
+    """Refuse models whose factored form is not the channel."""
+    _require_structure(prep)
+    if any(prep.structure.nilpotent):
         raise ConditionError("factored evolution requires every theta > 0")
-    report = check_conditions(work)
-    _require_conditions(report)
+    _require_conditions(prep.report)
     # Factoring pulls the decay of T(t) out as exp(sum gamma_n t / 2), which
     # requires the weighted dissipator sum to be a uniform multiple of I.
-    _, _, decays = effective_spectrum(work)
-    total_rate = sum(work.gammas)
+    _, _, decays = prep.spectrum
+    total_rate = sum(prep.rescaled.gammas)
     if np.ptp(decays) > 1e-10 * max(1.0, total_rate):
         raise ConditionError("factored evolution requires a uniform dissipator spectrum")
-    return work, structure, report
-
-
-def _evolution_factors(work: LindbladModel, structure: GroupStructure, t: float) -> list[np.ndarray]:
-    factors = []
-    for op, g, ell in zip(work.lindblads, work.gammas, structure.periods):
-        factor = np.zeros((work.dim, work.dim), dtype=complex)
-        power = np.eye(work.dim, dtype=complex)
-        for m, w in enumerate(factor_weights(g, ell, t)):
-            factor += math.sqrt(w) * power
-            power = power @ op
-        factors.append(factor)
-    return factors
 
 
 def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
@@ -445,7 +468,7 @@ def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
     return np.clip(w, 0.0, None)
 
 
-def apply_factored_evolution(model: LindbladModel, t: float, rho0) -> DensityMatrix:
+def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> DensityMatrix:
     """Channel defined by the factored evolution, one factor at a time.
 
     Each factor acts as the finite Kraus sum ``sum_m w_m L^m rho (L^m)^dag``
@@ -453,14 +476,18 @@ def apply_factored_evolution(model: LindbladModel, t: float, rho0) -> DensityMat
     reduced series exactly (the per-factor registers of the corresponding
     circuit keep the powers from interfering).
     """
-    work, structure, report = _abelian_work_model(model, t)
+    if t < 0:
+        raise ValueError("evolution time must be nonnegative")
+    prep = prepare(model)
+    _require_abelian(prep)
+    work = prep.rescaled
     rho = _as_matrix(rho0)
     if rho.shape != (work.dim, work.dim):
         raise ValueError("state dimension does not match the model")
-    u, energies, _ = effective_spectrum(work)
+    u, energies, _ = prep.spectrum
     unitary = (u * np.exp(-1j * energies * t)) @ u.conj().T
     out = unitary @ rho @ unitary.conj().T
-    for op, g, ell in zip(work.lindblads, work.gammas, structure.periods):
+    for op, g, ell in zip(work.lindblads, work.gammas, prep.structure.periods):
         acc = np.zeros_like(out)
         power = np.eye(work.dim, dtype=complex)
         for m, w in enumerate(factor_weights(g, ell, t)):

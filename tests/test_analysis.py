@@ -177,57 +177,3 @@ def test_twirled_state_has_even_position_density(grid, rng):
     dens = analysis.position_density(twirled, grid)
     assert np.abs(dens - dens[::-1]).max() < 1e-10
 
-
-def test_gaussian_time_interpolation():
-    times = np.linspace(0.0, 2.0, 5)
-    samples = np.stack([np.full(3, t) for t in times])
-    smoothed = analysis.gaussian_time_interpolation(times, samples, times)
-    # weights are convex, symmetric around each snapshot
-    assert smoothed.shape == (5, 3)
-    assert np.abs(smoothed[2] - samples[2]).max() < 0.2
-    assert np.all(smoothed >= samples.min()) and np.all(smoothed <= samples.max())
-    with pytest.raises(ValueError):
-        analysis.gaussian_time_interpolation(times, samples[:3], times)
-
-
-def test_fit_damped_oscillator_recovery():
-    times = np.linspace(0.0, 6.0, 80)
-    true = dict(amplitude=1.3, frequency=2.0, damping=0.35, phase=0.8)
-    xs = true["amplitude"] * np.exp(-true["damping"] * times) * np.cos(
-        true["frequency"] * times + true["phase"]
-    )
-    ps = -true["amplitude"] * np.exp(-true["damping"] * times) * np.sin(
-        true["frequency"] * times + true["phase"]
-    )
-    fit = analysis.fit_damped_oscillator(times, xs, ps)
-    assert fit.amplitude == pytest.approx(true["amplitude"], abs=1e-6)
-    assert fit.frequency == pytest.approx(true["frequency"], abs=1e-6)
-    assert fit.damping == pytest.approx(true["damping"], abs=1e-6)
-    assert fit.phase == pytest.approx(true["phase"], abs=1e-6)
-    assert fit.residual < 1e-12
-
-
-def test_fit_damped_oscillator_zero_signal():
-    times = np.linspace(0.0, 3.0, 10)
-    fit = analysis.fit_damped_oscillator(times, np.zeros(10), np.zeros(10))
-    assert fit.amplitude == 0.0 and fit.residual == 0.0
-
-
-def test_fit_damped_oscillator_rejects_constant():
-    times = np.linspace(0.0, 3.0, 10)
-    with pytest.raises(ValueError):
-        analysis.fit_damped_oscillator(times, np.ones(10), np.ones(10))
-
-
-def test_fit_damped_oscillator_qho_trajectory(qho_spec, initial_states):
-    psi = initial_states["qho-oscillating"]
-    a = qho_spec.mode_ops[0]
-    times = np.linspace(0.0, 3.0, 19)
-    xs, ps = [], []
-    for t in times:
-        rho = lb.exact_evolve(qho_spec.model, psi.density(), float(t)).matrix
-        (x0, p0), = analysis.quadrature_expectations(rho, [a])
-        xs.append(x0)
-        ps.append(p0)
-    fit = analysis.fit_damped_oscillator(times, xs, ps)
-    assert abs(fit.frequency - 1.0) / 1.0 < 0.02

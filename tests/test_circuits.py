@@ -288,6 +288,14 @@ def test_group_circuit_rejects_nilpotent(qho_spec):
         qc.build_group_circuit(qho_spec.model, 1.0)
 
 
+def test_kraus_circuit_rejects_model_without_shared_eigenbasis():
+    # transverse Hamiltonian with a lowering jump operator violates (i)
+    model = lb.LindbladModel(PAULI["X"], (np.array([[0, 1], [0, 0]]),), (1.0,))
+    term = kraus.KrausTerm(0, (), 1.0, np.eye(2, dtype=complex))
+    with pytest.raises(kraus.ConditionError):
+        qc.build_kraus_circuit(term, model, 0.5)
+
+
 def test_group_circuit_period_three_dense_controls(rng):
     # a cube-root-of-unity diagonal needs two ancillas, a padded weight
     # distribution and the dense controlled-power fallback

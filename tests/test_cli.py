@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from kraussim import cli, mitigation as mit
+from kraussim import cli, kraus, lindblad, mitigation as mit
 from kraussim.lindblad import _matrix_to_json
 
 from conftest import random_density
@@ -65,6 +65,57 @@ def test_experiment_preset_check_passes(tmp_path, capsys):
     first = dict(zip(header, rows[1].split(",")))
     assert float(first["pauli:IZ"]) == pytest.approx(-1.0, abs=1e-9)
     assert float(first["pauli:ZZ"]) == pytest.approx(0.28, abs=1e-9)
+
+
+def _row_count(outdir):
+    return len((outdir / "trajectory.csv").read_text().splitlines()) - 1
+
+
+def test_steps_flag_overrides_top_level_config_steps(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps({"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 5, "method": "exact"})
+    )
+    assert run(["experiment", "--config", cfg, "--steps", 9, "--out", tmp_path / "out"]) == 0
+    assert _row_count(tmp_path / "out") == 9
+
+
+def test_steps_flag_leaves_presets_untouched(tmp_path):
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--steps", 3, "--out", tmp_path / "a"]) == 0
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--out", tmp_path / "b"]) == 0
+    assert _row_count(tmp_path / "a") == 3
+    assert _row_count(tmp_path / "b") == 21
+
+
+@pytest.mark.parametrize("method, steps", [("kraus", 40), ("kraus-circuit", 3)])
+def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
+    calls = {"check_conditions": 0, "detect_group_structure": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for module in (lindblad, kraus):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "model": "qho-damped",
+                "state": "qho-oscillating",
+                "time": {"start": 0.0, "stop": 2.0, "steps": steps},
+                "method": method,
+            }
+        )
+    )
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
+    assert _row_count(tmp_path / "out") == steps
+    assert calls == {"check_conditions": 1, "detect_group_structure": 1}
 
 
 def test_experiment_check_tol_failure(tmp_path):

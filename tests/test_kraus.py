@@ -261,28 +261,39 @@ def test_reduced_series_matches_truncated_for_nilpotent(qho_spec, initial_states
     assert trace_distance(a, b) < 1e-12
 
 
+def test_prepare_returns_a_prepared_model_unchanged(pauli_spec):
+    prep = kraus.prepare(pauli_spec.model)
+    assert kraus.prepare(prep) is prep
+    assert prep.model is pauli_spec.model
+    # conditions (i)/(ii) unmet: no shared eigenbasis
+    transverse = lb.LindbladModel(PAULI["X"], (np.array([[0, 1], [0, 0]]),), (1.0,))
+    assert kraus.prepare(transverse).spectrum is None
+
+
+def _series_key(series):
+    return (
+        series.truncation_order,
+        series.tail_bound,
+        [(term.indices, term.weight) for term in series.terms],
+    )
+
+
+@pytest.mark.parametrize(
+    "key, variant",
+    [("pauli-xx-zz", "reduced"), ("qho-damped", "reduced"), ("schwinger-jz", "truncated")],
+)
+def test_build_series_auto_picks_reduced_exactly_with_structure(key, variant):
+    # order 1 keeps the truncated series distinct from the exact reduced one
+    prep = kraus.prepare(models.build_model(key).model)
+    auto = kraus.build_series(prep, 0.6, "auto", 1)
+    assert _series_key(auto) == _series_key(kraus.build_series(prep, 0.6, variant, 1))
+    with pytest.raises(ValueError):
+        kraus.build_series(prep, 0.6, "factored", 1)
+
+
 def test_reduced_series_requires_structure(schwinger_spec):
     with pytest.raises(kraus.ConditionError):
         kraus.build_reduced_series(schwinger_spec.model, 1.0)
-
-
-def test_factored_evolution_identity_at_zero(pauli_spec):
-    s = kraus.build_factored_evolution(pauli_spec.model, 0.0)
-    assert np.abs(s - np.eye(4)).max() < 1e-12
-
-
-def test_factored_evolution_weights_match_channel(pauli_spec):
-    # per-factor amplitudes are sqrt(e^-x cosh x) and sqrt(e^-x sinh x)
-    t = 1.0
-    s = kraus.build_factored_evolution(pauli_spec.model, t)
-    expected = np.eye(4, dtype=complex)
-    for op, g in zip(pauli_spec.model.lindblads, pauli_spec.model.gammas):
-        x = g * t
-        expected = expected @ (
-            np.sqrt(np.exp(-x) * np.cosh(x)) * np.eye(4)
-            + np.sqrt(np.exp(-x) * np.sinh(x)) * op
-        )
-    assert np.abs(s - expected).max() < 1e-10
 
 
 def test_factored_channel_matches_reduced(pauli_spec, initial_states, rng):
@@ -300,7 +311,7 @@ def test_factored_channel_matches_reduced(pauli_spec, initial_states, rng):
 
 def test_factored_requires_abelian(qho_spec):
     with pytest.raises(kraus.ConditionError):
-        kraus.build_factored_evolution(qho_spec.model, 1.0)
+        kraus.apply_factored_evolution(qho_spec.model, 1.0, np.eye(4) / 4)
 
 
 def test_random_abelian_model_round_trip(rng, initial_states):
