@@ -10,7 +10,6 @@ ancilla registers, which purify the channel mixture.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +24,7 @@ from .kraus import (
     prepare,
     _require_abelian,
 )
-from .lindblad import LindbladModel, _matrix_from_json, _matrix_to_json
+from .lindblad import LindbladModel
 from .matkernel import DensityMatrix, QuantumState, pauli_labels, pauli_string_matrix, psd_sqrt
 
 DILATION_NORM_TOL = 1e-10
@@ -715,48 +714,3 @@ def execute_series_tomography(
             }
         )
     return tomography(measurements, n_sys), diagnostics
-
-
-def gate_to_json(gate: Gate) -> dict:
-    doc = {
-        "kind": gate.kind,
-        "targets": list(gate.targets),
-        "controls": list(gate.controls),
-        "control_values": list(gate.control_values),
-    }
-    if gate.angle is not None:
-        doc["angle"] = float(gate.angle)
-    if gate.matrix is not None:
-        doc["matrix"] = _matrix_to_json(gate.matrix)
-    return doc
-
-
-def circuit_to_json(circuit: Circuit) -> str:
-    doc = {
-        "num_system_qubits": circuit.num_system_qubits,
-        "num_ancilla_qubits": circuit.num_ancilla_qubits,
-        "postselect": list(circuit.postselect),
-        "gates": [gate_to_json(g) for g in circuit.gates],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
-    gates = tuple(
-        Gate(
-            item["kind"],
-            tuple(item["targets"]),
-            tuple(item["controls"]),
-            tuple(item["control_values"]),
-            item.get("angle"),
-            _matrix_from_json(item["matrix"]) if "matrix" in item else None,
-        )
-        for item in doc["gates"]
-    )
-    return Circuit(
-        doc["num_system_qubits"],
-        doc["num_ancilla_qubits"],
-        gates,
-        tuple(doc["postselect"]),
-    )

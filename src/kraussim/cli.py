@@ -27,16 +27,16 @@ from .lindblad import (
     check_conditions,
     exact_evolve,
     trotter_evolve,
-    _matrix_from_json,
-    _matrix_to_json,
 )
 from .matkernel import (
     DensityMatrix,
     QuantumState,
     fidelity,
+    from_doc,
     hermiticity_defect,
     project_to_physical,
     pauli_string_matrix,
+    to_doc,
     trace_distance,
     von_neumann_entropy,
 )
@@ -78,6 +78,12 @@ class ExperimentConfig:
     check_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("steps", "order", "trotter_steps", "seed", "shots"):
+            value = getattr(self, name)
+            if name == "shots" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.series not in SERIES_VARIANTS:
@@ -180,23 +186,22 @@ def _resolve_model(config: ExperimentConfig) -> models.ModelSpec:
         except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
     try:
-        doc = config.model
-        model = LindbladModel(
-            _matrix_from_json(doc["hamiltonian"]),
-            tuple(_matrix_from_json(op) for op in doc["lindblads"]),
-            tuple(doc["gammas"]),
-        )
+        model = from_doc(LindbladModel, config.model)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid inline model: {exc}") from exc
     return models.ModelSpec("custom", model, (), "inline model")
 
 
+def _named_state(key: str) -> QuantumState:
+    registry = models.benchmark_initial_states()
+    if key not in registry:
+        raise ConfigError(f"unknown state key {key!r}")
+    return registry[key]
+
+
 def _resolve_state(config: ExperimentConfig, dim: int) -> QuantumState:
     if isinstance(config.state, str):
-        registry = models.benchmark_initial_states()
-        if config.state not in registry:
-            raise ConfigError(f"unknown state key {config.state!r}")
-        state = registry[config.state]
+        state = _named_state(config.state)
     else:
         try:
             amps = np.array([complex(re, im) for re, im in config.state])
@@ -422,15 +427,10 @@ def emit_report(
             }
             row.update(record.observables)
             table_rows.append(row)
-            doc = {
-                "t": record.t,
-                "raw": _matrix_to_json(record.raw),
-                "mitigated": _matrix_to_json(record.mitigated),
-                "diagnostics": record.diagnostics,
-            }
+            doc = {"t": record.t, "raw": record.raw, "mitigated": record.mitigated, "diagnostics": record.diagnostics}
             if not first:
                 states_file.write(",\n")
-            states_file.write(json.dumps(doc, sort_keys=True))
+            states_file.write(json.dumps(to_doc(doc), sort_keys=True))
             first = False
             for name, data in record.fields.items():
                 fields_dir = outdir / "fields"
@@ -584,19 +584,18 @@ def _cmd_kraus(args) -> int:
     spec = models.build_model(args.model, **_model_params(args.param))
     series = kraus.build_series(spec.model, args.time, args.series, args.order)
     if args.out:
-        Path(args.out).write_text(kraus.series_to_json(series))
+        Path(args.out).write_text(json.dumps(to_doc(series), sort_keys=True))
     summary = {
         "terms": len(series.terms),
         "truncation_order": series.truncation_order,
         "tail_bound": series.tail_bound,
     }
     if args.state:
-        state = models.benchmark_initial_states()[args.state]
-        out = kraus.apply_series(series, state.density())
+        out = kraus.apply_series(series, _named_state(args.state).density())
         summary["output_trace"] = float(np.trace(out.matrix).real)
         if args.out_state:
             Path(args.out_state).write_text(
-                json.dumps({"matrix": _matrix_to_json(out.matrix)}, sort_keys=True)
+                json.dumps(to_doc({"matrix": out.matrix}), sort_keys=True)
             )
     print(json.dumps(summary, sort_keys=True))
     return 0
@@ -605,15 +604,12 @@ def _cmd_kraus(args) -> int:
 def _cmd_circuit(args) -> int:
     spec = models.build_model(args.model, **_model_params(args.param))
     if args.group:
-        docs = [json.loads(circuits.circuit_to_json(circuits.build_group_circuit(spec.model, args.time, args.scheme)))]
+        built = [circuits.build_group_circuit(spec.model, args.time, args.scheme)]
     else:
         prep = kraus.prepare(spec.model)
         series = kraus.build_series(prep, args.time, "auto", args.order)
-        docs = [
-            json.loads(circuits.circuit_to_json(circuits.build_kraus_circuit(term, prep, args.time, args.scheme)))
-            for term in series.terms
-        ]
-    payload = json.dumps({"circuits": docs}, sort_keys=True)
+        built = [circuits.build_kraus_circuit(term, prep, args.time, args.scheme) for term in series.terms]
+    payload = json.dumps(to_doc({"circuits": built}), sort_keys=True)
     if args.out:
         Path(args.out).write_text(payload)
     else:
@@ -624,25 +620,21 @@ def _cmd_circuit(args) -> int:
 def _cmd_mitigate(args) -> int:
     doc = json.loads(Path(args.pairs).read_text())
     pairs = [
-        (_matrix_from_json(exact), _matrix_from_json(noisy)) for exact, noisy in doc["pairs"]
+        (from_doc(np.ndarray, exact), from_doc(np.ndarray, noisy)) for exact, noisy in doc["pairs"]
     ]
     if args.channel == "pauli":
         channel, report = mitigation.fit_pauli_channel(pairs)
-        payload = {
-            "channel": json.loads(mitigation.pauli_channel_to_json(channel)),
-            "report": json.loads(report.to_json()),
-        }
+        payload = {"channel": channel, "report": report}
     else:
         lam = mitigation.fit_qdc_lambda(pairs, args.strategy)
-        payload = {"channel": {"num_qubits": int(np.log2(pairs[0][0].shape[0])), "lambda": lam}}
-        channel = mitigation.DepolarizingChannel(payload["channel"]["num_qubits"], lam)
+        channel = mitigation.DepolarizingChannel(int(np.log2(pairs[0][0].shape[0])), lam)
+        payload = {"channel": {"num_qubits": channel.num_qubits, "lambda": lam}}
     if args.apply:
-        mitigated = [
-            _matrix_to_json(mitigation.project_physical(mitigation.invert_channel(channel, noisy)).matrix)
+        payload["mitigated"] = [
+            mitigation.project_physical(mitigation.invert_channel(channel, noisy)).matrix
             for _exact, noisy in pairs
         ]
-        payload["mitigated"] = mitigated
-    text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(to_doc(payload), sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -749,3 +741,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

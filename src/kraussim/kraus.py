@@ -23,7 +23,6 @@ otherwise.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -36,8 +35,6 @@ from .lindblad import (
     LindbladModel,
     check_conditions,
     normalize_lindblads,
-    _matrix_from_json,
-    _matrix_to_json,
 )
 from .matkernel import DensityMatrix, classify_density, matexp, _as_matrix
 
@@ -409,6 +406,11 @@ def build_reduced_series(model: LindbladModel | PreparedModel, t: float) -> Krau
     work, structure = prep.rescaled, prep.structure
     t_op = effective_evolution(prep, t)
     f_t = f_of_t(prep.report.alpha, t)
+    # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
+    roots = [
+        [math.sqrt(max(gen_hyperbolic(ell, m, theta, g * f_t), 0.0)) for m in range(ell)]
+        for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
+    ]
 
     terms: list[KrausTerm] = []
     for powers in itertools.product(*(range(ell) for ell in structure.periods)):
@@ -416,8 +418,7 @@ def build_reduced_series(model: LindbladModel | PreparedModel, t: float) -> Krau
         op = t_op
         indices: list[int] = []
         for n, m_n in enumerate(powers):
-            hyp = gen_hyperbolic(structure.periods[n], m_n, structure.thetas[n], work.gammas[n] * f_t)
-            weight *= math.sqrt(max(hyp, 0.0))
+            weight *= roots[n][m_n]
             for _ in range(m_n):
                 op = op @ work.lindblads[n]
             indices.extend([n] * m_n)
@@ -495,35 +496,3 @@ def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho
             power = power @ op
         out = acc
     return classify_density(out)
-
-
-def series_to_json(series: KrausSeries) -> str:
-    doc = {
-        "dim": series.dim,
-        "truncation_order": series.truncation_order,
-        "tail_bound": series.tail_bound,
-        "terms": [
-            {
-                "order": term.order,
-                "indices": list(term.indices),
-                "weight": term.weight,
-                "operator": _matrix_to_json(term.operator),
-            }
-            for term in series.terms
-        ],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def series_from_json(text: str) -> KrausSeries:
-    doc = json.loads(text)
-    terms = tuple(
-        KrausTerm(
-            item["order"],
-            tuple(item["indices"]),
-            float(item["weight"]),
-            _matrix_from_json(item["operator"]),
-        )
-        for item in doc["terms"]
-    )
-    return KrausSeries(terms, doc["truncation_order"], doc["tail_bound"], doc["dim"])

@@ -8,7 +8,6 @@ in :mod:`kraussim.kraus`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,33 +284,3 @@ def normalize_lindblads(model: LindbladModel) -> LindbladModel:
         ops.append(op / b)
         gammas.append(b * b * g)
     return LindbladModel(model.hamiltonian, tuple(ops), tuple(gammas))
-
-
-def _matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(entry.real), float(entry.imag)] for entry in row] for row in np.asarray(mat, dtype=complex)]
-
-
-def _matrix_from_json(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
-
-
-def model_to_json(model: LindbladModel) -> str:
-    doc = {
-        "dim": model.dim,
-        "hamiltonian": _matrix_to_json(model.hamiltonian),
-        "lindblads": [_matrix_to_json(op) for op in model.lindblads],
-        "gammas": list(model.gammas),
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> LindbladModel:
-    doc = json.loads(text)
-    model = LindbladModel(
-        _matrix_from_json(doc["hamiltonian"]),
-        tuple(_matrix_from_json(op) for op in doc["lindblads"]),
-        tuple(doc["gammas"]),
-    )
-    if model.dim != doc["dim"]:
-        raise ValueError("dim field does not match the Hamiltonian shape")
-    return model

@@ -7,7 +7,10 @@ constants so that tests can reference them by name.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import types
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -215,6 +218,57 @@ def von_neumann_entropy(rho) -> float:
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-(nz * np.log(nz)).sum())
+
+
+def to_doc(value):
+    """JSON-ready form of a value: a dataclass becomes a dict of its fields that
+    are not None, a complex array nested ``[re, im]`` pairs, a real array a list
+    of floats, a tuple a list and a numpy scalar a Python number."""
+    # exact types: np.float64 subclasses float but still becomes a Python float
+    if type(value) in (float, int, str, bool):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [to_doc(item) for item in value]
+    if isinstance(value, dict):
+        return {key: to_doc(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):
+            return np.stack([value.real, value.imag], axis=-1).tolist()
+        return value.astype(float).tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if dataclasses.is_dataclass(value):
+        items = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+        return {name: to_doc(item) for name, item in items.items() if item is not None}
+    return value
+
+
+def from_doc(kind, doc):
+    """Inverse of :func:`to_doc` for ``kind``, a dataclass or a type hint.
+
+    Unknown dataclass fields are rejected.  An ``np.ndarray`` is read as a
+    real vector or as a complex matrix given in ``[re, im]`` pairs.
+    """
+    if dataclasses.is_dataclass(kind):
+        hints = typing.get_type_hints(kind)
+        unknown = set(doc) - {f.name for f in dataclasses.fields(kind)}
+        if unknown:
+            raise ValueError(f"unknown {kind.__name__} fields: {sorted(unknown)}")
+        return kind(**{name: from_doc(hints[name], item) for name, item in doc.items()})
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin in (types.UnionType, typing.Union):
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return None if doc is None else from_doc(inner, doc)
+    if origin in (tuple, list):
+        return origin(from_doc(args[0], item) for item in doc)
+    if kind is np.ndarray:
+        arr = np.ascontiguousarray(doc, dtype=float)
+        if arr.ndim == 1:
+            return arr
+        if arr.ndim != 3 or arr.shape[-1] != 2:
+            raise ValueError(f"a matrix must be nested [re, im] pairs, got shape {arr.shape}")
+        return arr.view(complex)[..., 0]
+    return doc
 
 
 def trace_distance(rho, sigma) -> float:

@@ -9,7 +9,6 @@ to the physical cone separately.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
@@ -149,18 +148,6 @@ class FitReport:
     objective_trace: list[float] = field(default_factory=list)
     kkt_residual: float = 0.0
     raw_sum: float = 1.0
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "objective": self.objective,
-                "objective_trace": self.objective_trace,
-                "kkt_residual": self.kkt_residual,
-                "raw_sum": self.raw_sum,
-            },
-            sort_keys=True,
-        )
 
 
 def _stack_real(mat: np.ndarray) -> np.ndarray:
@@ -329,24 +316,3 @@ def parity_twirl(rho, parity_op: np.ndarray) -> DensityMatrix:
     out = (mat + tau @ mat @ tau.conj().T) / 2
     raw = isinstance(rho, DensityMatrix) and rho.raw
     return DensityMatrix(out, raw=raw)
-
-
-def pauli_channel_to_json(channel: PauliChannel) -> str:
-    return json.dumps(
-        {"num_qubits": channel.num_qubits, "epsilons": [float(e) for e in channel.epsilons]},
-        sort_keys=True,
-    )
-
-
-def pauli_channel_from_json(text: str) -> PauliChannel:
-    doc = json.loads(text)
-    return PauliChannel(doc["num_qubits"], np.asarray(doc["epsilons"], dtype=float))
-
-
-def qdc_to_json(channel: DepolarizingChannel) -> str:
-    return json.dumps({"num_qubits": channel.num_qubits, "lambda": channel.lam}, sort_keys=True)
-
-
-def qdc_from_json(text: str) -> DepolarizingChannel:
-    doc = json.loads(text)
-    return DepolarizingChannel(doc["num_qubits"], float(doc["lambda"]))

@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from kraussim import circuits as qc
 from kraussim import kraus, lindblad as lb
-from kraussim.matkernel import PAULI, QuantumState, trace_distance
+from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
 from conftest import align_phase, random_state
 
@@ -402,8 +403,8 @@ def test_pipeline_shot_determinism(qho_spec, initial_states):
 def test_serialized_series_drives_circuits(qho_spec, initial_states):
     # the JSON form of a series carries everything the circuit builder needs
     psi = initial_states["qho-oscillating"]
-    series = kraus.series_from_json(
-        kraus.series_to_json(kraus.build_tp_series(qho_spec.model, 0.9, 3))
+    series = from_doc(
+        kraus.KrausSeries, json.loads(json.dumps(to_doc(kraus.build_tp_series(qho_spec.model, 0.9, 3))))
     )
     rho_circ, _ = qc.execute_series_tomography(qho_spec.model, series, 0.9, psi)
     oracle = lb.exact_evolve(qho_spec.model, psi.density(), 0.9)
@@ -413,11 +414,17 @@ def test_serialized_series_drives_circuits(qho_spec, initial_states):
 def test_circuit_json_round_trip(qho_spec):
     series = kraus.build_tp_series(qho_spec.model, 1.0, 2)
     circuit = qc.build_kraus_circuit(series.terms[-1], qho_spec.model, 1.0)
-    back = qc.circuit_from_json(qc.circuit_to_json(circuit))
+    back = from_doc(qc.Circuit, json.loads(json.dumps(to_doc(circuit))))
     assert back.num_system_qubits == circuit.num_system_qubits
     assert back.postselect == circuit.postselect
     assert len(back.gates) == len(circuit.gates)
     assert np.abs(qc.circuit_unitary(back) - qc.circuit_unitary(circuit)).max() < 1e-12
+
+
+def test_gate_doc_omits_unset_angle_and_matrix():
+    assert to_doc(qc.Gate("x", (1,), (0,))) == {
+        "kind": "x", "targets": [1], "controls": [0], "control_values": [1]
+    }
 
 
 def test_gate_validation():

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kraussim
 from kraussim import cli, kraus, lindblad, mitigation as mit
-from kraussim.lindblad import _matrix_to_json
+from kraussim.matkernel import to_doc
 
 from conftest import random_density
 
@@ -34,6 +39,39 @@ def test_main_exit_code_on_unknown_state(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": "pauli-xx-zz", "state": "missing"}))
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"steps": 2.5},
+        {"order": 2.5, "method": "kraus"},
+        {"trotter_steps": 4.5, "method": "trotter"},
+        {"shots": 10.5},
+        {"seed": 7.5},
+        {"steps": True},
+        {"order": True, "method": "kraus"},
+    ],
+)
+def test_integer_config_fields_are_type_checked(tmp_path, capsys, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2, **fields}))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_kraus_unknown_state_names_the_key(capsys):
+    assert run(["kraus", "--model", "pauli-xx-zz", "--time", 0.5, "--state", "nope"]) == 2
+    assert "unknown state key 'nope'" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(kraussim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "kraussim.cli", "presets"], capture_output=True, text=True, env=env, check=True
+    )
+    for name in cli.PRESETS:
+        assert name in proc.stdout
 
 
 def test_check_subcommand(tmp_path, capsys):
@@ -157,6 +195,21 @@ def test_experiment_condition_failure_exit_code(tmp_path):
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 3
 
 
+@pytest.mark.parametrize(
+    "model_doc",
+    [
+        # the codec rejects keys that are not LindbladModel fields
+        {"dim": 2, "hamiltonian": [[[1, 0], [0, 0]], [[0, 0], [-1, 0]]], "lindblads": [], "gammas": []},
+        # matrices must be given as [re, im] pairs
+        {"hamiltonian": [[0, 1], [1, 0]], "lindblads": [], "gammas": []},
+    ],
+)
+def test_invalid_inline_model_exits_2(tmp_path, model_doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model_doc, "state": [[1, 0], [0, 0]], "steps": 2}))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+
+
 def test_experiment_rerun_is_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -266,7 +319,7 @@ def test_mitigate_subcommand(tmp_path, rng, capsys):
     for _ in range(4):
         rho = random_density(rng, 4)
         noisy = mit.apply_qdc(channel, rho).matrix
-        pairs.append([_matrix_to_json(rho), _matrix_to_json(noisy)])
+        pairs.append([to_doc(rho), to_doc(noisy)])
     pairs_file = tmp_path / "pairs.json"
     pairs_file.write_text(json.dumps({"pairs": pairs}))
     out_file = tmp_path / "fit.json"
@@ -280,6 +333,13 @@ def test_mitigate_subcommand(tmp_path, rng, capsys):
     fit = json.loads(capsys.readouterr().out)
     eps = np.array(fit["channel"]["epsilons"])
     assert eps[0] == pytest.approx(1 - 0.3 + 0.3 / 16, abs=1e-4)
+
+
+def test_mitigate_rejects_unpaired_matrices(tmp_path, capsys):
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps({"pairs": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]]]}))
+    assert run(["mitigate", "--pairs", pairs_file]) == 2
+    assert "[re, im] pairs" in capsys.readouterr().err
 
 
 def test_kraus_reduced_without_structure_exits_3(tmp_path):

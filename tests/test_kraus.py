@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kraussim import kraus, lindblad as lb, models
-from kraussim.matkernel import PAULI, trace_distance
+from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
 
 from conftest import random_density
 
@@ -164,6 +166,21 @@ def test_gen_hyperbolic_validation():
         kraus.gen_hyperbolic(2, 2, 1.0, 0.5)
     with pytest.raises(ValueError):
         kraus.gen_hyperbolic(2, 0, -1.0, 0.5)
+
+
+def test_reduced_series_evaluates_each_weight_once(pauli_spec, monkeypatch):
+    original = kraus.gen_hyperbolic
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    prep = kraus.prepare(pauli_spec.model)
+    monkeypatch.setattr(kraus, "gen_hyperbolic", counted)
+    series = kraus.build_reduced_series(prep, 0.4)
+    assert len(series.terms) == 16
+    assert len(calls) == sum(prep.structure.periods) == 8
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,7 +347,7 @@ def test_random_abelian_model_round_trip(rng, initial_states):
 
 def test_series_json_round_trip(qho_spec):
     series = kraus.build_tp_series(qho_spec.model, 1.0, 3)
-    back = kraus.series_from_json(kraus.series_to_json(series))
+    back = from_doc(kraus.KrausSeries, json.loads(json.dumps(to_doc(series))))
     assert back.truncation_order == series.truncation_order
     assert back.tail_bound == series.tail_bound
     assert len(back.terms) == len(series.terms)

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from kraussim import lindblad as lb
 from kraussim import models
-from kraussim.matkernel import PAULI, trace_distance
+from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
 
 from conftest import random_density
 
@@ -189,9 +191,18 @@ def test_normalize_rejects_zero_operator():
 
 
 def test_model_json_round_trip(schwinger_spec):
-    text = lb.model_to_json(schwinger_spec.model)
-    back = lb.model_from_json(text)
+    text = json.dumps(to_doc(schwinger_spec.model))
+    back = from_doc(lb.LindbladModel, json.loads(text))
     assert np.abs(back.hamiltonian - schwinger_spec.model.hamiltonian).max() < 1e-15
     for a, b in zip(back.lindblads, schwinger_spec.model.lindblads):
         assert np.abs(a - b).max() < 1e-15
     assert back.gammas == schwinger_spec.model.gammas
+
+
+def test_model_doc_rejects_unknown_keys_and_unpaired_matrices(schwinger_spec):
+    doc = to_doc(schwinger_spec.model)
+    with pytest.raises(ValueError, match="unknown LindbladModel fields"):
+        from_doc(lb.LindbladModel, {**doc, "dim": schwinger_spec.model.dim})
+    real = np.real(schwinger_spec.model.hamiltonian).tolist()
+    with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
+        from_doc(lb.LindbladModel, {**doc, "hamiltonian": real})

@@ -198,3 +198,15 @@ def test_matexp_inverse_property_hypothesis(seed):
     if norm > 10:
         a *= 10 / norm
     assert np.abs(mk.matexp(a) @ mk.matexp(-a) - np.eye(3)).max() < 1e-9
+
+
+def test_doc_codec_converts_numpy_values_and_round_trips_exactly():
+    doc = mk.to_doc({"w": np.float64(0.5), "n": np.int64(3), "idx": (1, 2), "eps": np.array([0.25, 0.75])})
+    assert doc == {"w": 0.5, "n": 3, "idx": [1, 2], "eps": [0.25, 0.75]}
+    assert type(doc["w"]) is float and type(doc["n"]) is int
+    mat = np.array([[1 / 3, complex(-0.0, 2.0)], [complex(-0.0, -0.0), 1e-300j]])
+    pairs = mk.to_doc(mat)
+    assert pairs[0][1] == [-0.0, 2.0]
+    back = mk.from_doc(np.ndarray, pairs)
+    assert back.tobytes() == mat.tobytes()
+    assert mk.from_doc(np.ndarray, doc["eps"]).dtype == float

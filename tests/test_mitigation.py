@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.optimize
 
 from kraussim import mitigation as mit
-from kraussim.matkernel import pauli_string_matrix
+from kraussim.matkernel import from_doc, pauli_string_matrix, to_doc
 
 from conftest import random_density
 
@@ -264,8 +266,8 @@ def test_pauli_channels_commute(rng):
 
 def test_channel_json_round_trip():
     channel = one_qubit_channel({"I": 0.8, "X": 0.2})
-    back = mit.pauli_channel_from_json(mit.pauli_channel_to_json(channel))
+    back = from_doc(mit.PauliChannel, json.loads(json.dumps(to_doc(channel))))
     assert np.abs(back.epsilons - channel.epsilons).max() < 1e-15
     qdc = mit.DepolarizingChannel(2, 0.25)
-    back = mit.qdc_from_json(mit.qdc_to_json(qdc))
+    back = from_doc(mit.DepolarizingChannel, json.loads(json.dumps(to_doc(qdc))))
     assert back.lam == qdc.lam and back.num_qubits == qdc.num_qubits
