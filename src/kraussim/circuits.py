@@ -25,7 +25,7 @@ from .kraus import (
     _require_abelian,
 )
 from .lindblad import LindbladModel
-from .matkernel import DensityMatrix, QuantumState, pauli_labels, pauli_string_matrix, psd_sqrt
+from .matkernel import DensityMatrix, QuantumState, pauli_labels, pauli_string_matrix, psd_sqrt, qubit_count
 
 DILATION_NORM_TOL = 1e-10
 ANGLE_PRUNE_TOL = 1e-12
@@ -204,9 +204,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
     branch returns (None, 0.0) so callers can drop the term.
     """
     amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
-    n = int(round(math.log2(amps.size)))
-    if 2**n != amps.size:
-        raise ValueError("state dimension is not a power of two")
+    n = qubit_count(amps.size, "state dimension")
     ancillas = sorted(set(int(a) for a in ancilla_indices))
     if any(a < 0 or a >= n for a in ancillas):
         raise ValueError("ancilla index out of range")
@@ -225,7 +223,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
 def trace_out(state, qubit_indices) -> np.ndarray:
     """Reduced density matrix after tracing the listed qubits of a pure state."""
     amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
-    n = int(round(math.log2(amps.size)))
+    n = qubit_count(amps.size, "state dimension")
     traced = sorted(set(int(q) for q in qubit_indices))
     kept = [q for q in range(n) if q not in traced]
     tensor = amps.reshape([2] * n).transpose(kept + traced)
@@ -324,13 +322,6 @@ def _gray_phase_gates(phases: np.ndarray, qubits) -> list[Gate]:
     return gates
 
 
-def _qubit_count(length: int, what: str) -> int:
-    n = int(round(math.log2(length)))
-    if 2**n != length or length < 1:
-        raise ValueError(f"{what} length must be a power of two, got {length}")
-    return n
-
-
 def encode_diagonal_unitary(phases, scheme: str = SCHEME_BINARY) -> Circuit:
     """Circuit realizing ``diag(exp(i phases))`` up to a global phase.
 
@@ -339,7 +330,7 @@ def encode_diagonal_unitary(phases, scheme: str = SCHEME_BINARY) -> Circuit:
     Walsh-Hadamard transform and emits parity-controlled Rz ladders.
     """
     phases = np.asarray(phases, dtype=float)
-    n = _qubit_count(phases.size, "phase vector")
+    n = qubit_count(phases.size, "phase vector length")
     if scheme == SCHEME_BINARY:
         gates = _binary_phase_gates(phases, range(n))
     elif scheme == SCHEME_GRAY:
@@ -356,7 +347,7 @@ def encode_diagonal_contraction(decays) -> Circuit:
     leaves amplitude ``decays[i]`` on the ancilla-0 branch of index i.
     """
     decays = np.asarray(decays, dtype=float)
-    n = _qubit_count(decays.size, "decay vector")
+    n = qubit_count(decays.size, "decay vector length")
     if decays.min() < -1e-12 or decays.max() > 1.0 + 1e-12:
         raise ValueError("decay entries must lie in [0, 1]")
     angles = 2.0 * np.arccos(np.clip(decays, 0.0, 1.0))
@@ -389,7 +380,7 @@ def _distribution_gates(amplitudes: np.ndarray, qubits) -> list[Gate]:
 def prepare_distribution(amplitudes) -> Circuit:
     """Map |0..0> to the nonnegative-amplitude state via an Ry bisection tree."""
     amps = np.asarray(amplitudes, dtype=float)
-    n = _qubit_count(amps.size, "amplitude vector")
+    n = qubit_count(amps.size, "amplitude vector length")
     if amps.min() < -1e-12:
         raise ValueError("amplitudes must be nonnegative")
     norm = float(np.linalg.norm(amps))
@@ -423,9 +414,8 @@ def _t_block_gates(
         inner = encode_diagonal_unitary(phase_vec, scheme)
         gates += [_shift_gate(g, system_qubits) for g in inner.gates]
     if contraction_ancilla is not None:
-        lam = np.exp(-0.5 * decays * t)
-        angles = 2.0 * np.arccos(np.clip(lam, 0.0, 1.0))
-        gates += _multiplexed_rotation_gates("ry", contraction_ancilla, system_qubits, angles)
+        inner = encode_diagonal_contraction(np.exp(-0.5 * decays * t))
+        gates += [_shift_gate(g, [*system_qubits, contraction_ancilla]) for g in inner.gates]
     if basis_change:
         gates.append(Gate("unitary", tuple(system_qubits), matrix=u))
     return gates
@@ -458,7 +448,7 @@ def build_kraus_circuit(
     survival probability equal to its squared norm.
     """
     prep = prepare(model)
-    n_sys = _qubit_count(prep.dim, "system dimension")
+    n_sys = qubit_count(prep.dim, "system dimension")
     m = term.order
     total_anc = m + 1
     if n_sys + total_anc > ancilla_budget:
@@ -526,7 +516,7 @@ def build_group_circuit(
     prep = prepare(model)
     _require_abelian(prep)
     work = prep.rescaled
-    n_sys = _qubit_count(work.dim, "system dimension")
+    n_sys = qubit_count(work.dim, "system dimension")
     system = list(range(n_sys))
     gates: list[Gate] = []
     next_anc = n_sys
@@ -687,7 +677,7 @@ def execute_series_tomography(
     seed, so parallel and serial schedules agree bit for bit.
     """
     prep = prepare(model)
-    n_sys = _qubit_count(prep.dim, "system dimension")
+    n_sys = qubit_count(prep.dim, "system dimension")
     seed_base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
     bases = ["".join(b) for b in itertools.product("XYZ", repeat=n_sys)]
     measurements: list[TermMeasurements] = []

@@ -36,6 +36,7 @@ from .matkernel import (
     hermiticity_defect,
     project_to_physical,
     pauli_string_matrix,
+    qubit_count,
     to_doc,
     trace_distance,
     von_neumann_entropy,
@@ -217,9 +218,7 @@ def _build_noise(config: ExperimentConfig, dim: int):
     if config.noise is None:
         return None
     doc = config.noise
-    num_qubits = int(round(np.log2(dim)))
-    if 2**num_qubits != dim:
-        raise ConfigError("noise injection requires a qubit-shaped dimension")
+    num_qubits = qubit_count(dim, "noise injection dimension")
     kind = doc.get("kind")
     if kind == "qdc":
         channel = mitigation.DepolarizingChannel(num_qubits, float(doc["lambda"]))
@@ -276,10 +275,7 @@ class _MitigationChain:
     def __init__(self, config: ExperimentConfig, dim: int):
         self.kind = config.mitigation
         self.fixed_lambda = config.qdc_lambda
-        self.dim = dim
-        self.num_qubits = int(round(np.log2(dim)))
-        if self.kind != "none" and 2**self.num_qubits != dim:
-            raise ConfigError("mitigation requires a qubit-shaped dimension")
+        self.num_qubits = None if self.kind == "none" else qubit_count(dim, "mitigation dimension")
         self.parity = models.fock_parity_operator(dim)
         self.channel = None
         self.fitted = self.kind == "none"
@@ -384,8 +380,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         raw, diagnostics, bound = _run_method(config, work, psi0, rho0, float(t), index, oracle)
         noisy = noise(raw) if noise is not None else raw
         chain.fit(oracle, noisy)
-        mitigated = chain.apply(noisy)
-        final = mitigated if config.mitigation != "none" else noisy
+        final = chain.apply(noisy)
         physical = (
             final
             if hermiticity_defect(final) <= 1e-10 and np.linalg.eigvalsh((final + final.conj().T) / 2).min() >= -1e-10
@@ -406,17 +401,22 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         )
 
 
-def emit_report(
-    records: Iterable[TrajectoryRecord], outdir: str | Path, table_format: str = "csv"
-) -> list[Path]:
-    """Write trajectory table, state dumps and field grids; deterministic layout."""
+def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path) -> None:
+    """Stream each record to the output tree; deterministic layout.
+
+    ``trajectory.csv`` gets one row per record under a header taken from the
+    first, ``states.json`` one document per record, and ``fields/`` one
+    float64 ``stepNNN_<name>.npy`` per field with the grid axes saved once
+    as ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = analysis.default_grid()
-    written: list[Path] = []
-    table_rows: list[dict] = []
-    states_path = outdir / "states.json"
-    with states_path.open("w") as states_file:
+    fields_dir = outdir / "fields"
+    with (
+        (outdir / "states.json").open("w") as states_file,
+        (outdir / "trajectory.csv").open("w", newline="") as table_file,
+    ):
+        table = csv.writer(table_file)
         states_file.write("[\n")
         first = True
         for record in records:
@@ -424,50 +424,24 @@ def emit_report(
                 "t": record.t,
                 "fidelity": record.fidelity_vs_oracle,
                 "entropy": record.entropy,
+                **record.observables,
             }
-            row.update(record.observables)
-            table_rows.append(row)
             doc = {"t": record.t, "raw": record.raw, "mitigated": record.mitigated, "diagnostics": record.diagnostics}
-            if not first:
+            if first:
+                table.writerow(row)
+                if record.fields:
+                    fields_dir.mkdir(exist_ok=True)
+                    grid = analysis.default_grid()
+                    np.save(fields_dir / "x.npy", grid.x)
+                    np.save(fields_dir / "p.npy", grid.p)
+            else:
                 states_file.write(",\n")
+            table.writerow([repr(float(value)) for value in row.values()])
             states_file.write(json.dumps(to_doc(doc), sort_keys=True))
-            first = False
             for name, data in record.fields.items():
-                fields_dir = outdir / "fields"
-                fields_dir.mkdir(exist_ok=True)
-                path = fields_dir / f"step{record.index:03d}_{name}.csv"
-                with path.open("w", newline="") as handle:
-                    writer = csv.writer(handle)
-                    if data.ndim == 1:
-                        axis = grid.x if name != "momentum-density" else grid.p
-                        writer.writerow(["x", "value"])
-                        for xv, val in zip(axis, data):
-                            writer.writerow([repr(float(xv)), repr(float(val))])
-                    else:
-                        writer.writerow(["x", "p", "value"])
-                        for i, xv in enumerate(grid.x):
-                            for j, pv in enumerate(grid.p):
-                                writer.writerow(
-                                    [repr(float(xv)), repr(float(pv)), repr(float(data[i, j]))]
-                                )
-                written.append(path)
+                np.save(fields_dir / f"step{record.index:03d}_{name}.npy", data)
+            first = False
         states_file.write("\n]\n")
-    written.append(states_path)
-    columns = list(table_rows[0].keys()) if table_rows else ["t", "fidelity", "entropy"]
-    if table_format == "csv":
-        table_path = outdir / "trajectory.csv"
-        with table_path.open("w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(columns)
-            for row in table_rows:
-                writer.writerow([repr(float(row.get(c, float("nan")))) for c in columns])
-    elif table_format == "json":
-        table_path = outdir / "trajectory.json"
-        table_path.write_text(json.dumps(table_rows, sort_keys=True, indent=1))
-    else:
-        raise ConfigError(f"unknown table format {table_format!r}")
-    written.append(table_path)
-    return written
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -551,7 +525,7 @@ def _cmd_experiment(args) -> int:
             worst["bound"] = min(worst["bound"], record.check_bound)
             yield record
 
-    emit_report(checked(run_experiment(config)), args.out, args.format)
+    emit_report(checked(run_experiment(config)), args.out)
     if config.check:
         bound = config.check_tol if config.check_tol is not None else worst["bound"]
         if worst["distance"] > bound:
@@ -576,7 +550,7 @@ def _cmd_evolve(args) -> int:
         "outputs": args.output or [],
     }
     config = ExperimentConfig.from_dict(doc)
-    emit_report(run_experiment(config), args.out, args.format)
+    emit_report(run_experiment(config), args.out)
     return 0
 
 
@@ -627,7 +601,8 @@ def _cmd_mitigate(args) -> int:
         payload = {"channel": channel, "report": report}
     else:
         lam = mitigation.fit_qdc_lambda(pairs, args.strategy)
-        channel = mitigation.DepolarizingChannel(int(np.log2(pairs[0][0].shape[0])), lam)
+        num_qubits = qubit_count(pairs[0][0].shape[0], "density matrix dimension")
+        channel = mitigation.DepolarizingChannel(num_qubits, lam)
         payload = {"channel": {"num_qubits": channel.num_qubits, "lambda": lam}}
     if args.apply:
         payload["mitigated"] = [
@@ -670,7 +645,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=SPLIT_HAMILTONIAN_DISSIPATOR,
     )
     evolve.add_argument("--output", action="append")
-    evolve.add_argument("--format", choices=("csv", "json"), default="csv")
     evolve.add_argument("--out", required=True)
     evolve.set_defaults(func=_cmd_evolve)
 
@@ -719,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--mitigation", choices=MITIGATIONS)
     experiment.add_argument("--check", action="store_true")
     experiment.add_argument("--check-tol", type=float)
-    experiment.add_argument("--format", choices=("csv", "json"), default="csv")
     experiment.add_argument("--out", required=True)
     experiment.set_defaults(func=_cmd_experiment)
 

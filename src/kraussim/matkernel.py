@@ -43,6 +43,14 @@ def pauli_string_matrix(label: str) -> np.ndarray:
     return out
 
 
+def qubit_count(dim: int, what: str) -> int:
+    """Qubits spanning ``dim``; raises naming ``what`` unless ``dim`` is a power of two."""
+    n = int(dim).bit_length() - 1
+    if dim < 1 or 2**n != dim:
+        raise ValueError(f"{what} must be a power of two, got {dim}")
+    return n
+
+
 def pauli_labels(num_qubits: int) -> list[str]:
     """All 4**n Pauli string labels in lexicographic I < X < Y < Z order."""
     return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]

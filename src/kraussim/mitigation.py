@@ -23,6 +23,7 @@ from .matkernel import (
     pauli_string_matrix,
     pinv,
     project_to_physical,
+    qubit_count,
     _as_matrix,
 )
 
@@ -207,9 +208,7 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
         raise ValueError("need at least one (exact, noisy) pair")
     exact0 = _as_matrix(pairs[0][0])
     dim = exact0.shape[0]
-    num_qubits = int(round(np.log2(dim)))
-    if 2**num_qubits != dim:
-        raise ValueError("density matrices must live on qubits")
+    num_qubits = qubit_count(dim, "density matrix dimension")
     labels = pauli_labels(num_qubits)
     paulis = [pauli_string_matrix(label) for label in labels]
     columns = []
@@ -258,8 +257,7 @@ def fit_qdc_lambda(pairs, strategy: str = STRATEGY_FIDELITY) -> float:
         raise ValueError("need at least one (exact, noisy) pair")
     if strategy not in (STRATEGY_FIDELITY, STRATEGY_FROBENIUS):
         raise ValueError(f"unknown strategy {strategy!r}")
-    dim = _as_matrix(pairs[0][0]).shape[0]
-    num_qubits = int(round(np.log2(dim)))
+    num_qubits = qubit_count(_as_matrix(pairs[0][0]).shape[0], "density matrix dimension")
     grid = np.arange(0.0, 0.99 + 1e-12, LAMBDA_GRID_STEP)
     scores = [_qdc_score(lam, pairs, num_qubits, strategy) for lam in grid]
     best = max(scores)

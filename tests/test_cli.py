@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import kraussim
-from kraussim import cli, kraus, lindblad, mitigation as mit
+from kraussim import analysis, cli, kraus, lindblad, mitigation as mit
 from kraussim.matkernel import to_doc
 
 from conftest import random_density
@@ -222,13 +222,19 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
                 "order": 3,
                 "shots": 64,
                 "seed": 11,
-                "outputs": ["quadratures"],
+                "outputs": ["quadratures", "wigner"],
             }
         )
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "a"]) == 0
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "b"]) == 0
-    for name in ("trajectory.csv", "states.json"):
+
+    def tree(root):
+        return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
+
+    files = tree(tmp_path / "a")
+    assert len(files) == 7 and tree(tmp_path / "b") == files
+    for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
@@ -260,14 +266,29 @@ def test_experiment_field_outputs(tmp_path):
                 "state": "qho-oscillating",
                 "time": {"start": 0.0, "stop": 0.5, "steps": 2},
                 "method": "exact",
-                "outputs": ["position-density", "wigner"],
+                "outputs": ["position-density", "momentum-density", "wigner"],
             }
         )
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
-    fields = sorted(p.name for p in (tmp_path / "out" / "fields").iterdir())
-    assert "step000_position-density.csv" in fields
-    assert "step001_wigner.csv" in fields
+    fields_dir = tmp_path / "out" / "fields"
+    names = ("position-density", "momentum-density", "wigner")
+    expected = {"x.npy", "p.npy"} | {f"step{i:03d}_{name}.npy" for i in range(2) for name in names}
+    assert {path.name for path in fields_dir.iterdir()} == expected
+    grid = analysis.default_grid()
+    x, p = np.load(fields_dir / "x.npy"), np.load(fields_dir / "p.npy")
+    assert x.dtype == p.dtype == np.float64
+    assert np.array_equal(x, grid.x) and np.array_equal(p, grid.p)
+    for i in range(2):
+        position = np.load(fields_dir / f"step{i:03d}_position-density.npy")
+        momentum = np.load(fields_dir / f"step{i:03d}_momentum-density.npy")
+        wigner = np.load(fields_dir / f"step{i:03d}_wigner.npy")
+        assert position.dtype == momentum.dtype == wigner.dtype == np.float64
+        assert position.shape == momentum.shape == (x.size,)
+        assert wigner.shape == (x.size, p.size)
+        assert np.trapezoid(position, x) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(momentum, p) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(np.trapezoid(wigner, p, axis=1), x) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_evolve_subcommand(tmp_path):
@@ -342,31 +363,19 @@ def test_mitigate_rejects_unpaired_matrices(tmp_path, capsys):
     assert "[re, im] pairs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channel", ["qdc", "pauli"])
+def test_mitigate_rejects_non_qubit_dimension(tmp_path, capsys, channel):
+    rho = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps({"pairs": [[to_doc(rho), to_doc(rho)]]}))
+    assert run(["mitigate", "--pairs", pairs_file, "--channel", channel]) == 2
+    assert "must be a power of two, got 3" in capsys.readouterr().err
+
+
 def test_kraus_reduced_without_structure_exits_3(tmp_path):
     assert run([
         "kraus", "--model", "schwinger-jz", "--time", 1.0, "--series", "reduced"
     ]) == 3
-
-
-def test_experiment_json_table_format(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "model": "pauli-xx-zz",
-                "state": "pauli-xx-zz",
-                "time": {"start": 0.0, "stop": 0.5, "steps": 2},
-                "method": "kraus",
-                "outputs": ["pauli:ZZ"],
-            }
-        )
-    )
-    assert run([
-        "experiment", "--config", cfg, "--format", "json", "--out", tmp_path / "out"
-    ]) == 0
-    rows = json.loads((tmp_path / "out" / "trajectory.json").read_text())
-    assert len(rows) == 2
-    assert rows[0]["pauli:ZZ"] == pytest.approx(0.28, abs=1e-9)
 
 
 def test_noise_injection_and_mitigation_round_trip(tmp_path):

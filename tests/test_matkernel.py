@@ -189,6 +189,13 @@ def test_pauli_string_matrix():
     assert len(mk.pauli_labels(2)) == 16
 
 
+def test_qubit_count():
+    assert [mk.qubit_count(dim, "dim") for dim in (1, 2, 4, 16)] == [0, 1, 2, 4]
+    for dim in (0, 3, 6, 12):
+        with pytest.raises(ValueError, match=f"dim must be a power of two, got {dim}"):
+            mk.qubit_count(dim, "dim")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_matexp_inverse_property_hypothesis(seed):
