@@ -18,7 +18,6 @@ from .matkernel import (
     fidelity,
     herm_eig,
     matexp,
-    pinv,
     psd_sqrt,
     trace_distance,
     von_neumann_entropy,
@@ -76,7 +75,6 @@ __all__ = [
     "herm_eig",
     "matexp",
     "normalize_lindblads",
-    "pinv",
     "prepare",
     "psd_sqrt",
     "trace_distance",

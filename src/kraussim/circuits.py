@@ -25,7 +25,8 @@ from .kraus import (
     _require_abelian,
 )
 from .lindblad import LindbladModel
-from .matkernel import DensityMatrix, QuantumState, pauli_labels, pauli_string_matrix, psd_sqrt, qubit_count
+from .matkernel import PAULI, DensityMatrix, QuantumState, apply_to_axes, psd_sqrt, qubit_count
+from .matkernel import from_pauli_coefficients, pauli_coefficients, pauli_labels, pauli_string_matrix
 
 DILATION_NORM_TOL = 1e-10
 ANGLE_PRUNE_TOL = 1e-12
@@ -34,9 +35,7 @@ SCHEME_GRAY = "gray"
 DEFAULT_ANCILLA_BUDGET = 16
 
 _SINGLE_QUBIT = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
+    **{letter.lower(): PAULI[letter] for letter in "XYZ"},
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
 }
 
@@ -289,12 +288,9 @@ def _binary_phase_gates(phases: np.ndarray, qubits) -> list[Gate]:
     """One multi-controlled phase per nonzero subset-transformed angle."""
     qubits = list(qubits)
     n = len(qubits)
-    tilde = np.asarray(phases, dtype=float).copy()
-    for bit in range(n):
-        step = 1 << bit
-        for s in range(2**n):
-            if s & step:
-                tilde[s] -= tilde[s ^ step]
+    # subset (Moebius) transform, least significant qubit first
+    steps = [(axis, np.array([[1.0, 0.0], [-1.0, 1.0]])) for axis in reversed(range(n))]
+    tilde = apply_to_axes(np.asarray(phases, dtype=float).reshape([2] * n), steps).reshape(-1)
     gates: list[Gate] = []
     for s in range(1, 2**n):
         if abs(tilde[s]) < ANGLE_PRUNE_TOL:
@@ -471,25 +467,14 @@ def build_kraus_circuit(
     )
 
 
-def _match_pauli_string(op: np.ndarray, num_qubits: int):
-    """Return (label, phase) when op equals phase * Pauli string, else None."""
-    dim = 2**num_qubits
-    if op.shape != (dim, dim):
-        return None
-    for label in pauli_labels(num_qubits):
-        pauli = pauli_string_matrix(label)
-        coeff = np.trace(pauli.conj().T @ op) / dim
-        if abs(abs(coeff) - 1.0) < 1e-10 and np.abs(op - coeff * pauli).max() < 1e-10:
-            return label, complex(coeff)
-    return None
-
-
 def _controlled_operator_gates(op: np.ndarray, control: int, system: list[int]) -> list[Gate]:
-    """Controlled application of op, decomposed per Pauli factor when possible."""
-    match = _match_pauli_string(op, len(system))
-    if match is None:
+    """Controlled application of op, decomposed per Pauli factor when op is a phased Pauli string."""
+    n = len(system)
+    coeffs = pauli_coefficients(op) / 2**n
+    k = int(np.abs(coeffs).argmax())
+    coeff, label = coeffs[k], pauli_labels(n)[k]
+    if abs(abs(coeff) - 1.0) >= 1e-10 or np.abs(op - coeff * pauli_string_matrix(label)).max() >= 1e-10:
         return [Gate("unitary", tuple(system), (control,), matrix=op)]
-    label, coeff = match
     gates = []
     phase = float(np.angle(coeff))
     if abs(phase) > ANGLE_PRUNE_TOL:
@@ -546,37 +531,33 @@ def apply_group_circuit(circuit: Circuit, system_state) -> np.ndarray:
     return trace_out(final, ancillas)
 
 
-_BASIS_ROTATIONS = {"Z": (), "X": ("h",), "Y": ("sdg", "h")}
-
-
-def _measurement_rotation(basis: str, num_qubits: int) -> list[Gate]:
-    gates: list[Gate] = []
-    if len(basis) != num_qubits:
-        raise ValueError("basis length must match the system qubit count")
-    for q, letter in enumerate(basis):
-        if letter not in _BASIS_ROTATIONS:
-            raise ValueError(f"invalid basis letter {letter!r}")
-        for step in _BASIS_ROTATIONS[letter]:
-            if step == "sdg":
-                gates.append(Gate("phase", (q,), angle=-np.pi / 2))
-            else:
-                gates.append(Gate("h", (q,)))
-    return gates
+# Factors that map each letter's eigenbasis onto Z, applied in turn: H, and
+# phase(-pi/2) then H, the gates a device runs before reading out Z.
+_H = _SINGLE_QUBIT["h"]
+_BASIS_CHANGE = {"X": (_H,), "Y": (np.diag([1.0, np.exp(-0.5j * np.pi)]), _H), "Z": ()}
 
 
 def _basis_probabilities(state: QuantumState, basis: str) -> np.ndarray:
     n = len(basis)
-    rotation = Circuit(n, 0, tuple(_measurement_rotation(basis, n)))
-    rotated = simulate_statevector(rotation, state)
-    return np.abs(rotated.amplitudes) ** 2
+    if state.dim != 2**n:
+        raise ValueError(f"basis {basis!r} measures {n} qubits, but the state has dimension {state.dim}")
+    bad = set(basis) - set(_BASIS_CHANGE)
+    if bad:
+        raise ValueError(f"invalid basis letters {sorted(bad)} in {basis!r}")
+    steps = [(q, factor) for q, letter in enumerate(basis) for factor in _BASIS_CHANGE[letter]]
+    rotated = apply_to_axes(state.amplitudes.reshape([2] * n), steps)
+    return np.abs(rotated.reshape(-1)) ** 2
+
+
+def _shot_result(basis: str, weights: np.ndarray, accepted_fraction: float) -> ShotResult:
+    """Counts keyed by outcome bitstring (qubit 0 leftmost); zero weights are left out."""
+    counts = {format(i, f"0{len(basis)}b"): float(w) for i, w in enumerate(weights) if w > 0}
+    return ShotResult(basis, counts, accepted_fraction)
 
 
 def exact_distribution(state: QuantumState, basis: str, accepted_fraction: float = 1.0) -> ShotResult:
     """Infinite-shot measurement: exact outcome probabilities."""
-    probs = _basis_probabilities(state, basis)
-    n = len(basis)
-    counts = {format(i, f"0{n}b"): float(p) for i, p in enumerate(probs) if p > 0.0}
-    return ShotResult(basis, counts, accepted_fraction)
+    return _shot_result(basis, _basis_probabilities(state, basis), accepted_fraction)
 
 
 def sample_shots(
@@ -596,9 +577,7 @@ def sample_shots(
     probs = _basis_probabilities(state, basis)
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, probs / probs.sum())
-    n = len(basis)
-    counts = {format(i, f"0{n}b"): float(c) for i, c in enumerate(draws) if c > 0}
-    return ShotResult(basis, counts, accepted_fraction)
+    return _shot_result(basis, draws, accepted_fraction)
 
 
 @dataclass(frozen=True)
@@ -610,55 +589,46 @@ class TermMeasurements:
     results: dict[str, ShotResult] = field(default_factory=dict)
 
 
-def _pattern_expectation(result: ShotResult, pattern: str) -> float:
+# Readout of one outcome bit into the Pauli expectations (rows I, X, Y, Z):
+# the identity row and the measured letter's row read it as Z does.
+_READOUT = {c: np.eye(4)[:, [0, "IXYZ".index(c)]] @ np.array([[1.0, 1.0], [1.0, -1.0]]) for c in "XYZ"}
+
+
+def _pauli_readout(result: ShotResult) -> np.ndarray:
+    """Expectations of the Pauli strings the basis covers; zero for the others."""
+    n = len(result.basis)
     total = result.total()
     if total <= 0.0:
-        return 0.0
-    active = [i for i, letter in enumerate(pattern) if letter != "I"]
-    acc = 0.0
+        return np.zeros(4**n)
+    counts = np.zeros(2**n)
     for bits, count in result.counts.items():
-        sign = 1.0
-        for i in active:
-            if bits[i] == "1":
-                sign = -sign
-        acc += sign * count
-    return acc / total
+        counts[int(bits, 2)] = count
+    steps = [(q, _READOUT[letter]) for q, letter in enumerate(result.basis)]
+    return apply_to_axes(counts.reshape([2] * n), steps).reshape(-1) / total
 
 
 def tomography(terms: list[TermMeasurements], num_qubits: int) -> DensityMatrix:
     """Linear-inversion reconstruction of the weighted channel output.
 
-    Pauli expectations of each term are combined as
-    ``<P> = sum_t weight^2 * survival * <P>_t`` and inverted through
-    ``rho = 2^-N sum_P <P> P``; the identity-string coefficient is the
-    accumulated trace weight.  The result may be unphysical and is flagged
-    raw.
+    Each Pauli expectation is averaged over the ``3^(n - weight)`` bases that
+    cover its string, combined as ``<P> = sum_t weight^2 * survival * <P>_t``
+    and inverted through ``rho = 2^-N sum_P <P> P``; the identity-string
+    coefficient is the accumulated trace weight.  The result may be
+    unphysical and is flagged raw.
     """
-    labels = pauli_labels(num_qubits)
     bases = ["".join(b) for b in itertools.product("XYZ", repeat=num_qubits)]
+    covers = 3.0 ** np.array([label.count("I") for label in pauli_labels(num_qubits)])
+    values = np.zeros(4**num_qubits)
     for tm in terms:
-        if tm.survival > 0.0:
-            missing = [b for b in bases if b not in tm.results]
-            if missing:
-                raise ValueError(f"incomplete basis coverage, missing {missing[:3]}")
-            if any(len(b) != num_qubits for b in tm.results):
-                raise ValueError("basis length inconsistent with qubit count")
-    dim = 2**num_qubits
-    rho = np.zeros((dim, dim), dtype=complex)
-    trace_weight = sum(tm.weight_sq * tm.survival for tm in terms)
-    rho += trace_weight * np.eye(dim) / dim
-    for label in labels:
-        if label == "I" * num_qubits:
+        if tm.survival <= 0.0:
             continue
-        covering = [b for b in bases if all(p == "I" or p == bl for p, bl in zip(label, b))]
-        value = 0.0
-        for tm in terms:
-            if tm.survival <= 0.0:
-                continue
-            est = np.mean([_pattern_expectation(tm.results[b], label) for b in covering])
-            value += tm.weight_sq * tm.survival * est
-        rho += value * pauli_string_matrix(label) / dim
-    return DensityMatrix(rho, raw=True)
+        missing = [b for b in bases if b not in tm.results]
+        if missing:
+            raise ValueError(f"incomplete basis coverage, missing {missing[:3]}")
+        sums = sum(_pauli_readout(tm.results[b]) for b in bases)
+        values += tm.weight_sq * tm.survival * sums / covers
+    values[0] = sum(tm.weight_sq * tm.survival for tm in terms)
+    return DensityMatrix(from_pauli_coefficients(values), raw=True)
 
 
 def execute_series_tomography(

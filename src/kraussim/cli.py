@@ -407,41 +407,47 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path) -> None
     ``trajectory.csv`` gets one row per record under a header taken from the
     first, ``states.json`` one document per record, and ``fields/`` one
     float64 ``stepNNN_<name>.npy`` per field with the grid axes saved once
-    as ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).
+    as ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).  If a
+    record raises, the files written so far are removed and the error re-raised.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fields_dir = outdir / "fields"
-    with (
-        (outdir / "states.json").open("w") as states_file,
-        (outdir / "trajectory.csv").open("w", newline="") as table_file,
-    ):
-        table = csv.writer(table_file)
-        states_file.write("[\n")
-        first = True
-        for record in records:
-            row = {
-                "t": record.t,
-                "fidelity": record.fidelity_vs_oracle,
-                "entropy": record.entropy,
-                **record.observables,
-            }
-            doc = {"t": record.t, "raw": record.raw, "mitigated": record.mitigated, "diagnostics": record.diagnostics}
-            if first:
-                table.writerow(row)
-                if record.fields:
-                    fields_dir.mkdir(exist_ok=True)
-                    grid = analysis.default_grid()
-                    np.save(fields_dir / "x.npy", grid.x)
-                    np.save(fields_dir / "p.npy", grid.p)
-            else:
-                states_file.write(",\n")
-            table.writerow([repr(float(value)) for value in row.values()])
-            states_file.write(json.dumps(to_doc(doc), sort_keys=True))
-            for name, data in record.fields.items():
-                np.save(fields_dir / f"step{record.index:03d}_{name}.npy", data)
-            first = False
-        states_file.write("\n]\n")
+    written = [outdir / "states.json", outdir / "trajectory.csv"]
+    try:
+        with written[0].open("w") as states_file, written[1].open("w", newline="") as table_file:
+            table = csv.writer(table_file)
+            states_file.write("[\n")
+            first = True
+            for record in records:
+                row = {
+                    "t": record.t,
+                    "fidelity": record.fidelity_vs_oracle,
+                    "entropy": record.entropy,
+                    **record.observables,
+                }
+                doc = {"t": record.t, "raw": record.raw, "mitigated": record.mitigated, "diagnostics": record.diagnostics}
+                if first:
+                    table.writerow(row)
+                    if record.fields:
+                        fields_dir.mkdir(exist_ok=True)
+                        grid = analysis.default_grid()
+                        for name, axis in (("x", grid.x), ("p", grid.p)):
+                            written.append(fields_dir / f"{name}.npy")
+                            np.save(written[-1], axis)
+                else:
+                    states_file.write(",\n")
+                table.writerow([repr(float(value)) for value in row.values()])
+                states_file.write(json.dumps(to_doc(doc), sort_keys=True))
+                for name, data in record.fields.items():
+                    written.append(fields_dir / f"step{record.index:03d}_{name}.npy")
+                    np.save(written[-1], data)
+                first = False
+            states_file.write("\n]\n")
+    except BaseException:
+        for path in written:
+            path.unlink(missing_ok=True)
+        raise
 
 
 def _load_config(args) -> ExperimentConfig:

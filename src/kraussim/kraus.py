@@ -183,7 +183,7 @@ def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
         return model
     normalized = normalize_lindblads(model)
     report = check_conditions(normalized)
-    structure = detect_group_structure(normalized)
+    structure = detect_group_structure(normalized, unit_norm=True)
     rescaled = None
     if structure is not None:
         scales = [
@@ -343,15 +343,16 @@ def gen_hyperbolic(ell: int, m: int, theta: float, x: float) -> float:
     return float(value.real)
 
 
-def detect_group_structure(model: LindbladModel) -> GroupStructure | None:
-    """Operator-level power-law detection on a unit-norm model.
+def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> GroupStructure | None:
+    """Operator-level power-law detection on the unit-norm form of a model.
 
     Looks for the smallest ``l <= dim`` with ``L^l`` proportional to the
     identity (theta = |c|^2) or zero (theta = 0), and verifies pairwise
     commutation up to a phase.  Returns None when any operator lacks the
-    structure; absence is a valid outcome, not an error.
+    structure; absence is a valid outcome, not an error.  ``unit_norm=True``
+    skips normalizing operators that already have unit norm.
     """
-    norm_model = normalize_lindblads(model)
+    norm_model = model if unit_norm else normalize_lindblads(model)
     dim = norm_model.dim
     periods: list[int] = []
     thetas: list[float] = []

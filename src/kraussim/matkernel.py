@@ -8,6 +8,7 @@ constants so that tests can reference them by name.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import types
 import typing
@@ -54,6 +55,45 @@ def qubit_count(dim: int, what: str) -> int:
 def pauli_labels(num_qubits: int) -> list[str]:
     """All 4**n Pauli string labels in lexicographic I < X < Y < Z order."""
     return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]
+
+
+@functools.cache
+def pauli_basis(num_qubits: int) -> np.ndarray:
+    """Read-only stack of the 4**n Pauli string matrices in :func:`pauli_labels` order."""
+    basis = np.stack([pauli_string_matrix(label) for label in pauli_labels(num_qubits)])
+    basis.setflags(write=False)
+    return basis
+
+
+# Tr(s_a m) of a 2x2 block m read row-major (m[i, j] at 2i + j), rows a = I, X, Y, Z.
+_BLOCK_TO_PAULI = np.stack([PAULI[c].T.reshape(-1) for c in "IXYZ"])
+
+
+def pauli_coefficients(mat) -> np.ndarray:
+    """``Tr(P mat)`` for every Pauli string P, in :func:`pauli_labels` order."""
+    mat = _require_square(mat)
+    n = qubit_count(mat.shape[0], "matrix dimension")
+    pairs = [axis for q in range(n) for axis in (q, n + q)]  # row and column index of each qubit
+    blocks = mat.reshape([2] * (2 * n)).transpose(pairs).reshape([4] * n)
+    return apply_to_axes(blocks, [(q, _BLOCK_TO_PAULI) for q in range(n)]).reshape(-1)
+
+
+def from_pauli_coefficients(coeffs) -> np.ndarray:
+    """Matrix ``2^-n sum_P c_P P``, the inverse of :func:`pauli_coefficients`."""
+    n = (len(coeffs).bit_length() - 1) // 2
+    blocks = apply_to_axes(np.reshape(coeffs, [4] * n), [(q, _BLOCK_TO_PAULI.conj().T / 2) for q in range(n)])
+    rows_then_columns = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return blocks.reshape([2] * (2 * n)).transpose(rows_then_columns).reshape(2**n, 2**n)
+
+
+def apply_to_axes(tensor: np.ndarray, steps) -> np.ndarray:
+    """Apply each ``(axis, matrix)`` of ``steps`` in turn to that axis of ``tensor``:
+    ``out[..., i, ...] = sum_j matrix[i, j] tensor[..., j, ...]``."""
+    for axis, matrix in steps:
+        moved = np.moveaxis(tensor, axis, 0)
+        out = matrix @ moved.reshape(moved.shape[0], -1)
+        tensor = np.moveaxis(out.reshape(matrix.shape[0], *moved.shape[1:]), 0, axis)
+    return tensor
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -174,16 +214,6 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD (eigenvalue {w.min()})")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
-
-
-def pinv(a: np.ndarray, rcond: float = DEFAULT_RCOND) -> np.ndarray:
-    """Moore-Penrose pseudoinverse via SVD with a relative singular cutoff."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("pinv expects a 2-d matrix")
-    if not 0.0 < rcond < 1.0:
-        raise ValueError("rcond must lie in (0, 1)")
-    return np.linalg.pinv(a, rcond=rcond)
 
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:

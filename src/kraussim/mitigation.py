@@ -1,10 +1,11 @@
 """Pauli-channel and depolarizing-channel noise models and their inversion.
 
-Channels act on density matrices directly or through their superoperator
-form on the row-major vectorization.  Fitting goes through nonnegative
-least squares for the general channel and a scored line scan for the
-depolarizing parameter; inversion output is flagged raw and projected back
-to the physical cone separately.
+A Pauli channel is diagonal in the Pauli-string basis: it scales the
+coefficient ``Tr(P rho)`` of each string P by its eigenvalue (Pauli
+fidelity), so applying and inverting it are elementwise on the coefficient
+vector.  Fitting goes through nonnegative least squares for the general
+channel and a scored line scan for the depolarizing parameter; inversion
+output is flagged raw and projected back to the physical cone separately.
 """
 
 from __future__ import annotations
@@ -15,13 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matkernel import (
+    DEFAULT_RCOND,
     DensityMatrix,
+    apply_to_axes,
     classify_density,
     fidelity,
+    from_pauli_coefficients,
     hermiticity_defect,
-    pauli_labels,
-    pauli_string_matrix,
-    pinv,
+    pauli_basis,
+    pauli_coefficients,
     project_to_physical,
     qubit_count,
     _as_matrix,
@@ -51,10 +54,6 @@ class PauliChannel:
             raise ValueError(f"coefficients sum to {eps.sum()}, expected 1")
         object.__setattr__(self, "epsilons", np.clip(eps, 0.0, None))
 
-    @property
-    def labels(self) -> list[str]:
-        return pauli_labels(self.num_qubits)
-
 
 @dataclass(frozen=True)
 class DepolarizingChannel:
@@ -68,6 +67,23 @@ class DepolarizingChannel:
             raise ValueError("lambda must lie in [0, 1]")
 
 
+def pauli_fidelities(channel: PauliChannel) -> np.ndarray:
+    """Eigenvalue ``lambda_P = sum_Q (+-1) eps_Q`` (+ where P and Q commute) of the
+    channel on each Pauli string P, in ``pauli_labels`` order."""
+    # single-qubit Paulis (I, X, Y, Z) commute when one is I or both are equal
+    signs = np.array([[1.0 if 0 in (a, b) or a == b else -1.0 for b in range(4)] for a in range(4)])
+    steps = [(q, signs) for q in range(channel.num_qubits)]
+    return apply_to_axes(channel.epsilons.reshape([4] * channel.num_qubits), steps).reshape(-1)
+
+
+def _channel_input(channel, rho) -> np.ndarray:
+    mat = _as_matrix(rho)
+    dim = 2**channel.num_qubits
+    if mat.shape != (dim, dim):
+        raise ValueError(f"state of shape {mat.shape} does not match the {channel.num_qubits}-qubit channel")
+    return mat
+
+
 def _carry_raw(source, matrix: np.ndarray) -> DensityMatrix:
     if isinstance(source, DensityMatrix) and source.raw:
         return DensityMatrix(matrix, raw=True)
@@ -75,68 +91,46 @@ def _carry_raw(source, matrix: np.ndarray) -> DensityMatrix:
 
 
 def apply_pauli_channel(channel: PauliChannel, rho) -> DensityMatrix:
-    mat = _as_matrix(rho)
-    dim = 2**channel.num_qubits
-    if mat.shape != (dim, dim):
-        raise ValueError("state dimension does not match the channel")
-    out = np.zeros_like(mat)
-    for eps, label in zip(channel.epsilons, channel.labels):
-        if eps == 0.0:
-            continue
-        pauli = pauli_string_matrix(label)
-        out += eps * (pauli @ mat @ pauli.conj().T)
+    mat = _channel_input(channel, rho)
+    out = from_pauli_coefficients(pauli_fidelities(channel) * pauli_coefficients(mat))
     return _carry_raw(rho, out)
 
 
 def apply_qdc(channel: DepolarizingChannel, rho) -> DensityMatrix:
-    mat = _as_matrix(rho)
-    dim = 2**channel.num_qubits
-    if mat.shape != (dim, dim):
-        raise ValueError("state dimension does not match the channel")
+    mat = _channel_input(channel, rho)
+    dim = mat.shape[0]
     out = (1.0 - channel.lam) * mat + channel.lam * np.trace(mat) * np.eye(dim) / dim
     return _carry_raw(rho, out)
-
-
-def channel_superoperator(channel: PauliChannel) -> np.ndarray:
-    """``sum_i eps_i P_i (x) conj(P_i)`` acting on the row-major vec."""
-    dim = 2**channel.num_qubits
-    out = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for eps, label in zip(channel.epsilons, channel.labels):
-        if eps == 0.0:
-            continue
-        pauli = pauli_string_matrix(label)
-        out += eps * np.kron(pauli, pauli.conj())
-    return out
 
 
 def invert_channel(channel, rho_noisy) -> DensityMatrix:
     """Undo a fitted channel; output is raw (possibly negative eigenvalues).
 
     The depolarizing case uses the closed form
-    ``(rho - lam/2^N I) / (1 - lam)``; the general Pauli channel goes
-    through the superoperator pseudoinverse.
+    ``(rho - lam/2^N I) / (1 - lam)``; the general Pauli channel divides each
+    Pauli coefficient by its eigenvalue, dropping those with ``|lambda_P| <=
+    DEFAULT_RCOND * max |lambda|`` (the minimum-norm, pseudoinverse solution).
     """
-    mat = _as_matrix(rho_noisy)
     if isinstance(channel, DepolarizingChannel):
         if channel.lam >= 1.0 - 1e-9:
             raise ValueError("depolarizing channel with lambda ~ 1 is not invertible")
-        dim = 2**channel.num_qubits
+        mat = _channel_input(channel, rho_noisy)
+        dim = mat.shape[0]
         out = (mat - channel.lam * np.trace(mat) * np.eye(dim) / dim) / (1.0 - channel.lam)
         return DensityMatrix(out, raw=True)
     if isinstance(channel, PauliChannel):
-        dim = 2**channel.num_qubits
-        a_mat = channel_superoperator(channel)
-        singulars = np.linalg.svd(a_mat, compute_uv=False)
-        cutoff = 1e-12 * singulars.max()
-        if singulars.min() < cutoff:
-            rank = int((singulars >= cutoff).sum())
+        mat = _channel_input(channel, rho_noisy)
+        lam = pauli_fidelities(channel)
+        kept = np.abs(lam) > DEFAULT_RCOND * np.abs(lam).max()
+        if not kept.all():
             warnings.warn(
-                f"channel superoperator is rank deficient ({rank}/{a_mat.shape[0]}); "
+                f"Pauli channel is rank deficient ({int(kept.sum())}/{lam.size}); "
                 "inversion returns the minimum-norm solution",
                 RuntimeWarning,
             )
-        out = pinv(a_mat) @ mat.reshape(-1)
-        return DensityMatrix(out.reshape(dim, dim), raw=True)
+        inverse = np.divide(1.0, lam, out=np.zeros_like(lam), where=kept)
+        out = from_pauli_coefficients(inverse * pauli_coefficients(mat))
+        return DensityMatrix(out, raw=True)
     raise TypeError(f"unsupported channel type {type(channel)!r}")
 
 
@@ -209,8 +203,7 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     exact0 = _as_matrix(pairs[0][0])
     dim = exact0.shape[0]
     num_qubits = qubit_count(dim, "density matrix dimension")
-    labels = pauli_labels(num_qubits)
-    paulis = [pauli_string_matrix(label) for label in labels]
+    paulis = pauli_basis(num_qubits)
     columns = []
     targets = []
     for exact, noisy in pairs:

@@ -334,6 +334,8 @@ def test_sample_shots_validation():
         qc.sample_shots(zero, "Q", 10, seed=0)
     with pytest.raises(ValueError):
         qc.sample_shots(zero, "Z", 0, seed=0)
+    with pytest.raises(ValueError, match="basis 'ZZ' measures 2 qubits, but the state has dimension 2"):
+        qc.sample_shots(zero, "ZZ", 10, seed=0)
 
 
 def test_exact_distribution_xy_rotations():

@@ -127,7 +127,7 @@ def test_steps_flag_leaves_presets_untouched(tmp_path):
 
 @pytest.mark.parametrize("method, steps", [("kraus", 40), ("kraus-circuit", 3)])
 def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
-    calls = {"check_conditions": 0, "detect_group_structure": 0}
+    calls = {"check_conditions": 0, "detect_group_structure": 0, "normalize_lindblads": 0}
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -153,7 +153,7 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
     assert _row_count(tmp_path / "out") == steps
-    assert calls == {"check_conditions": 1, "detect_group_structure": 1}
+    assert calls == {"check_conditions": 1, "detect_group_structure": 1, "normalize_lindblads": 1}
 
 
 def test_experiment_check_tol_failure(tmp_path):
@@ -193,6 +193,21 @@ def test_experiment_condition_failure_exit_code(tmp_path):
         )
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 3
+    assert not (tmp_path / "o" / "states.json").exists()
+    assert not (tmp_path / "o" / "trajectory.csv").exists()
+
+
+def test_emit_report_removes_partial_outputs(tmp_path):
+    mat = np.eye(2) / 2
+    record = cli.TrajectoryRecord(0, 0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros((3, 3))}, 0.0, 0.0)
+
+    def records():
+        yield record
+        raise RuntimeError("step 1 failed")
+
+    with pytest.raises(RuntimeError, match="step 1 failed"):
+        cli.emit_report(records(), tmp_path / "out")
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 
 
 @pytest.mark.parametrize(

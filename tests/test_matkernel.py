@@ -92,15 +92,6 @@ def test_psd_sqrt_rejects_negative():
         mk.psd_sqrt(np.diag([1.0, -0.5]))
 
 
-def test_pinv_cases(rng):
-    assert np.allclose(mk.pinv(np.eye(3)), np.eye(3))
-    assert np.allclose(mk.pinv(np.diag([2.0, 0.0])), np.diag([0.5, 0.0]))
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    assert np.abs(mk.pinv(a) @ a - np.eye(4)).max() < 1e-9
-    with pytest.raises(ValueError):
-        mk.pinv(np.eye(2), rcond=2.0)
-
-
 def test_fidelity_examples():
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
@@ -187,6 +178,29 @@ def test_pauli_string_matrix():
         mk.pauli_string_matrix("QA")
     assert mk.pauli_labels(1) == ["I", "X", "Y", "Z"]
     assert len(mk.pauli_labels(2)) == 16
+
+
+def test_pauli_coefficients_round_trip(rng):
+    basis = mk.pauli_basis(3)
+    assert basis is mk.pauli_basis(3) and not basis.flags.writeable
+    for label, pauli in zip(mk.pauli_labels(3), basis):
+        assert np.array_equal(pauli, mk.pauli_string_matrix(label))
+    mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    coeffs = mk.pauli_coefficients(mat)
+    direct = [np.trace(mk.pauli_string_matrix(label) @ mat) for label in mk.pauli_labels(3)]
+    assert np.abs(coeffs - direct).max() < 1e-12
+    assert np.abs(mk.from_pauli_coefficients(coeffs) - mat).max() < 1e-12
+    with pytest.raises(ValueError, match="must be square"):
+        mk.pauli_coefficients(np.ones((2, 4)))
+
+
+def test_apply_to_axes_matches_kron(rng):
+    a = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    b = rng.normal(size=(3, 3))
+    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+    out = mk.apply_to_axes(vec.reshape(2, 3), [(1, b), (0, a)])
+    assert out.shape == (4, 3)
+    assert np.abs(out.reshape(-1) - np.kron(a, b) @ vec).max() < 1e-12
 
 
 def test_qubit_count():

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from kraussim import mitigation as mit
-from kraussim.matkernel import from_doc, pauli_string_matrix, to_doc
+from kraussim.matkernel import from_doc, pauli_labels, pauli_string_matrix, to_doc
 
 from conftest import random_density
 
@@ -62,20 +62,24 @@ def test_apply_qdc_cases():
     assert np.abs(out.matrix - np.diag([0.75, 0.25])).max() < 1e-12
 
 
-def test_superoperator_identity_and_z():
-    assert np.abs(mit.channel_superoperator(one_qubit_channel({"I": 1.0})) - np.eye(4)).max() == 0.0
-    sup = mit.channel_superoperator(one_qubit_channel({"Z": 1.0}))
-    assert np.abs(sup - np.diag([1.0, -1.0, -1.0, 1.0])).max() < 1e-12
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_pauli_channel_matches_direct_sum(rng, num_qubits):
+    # identity weight >= 0.7 keeps every Pauli eigenvalue >= 0.4, so the
+    # inversion does not amplify rounding past the tolerance
+    eps = 0.3 * rng.dirichlet(np.ones(4**num_qubits))
+    eps[0] += 0.7
+    channel = mit.PauliChannel(num_qubits, eps)
+    paulis = [pauli_string_matrix(label) for label in pauli_labels(num_qubits)]
 
+    def direct(mat):
+        return sum(e * (q @ mat @ q.conj().T) for e, q in zip(channel.epsilons, paulis))
 
-def test_superoperator_path_equivalence(rng):
-    eps = rng.dirichlet(np.ones(16))
-    channel = mit.PauliChannel(2, eps)
-    sup = mit.channel_superoperator(channel)
-    rho = random_density(rng, 4)
-    direct = mit.apply_pauli_channel(channel, rho).matrix
-    via_sup = (sup @ rho.reshape(-1)).reshape(4, 4)
-    assert np.abs(direct - via_sup).max() < 1e-12
+    lam = mit.pauli_fidelities(channel)
+    for fidelity_p, pauli in zip(lam, paulis):
+        assert np.abs(direct(pauli) - fidelity_p * pauli).max() < 1e-12
+    rho = random_density(rng, 2**num_qubits)
+    assert np.abs(mit.apply_pauli_channel(channel, rho).matrix - direct(rho)).max() < 1e-12
+    assert np.abs(mit.invert_channel(channel, direct(rho)).matrix - rho).max() < 1e-12
 
 
 def test_invert_round_trip(rng):
@@ -103,9 +107,18 @@ def test_invert_qdc_rejects_full_depolarization():
 
 
 def test_invert_rank_deficient_warns():
+    # dephasing has Pauli eigenvalue 0 on X and Y; the minimum-norm inverse
+    # drops those coefficients
     channel = one_qubit_channel({"I": 0.5, "Z": 0.5})
-    with pytest.warns(RuntimeWarning):
-        mit.invert_channel(channel, np.eye(2) / 2)
+    with pytest.warns(RuntimeWarning, match="rank deficient"):
+        out = mit.invert_channel(channel, np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]))
+    assert np.abs(out.matrix - np.diag([0.7, 0.3])).max() < 1e-15
+
+
+@pytest.mark.parametrize("channel", [one_qubit_channel({"I": 0.9, "X": 0.1}), mit.DepolarizingChannel(1, 0.2)])
+def test_invert_rejects_wrong_state_size(channel):
+    with pytest.raises(ValueError, match=r"shape \(4, 4\) does not match the 1-qubit channel"):
+        mit.invert_channel(channel, np.eye(4) / 4)
 
 
 def test_fit_pauli_channel_recovery(rng):

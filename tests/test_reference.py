@@ -1,0 +1,33 @@
+"""Seed 0 of the two shot-sampling benchmark workloads against their recorded trajectories.
+
+The benchmark's own gate (``perfbench/check.py``) compares every run of
+``pauli-tomo`` and ``qho-fields`` with ``perfbench/reference.json`` within
+1e-9; running seed 0 here makes a change that moves seeded shot results
+fail the unit tests, not only the benchmark.  The perfbench files are read,
+never written.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+import pytest
+
+from kraussim import cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.mark.parametrize("workload", ["pauli-tomo", "qho-fields"])
+def test_workload_seed_zero_matches_reference(tmp_path, monkeypatch, workload):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    check = importlib.import_module("check")
+    config = workloads.make_config(workload, 0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    outdir = tmp_path / "out"
+    code = cli.main(["experiment", "--config", str(path), "--check", "--out", str(outdir)])
+    reference = check.load_reference(workload, 0)
+    assert reference is not None
+    assert check.failure(outdir, code, config["time"]["steps"], reference) is None
