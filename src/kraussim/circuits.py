@@ -9,9 +9,8 @@ ancilla registers, which purify the channel mixture.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,10 +133,6 @@ class ShotResult:
 
     basis: str
     counts: dict[str, float]
-    accepted_fraction: float
-
-    def total(self) -> float:
-        return float(sum(self.counts.values()))
 
 
 def _apply_gate(tensor: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
@@ -537,36 +532,41 @@ _H = _SINGLE_QUBIT["h"]
 _BASIS_CHANGE = {"X": (_H,), "Y": (np.diag([1.0, np.exp(-0.5j * np.pi)]), _H), "Z": ()}
 
 
-def _basis_probabilities(state: QuantumState, basis: str) -> np.ndarray:
-    n = len(basis)
+def _basis_probabilities(state: QuantumState, choices) -> np.ndarray:
+    """Outcome probabilities of every basis that picks one letter of ``choices[q]`` for each qubit q.
+
+    ``"ZY"`` is one basis and ``["XYZ"] * n`` all 3^n of them.  Row r of the
+    ``(bases, 2^n)`` result is the r-th basis in ``itertools.product(*choices)``
+    order.  Each qubit's letters are applied as the separate factors of
+    ``_BASIS_CHANGE``, qubit by qubit, so every row is bit-identical to the
+    row of its single basis.
+    """
+    n = len(choices)
     if state.dim != 2**n:
-        raise ValueError(f"basis {basis!r} measures {n} qubits, but the state has dimension {state.dim}")
-    bad = set(basis) - set(_BASIS_CHANGE)
+        raise ValueError(f"basis {choices!r} measures {n} qubits, but the state has dimension {state.dim}")
+    bad = set("".join(choices)) - set(_BASIS_CHANGE)
     if bad:
-        raise ValueError(f"invalid basis letters {sorted(bad)} in {basis!r}")
-    steps = [(q, factor) for q, letter in enumerate(basis) for factor in _BASIS_CHANGE[letter]]
-    rotated = apply_to_axes(state.amplitudes.reshape([2] * n), steps)
-    return np.abs(rotated.reshape(-1)) ** 2
+        raise ValueError(f"invalid basis letters {sorted(bad)} in {choices!r}")
+    # axes: one letter axis per qubit done so far, then the n qubit axes
+    stack = state.amplitudes.reshape([2] * n)
+    for q, letters in enumerate(choices):
+        rotated = [apply_to_axes(stack, [(2 * q, f) for f in _BASIS_CHANGE[c]]) for c in letters]
+        stack = np.stack(rotated, axis=q)
+    return np.abs(stack.reshape(-1, 2**n)) ** 2
 
 
-def _shot_result(basis: str, weights: np.ndarray, accepted_fraction: float) -> ShotResult:
+def _shot_result(basis: str, weights: np.ndarray) -> ShotResult:
     """Counts keyed by outcome bitstring (qubit 0 leftmost); zero weights are left out."""
     counts = {format(i, f"0{len(basis)}b"): float(w) for i, w in enumerate(weights) if w > 0}
-    return ShotResult(basis, counts, accepted_fraction)
+    return ShotResult(basis, counts)
 
 
-def exact_distribution(state: QuantumState, basis: str, accepted_fraction: float = 1.0) -> ShotResult:
+def exact_distribution(state: QuantumState, basis: str) -> ShotResult:
     """Infinite-shot measurement: exact outcome probabilities."""
-    return _shot_result(basis, _basis_probabilities(state, basis), accepted_fraction)
+    return _shot_result(basis, _basis_probabilities(state, basis)[0])
 
 
-def sample_shots(
-    state: QuantumState,
-    basis: str,
-    shots: int,
-    seed,
-    accepted_fraction: float = 1.0,
-) -> ShotResult:
+def sample_shots(state: QuantumState, basis: str, shots: int, seed) -> ShotResult:
     """Sample measurement outcomes in a Pauli product basis.
 
     The generator is seeded deterministically; identical seeds reproduce
@@ -574,60 +574,35 @@ def sample_shots(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = _basis_probabilities(state, basis)
+    probs = _basis_probabilities(state, basis)[0]
     rng = np.random.default_rng(seed)
-    draws = rng.multinomial(shots, probs / probs.sum())
-    return _shot_result(basis, draws, accepted_fraction)
+    return _shot_result(basis, rng.multinomial(shots, probs / probs.sum()))
 
 
-@dataclass(frozen=True)
-class TermMeasurements:
-    """Measurement data of one Kraus-term circuit across all bases."""
-
-    weight_sq: float
-    survival: float
-    results: dict[str, ShotResult] = field(default_factory=dict)
+# Readout of one qubit's (letter, outcome) pair, letters X, Y, Z, into the
+# Pauli expectations I, X, Y, Z: each letter reads its own expectation as Z
+# does, and I is the mean over the three letters, the 3^(n - weight) bases
+# that cover a string.
+_READOUT = np.vstack([np.full(6, 1 / 3), np.kron(np.eye(3), [1.0, -1.0])])
 
 
-# Readout of one outcome bit into the Pauli expectations (rows I, X, Y, Z):
-# the identity row and the measured letter's row read it as Z does.
-_READOUT = {c: np.eye(4)[:, [0, "IXYZ".index(c)]] @ np.array([[1.0, 1.0], [1.0, -1.0]]) for c in "XYZ"}
+def tomography(frequencies) -> DensityMatrix:
+    """Linear-inversion reconstruction from a ``(3^n, 2^n)`` table of outcome frequencies.
 
-
-def _pauli_readout(result: ShotResult) -> np.ndarray:
-    """Expectations of the Pauli strings the basis covers; zero for the others."""
-    n = len(result.basis)
-    total = result.total()
-    if total <= 0.0:
-        return np.zeros(4**n)
-    counts = np.zeros(2**n)
-    for bits, count in result.counts.items():
-        counts[int(bits, 2)] = count
-    steps = [(q, _READOUT[letter]) for q, letter in enumerate(result.basis)]
-    return apply_to_axes(counts.reshape([2] * n), steps).reshape(-1) / total
-
-
-def tomography(terms: list[TermMeasurements], num_qubits: int) -> DensityMatrix:
-    """Linear-inversion reconstruction of the weighted channel output.
-
-    Each Pauli expectation is averaged over the ``3^(n - weight)`` bases that
-    cover its string, combined as ``<P> = sum_t weight^2 * survival * <P>_t``
-    and inverted through ``rho = 2^-N sum_P <P> P``; the identity-string
-    coefficient is the accumulated trace weight.  The result may be
-    unphysical and is flagged raw.
+    Row r holds the outcomes of the r-th basis in ``itertools.product("XYZ",
+    repeat=n)`` order, summed over the measured terms as
+    ``weight^2 * survival * frequency``.  The per-qubit readout turns the
+    table into every string's expectation, averaged over the bases that cover
+    it, and ``rho = 2^-n sum_P <P> P``; the identity coefficient is the
+    accumulated trace weight.  The result may be unphysical and is flagged raw.
     """
-    bases = ["".join(b) for b in itertools.product("XYZ", repeat=num_qubits)]
-    covers = 3.0 ** np.array([label.count("I") for label in pauli_labels(num_qubits)])
-    values = np.zeros(4**num_qubits)
-    for tm in terms:
-        if tm.survival <= 0.0:
-            continue
-        missing = [b for b in bases if b not in tm.results]
-        if missing:
-            raise ValueError(f"incomplete basis coverage, missing {missing[:3]}")
-        sums = sum(_pauli_readout(tm.results[b]) for b in bases)
-        values += tm.weight_sq * tm.survival * sums / covers
-    values[0] = sum(tm.weight_sq * tm.survival for tm in terms)
+    table = np.asarray(frequencies, dtype=float)
+    if table.ndim != 2 or table.shape[0] != 3 ** qubit_count(table.shape[1], "outcome count"):
+        raise ValueError(f"frequency table must have shape (3^n, 2^n), got {table.shape}")
+    n = table.shape[1].bit_length() - 1
+    letter_outcome_pairs = [axis for q in range(n) for axis in (q, n + q)]
+    per_qubit = table.reshape([3] * n + [2] * n).transpose(letter_outcome_pairs).reshape([6] * n)
+    values = apply_to_axes(per_qubit, [(q, _READOUT) for q in range(n)]).reshape(-1)
     return DensityMatrix(from_pauli_coefficients(values), raw=True)
 
 
@@ -642,29 +617,28 @@ def execute_series_tomography(
 ) -> tuple[DensityMatrix, list[dict]]:
     """Full circuit pipeline for a series: simulate, post-select, measure, invert.
 
-    ``shots=None`` runs the infinite-shot mode with exact expectations; a
+    ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) job with a deterministic child
     seed, so parallel and serial schedules agree bit for bit.
     """
+    if shots is not None and shots < 1:
+        raise ValueError("shots must be >= 1")
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
     seed_base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
-    bases = ["".join(b) for b in itertools.product("XYZ", repeat=n_sys)]
-    measurements: list[TermMeasurements] = []
+    frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
     for term_index, term in enumerate(series.terms):
         circuit = build_kraus_circuit(term, prep, t, scheme)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
-        results: dict[str, ShotResult] = {}
         if reduced is not None:
-            for basis_index, basis in enumerate(bases):
-                if shots is None:
-                    results[basis] = exact_distribution(reduced, basis, survival)
-                else:
-                    child = np.random.SeedSequence([*seed_base, term_index, basis_index])
-                    results[basis] = sample_shots(reduced, basis, shots, child, survival)
-        measurements.append(TermMeasurements(term.weight**2, survival, results))
+            probs = _basis_probabilities(reduced, ["XYZ"] * n_sys)
+            if shots is not None:
+                for basis_index, p in enumerate(probs):
+                    rng = np.random.default_rng(np.random.SeedSequence([*seed_base, term_index, basis_index]))
+                    probs[basis_index] = rng.multinomial(shots, p / p.sum())
+            frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
         diagnostics.append(
             {
                 "order": term.order,
@@ -673,4 +647,4 @@ def execute_series_tomography(
                 "survival": survival,
             }
         )
-    return tomography(measurements, n_sys), diagnostics
+    return tomography(frequencies), diagnostics

@@ -90,10 +90,18 @@ def apply_to_axes(tensor: np.ndarray, steps) -> np.ndarray:
     """Apply each ``(axis, matrix)`` of ``steps`` in turn to that axis of ``tensor``:
     ``out[..., i, ...] = sum_j matrix[i, j] tensor[..., j, ...]``."""
     for axis, matrix in steps:
-        moved = np.moveaxis(tensor, axis, 0)
+        to_front, back = _axis_orders(tensor.ndim, axis)
+        moved = tensor.transpose(to_front)
         out = matrix @ moved.reshape(moved.shape[0], -1)
-        tensor = np.moveaxis(out.reshape(matrix.shape[0], *moved.shape[1:]), 0, axis)
+        tensor = out.reshape(matrix.shape[0], *moved.shape[1:]).transpose(back)
     return tensor
+
+
+@functools.cache
+def _axis_orders(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transposes that move ``axis`` to the front and back again (``np.moveaxis`` without its argument checks)."""
+    rest = [a for a in range(ndim) if a != axis]
+    return (axis, *rest), (*range(1, axis + 1), 0, *range(axis + 1, ndim))
 
 
 def _as_matrix(value) -> np.ndarray:

@@ -346,31 +346,52 @@ def test_exact_distribution_xy_rotations():
 
 def test_tomography_exact_reconstruction(rng):
     psi = QuantumState(random_state(rng, 4))
-    results = {
-        basis: qc.exact_distribution(psi, basis)
-        for basis in ("".join(b) for b in itertools.product("XYZ", repeat=2))
-    }
-    term = qc.TermMeasurements(weight_sq=1.0, survival=1.0, results=results)
-    rho = qc.tomography([term], 2)
-    assert np.abs(rho.matrix - psi.density().matrix).max() < 1e-10
+    rho = qc.tomography(0.7 * qc._basis_probabilities(psi, ["XYZ"] * 2))
+    assert np.abs(rho.matrix - 0.7 * psi.density().matrix).max() < 1e-10
 
 
-def test_tomography_requires_complete_bases():
-    psi = QuantumState(np.array([1.0, 0.0], dtype=complex))
-    term = qc.TermMeasurements(1.0, 1.0, {"Z": qc.exact_distribution(psi, "Z")})
+@pytest.mark.parametrize("shape", [(3, 4), (9, 3), (9,), (27, 4)], ids=lambda shape: "x".join(map(str, shape)))
+def test_tomography_rejects_wrong_shape(shape):
     with pytest.raises(ValueError):
-        qc.tomography([term], 1)
+        qc.tomography(np.zeros(shape))
 
 
-def test_tomography_finite_shots_close(rng):
+def test_tomography_finite_shots_close():
     psi = QuantumState(np.array([1.0, 0.0], dtype=complex))
-    results = {
-        basis: qc.sample_shots(psi, basis, 4096, seed=(3, i))
+    table = [
+        [qc.sample_shots(psi, basis, 4096, seed=(3, i)).counts.get(bit, 0.0) / 4096 for bit in "01"]
         for i, basis in enumerate("XYZ")
-    }
-    term = qc.TermMeasurements(1.0, 1.0, results=results)
-    rho = qc.tomography([term], 1)
+    ]
+    rho = qc.tomography(table)
     assert np.abs(rho.matrix - psi.density().matrix).max() < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_all_bases_rows_equal_single_basis(rng, n):
+    psi = QuantumState(random_state(rng, 2**n))
+    table = qc._basis_probabilities(psi, ["XYZ"] * n)
+    bases = ["".join(b) for b in itertools.product("XYZ", repeat=n)]
+    assert table.shape == (3**n, 2**n)
+    for row, basis in zip(table, bases):
+        assert np.array_equal(row, qc._basis_probabilities(psi, basis)[0])
+
+
+@pytest.mark.parametrize("shots", [None, 16])
+def test_series_tomography_one_basis_pass_per_term(pauli_spec, initial_states, monkeypatch, shots):
+    calls = []
+    original = qc._basis_probabilities
+
+    def counted(state, choices):
+        calls.append(list(choices))
+        return original(state, choices)
+
+    monkeypatch.setattr(qc, "_basis_probabilities", counted)
+    psi = initial_states["pauli-xx-zz"]
+    series = kraus.build_reduced_series(pauli_spec.model, 0.9)
+    _, diags = qc.execute_series_tomography(pauli_spec.model, series, 0.9, psi, shots=shots)
+    surviving = sum(d["survival"] > 0 for d in diags)
+    assert surviving > 0
+    assert calls == [["XYZ"] * 2] * surviving
 
 
 def test_pipeline_matches_apply_series(pauli_spec, initial_states):
@@ -400,6 +421,8 @@ def test_pipeline_shot_determinism(qho_spec, initial_states):
     rho_a, _ = qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=128, seed=9)
     rho_b, _ = qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=128, seed=9)
     assert np.abs(rho_a.matrix - rho_b.matrix).max() == 0.0
+    with pytest.raises(ValueError, match="shots must be >= 1"):
+        qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=0)
 
 
 def test_serialized_series_drives_circuits(qho_spec, initial_states):

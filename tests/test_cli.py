@@ -175,6 +175,19 @@ def test_experiment_check_tol_failure(tmp_path):
     ]) == 3
 
 
+def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
+    # the order-2 tail bound grows from 1e-9 at t=0 to ~9 at t=3; the 0.21
+    # distance at t=3 is inside its own bound, not inside the t=0 one
+    argv = [
+        "experiment", "--preset", "qho-damped", "--method", "kraus", "--series", "truncated",
+        "--order", 2, "--check", "--out", tmp_path / "o",
+    ]
+    assert run(argv) == 0
+    assert "check passed: least slack at t=0," in capsys.readouterr().out
+    assert run([*argv, "--check-tol", "1e-3"]) == 3
+    assert "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03" in capsys.readouterr().err
+
+
 def test_experiment_condition_failure_exit_code(tmp_path):
     # transverse Hamiltonian with a lowering jump operator violates (i)
     cfg = tmp_path / "cfg.json"
