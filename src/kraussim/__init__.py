@@ -27,7 +27,9 @@ from .lindblad import (
     LindbladModel,
     build_superoperator,
     check_conditions,
+    effective_hamiltonian,
     exact_evolve,
+    exact_trajectory,
     normalize_lindblads,
     trotter_evolve,
 )
@@ -43,7 +45,6 @@ from .kraus import (
     build_tp_series,
     detect_group_structure,
     effective_evolution,
-    effective_hamiltonian,
     f_of_t,
     gen_hyperbolic,
     prepare,
@@ -69,6 +70,7 @@ __all__ = [
     "effective_evolution",
     "effective_hamiltonian",
     "exact_evolve",
+    "exact_trajectory",
     "f_of_t",
     "fidelity",
     "gen_hyperbolic",

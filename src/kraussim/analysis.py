@@ -146,10 +146,6 @@ def grid_integral(field: np.ndarray, grid: PhaseSpaceGrid) -> float:
     return float(np.trapezoid(np.trapezoid(field, grid.p, axis=1), grid.x))
 
 
-def line_integral(values: np.ndarray, axis: np.ndarray) -> float:
-    return float(np.trapezoid(values, axis))
-
-
 def wigner_marginal(field: np.ndarray, grid: PhaseSpaceGrid, which: str = POSITION) -> np.ndarray:
     if which == POSITION:
         return np.trapezoid(field, grid.p, axis=1)

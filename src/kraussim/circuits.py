@@ -24,10 +24,9 @@ from .kraus import (
     _require_abelian,
 )
 from .lindblad import LindbladModel
-from .matkernel import PAULI, DensityMatrix, QuantumState, apply_to_axes, psd_sqrt, qubit_count
+from .matkernel import PAULI, DensityMatrix, QuantumState, apply_to_axes, qubit_count, sznagy_dilation  # noqa: F401 (re-export)
 from .matkernel import from_pauli_coefficients, pauli_coefficients, pauli_labels, pauli_string_matrix
 
-DILATION_NORM_TOL = 1e-10
 ANGLE_PRUNE_TOL = 1e-12
 SCHEME_BINARY = "binary"
 SCHEME_GRAY = "gray"
@@ -223,24 +222,6 @@ def trace_out(state, qubit_indices) -> np.ndarray:
     tensor = amps.reshape([2] * n).transpose(kept + traced)
     flat = tensor.reshape(2 ** len(kept), 2 ** len(traced))
     return flat @ flat.conj().T
-
-
-def sznagy_dilation(op: np.ndarray) -> np.ndarray:
-    """Unitary 2d x 2d dilation with the contraction in the top-left block.
-
-    ``[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]``; requires
-    ``||L|| <= 1``, which the generator-invariant rescaling guarantees.
-    """
-    mat = np.asarray(op, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("dilation input must be square")
-    norm = float(np.linalg.norm(mat, 2))
-    if norm > 1.0 + DILATION_NORM_TOL:
-        raise ValueError(f"operator norm {norm} exceeds 1; rescale first")
-    eye = np.eye(mat.shape[0], dtype=complex)
-    upper = psd_sqrt(eye - mat @ mat.conj().T)
-    lower = psd_sqrt(eye - mat.conj().T @ mat)
-    return np.block([[mat, upper], [lower, -mat.conj().T]])
 
 
 def _gray(i: int) -> int:
@@ -450,9 +431,8 @@ def build_kraus_circuit(
     gates: list[Gate] = []
     # Rightmost factor in the operator product acts first.
     for slot, op_index in enumerate(reversed(term.indices)):
-        dilation = sznagy_dilation(prep.normalized.lindblads[op_index])
         anc = n_sys + slot
-        gates.append(Gate("unitary", (anc, *system), matrix=dilation))
+        gates.append(Gate("unitary", (anc, *system), matrix=prep.dilations[op_index]))
     gates += _t_block_gates(prep, t, system, n_sys + m, scheme)
     return Circuit(
         n_sys,

@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .lindblad import (
     SPLIT_EFFECTIVE_JUMP,
     SPLIT_HAMILTONIAN_DISSIPATOR,
     check_conditions,
-    exact_evolve,
+    exact_trajectory,
     trotter_evolve,
 )
 from .matkernel import (
@@ -308,53 +308,51 @@ class _MitigationChain:
         return project_to_physical(out)
 
 
-def _observable_columns(
-    config: ExperimentConfig, spec: models.ModelSpec, mat: np.ndarray
-) -> dict[str, float]:
-    out: dict[str, float] = {}
+def _step_outputs(
+    config: ExperimentConfig, spec: models.ModelSpec, dim: int
+) -> Callable[[np.ndarray, np.ndarray], tuple[dict[str, float], dict[str, np.ndarray]]]:
+    """Check the output tokens and build their operators once.  The returned
+    function reads one step's observable columns from its mitigated state and
+    its phase-space fields from the physical one."""
+    operators: dict[str, np.ndarray] = {}
     for token in config.outputs:
-        if token in FIELD_OUTPUTS:
-            continue
-        if token == "populations":
-            for i, val in enumerate(np.diag(mat).real):
-                out[f"pop_{i}"] = float(val)
-        elif token.startswith("pauli:"):
+        if token.startswith("pauli:"):
             label = token.split(":", 1)[1]
-            pauli = pauli_string_matrix(label)
-            if pauli.shape != mat.shape:
+            operators[token] = pauli_string_matrix(label)
+            if operators[token].shape != (dim, dim):
                 raise ConfigError(f"Pauli label {label!r} does not match the dimension")
-            out[token] = float(np.trace(pauli @ mat).real)
-        elif token == "quadratures":
-            if not spec.mode_ops:
-                raise ConfigError("quadratures need a bosonic model")
-            for m, (x0, p0) in enumerate(analysis.quadrature_expectations(mat, spec.mode_ops)):
-                out[f"x0_{m}"] = x0
-                out[f"p0_{m}"] = p0
         elif token == "parity":
-            tau = models.fock_parity_operator(mat.shape[0])
-            out[token] = float(np.trace(tau @ mat).real)
-        else:
+            operators[token] = models.fock_parity_operator(dim)
+        elif token == "quadratures" and not spec.mode_ops:
+            raise ConfigError("quadratures need a bosonic model")
+        elif token in FIELD_OUTPUTS and (len(spec.mode_ops) != 1 or spec.mode_ops[0].shape != (dim, dim)):
+            raise ConfigError("field outputs need a single-mode bosonic model")
+        elif token not in ("populations", "quadratures", *FIELD_OUTPUTS):
             raise ConfigError(f"unknown output token {token!r}")
-    return out
+    grid = analysis.default_grid()
 
+    def read(mitigated: np.ndarray, physical: np.ndarray):
+        columns: dict[str, float] = {}
+        fields: dict[str, np.ndarray] = {}
+        for token in config.outputs:
+            if token in operators:
+                columns[token] = float(np.trace(operators[token] @ mitigated).real)
+            elif token == "populations":
+                for i, val in enumerate(np.diag(mitigated).real):
+                    columns[f"pop_{i}"] = float(val)
+            elif token == "quadratures":
+                for m, (x0, p0) in enumerate(analysis.quadrature_expectations(mitigated, spec.mode_ops)):
+                    columns[f"x0_{m}"] = x0
+                    columns[f"p0_{m}"] = p0
+            elif token == "position-density":
+                fields[token] = analysis.position_density(physical, grid, analysis.POSITION)
+            elif token == "momentum-density":
+                fields[token] = analysis.position_density(physical, grid, analysis.MOMENTUM)
+            else:
+                fields[token] = analysis.wigner(physical, grid)
+        return columns, fields
 
-def _field_maps(
-    config: ExperimentConfig, spec: models.ModelSpec, mat: np.ndarray, grid: analysis.PhaseSpaceGrid
-) -> dict[str, np.ndarray]:
-    wanted = [token for token in config.outputs if token in FIELD_OUTPUTS]
-    if not wanted:
-        return {}
-    if len(spec.mode_ops) != 1 or spec.mode_ops[0].shape != mat.shape:
-        raise ConfigError("field outputs need a single-mode bosonic model")
-    fields: dict[str, np.ndarray] = {}
-    for token in wanted:
-        if token == "position-density":
-            fields[token] = analysis.position_density(mat, grid, analysis.POSITION)
-        elif token == "momentum-density":
-            fields[token] = analysis.position_density(mat, grid, analysis.MOMENTUM)
-        else:
-            fields[token] = analysis.wigner(mat, grid)
-    return fields
+    return read
 
 
 def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
@@ -366,17 +364,14 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     work: LindbladModel | kraus.PreparedModel = model
     if config.method in ("kraus", "kraus-circuit", "kraus-circuit-shots"):
         work = kraus.prepare(model)
-        if not work.report.all_satisfied:
-            raise ConditionError(
-                "commutation conditions fail for the Kraus method: "
-                + ", ".join(work.report.failing())
-            )
+        kraus._require_conditions(work.report)
     noise = _build_noise(config, model.dim)
     chain = _MitigationChain(config, model.dim)
-    grid = analysis.default_grid()
+    outputs = _step_outputs(config, spec, model.dim)
     ts = np.linspace(config.t_start, config.t_stop, config.steps)
-    for index, t in enumerate(ts):
-        oracle = exact_evolve(model, rho0, float(t)).matrix
+    oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
+    for index, (t, oracle_state) in enumerate(zip(ts, oracles)):
+        oracle = oracle_state.matrix
         raw, diagnostics, bound = _run_method(config, work, psi0, rho0, float(t), index, oracle)
         noisy = noise(raw) if noise is not None else raw
         chain.fit(oracle, noisy)
@@ -386,6 +381,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
             if hermiticity_defect(final) <= 1e-10 and np.linalg.eigvalsh((final + final.conj().T) / 2).min() >= -1e-10
             else project_to_physical(final)
         )
+        observables, fields = outputs(final, physical)
         yield TrajectoryRecord(
             index=index,
             t=float(t),
@@ -393,9 +389,9 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
             mitigated=final,
             fidelity_vs_oracle=fidelity(oracle, physical),
             entropy=von_neumann_entropy(physical),
-            observables=_observable_columns(config, spec, final),
+            observables=observables,
             diagnostics=diagnostics,
-            fields=_field_maps(config, spec, physical, grid),
+            fields=fields,
             check_distance=trace_distance(oracle, raw),
             check_bound=bound,
         )

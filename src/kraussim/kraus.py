@@ -11,9 +11,9 @@ terms ``K = a * T(t) * L_{k_1} ... L_{k_m}`` sharing one contraction
 * the factored channel, one operator at a time, valid for the abelian case.
 
 Everything that does not depend on time (unit-norm operators, the condition
-report, the group structure and the shared eigenbasis) is computed once by
-:func:`prepare`; every construction accepts a plain model or its
-:class:`PreparedModel`.
+report, the group structure, the shared eigenbasis and the operator dilations)
+is computed once by :func:`prepare`; every construction accepts a plain model
+or its :class:`PreparedModel`.
 
 Weights use the accumulated jump weight ``x_n = gamma_n * f(t)`` where
 ``f(t) = t`` for the linear branch and ``(1 - exp(-alpha t)) / alpha``
@@ -34,9 +34,10 @@ from .lindblad import (
     ConditionReport,
     LindbladModel,
     check_conditions,
+    effective_hamiltonian,
     normalize_lindblads,
 )
-from .matkernel import DensityMatrix, classify_density, matexp, _as_matrix
+from .matkernel import DensityMatrix, classify_density, matexp, sznagy_dilation, _as_matrix
 
 ZERO_OPERATOR_TOL = 1e-14
 CONTRACTION_TOL = 1e-10
@@ -102,7 +103,8 @@ class PreparedModel:
     theta to exactly 1 and ``structure`` describes it (thetas 1, or 0 when
     nilpotent); both are None when the operators lack power-law structure.
     ``spectrum`` is the shared eigenbasis ``(u, energies, decays)`` of
-    ``normalized``, None when conditions (i) or (ii) fail.
+    ``normalized``, None when conditions (i) or (ii) fail.  ``dilations``
+    holds the Sz.-Nagy dilation of each operator of ``normalized``.
     """
 
     model: LindbladModel
@@ -111,6 +113,7 @@ class PreparedModel:
     structure: GroupStructure | None
     rescaled: LindbladModel | None
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    dilations: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
@@ -131,14 +134,6 @@ def f_of_t(alpha: float, t: float) -> float:
     if x < 1e-8:
         return float(t * (1.0 - x / 2.0 + x * x / 6.0))
     return float(-np.expm1(-x) / alpha)
-
-
-def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
-    """Non-Hermitian generator ``H - (i/2) sum_n gamma_n L_n^dag L_n``."""
-    h_eff = model.hamiltonian.astype(complex).copy()
-    for op, g in zip(model.lindblads, model.gammas):
-        h_eff -= 0.5j * g * (op.conj().T @ op)
-    return h_eff
 
 
 def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,7 +170,7 @@ def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np
 
 
 def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
-    """Normalize, check, detect structure and diagonalize a model once.
+    """Normalize, check, detect structure, diagonalize and dilate a model once.
 
     A :class:`PreparedModel` is returned unchanged.
     """
@@ -200,7 +195,8 @@ def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
     spectrum = None
     if report.hamiltonian_commutes and report.dissipators_commute:
         spectrum = effective_spectrum(normalized)
-    return PreparedModel(model, normalized, report, structure, rescaled, spectrum)
+    dilations = tuple(sznagy_dilation(op) for op in normalized.lindblads)
+    return PreparedModel(model, normalized, report, structure, rescaled, spectrum, dilations)
 
 
 def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.ndarray:
@@ -240,10 +236,10 @@ def _require_structure(prep: PreparedModel) -> None:
 
 
 def _series_tail(x: float, order: int) -> float:
-    """Upper bound sum_{m > order} x^m / m! = e^x P(order+1, x)."""
+    """Upper bound sum_{m > order} x^m / m! = e^x P(order+1, x), clipped at 1, the largest trace distance."""
     if x <= 0.0:
         return 0.0
-    return float(np.exp(x) * gammainc(order + 1, x))
+    return float(min(np.exp(x) * gammainc(order + 1, x), 1.0))
 
 
 def build_tp_series(model: LindbladModel | PreparedModel, t: float, order: int) -> KrausSeries:

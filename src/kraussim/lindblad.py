@@ -9,6 +9,7 @@ in :mod:`kraussim.kraus`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -83,12 +84,7 @@ class ConditionReport:
 
     @property
     def all_satisfied(self) -> bool:
-        return (
-            self.hamiltonian_commutes
-            and self.dissipators_commute
-            and self.ladder_constant_found
-            and self.damping_constant_found
-        )
+        return not self.failing()
 
     def failing(self) -> list[str]:
         names = ("i", "ii", "iii", "iv")
@@ -185,19 +181,19 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec, dtype=complex).reshape(dim, dim)
 
 
+def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
+    """Non-Hermitian generator ``H - (i/2) sum_n gamma_n L_n^dag L_n``."""
+    h_eff = model.hamiltonian.astype(complex)
+    for op, g in zip(model.lindblads, model.gammas):
+        h_eff -= 0.5j * g * (op.conj().T @ op)
+    return h_eff
+
+
 def build_superoperator(model: LindbladModel) -> np.ndarray:
     """Dense dim^2 x dim^2 generator acting on the row-major vectorization."""
-    h = model.hamiltonian
-    eye = np.eye(model.dim, dtype=complex)
-    d = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, g in zip(model.lindblads, model.gammas):
-        dd = op.conj().T @ op
-        d += g * (
-            np.kron(op, op.conj())
-            - 0.5 * np.kron(dd, eye)
-            - 0.5 * np.kron(eye, dd.T)
-        )
-    return d
+    flow, jumps = superoperator_parts(model, SPLIT_EFFECTIVE_JUMP)
+    flow += jumps
+    return flow
 
 
 def superoperator_parts(model: LindbladModel, split: str) -> tuple[np.ndarray, np.ndarray]:
@@ -210,32 +206,46 @@ def superoperator_parts(model: LindbladModel, split: str) -> tuple[np.ndarray, n
     bosonic mode, which makes it the right probe of product-formula error.
     """
     eye = np.eye(model.dim, dtype=complex)
-    h = model.hamiltonian
     if split == SPLIT_HAMILTONIAN_DISSIPATOR:
+        h = model.hamiltonian
         d1 = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        d2 = build_superoperator(model) - d1
-        return d1, d2
+        return d1, build_superoperator(model) - d1
     if split == SPLIT_EFFECTIVE_JUMP:
-        weighted = np.zeros_like(h)
+        h_eff = effective_hamiltonian(model)
+        d1 = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
         d2 = np.zeros((model.dim**2, model.dim**2), dtype=complex)
         for op, g in zip(model.lindblads, model.gammas):
-            weighted += g * (op.conj().T @ op)
             d2 += g * np.kron(op, op.conj())
-        h_eff = h - 0.5j * weighted
-        d1 = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
         return d1, d2
     raise ValueError(f"unknown split {split!r}")
 
 
-def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:
-    """Evolve by exponentiating the full superoperator once."""
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
+def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[DensityMatrix]:
+    """Yield the exact state at each point of ``np.linspace(start, stop, steps)``: the generator
+    D is built once, ``exp(start D)`` and ``exp(dt D)`` taken once each, then one mat-vec per point."""
+    if start < 0 or stop < start or steps < 1:
+        raise ValueError("need 0 <= start <= stop and steps >= 1")
     rho = _as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
         raise ValueError("state dimension does not match the model")
-    propagator = matexp(t * build_superoperator(model))
-    return classify_density(unvectorize(propagator @ vectorize(rho), model.dim))
+    vec = vectorize(rho)
+    # D is scaled in place, so no second dim^2 x dim^2 copy is alive while matexp runs
+    gen = build_superoperator(model)
+    if start > 0:
+        gen *= start
+        vec = matexp(gen) @ vec
+        gen /= start
+    gen *= (stop - start) / max(steps - 1, 1)
+    step = matexp(gen)
+    del gen
+    for _ in range(steps):
+        yield classify_density(unvectorize(vec, model.dim))
+        vec = step @ vec
+
+
+def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:
+    """The exact state at time ``t``: the one-point :func:`exact_trajectory`."""
+    return next(exact_trajectory(model, rho0, t, t, 1))
 
 
 def trotter_evolve(

@@ -24,6 +24,7 @@ STATE_NORM_TOL = 1e-12
 MATEXP_NORM_LIMIT = 1e4
 PSD_SQRT_TOL = 1e-9
 PSD_REJECT_TOL = -1e-6
+DILATION_NORM_TOL = 1e-10
 DEFAULT_RCOND = 1e-12
 
 PAULI = {
@@ -193,7 +194,8 @@ def classify_density(matrix: np.ndarray) -> DensityMatrix:
 def matexp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential via scaling-and-squaring with Pade approximants."""
     a = _require_square(a)
-    norm = np.linalg.norm(a, 2) if a.size else 0.0
+    # sqrt(||a||_1 ||a||_inf) bounds the 2-norm from above without an SVD
+    norm = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))) if a.size else 0.0
     if norm > MATEXP_NORM_LIMIT:
         raise ValueError(f"matrix norm {norm} exceeds limit {MATEXP_NORM_LIMIT}")
     return scipy.linalg.expm(a)
@@ -222,6 +224,22 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
         raise ValueError(f"matrix is not PSD (eigenvalue {w.min()})")
     w = np.clip(w, 0.0, None)
     return (u * np.sqrt(w)) @ u.conj().T
+
+
+def sznagy_dilation(op: np.ndarray) -> np.ndarray:
+    """Unitary 2d x 2d dilation with the contraction in the top-left block.
+
+    ``[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]``; requires
+    ``||L|| <= 1``, which the generator-invariant rescaling guarantees.
+    """
+    mat = _require_square(op, "dilation input")
+    norm = float(np.linalg.norm(mat, 2))
+    if norm > 1.0 + DILATION_NORM_TOL:
+        raise ValueError(f"operator norm {norm} exceeds 1; rescale first")
+    eye = np.eye(mat.shape[0], dtype=complex)
+    upper = psd_sqrt(eye - mat @ mat.conj().T)
+    lower = psd_sqrt(eye - mat.conj().T @ mat)
+    return np.block([[mat, upper], [lower, -mat.conj().T]])
 
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:

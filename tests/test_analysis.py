@@ -60,7 +60,7 @@ def test_position_density_ground(grid):
     mid = np.argmin(np.abs(grid.x))
     assert dens[mid] == pytest.approx(1 / np.sqrt(np.pi), abs=1e-6)
     assert dens[mid] == pytest.approx(0.56419, abs=1e-5)
-    assert analysis.line_integral(dens, grid.x) == pytest.approx(1.0, abs=1e-4)
+    assert np.trapezoid(dens, grid.x) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_position_density_first_excited(grid):
@@ -75,7 +75,7 @@ def test_position_density_first_excited(grid):
 
 def test_position_density_mixed_normalized(grid):
     dens = analysis.position_density(np.eye(4) / 4, grid)
-    assert analysis.line_integral(dens, grid.x) == pytest.approx(1.0, abs=1e-4)
+    assert np.trapezoid(dens, grid.x) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_position_density_rejects_unphysical(grid):
@@ -90,11 +90,11 @@ def test_momentum_density_analytic_phases(grid):
     rho = np.outer(psi, psi.conj())
     dens_p = analysis.position_density(rho, grid, analysis.MOMENTUM)
     assert np.abs(dens_p - dens_p[::-1]).max() < 1e-10
-    assert analysis.line_integral(dens_p, grid.p) == pytest.approx(1.0, abs=1e-4)
+    assert np.trapezoid(dens_p, grid.p) == pytest.approx(1.0, abs=1e-4)
     # i|0> + |1> coherence moves momentum instead
     psi_i = np.array([1j, 1.0, 0.0, 0.0], dtype=complex) / np.sqrt(2)
     dens_p = analysis.position_density(np.outer(psi_i, psi_i.conj()), grid, analysis.MOMENTUM)
-    mean_p = analysis.line_integral(grid.p * dens_p, grid.p)
+    mean_p = np.trapezoid(grid.p * dens_p, grid.p)
     a = models.annihilation_operator(3)
     expected = analysis.quadrature_expectations(np.outer(psi_i, psi_i.conj()), [a])[0][1]
     assert mean_p == pytest.approx(expected, abs=1e-4)

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import kraussim
-from kraussim import analysis, cli, kraus, lindblad, mitigation as mit
-from kraussim.matkernel import to_doc
+from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit
+from kraussim.matkernel import pauli_string_matrix, to_doc
 
 from conftest import random_density
 
@@ -125,9 +125,10 @@ def test_steps_flag_leaves_presets_untouched(tmp_path):
     assert _row_count(tmp_path / "b") == 21
 
 
-@pytest.mark.parametrize("method, steps", [("kraus", 40), ("kraus-circuit", 3)])
+@pytest.mark.parametrize("method, steps", [("exact", 40), ("kraus", 40), ("kraus-circuit", 3)])
 def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
-    calls = {"check_conditions": 0, "detect_group_structure": 0, "normalize_lindblads": 0}
+    prepared = ("check_conditions", "detect_group_structure", "normalize_lindblads", "sznagy_dilation")
+    calls = dict.fromkeys([*prepared, "build_superoperator"], 0)
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -136,7 +137,7 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
 
         return wrapper
 
-    for module in (lindblad, kraus):
+    for module in (lindblad, kraus, circuits):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
@@ -153,7 +154,23 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
     assert _row_count(tmp_path / "out") == steps
-    assert calls == {"check_conditions": 1, "detect_group_structure": 1, "normalize_lindblads": 1}
+    # the oracle builds its generator once; the Kraus methods prepare (and dilate
+    # the model's one jump operator) once, the exact method prepares nothing
+    once = 0 if method == "exact" else 1
+    assert calls == {**dict.fromkeys(prepared, once), "build_superoperator": 1}
+
+
+def test_output_operators_are_built_once_per_experiment(tmp_path, monkeypatch):
+    labels = []
+
+    def counted(label):
+        labels.append(label)
+        return pauli_string_matrix(label)
+
+    monkeypatch.setattr(cli, "pauli_string_matrix", counted)
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--steps", 40, "--out", tmp_path / "out"]) == 0
+    assert _row_count(tmp_path / "out") == 40
+    assert labels == ["ZI", "IZ", "ZZ"]
 
 
 def test_experiment_check_tol_failure(tmp_path):
@@ -176,8 +193,8 @@ def test_experiment_check_tol_failure(tmp_path):
 
 
 def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
-    # the order-2 tail bound grows from 1e-9 at t=0 to ~9 at t=3; the 0.21
-    # distance at t=3 is inside its own bound, not inside the t=0 one
+    # the order-2 tail bound grows from 1e-9 at t=0 and is clipped at 1 from
+    # t~0.74 on; the 0.21 distance at t=3 is inside its own bound, not inside the t=0 one
     argv = [
         "experiment", "--preset", "qho-damped", "--method", "kraus", "--series", "truncated",
         "--order", 2, "--check", "--out", tmp_path / "o",

@@ -101,6 +101,11 @@ def test_build_tp_series_nilpotent_terminates(qho_spec):
     assert series3.tail_bound == 0.0
 
 
+def test_build_tp_series_tail_bound_is_clipped_at_one(qho_spec):
+    # e^x P(3, x) exceeds 1 from t of about 0.74 on; a trace distance never does
+    assert kraus.build_tp_series(qho_spec.model, 3.0, 2).tail_bound == 1.0
+
+
 def test_build_tp_series_requires_conditions():
     model = lb.LindbladModel(PAULI["X"], (np.array([[0, 1], [0, 0]], dtype=complex),), (1.0,))
     with pytest.raises(kraus.ConditionError):

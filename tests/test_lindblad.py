@@ -5,7 +5,7 @@ import pytest
 
 from kraussim import lindblad as lb
 from kraussim import models
-from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
+from kraussim.matkernel import PAULI, from_doc, matexp, to_doc, trace_distance
 
 from conftest import random_density
 
@@ -118,6 +118,22 @@ def test_exact_evolve_cptp_and_semigroup(pauli_spec, rng):
 def test_exact_evolve_rejects_negative_time(qho_spec, initial_states):
     with pytest.raises(ValueError):
         lb.exact_evolve(qho_spec.model, initial_states["qho-oscillating"].density(), -0.1)
+
+
+@pytest.mark.parametrize(
+    "key, params",
+    [("pauli-xx-zz", {}), ("schwinger-jz", {}), ("qho-damped", {}), ("qho-cat", {}), ("qho-damped", {"n_max": 15})],
+)
+def test_exact_trajectory_matches_pointwise_expm(rng, key, params):
+    model = models.build_model(key, **params).model
+    rho0 = random_density(rng, model.dim)
+    generator = lb.build_superoperator(model)
+    for start, stop, steps in ((0.0, 2.0, 9), (0.7, 1.9, 5), (1.3, 1.3, 1)):
+        states = list(lb.exact_trajectory(model, rho0, start, stop, steps))
+        assert len(states) == steps
+        for t, state in zip(np.linspace(start, stop, steps), states):
+            want = matexp(t * generator) @ lb.vectorize(rho0)
+            assert np.abs(lb.vectorize(state.matrix) - want).max() < 1e-12
 
 
 def test_trotter_commuting_split_is_exact():

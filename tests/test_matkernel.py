@@ -31,6 +31,14 @@ def test_matexp_rejects_nonsquare_and_huge_norm():
         mk.matexp(2e4 * np.eye(2))
 
 
+def test_matexp_norm_guard_bounds_the_two_norm():
+    # ||a||_2 = 6000 sqrt(2) is inside the limit, the bound sqrt(||a||_1 ||a||_inf) = 12000 is not
+    a = 6000.0 * np.array([[1.0, 1.0], [1.0, -1.0]])
+    assert np.linalg.norm(a, 2) < mk.MATEXP_NORM_LIMIT
+    with pytest.raises(ValueError, match="exceeds limit"):
+        mk.matexp(a)
+
+
 def test_matexp_inverse_property(rng):
     for _ in range(5):
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
