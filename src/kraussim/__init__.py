@@ -32,6 +32,7 @@ from .lindblad import (
     exact_trajectory,
     normalize_lindblads,
     trotter_evolve,
+    trotter_trajectory,
 )
 from .kraus import (
     GroupStructure,
@@ -48,6 +49,7 @@ from .kraus import (
     f_of_t,
     gen_hyperbolic,
     prepare,
+    series_trajectory,
 )
 
 __all__ = [
@@ -79,8 +81,10 @@ __all__ = [
     "normalize_lindblads",
     "prepare",
     "psd_sqrt",
+    "series_trajectory",
     "trace_distance",
     "trotter_evolve",
+    "trotter_trajectory",
     "von_neumann_entropy",
 ]
 

@@ -26,7 +26,7 @@ from .lindblad import (
     SPLIT_HAMILTONIAN_DISSIPATOR,
     check_conditions,
     exact_trajectory,
-    trotter_evolve,
+    trotter_trajectory,
 )
 from .matkernel import (
     DensityMatrix,
@@ -44,7 +44,6 @@ from .matkernel import (
 
 METHODS = ("exact", "trotter", "kraus", "kraus-circuit", "kraus-circuit-shots")
 SERIES_VARIANTS = ("auto", "reduced", "truncated", "factored")
-CIRCUIT_VARIANTS = ("terms", "group")
 MITIGATIONS = ("none", "qdc", "pauli-fit", "twirl-qdc")
 FIELD_OUTPUTS = ("position-density", "momentum-density", "wigner")
 
@@ -64,7 +63,6 @@ class ExperimentConfig:
     model_params: dict = field(default_factory=dict)
     order: int = 3
     series: str = "auto"
-    circuit: str = "terms"
     scheme: str = circuits.SCHEME_BINARY
     trotter_steps: int = 64
     trotter_split: str = SPLIT_HAMILTONIAN_DISSIPATOR
@@ -89,8 +87,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.series not in SERIES_VARIANTS:
             raise ConfigError(f"unknown series variant {self.series!r}")
-        if self.circuit not in CIRCUIT_VARIANTS:
-            raise ConfigError(f"unknown circuit variant {self.circuit!r}")
         if self.mitigation not in MITIGATIONS:
             raise ConfigError(f"unknown mitigation {self.mitigation!r}")
         if self.t_start < 0 or self.t_stop < self.t_start:
@@ -100,12 +96,16 @@ class ExperimentConfig:
         if self.method == "kraus-circuit-shots":
             if self.shots is None or self.shots < 1:
                 raise ConfigError("shot mode needs shots >= 1")
+            if self.series == "factored":
+                raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
         if self.order < 0:
             raise ConfigError("order must be >= 0")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
         if self.scheme not in (circuits.SCHEME_BINARY, circuits.SCHEME_GRAY):
             raise ConfigError(f"unknown diagonal-encoding scheme {self.scheme!r}")
+        if self.check_tol is not None and not 0 <= self.check_tol < np.inf:
+            raise ConfigError(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -234,39 +234,40 @@ def _run_method(
     model: LindbladModel | kraus.PreparedModel,
     psi0: QuantumState,
     rho0: np.ndarray,
-    t: float,
-    t_index: int,
-    oracle: np.ndarray,
-) -> tuple[np.ndarray, list, float]:
+    ts: list[float],
+) -> Iterator[tuple[np.ndarray | None, list, float]]:
+    """Yield the method's raw state, per-term diagnostics and check bound at
+    each time of ``ts``.  The exact method yields None: its state is the oracle's."""
     if config.method == "exact":
-        return oracle, [], 1e-9
-    if config.method == "trotter":
-        out = trotter_evolve(model, rho0, t, config.trotter_steps, config.trotter_split)
-        return out.matrix, [], np.inf
-    if config.method == "kraus":
-        if config.series == "factored":
-            out = kraus.apply_factored_evolution(model, t, rho0)
-            return out.matrix, [], 1e-9
-        series = kraus.build_series(model, t, config.series, config.order)
-        out = kraus.apply_series(series, rho0, renormalize=config.renormalize)
-        diags = [
-            {"order": term.order, "indices": list(term.indices), "weight": term.weight}
-            for term in series.terms
-        ]
-        return out.matrix, diags, series.tail_bound + 1e-9
-    if config.method in ("kraus-circuit", "kraus-circuit-shots"):
-        if config.circuit == "group":
-            circuit = circuits.build_group_circuit(model, t, config.scheme)
-            out = circuits.apply_group_circuit(circuit, psi0)
-            return out, [], 1e-9
-        series = kraus.build_series(model, t, config.series, config.order)
+        for _t in ts:
+            yield None, [], 1e-9
+    elif config.method == "trotter":
+        for out in trotter_trajectory(model, rho0, ts, config.trotter_steps, config.trotter_split):
+            yield out.matrix, [], np.inf
+    elif config.series == "factored":
+        for t in ts:
+            if config.method == "kraus":
+                yield kraus.apply_factored_evolution(model, t, rho0).matrix, [], 1e-9
+            else:
+                circuit = circuits.build_group_circuit(model, t, config.scheme)
+                yield circuits.apply_group_circuit(circuit, psi0), [], 1e-9
+    else:
         shots = config.shots if config.method == "kraus-circuit-shots" else None
-        rho, diags = circuits.execute_series_tomography(
-            model, series, t, psi0, shots=shots, seed=(config.seed, t_index), scheme=config.scheme
-        )
-        bound = series.tail_bound + 1e-9 if shots is None else np.inf
-        return rho.matrix, diags, bound
-    raise ConfigError(f"unknown method {config.method!r}")
+        trajectory = kraus.series_trajectory(model, ts, config.series, config.order)
+        for index, (t, series) in enumerate(zip(ts, trajectory)):
+            bound = series.tail_bound + 1e-9
+            if config.method == "kraus":
+                out = kraus.apply_series(series, rho0, renormalize=config.renormalize)
+                diags = [
+                    {"order": term.order, "indices": list(term.indices), "weight": term.weight}
+                    for term in series.terms
+                ]
+                yield out.matrix, diags, bound
+            else:
+                rho, diags = circuits.execute_series_tomography(
+                    model, series, t, psi0, shots=shots, seed=(config.seed, index), scheme=config.scheme
+                )
+                yield rho.matrix, diags, bound if shots is None else np.inf
 
 
 class _MitigationChain:
@@ -368,11 +369,12 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     noise = _build_noise(config, model.dim)
     chain = _MitigationChain(config, model.dim)
     outputs = _step_outputs(config, spec, model.dim)
-    ts = np.linspace(config.t_start, config.t_stop, config.steps)
+    ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
-    for index, (t, oracle_state) in enumerate(zip(ts, oracles)):
+    methods = _run_method(config, work, psi0, rho0, ts)
+    for index, (t, oracle_state, (raw, diagnostics, bound)) in enumerate(zip(ts, oracles, methods)):
         oracle = oracle_state.matrix
-        raw, diagnostics, bound = _run_method(config, work, psi0, rho0, float(t), index, oracle)
+        raw = oracle if raw is None else raw
         noisy = noise(raw) if noise is not None else raw
         chain.fit(oracle, noisy)
         final = chain.apply(noisy)
@@ -384,7 +386,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         observables, fields = outputs(final, physical)
         yield TrajectoryRecord(
             index=index,
-            t=float(t),
+            t=t,
             raw=noisy,
             mitigated=final,
             fidelity_vs_oracle=fidelity(oracle, physical),

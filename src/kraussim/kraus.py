@@ -3,12 +3,16 @@
 The channel generated by a Lindblad model whose Hamiltonian and jump
 operators satisfy the four commutation conditions factorizes into Kraus
 terms ``K = a * T(t) * L_{k_1} ... L_{k_m}`` sharing one contraction
-``T(t) = exp(-i t H_eff)``.  Three constructions are provided:
+``T(t) = exp(-i t H_eff)``; only ``a`` and ``T(t)`` depend on time.
+:func:`series_trajectory`, the one series builder, finds the operator
+products once and yields a time grid of either
 
-* the general truncated series over all index vectors up to order M,
+* the general truncated series over all index vectors up to order M, or
 * the exact finite series for operators with power-law structure
-  (``L^l = c I`` or ``L^l = 0`` plus commutativity up to phase),
-* the factored channel, one operator at a time, valid for the abelian case.
+  (``L^l = c I`` or ``L^l = 0`` plus commutativity up to phase);
+
+``build_series`` and its two fixed-variant forms are its one-point calls.
+The factored channel, one operator at a time, is valid for the abelian case.
 
 Everything that does not depend on time (unit-norm operators, the condition
 report, the group structure, the shared eigenbasis and the operator dilations)
@@ -22,10 +26,12 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 from scipy.special import gammainc
@@ -242,62 +248,6 @@ def _series_tail(x: float, order: int) -> float:
     return float(min(np.exp(x) * gammainc(order + 1, x), 1.0))
 
 
-def build_tp_series(model: LindbladModel | PreparedModel, t: float, order: int) -> KrausSeries:
-    """General truncated series over all index vectors of length <= order.
-
-    The model is brought to unit-norm jump operators first (a generator
-    invariant).  Terms whose operator vanishes numerically are pruned, so
-    nilpotent systems terminate on their own.
-    """
-    if order < 0:
-        raise ValueError("truncation order must be nonnegative")
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    prep = prepare(model)
-    _require_conditions(prep.report)
-    norm_model = prep.normalized
-    t_op = effective_evolution(prep, t)
-    f_t = f_of_t(prep.report.alpha, t)
-    n_ops = len(norm_model.lindblads)
-    sqrt_gammas = [math.sqrt(g) for g in norm_model.gammas]
-
-    terms: list[KrausTerm] = []
-    frontier: list[tuple[tuple[int, ...], np.ndarray]] = [((), np.eye(prep.dim, dtype=complex))]
-    for m in range(order + 1):
-        base = math.sqrt(f_t**m / math.factorial(m))
-        if m > 0:
-            frontier = [
-                (indices + (k,), prod @ norm_model.lindblads[k])
-                for indices, prod in frontier
-                for k in range(n_ops)
-            ]
-            frontier = [
-                (indices, prod)
-                for indices, prod in frontier
-                if np.abs(prod).max() >= ZERO_OPERATOR_TOL
-            ]
-        for indices, prod in frontier:
-            weight = base * math.prod(sqrt_gammas[k] for k in indices)
-            if weight == 0.0:
-                continue
-            terms.append(KrausTerm(m, tuple(indices), weight, t_op @ prod))
-    # A vanishing frontier terminates the series exactly (every longer
-    # product contains a vanishing factor), so no trace weight is discarded.
-    next_frontier_zero = all(
-        np.abs(prod @ norm_model.lindblads[k]).max() < ZERO_OPERATOR_TOL
-        for _indices, prod in frontier
-        for k in range(n_ops)
-    )
-    total_rate = sum(norm_model.gammas)
-    tail = 0.0 if next_frontier_zero else _series_tail(f_t * total_rate, order)
-    return KrausSeries(
-        terms=tuple(terms),
-        truncation_order=order,
-        tail_bound=tail,
-        dim=prep.dim,
-    )
-
-
 def apply_series(series: KrausSeries, rho0, renormalize: bool = False) -> DensityMatrix:
     """Channel action ``sum_k K rho K^dag`` of a materialized series."""
     rho = _as_matrix(rho0)
@@ -387,61 +337,96 @@ def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> Gro
     return GroupStructure(tuple(periods), tuple(thetas))
 
 
-def build_reduced_series(model: LindbladModel | PreparedModel, t: float) -> KrausSeries:
-    """Exact finite series for power-law structured operator sets.
+def series_trajectory(
+    model: LindbladModel | PreparedModel, ts: Iterable[float], variant: str, order: int
+) -> Iterator[KrausSeries]:
+    """Yield the series at each time of ``ts``: ``reduced``, ``truncated`` at ``order``, or ``auto``.
 
-    One term per power vector ``(m_1 .. m_N)`` with ``m_n < period_n`` and
-    weight ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``; the argument is the
-    accumulated jump weight, which reduces to ``gamma_n t`` on the linear
-    branch.  The tail bound is zero.
-    """
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    prep = prepare(model)
-    _require_structure(prep)
-    _require_conditions(prep.report)
-    work, structure = prep.rescaled, prep.structure
-    t_op = effective_evolution(prep, t)
-    f_t = f_of_t(prep.report.alpha, t)
-    # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
-    roots = [
-        [math.sqrt(max(gen_hyperbolic(ell, m, theta, g * f_t), 0.0)) for m in range(ell)]
-        for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
-    ]
-
-    terms: list[KrausTerm] = []
-    for powers in itertools.product(*(range(ell) for ell in structure.periods)):
-        weight = 1.0
-        op = t_op
-        indices: list[int] = []
-        for n, m_n in enumerate(powers):
-            weight *= roots[n][m_n]
-            for _ in range(m_n):
-                op = op @ work.lindblads[n]
-            indices.extend([n] * m_n)
-        if weight == 0.0 or np.abs(op).max() < ZERO_OPERATOR_TOL:
-            continue
-        terms.append(KrausTerm(len(indices), tuple(indices), weight, op))
-    max_order = sum(ell - 1 for ell in structure.periods)
-    return KrausSeries(tuple(terms), max_order, 0.0, prep.dim)
-
-
-def build_series(
-    model: LindbladModel | PreparedModel, t: float, variant: str, order: int
-) -> KrausSeries:
-    """The series selector: ``reduced``, ``truncated`` at ``order``, or ``auto``.
-
-    ``auto`` picks the exact reduced series exactly when the model has
-    power-law structure, and the truncated series otherwise.
+    ``auto`` picks ``reduced`` exactly when the model has power-law structure.
+    The operator products do not depend on time, so the term table is built
+    once and terms whose product vanishes are pruned; each point only builds
+    ``T(t)``, the weights and the tail bound.  ``reduced`` is the exact finite
+    series, one term per power vector ``(m_1 .. m_N)`` with ``m_n < period_n``
+    and weight ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated``
+    has one term per index vector of length ``<= order`` over the unit-norm
+    operators; nilpotent systems terminate on their own.
     """
     prep = prepare(model)
     if variant == "auto":
         variant = "reduced" if prep.structure is not None else "truncated"
+    eye = np.eye(prep.dim, dtype=complex)
     if variant == "reduced":
-        return build_reduced_series(prep, t)
-    if variant == "truncated":
-        return build_tp_series(prep, t, order)
-    raise ValueError(f"unknown series variant {variant!r}; choose auto, reduced or truncated")
+        _require_structure(prep)
+        _require_conditions(prep.report)
+        work, structure = prep.rescaled, prep.structure
+        table = []
+        for powers in itertools.product(*(range(ell) for ell in structure.periods)):
+            indices = tuple(n for n, m_n in enumerate(powers) for _ in range(m_n))
+            product = functools.reduce(np.matmul, (work.lindblads[n] for n in indices), eye)
+            if np.abs(product).max() >= ZERO_OPERATOR_TOL:
+                table.append((indices, product))
+        order = sum(ell - 1 for ell in structure.periods)
+        terminates = True
+    elif variant == "truncated":
+        if order < 0:
+            raise ValueError("truncation order must be nonnegative")
+        _require_conditions(prep.report)
+        work = prep.normalized
+        sqrt_gammas = [math.sqrt(g) for g in work.gammas]
+        table, frontier = [], [((), eye)]
+        for _ in range(order):
+            table += frontier
+            frontier = [
+                (indices + (k,), prod @ op) for indices, prod in frontier for k, op in enumerate(work.lindblads)
+            ]
+            frontier = [(indices, prod) for indices, prod in frontier if np.abs(prod).max() >= ZERO_OPERATOR_TOL]
+        table += frontier
+        # A vanishing frontier terminates the series exactly (every longer
+        # product contains a vanishing factor), so no trace weight is discarded.
+        terminates = all(
+            np.abs(prod @ op).max() < ZERO_OPERATOR_TOL for _indices, prod in frontier for op in work.lindblads
+        )
+    else:
+        raise ValueError(f"unknown series variant {variant!r}; choose auto, reduced or truncated")
+
+    for t in ts:
+        t_op = effective_evolution(prep, t)
+        f_t = f_of_t(prep.report.alpha, t)
+        if variant == "reduced":
+            # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
+            roots = [
+                [math.sqrt(max(gen_hyperbolic(ell, m, theta, g * f_t), 0.0)) for m in range(ell)]
+                for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
+            ]
+            weights = [math.prod(roots[n][indices.count(n)] for n in range(len(roots))) for indices, _ in table]
+        else:
+            weights = [
+                math.sqrt(f_t ** len(indices) / math.factorial(len(indices)))
+                * math.prod(sqrt_gammas[k] for k in indices)
+                for indices, _ in table
+            ]
+        terms = tuple(
+            KrausTerm(len(indices), indices, weight, t_op @ product)
+            for weight, (indices, product) in zip(weights, table)
+            if weight != 0.0
+        )
+        tail = 0.0 if terminates else _series_tail(f_t * sum(work.gammas), order)
+        yield KrausSeries(terms, order, tail, prep.dim)
+
+
+def build_series(model: LindbladModel | PreparedModel, t: float, variant: str, order: int) -> KrausSeries:
+    """The series at one time ``t``: the one-point :func:`series_trajectory`."""
+    return next(series_trajectory(model, [t], variant, order))
+
+
+def build_tp_series(model: LindbladModel | PreparedModel, t: float, order: int) -> KrausSeries:
+    """General truncated series over all index vectors of length <= order."""
+    return build_series(model, t, "truncated", order)
+
+
+def build_reduced_series(model: LindbladModel | PreparedModel, t: float) -> KrausSeries:
+    """Exact finite series for power-law structured operator sets."""
+    return build_series(model, t, "reduced", 0)
 
 
 def _require_abelian(prep: PreparedModel) -> None:

@@ -9,7 +9,7 @@ in :mod:`kraussim.kraus`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -248,35 +248,39 @@ def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:
     return next(exact_trajectory(model, rho0, t, t, 1))
 
 
-def trotter_evolve(
-    model: LindbladModel,
-    rho0,
-    t: float,
-    steps: int,
-    split: str = SPLIT_HAMILTONIAN_DISSIPATOR,
-) -> DensityMatrix:
-    """Second-order product-formula reference integrator.
+def trotter_trajectory(
+    model: LindbladModel, rho0, ts: Iterable[float], steps: int, split: str = SPLIT_HAMILTONIAN_DISSIPATOR
+) -> Iterator[DensityMatrix]:
+    """Second-order product-formula reference integrator over a time grid.
 
-    Applies ``[exp(dt/2 D1) exp(dt D2) exp(dt/2 D1)]^steps`` with
-    ``dt = t / steps``.  This is a cross-validation path, not the production
-    solver; the output is flagged raw for the non-trace-preserving split.
+    Yields, for each ``t`` of ``ts``, ``[exp(dt/2 D1) exp(dt D2) exp(dt/2 D1)]^steps``
+    applied to ``rho0`` with ``dt = t / steps``.  The split ``D1, D2`` is built
+    once; each point takes its own two exponentials.  This is a
+    cross-validation path, not the production solver; the output is flagged
+    raw for the non-trace-preserving split.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if t < 0:
-        raise ValueError("evolution time must be nonnegative")
-    rho = _as_matrix(rho0)
+    vec0 = vectorize(_as_matrix(rho0))
     d1, d2 = superoperator_parts(model, split)
-    dt = t / steps
-    half = matexp((dt / 2) * d1)
-    stage = half @ matexp(dt * d2) @ half
-    vec = vectorize(rho)
-    for _ in range(steps):
-        vec = stage @ vec
-    out = unvectorize(vec, model.dim)
-    if split == SPLIT_HAMILTONIAN_DISSIPATOR:
-        return classify_density(out)
-    return DensityMatrix(out, raw=True)
+    for t in ts:
+        if t < 0:
+            raise ValueError("evolution time must be nonnegative")
+        dt = t / steps
+        half = matexp((dt / 2) * d1)
+        stage = half @ matexp(dt * d2) @ half
+        vec = vec0
+        for _ in range(steps):
+            vec = stage @ vec
+        out = unvectorize(vec, model.dim)
+        yield classify_density(out) if split == SPLIT_HAMILTONIAN_DISSIPATOR else DensityMatrix(out, raw=True)
+
+
+def trotter_evolve(
+    model: LindbladModel, rho0, t: float, steps: int, split: str = SPLIT_HAMILTONIAN_DISSIPATOR
+) -> DensityMatrix:
+    """The product-formula state at time ``t``: the one-point :func:`trotter_trajectory`."""
+    return next(trotter_trajectory(model, rho0, [t], steps, split))
 
 
 def normalize_lindblads(model: LindbladModel) -> LindbladModel:

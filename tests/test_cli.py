@@ -27,6 +27,16 @@ def test_config_validation_errors():
         cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", method="kraus-circuit-shots")
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig.from_dict({"model": "m", "state": "s", "bogus": 1})
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(cli.ConfigError):
+            cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", check=True, check_tol=tol)
+    # the factored circuit traces its ancillas out, so it has nothing to sample
+    with pytest.raises(cli.ConfigError):
+        cli.ExperimentConfig(
+            model="pauli-xx-zz", state="pauli-xx-zz", method="kraus-circuit-shots", shots=16, series="factored"
+        )
+    with pytest.raises(cli.ConfigError):
+        cli.ExperimentConfig.from_dict({"model": "pauli-xx-zz", "state": "pauli-xx-zz", "circuit": "group"})
 
 
 def test_main_exit_code_on_bad_config(tmp_path):
@@ -125,10 +135,14 @@ def test_steps_flag_leaves_presets_untouched(tmp_path):
     assert _row_count(tmp_path / "b") == 21
 
 
-@pytest.mark.parametrize("method, steps", [("exact", 40), ("kraus", 40), ("kraus-circuit", 3)])
+@pytest.mark.parametrize(
+    "method, steps", [("exact", 40), ("trotter", 40), ("kraus", 40), ("kraus-circuit", 3)]
+)
 def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
     prepared = ("check_conditions", "detect_group_structure", "normalize_lindblads", "sznagy_dilation")
-    calls = dict.fromkeys([*prepared, "build_superoperator"], 0)
+    builders = ("series_trajectory", "build_series", "build_reduced_series", "build_tp_series")
+    generator = ("build_superoperator", "superoperator_parts")
+    calls = dict.fromkeys([*prepared, *builders, *generator], 0)
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -155,9 +169,17 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
     assert _row_count(tmp_path / "out") == steps
     # the oracle builds its generator once; the Kraus methods prepare (and dilate
-    # the model's one jump operator) once, the exact method prepares nothing
-    once = 0 if method == "exact" else 1
-    assert calls == {**dict.fromkeys(prepared, once), "build_superoperator": 1}
+    # the model's one jump operator) once and enter the series builder once over
+    # the whole grid, the other methods prepare nothing
+    kraus_method = method.startswith("kraus")
+    want = {**dict.fromkeys(prepared, int(kraus_method)), **dict.fromkeys(builders, 0)}
+    want["series_trajectory"] = int(kraus_method)
+    # the trotter method builds its hamiltonian-dissipator split once, on top of the
+    # oracle's generator: superoperator_parts calls build_superoperator, which calls
+    # superoperator_parts for the effective-jump parts
+    want["build_superoperator"] = 2 if method == "trotter" else 1
+    want["superoperator_parts"] = 3 if method == "trotter" else 1
+    assert calls == want
 
 
 def test_output_operators_are_built_once_per_experiment(tmp_path, monkeypatch):
@@ -203,6 +225,16 @@ def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
     assert "check passed: least slack at t=0," in capsys.readouterr().out
     assert run([*argv, "--check-tol", "1e-3"]) == 3
     assert "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03" in capsys.readouterr().err
+
+
+def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):
+    argv = [
+        "experiment", "--preset", "pauli-xx-zz", "--method", "kraus-circuit", "--series", "factored",
+        "--steps", 5, "--check", "--out", tmp_path / "o",
+    ]
+    assert run(argv) == 0
+    assert "check passed" in capsys.readouterr().out
+    assert _row_count(tmp_path / "o") == 5
 
 
 def test_experiment_condition_failure_exit_code(tmp_path):

@@ -313,6 +313,30 @@ def test_build_series_auto_picks_reduced_exactly_with_structure(key, variant):
         kraus.build_series(prep, 0.6, "factored", 1)
 
 
+@pytest.mark.parametrize(
+    "key, params",
+    [("pauli-xx-zz", {}), ("schwinger-jz", {}), ("qho-damped", {}), ("qho-cat", {}), ("qho-damped", {"n_max": 15})],
+)
+def test_series_trajectory_matches_pointwise(key, params):
+    prep = kraus.prepare(models.build_model(key, **params).model)
+    for variant in ("reduced", "truncated", "auto"):
+        if variant == "reduced" and prep.structure is None:
+            with pytest.raises(kraus.ConditionError):
+                next(kraus.series_trajectory(prep, [0.5], variant, 3))
+            continue
+        for ts in (np.linspace(0.0, 2.0, 5), np.linspace(0.7, 1.9, 4), [1.3]):
+            trajectory = list(kraus.series_trajectory(prep, ts, variant, 3))
+            assert len(trajectory) == len(ts)
+            for t, series in zip(ts, trajectory):
+                want = kraus.build_series(prep, float(t), variant, 3)
+                assert _series_key(series) == _series_key(want)
+                assert [term.order for term in series.terms] == [term.order for term in want.terms]
+                for a, b in zip(series.terms, want.terms):
+                    assert np.array_equal(a.operator, b.operator)
+        with pytest.raises(ValueError):
+            list(kraus.series_trajectory(prep, [0.5, -0.1], variant, 3))
+
+
 def test_reduced_series_requires_structure(schwinger_spec):
     with pytest.raises(kraus.ConditionError):
         kraus.build_reduced_series(schwinger_spec.model, 1.0)

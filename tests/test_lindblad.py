@@ -159,6 +159,19 @@ def test_trotter_converges_and_second_order(qho_spec, initial_states):
     assert slope == pytest.approx(-2.0, abs=0.2)
 
 
+@pytest.mark.parametrize("split", [lb.SPLIT_HAMILTONIAN_DISSIPATOR, lb.SPLIT_EFFECTIVE_JUMP])
+def test_trotter_trajectory_matches_pointwise(qho_spec, initial_states, split):
+    rho0 = initial_states["qho-oscillating"].density()
+    ts = np.linspace(0.0, 1.5, 4)
+    states = list(lb.trotter_trajectory(qho_spec.model, rho0, ts, 8, split))
+    assert len(states) == len(ts)
+    for t, state in zip(ts, states):
+        want = lb.trotter_evolve(qho_spec.model, rho0, float(t), 8, split)
+        assert np.array_equal(state.matrix, want.matrix)
+    with pytest.raises(ValueError):
+        list(lb.trotter_trajectory(qho_spec.model, rho0, [0.5, -0.1], 8, split))
+
+
 def test_trotter_rejects_zero_steps(qho_spec, initial_states):
     with pytest.raises(ValueError):
         lb.trotter_evolve(qho_spec.model, initial_states["qho-oscillating"].density(), 1.0, 0)
