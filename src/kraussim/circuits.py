@@ -15,13 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kraus import (
-    ConditionError,
     KrausSeries,
     KrausTerm,
     PreparedModel,
     factor_weights,
     prepare,
     _require_abelian,
+    _require_spectrum,
 )
 from .lindblad import LindbladModel
 from .matkernel import PAULI, DensityMatrix, QuantumState, apply_to_axes, qubit_count, sznagy_dilation  # noqa: F401 (re-export)
@@ -340,6 +340,7 @@ def _distribution_angles(probs: np.ndarray, level: int, num_qubits: int) -> np.n
 
 
 def _distribution_gates(amplitudes: np.ndarray, qubits) -> list[Gate]:
+    """Ry bisection tree mapping ``|0..0>`` on ``qubits`` to the unit-norm nonnegative ``amplitudes``."""
     qubits = list(qubits)
     probs = np.asarray(amplitudes, dtype=float) ** 2
     gates: list[Gate] = []
@@ -347,18 +348,6 @@ def _distribution_gates(amplitudes: np.ndarray, qubits) -> list[Gate]:
         angles = _distribution_angles(probs, level, len(qubits))
         gates += _multiplexed_rotation_gates("ry", qubits[level], qubits[:level], angles)
     return gates
-
-
-def prepare_distribution(amplitudes) -> Circuit:
-    """Map |0..0> to the nonnegative-amplitude state via an Ry bisection tree."""
-    amps = np.asarray(amplitudes, dtype=float)
-    n = qubit_count(amps.size, "amplitude vector length")
-    if amps.min() < -1e-12:
-        raise ValueError("amplitudes must be nonnegative")
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"amplitude vector norm {norm} deviates from 1")
-    return Circuit(n, 0, tuple(_distribution_gates(amps, range(n))))
 
 
 def _t_block_gates(
@@ -374,9 +363,7 @@ def _t_block_gates(
     diagonal contraction on ``contraction_ancilla`` (skipped when None, in
     which case the decays must be uniform and handled by the caller).
     """
-    if prep.spectrum is None:
-        raise ConditionError("H and the dissipators share no eigenbasis; conditions (i)/(ii) unmet")
-    u, energies, decays = prep.spectrum
+    u, energies, decays = _require_spectrum(prep)
     gates: list[Gate] = []
     basis_change = np.abs(u - np.eye(u.shape[0])).max() > 1e-12
     if basis_change:

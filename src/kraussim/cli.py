@@ -63,15 +63,12 @@ class ExperimentConfig:
     model_params: dict = field(default_factory=dict)
     order: int = 3
     series: str = "auto"
-    scheme: str = circuits.SCHEME_BINARY
     trotter_steps: int = 64
     trotter_split: str = SPLIT_HAMILTONIAN_DISSIPATOR
     shots: int | None = None
     seed: int = 0
     mitigation: str = "none"
-    qdc_lambda: float | None = None
     noise: dict | None = None
-    renormalize: bool = False
     outputs: list[str] = field(default_factory=list)
     check: bool = False
     check_tol: float | None = None
@@ -89,8 +86,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown series variant {self.series!r}")
         if self.mitigation not in MITIGATIONS:
             raise ConfigError(f"unknown mitigation {self.mitigation!r}")
-        if self.t_start < 0 or self.t_stop < self.t_start:
-            raise ConfigError("need 0 <= start <= stop")
+        if not 0 <= self.t_start <= self.t_stop < np.inf:
+            raise ConfigError("need finite times with 0 <= start <= stop")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.method == "kraus-circuit-shots":
@@ -100,10 +97,12 @@ class ExperimentConfig:
                 raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
         if self.order < 0:
             raise ConfigError("order must be >= 0")
+        if self.trotter_steps < 1:
+            raise ConfigError("trotter_steps must be >= 1")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
-        if self.scheme not in (circuits.SCHEME_BINARY, circuits.SCHEME_GRAY):
-            raise ConfigError(f"unknown diagonal-encoding scheme {self.scheme!r}")
+        if self.noise is not None and not isinstance(self.noise, dict):
+            raise ConfigError(f"noise must be an object, got {self.noise!r}")
         if self.check_tol is not None and not 0 <= self.check_tol < np.inf:
             raise ConfigError(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
@@ -112,6 +111,8 @@ class ExperimentConfig:
         doc = dict(doc)
         time = doc.pop("time", None)
         if time is not None:
+            if not isinstance(time, dict):
+                raise ConfigError(f"time must be an object, got {time!r}")
             doc.setdefault("t_start", time.get("start", 0.0))
             doc.setdefault("t_stop", time.get("stop", 1.0))
             doc.setdefault("steps", time.get("steps", 11))
@@ -180,12 +181,23 @@ PRESETS: dict[str, dict] = {
 }
 
 
+def _build_model(key: str, params) -> models.ModelSpec:
+    """The registry model ``key`` with ``params`` overriding its parameters.
+
+    An unknown key, an unknown parameter or a parameter of the wrong type or
+    value is a :class:`ConfigError`.
+    """
+    if not isinstance(params, dict):
+        raise ConfigError(f"model_params must be an object, got {params!r}")
+    try:
+        return models.build_model(key, **params)
+    except (KeyError, ValueError, TypeError) as exc:
+        raise ConfigError(f"cannot build model {key!r} with parameters {params}: {exc}") from exc
+
+
 def _resolve_model(config: ExperimentConfig) -> models.ModelSpec:
     if isinstance(config.model, str):
-        try:
-            return models.build_model(config.model, **config.model_params)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return _build_model(config.model, config.model_params)
     try:
         model = from_doc(LindbladModel, config.model)
     except (KeyError, ValueError, TypeError) as exc:
@@ -249,7 +261,7 @@ def _run_method(
             if config.method == "kraus":
                 yield kraus.apply_factored_evolution(model, t, rho0).matrix, [], 1e-9
             else:
-                circuit = circuits.build_group_circuit(model, t, config.scheme)
+                circuit = circuits.build_group_circuit(model, t)
                 yield circuits.apply_group_circuit(circuit, psi0), [], 1e-9
     else:
         shots = config.shots if config.method == "kraus-circuit-shots" else None
@@ -257,7 +269,7 @@ def _run_method(
         for index, (t, series) in enumerate(zip(ts, trajectory)):
             bound = series.tail_bound + 1e-9
             if config.method == "kraus":
-                out = kraus.apply_series(series, rho0, renormalize=config.renormalize)
+                out = kraus.apply_series(series, rho0)
                 diags = [
                     {"order": term.order, "indices": list(term.indices), "weight": term.weight}
                     for term in series.terms
@@ -265,7 +277,7 @@ def _run_method(
                 yield out.matrix, diags, bound
             else:
                 rho, diags = circuits.execute_series_tomography(
-                    model, series, t, psi0, shots=shots, seed=(config.seed, index), scheme=config.scheme
+                    model, series, t, psi0, shots=shots, seed=(config.seed, index)
                 )
                 yield rho.matrix, diags, bound if shots is None else np.inf
 
@@ -275,7 +287,6 @@ class _MitigationChain:
 
     def __init__(self, config: ExperimentConfig, dim: int):
         self.kind = config.mitigation
-        self.fixed_lambda = config.qdc_lambda
         self.num_qubits = None if self.kind == "none" else qubit_count(dim, "mitigation dimension")
         self.parity = models.fock_parity_operator(dim)
         self.channel = None
@@ -291,11 +302,7 @@ class _MitigationChain:
         if self.kind == "pauli-fit":
             self.channel, _report = mitigation.fit_pauli_channel([(oracle0, reference)])
         else:
-            lam = (
-                self.fixed_lambda
-                if self.fixed_lambda is not None
-                else mitigation.fit_qdc_lambda([(oracle0, reference)])
-            )
+            lam = mitigation.fit_qdc_lambda([(oracle0, reference)])
             self.channel = mitigation.DepolarizingChannel(self.num_qubits, lam)
         self.fitted = True
 
@@ -455,7 +462,10 @@ def _load_config(args) -> ExperimentConfig:
             raise ConfigError(f"unknown preset {args.preset!r}; see 'kraussim presets'")
         doc.update(PRESETS[args.preset])
     if getattr(args, "config", None):
-        doc.update(json.loads(Path(args.config).read_text()))
+        loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")
+        doc.update(loaded)
     if not doc:
         raise ConfigError("need --config or --preset")
     for key in ("method", "series", "order", "shots", "seed", "mitigation", "steps"):
@@ -484,7 +494,7 @@ def _model_params(pairs) -> dict:
 
 
 def _cmd_check(args) -> int:
-    spec = models.build_model(args.model, **_model_params(args.param))
+    spec = _build_model(args.model, _model_params(args.param))
     report = check_conditions(spec.model)
     structure = kraus.detect_group_structure(spec.model)
     doc = {
@@ -542,24 +552,8 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_evolve(args) -> int:
-    doc = {
-        "model": args.model,
-        "model_params": _model_params(args.param),
-        "state": args.state,
-        "time": {"start": args.start, "stop": args.stop, "steps": args.steps or 11},
-        "method": args.method,
-        "trotter_steps": args.trotter_steps,
-        "trotter_split": args.split,
-        "outputs": args.output or [],
-    }
-    config = ExperimentConfig.from_dict(doc)
-    emit_report(run_experiment(config), args.out)
-    return 0
-
-
 def _cmd_kraus(args) -> int:
-    spec = models.build_model(args.model, **_model_params(args.param))
+    spec = _build_model(args.model, _model_params(args.param))
     series = kraus.build_series(spec.model, args.time, args.series, args.order)
     if args.out:
         Path(args.out).write_text(json.dumps(to_doc(series), sort_keys=True))
@@ -580,7 +574,7 @@ def _cmd_kraus(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
-    spec = models.build_model(args.model, **_model_params(args.param))
+    spec = _build_model(args.model, _model_params(args.param))
     if args.group:
         built = [circuits.build_group_circuit(spec.model, args.time, args.scheme)]
     else:
@@ -633,24 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     presets = sub.add_parser("presets", help="list experiment presets")
     presets.set_defaults(func=_cmd_presets)
-
-    evolve = sub.add_parser("evolve", help="oracle or product-formula evolution")
-    evolve.add_argument("--model", required=True, choices=models.MODEL_KEYS)
-    evolve.add_argument("--param", action="append", metavar="KEY=VALUE")
-    evolve.add_argument("--state", required=True)
-    evolve.add_argument("--start", type=float, default=0.0)
-    evolve.add_argument("--stop", type=float, required=True)
-    evolve.add_argument("--steps", type=int, default=11)
-    evolve.add_argument("--method", choices=("exact", "trotter"), default="exact")
-    evolve.add_argument("--trotter-steps", type=int, default=64)
-    evolve.add_argument(
-        "--split",
-        choices=(SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP),
-        default=SPLIT_HAMILTONIAN_DISSIPATOR,
-    )
-    evolve.add_argument("--output", action="append")
-    evolve.add_argument("--out", required=True)
-    evolve.set_defaults(func=_cmd_evolve)
 
     kraus_cmd = sub.add_parser("kraus", help="build and optionally apply a series")
     kraus_cmd.add_argument("--model", required=True, choices=models.MODEL_KEYS)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -40,18 +39,13 @@ from .lindblad import (
     ConditionReport,
     LindbladModel,
     check_conditions,
-    effective_hamiltonian,
     normalize_lindblads,
 )
-from .matkernel import DensityMatrix, classify_density, matexp, sznagy_dilation, _as_matrix
+from .matkernel import DensityMatrix, classify_density, sznagy_dilation, _as_matrix
 
 ZERO_OPERATOR_TOL = 1e-14
 CONTRACTION_TOL = 1e-10
 GROUP_DETECT_TOL = 1e-10
-
-
-class ConditionFallbackWarning(UserWarning):
-    """Emitted when the eigenbasis construction falls back to a dense expm."""
 
 
 class ConditionError(ValueError):
@@ -205,22 +199,21 @@ def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
     return PreparedModel(model, normalized, report, structure, rescaled, spectrum, dilations)
 
 
+def _require_spectrum(prep: PreparedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The shared eigenbasis ``(u, energies, decays)``; ConditionError when (i) or (ii) fail."""
+    if prep.spectrum is None:
+        raise ConditionError("H and the dissipators share no eigenbasis; conditions (i)/(ii) unmet")
+    return prep.spectrum
+
+
 def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.ndarray:
     """Contraction ``T(t) = exp(-i t H_eff)`` built in the shared eigenbasis.
 
-    Falls back to a dense matrix exponential with a warning when conditions
-    (i) or (ii) fail.
+    Raises :class:`ConditionError` when conditions (i) or (ii) fail.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
-    prep = prepare(model)
-    if prep.spectrum is None:
-        warnings.warn(
-            "commutation conditions unmet; using dense expm for T(t)",
-            ConditionFallbackWarning,
-        )
-        return matexp(-1j * t * effective_hamiltonian(prep.model))
-    u, energies, decays = prep.spectrum
+    u, energies, decays = _require_spectrum(prepare(model))
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
     t_op = (u * diag) @ u.conj().T
     top = float(np.linalg.norm(t_op, 2))
@@ -248,7 +241,7 @@ def _series_tail(x: float, order: int) -> float:
     return float(min(np.exp(x) * gammainc(order + 1, x), 1.0))
 
 
-def apply_series(series: KrausSeries, rho0, renormalize: bool = False) -> DensityMatrix:
+def apply_series(series: KrausSeries, rho0) -> DensityMatrix:
     """Channel action ``sum_k K rho K^dag`` of a materialized series."""
     rho = _as_matrix(rho0)
     if rho.shape != (series.dim, series.dim):
@@ -257,11 +250,6 @@ def apply_series(series: KrausSeries, rho0, renormalize: bool = False) -> Densit
     for term in series.terms:
         k = term.matrix
         out += k @ rho @ k.conj().T
-    if renormalize:
-        tr = float(np.trace(out).real)
-        if tr <= 0.0:
-            raise ValueError("cannot renormalize a trace-zero channel output")
-        out = out / tr
     return classify_density(out)
 
 

@@ -229,12 +229,13 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
     if rho.shape != (model.dim, model.dim):
         raise ValueError("state dimension does not match the model")
     vec = vectorize(rho)
-    # D is scaled in place, so no second dim^2 x dim^2 copy is alive while matexp runs
+    # D is scaled in place, so no second dim^2 x dim^2 copy is alive while matexp runs.
+    # It is rebuilt rather than divided back: a tiny start underflows start * D.
     gen = build_superoperator(model)
     if start > 0:
         gen *= start
         vec = matexp(gen) @ vec
-        gen /= start
+        gen = build_superoperator(model)
     gen *= (stop - start) / max(steps - 1, 1)
     step = matexp(gen)
     del gen

@@ -108,38 +108,36 @@ def test_contraction_rejects_out_of_range():
         qc.encode_diagonal_contraction(np.array([1.0, 1.5]))
 
 
+def _distribution_circuit(amps):
+    n = int(np.log2(amps.size))
+    return qc.Circuit(n, 0, tuple(qc._distribution_gates(amps, range(n))))
+
+
 def test_prepare_distribution_trivial():
-    assert len(qc.prepare_distribution(np.array([1.0, 0.0])).gates) == 0
+    assert len(qc._distribution_gates(np.array([1.0, 0.0]), [0])) == 0
 
 
 def test_prepare_distribution_equal_pair_is_single_ry():
-    circuit = qc.prepare_distribution(np.array([1.0, 1.0]) / np.sqrt(2))
-    assert len(circuit.gates) == 1
-    gate = circuit.gates[0]
+    gates = qc._distribution_gates(np.array([1.0, 1.0]) / np.sqrt(2), [0])
+    assert len(gates) == 1
+    gate = gates[0]
     assert gate.kind == "ry" and gate.angle == pytest.approx(np.pi / 2)
 
 
 def test_prepare_distribution_hyperbolic_weights():
     x = 0.7
     amps = np.sqrt(np.exp(-x) * np.array([np.cosh(x), np.sinh(x)]))
-    circuit = qc.prepare_distribution(amps)
-    out = qc.simulate_statevector(circuit, np.array([1.0, 0.0], dtype=complex))
+    out = qc.simulate_statevector(_distribution_circuit(amps), np.array([1.0, 0.0], dtype=complex))
     assert np.abs(out.amplitudes - amps).max() < 1e-10
 
 
 def test_prepare_distribution_random(rng):
     probs = rng.dirichlet(np.ones(8))
     amps = np.sqrt(probs)
-    circuit = qc.prepare_distribution(amps)
     zero = np.zeros(8, dtype=complex)
     zero[0] = 1.0
-    out = qc.simulate_statevector(circuit, zero)
+    out = qc.simulate_statevector(_distribution_circuit(amps), zero)
     assert np.abs(out.amplitudes - amps).max() < 1e-10
-
-
-def test_prepare_distribution_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        qc.prepare_distribution(np.array([1.0, 1.0]))
 
 
 def test_simulate_empty_circuit():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,6 +24,11 @@ def test_config_validation_errors():
         cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", method="warp")
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", t_start=2.0, t_stop=1.0)
+    for start, stop in ((float("nan"), 1.0), (0.0, float("nan")), (0.0, float("inf"))):
+        with pytest.raises(cli.ConfigError, match="finite times"):
+            cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", t_start=start, t_stop=stop)
+    with pytest.raises(cli.ConfigError, match="trotter_steps must be >= 1"):
+        cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", method="trotter", trotter_steps=0)
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", method="kraus-circuit-shots")
     with pytest.raises(cli.ConfigError):
@@ -43,6 +49,40 @@ def test_main_exit_code_on_bad_config(tmp_path):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"model": "no-such-model", "state": "pauli-xx-zz"}))
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 2
+
+
+BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        [1, 2],
+        {**BASE_CONFIG, "time": [0, 1, 3]},
+        {**BASE_CONFIG, "noise": "qdc"},
+        {**BASE_CONFIG, "model_params": [1]},
+        {**BASE_CONFIG, "model_params": {"gammas": 1}},
+        {"model": "qho-damped", "state": "qho-oscillating", "steps": 2, "model_params": {"n_max": 2.5}},
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--model", "qho-damped", "--param", "n_max=2.5"],
+        ["kraus", "--model", "qho-damped", "--time", 1.0, "--param", "n_max=2.5"],
+        ["circuit", "--model", "pauli-xx-zz", "--time", 0.5, "--param", "gammas=1"],
+    ],
+)
+def test_wrong_typed_model_param_exits_2(capsys, argv):
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_main_exit_code_on_unknown_state(tmp_path):
@@ -227,6 +267,22 @@ def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
     assert "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03" in capsys.readouterr().err
 
 
+def test_kraus_check_fails_on_a_corrupted_weight(tmp_path, capsys, monkeypatch):
+    real = kraus.series_trajectory
+
+    def corrupted(model, ts, variant, order):
+        for index, series in enumerate(real(model, ts, variant, order)):
+            if index == 5:
+                term = series.terms[0]
+                terms = (dataclasses.replace(term, weight=1.001 * term.weight), *series.terms[1:])
+                series = dataclasses.replace(series, terms=terms)
+            yield series
+
+    monkeypatch.setattr(kraus, "series_trajectory", corrupted)
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
+    assert "check failed at t=0.5:" in capsys.readouterr().err
+
+
 def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):
     argv = [
         "experiment", "--preset", "pauli-xx-zz", "--method", "kraus-circuit", "--series", "factored",
@@ -366,20 +422,6 @@ def test_experiment_field_outputs(tmp_path):
         assert np.trapezoid(position, x) == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(momentum, p) == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(np.trapezoid(wigner, p, axis=1), x) == pytest.approx(1.0, abs=1e-6)
-
-
-def test_evolve_subcommand(tmp_path):
-    assert run([
-        "evolve",
-        "--model", "pauli-xx-zz",
-        "--state", "pauli-xx-zz",
-        "--stop", 1.0,
-        "--steps", 5,
-        "--output", "pauli:ZZ",
-        "--out", tmp_path / "out",
-    ]) == 0
-    rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
-    assert len(rows) == 6
 
 
 def test_kraus_subcommand(tmp_path, capsys):

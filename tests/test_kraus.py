@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kraussim import kraus, lindblad as lb, models
-from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
+from kraussim import circuits, kraus, lindblad as lb, models
+from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import random_density
+from conftest import random_density, random_state
 
 
 def test_f_of_t_linear_branch():
@@ -38,16 +38,16 @@ def test_f_of_t_continuous_at_zero_alpha(alpha, t):
 
 def test_effective_hamiltonian_unitary_lindblad():
     model = lb.LindbladModel(np.zeros((2, 2)), (PAULI["Z"],), (1.0,))
-    assert np.abs(kraus.effective_hamiltonian(model) + 0.5j * np.eye(2)).max() < 1e-14
+    assert np.abs(lb.effective_hamiltonian(model) + 0.5j * np.eye(2)).max() < 1e-14
 
 
 def test_effective_hamiltonian_pauli_model(pauli_spec):
-    h_eff = kraus.effective_hamiltonian(pauli_spec.model)
+    h_eff = lb.effective_hamiltonian(pauli_spec.model)
     assert np.abs(h_eff + 1.1j * np.eye(4)).max() < 1e-12
 
 
 def test_effective_hamiltonian_oscillator(qho_spec):
-    h_eff = kraus.effective_hamiltonian(qho_spec.model)
+    h_eff = lb.effective_hamiltonian(qho_spec.model)
     n = np.arange(4)
     assert np.abs(h_eff - np.diag(n - 0.5j * n)).max() < 1e-12
 
@@ -73,13 +73,11 @@ def test_effective_evolution_oscillator_eigenfactors(qho_spec):
     assert np.linalg.norm(t_op, 2) <= 1 + 1e-10
 
 
-def test_effective_evolution_fallback_warns():
+def test_effective_evolution_requires_shared_eigenbasis():
+    # H = X does not commute with the dissipator of sigma^-, so condition (i) fails
     model = lb.LindbladModel(PAULI["X"], (np.array([[0, 1], [0, 0]], dtype=complex),), (1.0,))
-    with pytest.warns(kraus.ConditionFallbackWarning):
-        t_op = kraus.effective_evolution(model, 0.5)
-    from kraussim.matkernel import matexp
-
-    assert np.abs(t_op - matexp(-0.5j * kraus.effective_hamiltonian(model))).max() < 1e-12
+    with pytest.raises(kraus.ConditionError):
+        kraus.effective_evolution(model, 0.5)
 
 
 def test_build_tp_series_zeroth_order(qho_spec, initial_states):
@@ -149,13 +147,6 @@ def test_apply_series_trace_monotone_in_order(schwinger_spec, initial_states):
         traces.append(np.trace(kraus.apply_series(series, rho0).matrix).real)
     assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
     assert traces[-1] <= 1 + 1e-9
-
-
-def test_apply_series_renormalize(schwinger_spec, initial_states):
-    rho0 = initial_states["schwinger-jz"].density()
-    series = kraus.build_tp_series(schwinger_spec.model, 1.5, 1)
-    out = kraus.apply_series(series, rho0, renormalize=True)
-    assert np.trace(out.matrix).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_gen_hyperbolic_closed_forms():
@@ -360,18 +351,72 @@ def test_factored_requires_abelian(qho_spec):
         kraus.apply_factored_evolution(qho_spec.model, 1.0, np.eye(4) / 4)
 
 
-def test_random_abelian_model_round_trip(rng, initial_states):
-    # random subset of commuting-up-to-phase Pauli strings with random rates
-    strings = ["ZI", "IX", "YY"]
-    gammas = rng.uniform(0.2, 1.5, size=3)
-    model = models.pauli_channel_model(strings, gammas)
-    rho = random_density(rng, 4)
-    for t in (0.4, 1.2):
-        reduced = kraus.apply_series(kraus.build_reduced_series(model, t), rho)
-        factored = kraus.apply_factored_evolution(model, t, rho)
-        oracle = lb.exact_evolve(model, rho, t)
-        assert trace_distance(reduced, oracle) < 1e-9
-        assert trace_distance(factored, oracle) < 1e-9
+@st.composite
+def pauli_channels(draw):
+    """Up to three distinct non-identity Pauli strings on 1-3 qubits with random rates.
+
+    Any two Pauli strings commute or anticommute, so every such set commutes up to phase.
+    """
+    n = draw(st.integers(1, 3))
+    label = st.text("IXYZ", min_size=n, max_size=n).filter(lambda s: s != "I" * n)
+    strings = draw(st.lists(label, min_size=1, max_size=3, unique=True))
+    gammas = draw(st.lists(st.floats(0.05, 1.5), min_size=len(strings), max_size=len(strings)))
+    return models.pauli_channel_model(strings, gammas)
+
+
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=pauli_channels(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_abelian_model_round_trip(model, seed, t):
+    psi = QuantumState(random_state(np.random.default_rng(seed), model.dim))
+    rho = psi.density()
+    oracle = lb.exact_evolve(model, rho, t)
+    prep = kraus.prepare(model)
+    series = kraus.build_series(prep, t, "reduced", 0)
+    paths = {
+        "reduced": kraus.apply_series(series, rho),
+        "factored": kraus.apply_factored_evolution(prep, t, rho),
+        "group circuit": circuits.apply_group_circuit(circuits.build_group_circuit(prep, t), psi),
+        "term circuits": circuits.execute_series_tomography(prep, series, t, psi)[0],
+    }
+    for name, out in paths.items():
+        assert trace_distance(out, oracle) < 1e-9, name
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n_max=st.integers(1, 5),
+    omega=st.floats(0.0, 2.0),
+    gamma=st.floats(0.05, 1.5),
+    seed=SEEDS,
+    t=st.floats(0.0, 3.0),
+)
+def test_random_damped_mode_round_trip(n_max, omega, gamma, seed, t):
+    # a^(n_max + 1) = 0 ends the series at order n_max; a nilpotent model has no factored form
+    model = models.damped_qho_model(omega, gamma, n_max)
+    rho = random_density(np.random.default_rng(seed), model.dim)
+    oracle = lb.exact_evolve(model, rho, t)
+    prep = kraus.prepare(model)
+    for variant in ("reduced", "truncated"):
+        out = kraus.apply_series(kraus.build_series(prep, t, variant, n_max), rho)
+        assert trace_distance(out, oracle) < 1e-9, variant
+    with pytest.raises(kraus.ConditionError):
+        kraus.apply_factored_evolution(prep, t, rho)
+    with pytest.raises(kraus.ConditionError):
+        circuits.build_group_circuit(prep, t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(channel=pauli_channels(), seed=SEEDS)
+def test_random_hamiltonian_breaks_the_conditions(channel, seed):
+    a = np.random.default_rng(seed).normal(size=(2, channel.dim, channel.dim))
+    h = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().T
+    model = lb.LindbladModel(h, channel.lindblads, channel.gammas)
+    for variant in ("auto", "reduced", "truncated"):
+        with pytest.raises(kraus.ConditionError):
+            next(kraus.series_trajectory(model, [0.5], variant, 2))
 
 
 def test_series_json_round_trip(qho_spec):
