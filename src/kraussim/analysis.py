@@ -39,10 +39,6 @@ class PhaseSpaceGrid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "p", p)
 
-    @property
-    def cell_area(self) -> float:
-        return float(np.diff(self.x).mean() * np.diff(self.p).mean())
-
 
 def default_grid(extent: float = 5.0, step: float = 0.05) -> PhaseSpaceGrid:
     axis = np.arange(-extent, extent + step / 2, step)

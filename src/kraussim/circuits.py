@@ -294,37 +294,43 @@ def _gray_phase_gates(phases: np.ndarray, qubits) -> list[Gate]:
     return gates
 
 
-def encode_diagonal_unitary(phases, scheme: str = SCHEME_BINARY) -> Circuit:
-    """Circuit realizing ``diag(exp(i phases))`` up to a global phase.
+def _diagonal_unitary_gates(phases, qubits, scheme: str) -> list[Gate]:
+    """Gates realizing ``diag(exp(i phases))`` on ``qubits`` up to a global phase.
 
     The binary scheme emits one multi-controlled phase gate per surviving
     subset angle; the gray scheme solves rotation angles with the
     Walsh-Hadamard transform and emits parity-controlled Rz ladders.
     """
-    phases = np.asarray(phases, dtype=float)
-    n = qubit_count(phases.size, "phase vector length")
     if scheme == SCHEME_BINARY:
-        gates = _binary_phase_gates(phases, range(n))
-    elif scheme == SCHEME_GRAY:
-        gates = _gray_phase_gates(phases, range(n))
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    return Circuit(n, 0, tuple(gates))
+        return _binary_phase_gates(phases, qubits)
+    if scheme == SCHEME_GRAY:
+        return _gray_phase_gates(phases, qubits)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
-def encode_diagonal_contraction(decays) -> Circuit:
-    """Block encoding of ``diag(decays)`` via one post-selected ancilla.
+def encode_diagonal_unitary(phases, scheme: str = SCHEME_BINARY) -> Circuit:
+    """Circuit realizing ``diag(exp(i phases))`` up to a global phase."""
+    n = qubit_count(np.size(phases), "phase vector length")
+    return Circuit(n, 0, tuple(_diagonal_unitary_gates(phases, range(n), scheme)))
 
-    A uniformly controlled Ry(2 arccos(decay)) keyed on the system register
-    leaves amplitude ``decays[i]`` on the ancilla-0 branch of index i.
+
+def _diagonal_contraction_gates(decays, qubits, ancilla: int) -> list[Gate]:
+    """Block encoding of ``diag(decays)`` on ``qubits`` via ``ancilla``, post-selected on 0.
+
+    A uniformly controlled Ry(2 arccos(decay)) keyed on ``qubits`` leaves
+    amplitude ``decays[i]`` on the ancilla-0 branch of index i.
     """
     decays = np.asarray(decays, dtype=float)
-    n = qubit_count(decays.size, "decay vector length")
     if decays.min() < -1e-12 or decays.max() > 1.0 + 1e-12:
         raise ValueError("decay entries must lie in [0, 1]")
     angles = 2.0 * np.arccos(np.clip(decays, 0.0, 1.0))
-    gates = _multiplexed_rotation_gates("ry", n, range(n), angles)
-    return Circuit(n, 1, tuple(gates), postselect=(n,))
+    return _multiplexed_rotation_gates("ry", ancilla, qubits, angles)
+
+
+def encode_diagonal_contraction(decays) -> Circuit:
+    """Block encoding of ``diag(decays)`` via one post-selected ancilla."""
+    n = qubit_count(np.size(decays), "decay vector length")
+    return Circuit(n, 1, tuple(_diagonal_contraction_gates(decays, range(n), n)), postselect=(n,))
 
 
 def _distribution_angles(probs: np.ndarray, level: int, num_qubits: int) -> np.ndarray:
@@ -370,26 +376,12 @@ def _t_block_gates(
         gates.append(Gate("unitary", tuple(system_qubits), matrix=u.conj().T))
     phase_vec = -energies * t
     if np.abs(phase_vec - phase_vec[0]).max() > ANGLE_PRUNE_TOL:
-        inner = encode_diagonal_unitary(phase_vec, scheme)
-        gates += [_shift_gate(g, system_qubits) for g in inner.gates]
+        gates += _diagonal_unitary_gates(phase_vec, system_qubits, scheme)
     if contraction_ancilla is not None:
-        inner = encode_diagonal_contraction(np.exp(-0.5 * decays * t))
-        gates += [_shift_gate(g, [*system_qubits, contraction_ancilla]) for g in inner.gates]
+        gates += _diagonal_contraction_gates(np.exp(-0.5 * decays * t), system_qubits, contraction_ancilla)
     if basis_change:
         gates.append(Gate("unitary", tuple(system_qubits), matrix=u))
     return gates
-
-
-def _shift_gate(gate: Gate, qubit_map) -> Gate:
-    remap = list(qubit_map)
-    return Gate(
-        gate.kind,
-        tuple(remap[q] for q in gate.targets),
-        tuple(remap[q] for q in gate.controls),
-        gate.control_values,
-        gate.angle,
-        gate.matrix,
-    )
 
 
 def build_kraus_circuit(
@@ -397,7 +389,6 @@ def build_kraus_circuit(
     model: LindbladModel | PreparedModel,
     t: float,
     scheme: str = SCHEME_BINARY,
-    ancilla_budget: int = DEFAULT_ANCILLA_BUDGET,
 ) -> Circuit:
     """Circuit for one Kraus term: dilations of each applied operator, then T(t).
 
@@ -410,10 +401,8 @@ def build_kraus_circuit(
     n_sys = qubit_count(prep.dim, "system dimension")
     m = term.order
     total_anc = m + 1
-    if n_sys + total_anc > ancilla_budget:
-        raise ValueError(
-            f"term needs {n_sys + total_anc} qubits, over the budget {ancilla_budget}"
-        )
+    if n_sys + total_anc > DEFAULT_ANCILLA_BUDGET:
+        raise ValueError(f"term needs {n_sys + total_anc} qubits, over the budget {DEFAULT_ANCILLA_BUDGET}")
     system = list(range(n_sys))
     gates: list[Gate] = []
     # Rightmost factor in the operator product acts first.
@@ -526,11 +515,6 @@ def _shot_result(basis: str, weights: np.ndarray) -> ShotResult:
     """Counts keyed by outcome bitstring (qubit 0 leftmost); zero weights are left out."""
     counts = {format(i, f"0{len(basis)}b"): float(w) for i, w in enumerate(weights) if w > 0}
     return ShotResult(basis, counts)
-
-
-def exact_distribution(state: QuantumState, basis: str) -> ShotResult:
-    """Infinite-shot measurement: exact outcome probabilities."""
-    return _shot_result(basis, _basis_probabilities(state, basis)[0])
 
 
 def sample_shots(state: QuantumState, basis: str, shots: int, seed) -> ShotResult:

@@ -198,6 +198,8 @@ def _build_model(key: str, params) -> models.ModelSpec:
 def _resolve_model(config: ExperimentConfig) -> models.ModelSpec:
     if isinstance(config.model, str):
         return _build_model(config.model, config.model_params)
+    if config.model_params:
+        raise ConfigError(f"model_params {config.model_params!r} only apply to a registry model, not to an inline model")
     try:
         model = from_doc(LindbladModel, config.model)
     except (KeyError, ValueError, TypeError) as exc:

@@ -58,14 +58,6 @@ def pauli_labels(num_qubits: int) -> list[str]:
     return ["".join(p) for p in itertools.product("IXYZ", repeat=num_qubits)]
 
 
-@functools.cache
-def pauli_basis(num_qubits: int) -> np.ndarray:
-    """Read-only stack of the 4**n Pauli string matrices in :func:`pauli_labels` order."""
-    basis = np.stack([pauli_string_matrix(label) for label in pauli_labels(num_qubits)])
-    basis.setflags(write=False)
-    return basis
-
-
 # Tr(s_a m) of a 2x2 block m read row-major (m[i, j] at 2i + j), rows a = I, X, Y, Z.
 _BLOCK_TO_PAULI = np.stack([PAULI[c].T.reshape(-1) for c in "IXYZ"])
 

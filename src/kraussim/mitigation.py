@@ -10,6 +10,7 @@ output is flagged raw and projected back to the physical cone separately.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,7 +24,6 @@ from .matkernel import (
     fidelity,
     from_pauli_coefficients,
     hermiticity_defect,
-    pauli_basis,
     pauli_coefficients,
     project_to_physical,
     qubit_count,
@@ -31,6 +31,7 @@ from .matkernel import (
 )
 
 KKT_TOL = 1e-8
+FIT_MAX_ITER = 50000
 LAMBDA_GRID_STEP = 0.01
 LAMBDA_REFINE_TOL = 1e-4
 STRATEGY_FIDELITY = "fidelity-max"
@@ -67,12 +68,16 @@ class DepolarizingChannel:
             raise ValueError("lambda must lie in [0, 1]")
 
 
+# Commutation sign s(a, b) of the single-qubit Paulis I, X, Y, Z: +1 when one
+# is I or both are equal.  Conjugating by b scales a by s(a, b), and the sign of
+# two strings is the product of their per-qubit signs.
+COMMUTATION_SIGNS = np.array([[1.0 if 0 in (a, b) or a == b else -1.0 for b in range(4)] for a in range(4)])
+
+
 def pauli_fidelities(channel: PauliChannel) -> np.ndarray:
     """Eigenvalue ``lambda_P = sum_Q (+-1) eps_Q`` (+ where P and Q commute) of the
     channel on each Pauli string P, in ``pauli_labels`` order."""
-    # single-qubit Paulis (I, X, Y, Z) commute when one is I or both are equal
-    signs = np.array([[1.0 if 0 in (a, b) or a == b else -1.0 for b in range(4)] for a in range(4)])
-    steps = [(q, signs) for q in range(channel.num_qubits)]
+    steps = [(q, COMMUTATION_SIGNS) for q in range(channel.num_qubits)]
     return apply_to_axes(channel.epsilons.reshape([4] * channel.num_qubits), steps).reshape(-1)
 
 
@@ -145,16 +150,12 @@ class FitReport:
     raw_sum: float = 1.0
 
 
-def _stack_real(mat: np.ndarray) -> np.ndarray:
-    flat = mat.reshape(-1)
-    return np.concatenate([flat.real, flat.imag])
-
-
-def _nnls_projected_gradient(a_mat: np.ndarray, b_vec: np.ndarray, max_iter: int = 50000):
+def _nnls_projected_gradient(a_mat: np.ndarray, b_vec: np.ndarray):
     """Projected gradient with Armijo backtracking for min ||Ax - b||, x >= 0.
 
     Monotone descent by construction; stops when the projected-gradient
-    (KKT) residual drops below ``KKT_TOL``.
+    (KKT) residual drops below ``KKT_TOL``.  Stopping short of that, at
+    ``FIT_MAX_ITER`` iterations or with no descent step left, warns.
     """
     gram = a_mat.T @ a_mat
     rhs = a_mat.T @ b_vec
@@ -170,7 +171,7 @@ def _nnls_projected_gradient(a_mat: np.ndarray, b_vec: np.ndarray, max_iter: int
     trace = [obj]
     kkt = np.inf
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, FIT_MAX_ITER + 1):
         grad = 2.0 * (gram @ x - rhs)
         kkt = float(np.abs(x - np.clip(x - grad, 0.0, None)).max())
         if kkt < KKT_TOL:
@@ -186,6 +187,12 @@ def _nnls_projected_gradient(a_mat: np.ndarray, b_vec: np.ndarray, max_iter: int
             break
         x, obj = cand, cand_obj
         trace.append(obj)
+    if kkt >= KKT_TOL:
+        warnings.warn(
+            f"Pauli-channel fit stopped after {iterations} iterations with KKT residual "
+            f"{kkt:.3g}, above {KKT_TOL:g}; the fit has not converged",
+            RuntimeWarning,
+        )
     return x, FitReport(iterations, obj, trace, kkt, float(x.sum()))
 
 
@@ -193,9 +200,12 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     """Nonnegative least-squares fit of Pauli-string error probabilities.
 
     ``pairs`` is a sequence of (exact, noisy) density matrices.  The
-    unconstrained-sum problem is solved first; the coefficients are then
-    renormalized onto the probability simplex and the raw sum recorded as a
-    diagnostic.
+    objective is the Frobenius distance between the channel applied to each
+    exact state and its noisy partner, written in Pauli coordinates: the
+    strings are orthogonal with norm ``d``, and the channel scales
+    ``Tr(Q rho)`` by ``sum_P s(Q, P) eps_P``.  The unconstrained-sum problem
+    is solved first; the coefficients are then renormalized onto the
+    probability simplex and the raw sum recorded as a diagnostic.
     """
     pairs = list(pairs)
     if not pairs:
@@ -203,7 +213,8 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     exact0 = _as_matrix(pairs[0][0])
     dim = exact0.shape[0]
     num_qubits = qubit_count(dim, "density matrix dimension")
-    paulis = pauli_basis(num_qubits)
+    # s(Q, P) for every pair of strings, in pauli_labels order
+    signs = functools.reduce(np.kron, [COMMUTATION_SIGNS] * num_qubits, np.ones((1, 1)))
     columns = []
     targets = []
     for exact, noisy in pairs:
@@ -211,10 +222,10 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
         n_mat = _as_matrix(noisy)
         if e_mat.shape != (dim, dim) or n_mat.shape != (dim, dim):
             raise ValueError("inconsistent pair dimensions")
-        columns.append(
-            np.stack([_stack_real(p @ e_mat @ p.conj().T) for p in paulis], axis=1)
-        )
-        targets.append(_stack_real(n_mat))
+        block = pauli_coefficients(e_mat)[:, None] * signs / np.sqrt(dim)
+        columns.append(np.concatenate([block.real, block.imag]))
+        target = pauli_coefficients(n_mat) / np.sqrt(dim)
+        targets.append(np.concatenate([target.real, target.imag]))
     a_mat = np.concatenate(columns, axis=0)
     b_vec = np.concatenate(targets)
     eps, report = _nnls_projected_gradient(a_mat, b_vec)

@@ -16,8 +16,6 @@ def test_grid_validation():
         analysis.PhaseSpaceGrid(np.linspace(-2, 2, 50), np.linspace(-5, 5, 100))
     with pytest.raises(ValueError):
         analysis.PhaseSpaceGrid(np.linspace(-5, 5, 20), np.linspace(-5, 5, 300))
-    g = analysis.default_grid()
-    assert g.cell_area == pytest.approx(0.05**2)
 
 
 def test_quadratures_ground_state(grid):

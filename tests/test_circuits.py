@@ -240,11 +240,12 @@ def test_kraus_circuit_matrix_path_equivalence(qho_spec, initial_states):
             assert np.abs(align_phase_vec(got, expected) - expected).max() < 1e-9
 
 
-def test_kraus_circuit_ancilla_budget(qho_spec):
-    series = kraus.build_tp_series(qho_spec.model, 1.0, 3)
-    term = series.terms[-1]
-    with pytest.raises(ValueError):
-        qc.build_kraus_circuit(term, qho_spec.model, 1.0, ancilla_budget=3)
+def test_kraus_circuit_ancilla_budget(schwinger_spec):
+    # an order-14 term needs 2 system qubits, 14 dilation ancillas and the contraction ancilla
+    term = kraus.build_tp_series(schwinger_spec.model, 1.0, 14).terms[-1]
+    assert term.order == 14
+    with pytest.raises(ValueError, match="term needs 17 qubits, over the budget 16"):
+        qc.build_kraus_circuit(term, schwinger_spec.model, 1.0)
 
 
 def test_group_circuit_identity_at_zero(pauli_spec, initial_states):
@@ -336,10 +337,11 @@ def test_sample_shots_validation():
         qc.sample_shots(zero, "ZZ", 10, seed=0)
 
 
-def test_exact_distribution_xy_rotations():
+def test_sample_shots_y_eigenstate():
+    # |+i> is the +1 eigenstate of Y, so every shot in the Y basis reads 0
     plus_i = QuantumState(np.array([1.0, 1j], dtype=complex) / np.sqrt(2))
-    result = qc.exact_distribution(plus_i, "Y")
-    assert result.counts["0"] == pytest.approx(1.0, abs=1e-12)
+    result = qc.sample_shots(plus_i, "Y", 1000, seed=0)
+    assert result.counts == {"0": 1000.0}
 
 
 def test_tomography_exact_reconstruction(rng):

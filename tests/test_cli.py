@@ -63,6 +63,17 @@ BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
         {**BASE_CONFIG, "model_params": [1]},
         {**BASE_CONFIG, "model_params": {"gammas": 1}},
         {"model": "qho-damped", "state": "qho-oscillating", "steps": 2, "model_params": {"n_max": 2.5}},
+        # model_params only parametrize registry models; next to an inline sigma-minus model they are refused
+        {
+            "model": {
+                "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                "lindblads": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+                "gammas": [1.0],
+            },
+            "state": [[1, 0], [0, 0]],
+            "steps": 2,
+            "model_params": {"gamma": 5, "n_max": "junk"},
+        },
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config):

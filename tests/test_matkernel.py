@@ -189,10 +189,6 @@ def test_pauli_string_matrix():
 
 
 def test_pauli_coefficients_round_trip(rng):
-    basis = mk.pauli_basis(3)
-    assert basis is mk.pauli_basis(3) and not basis.flags.writeable
-    for label, pauli in zip(mk.pauli_labels(3), basis):
-        assert np.array_equal(pauli, mk.pauli_string_matrix(label))
     mat = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
     coeffs = mk.pauli_coefficients(mat)
     direct = [np.trace(mk.pauli_string_matrix(label) @ mat) for label in mk.pauli_labels(3)]

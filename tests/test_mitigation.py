@@ -138,6 +138,17 @@ def test_fit_pauli_channel_recovery(rng):
     assert fitted.epsilons.sum() == pytest.approx(1.0, abs=1e-8)
 
 
+def test_fit_pauli_channel_warns_when_it_stops_short(rng, monkeypatch):
+    channel = mit.PauliChannel(1, np.array([0.7, 0.1, 0.15, 0.05]))
+    pairs = [(rho, mit.apply_pauli_channel(channel, rho).matrix) for rho in (random_density(rng, 2) for _ in range(3))]
+    _fitted, report = mit.fit_pauli_channel(pairs)
+    assert 3 < report.iterations and report.kkt_residual < mit.KKT_TOL
+    monkeypatch.setattr(mit, "FIT_MAX_ITER", 3)
+    with pytest.warns(RuntimeWarning, match="stopped after 3 iterations"):
+        _fitted, report = mit.fit_pauli_channel(pairs)
+    assert report.iterations == 3 and report.kkt_residual >= mit.KKT_TOL
+
+
 def test_fit_pauli_channel_identity_pairs(rng):
     pairs = [(random_density(rng, 2), None) for _ in range(4)]
     pairs = [(rho, rho.copy()) for rho, _ in pairs]
@@ -151,16 +162,17 @@ def test_fit_pauli_channel_underdetermined_zero_residual():
     assert report.objective < 1e-12
 
 
-def test_fit_pauli_channel_matches_scipy_nnls(rng):
-    # same normal equations as an independent active-set solver
-    eps = rng.dirichlet(np.ones(4) * 2)
-    channel = mit.PauliChannel(1, eps)
+@pytest.mark.parametrize("num_qubits", [1, 2])
+def test_fit_pauli_channel_matches_scipy_nnls(rng, num_qubits):
+    # same objective, formed from dense P rho P, solved by an independent active-set solver
+    eps = rng.dirichlet(np.ones(4**num_qubits) * 2)
+    channel = mit.PauliChannel(num_qubits, eps)
     pairs = []
     for _ in range(6):
-        rho = random_density(rng, 2)
+        rho = random_density(rng, 2**num_qubits)
         pairs.append((rho, mit.apply_pauli_channel(channel, rho).matrix))
     fitted, _ = mit.fit_pauli_channel(pairs)
-    paulis = [pauli_string_matrix(p) for p in "IXYZ"]
+    paulis = [pauli_string_matrix(p) for p in pauli_labels(num_qubits)]
     columns = []
     target = []
     for exact, noisy in pairs:
