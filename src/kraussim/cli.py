@@ -384,6 +384,9 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     for index, (t, oracle_state, (raw, diagnostics, bound)) in enumerate(zip(ts, oracles, methods)):
         oracle = oracle_state.matrix
         raw = oracle if raw is None else raw
+        check_distance = trace_distance(oracle, raw)
+        if check_distance == np.inf:
+            raise ConditionError(f"non-finite state at t={t:.6g}")
         noisy = noise(raw) if noise is not None else raw
         chain.fit(oracle, noisy)
         final = chain.apply(noisy)
@@ -403,7 +406,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
             observables=observables,
             diagnostics=diagnostics,
             fields=fields,
-            check_distance=trace_distance(oracle, raw),
+            check_distance=check_distance,
             check_bound=bound,
         )
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import gammainc
 
 from .lindblad import (
     ConditionReport,
@@ -235,10 +234,23 @@ def _require_structure(prep: PreparedModel) -> None:
 
 
 def _series_tail(x: float, order: int) -> float:
-    """Upper bound sum_{m > order} x^m / m! = e^x P(order+1, x), clipped at 1, the largest trace distance."""
+    """Upper bound sum_{m > order} x^m / m!, clipped at 1, the largest trace distance.
+
+    Every term is positive, so the sum is taken directly, without
+    cancellation.  From ``x >= order + 1`` on, its first term alone is at
+    least 1; below, the terms fall at the ratio ``x / m < 1``.
+    """
     if x <= 0.0:
         return 0.0
-    return float(min(np.exp(x) * gammainc(order + 1, x), 1.0))
+    if x >= order + 1:
+        return 1.0
+    term = math.prod(x / m for m in range(1, order + 2))  # x^(order+1) / (order+1)!
+    total, m = 0.0, order + 1
+    while total < 1.0 and total + term != total:
+        total += term
+        m += 1
+        term *= x / m
+    return min(total, 1.0)
 
 
 def apply_series(series: KrausSeries, rho0) -> DensityMatrix:

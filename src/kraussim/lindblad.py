@@ -18,6 +18,7 @@ from .matkernel import (
     classify_density,
     hermiticity_defect,
     matexp,
+    matexp_root,
     _as_matrix,
     _require_square,
 )
@@ -221,27 +222,51 @@ def superoperator_parts(model: LindbladModel, split: str) -> tuple[np.ndarray, n
 
 
 def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[DensityMatrix]:
-    """Yield the exact state at each point of ``np.linspace(start, stop, steps)``: the generator
-    D is built once, ``exp(start D)`` and ``exp(dt D)`` taken once each, then one mat-vec per point."""
+    """Yield the exact state at each point of ``np.linspace(start, stop, steps)``.
+
+    ``exp(start D)`` and the step ``exp(dt D)`` come from the Pade-13 scaling
+    and squaring of :func:`matexp_root` as ``r^(2^s)``.  Only one vector is
+    propagated, so ``r`` is squared (an N x N matmul, N = dim^2) only where
+    that saves more N x N mat-vecs than it costs (see :func:`_propagator`);
+    the remaining factors are applied as mat-vecs.  No step is formed for a
+    single point.
+    """
     if start < 0 or stop < start or steps < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
     rho = _as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
         raise ValueError("state dimension does not match the model")
     vec = vectorize(rho)
-    # D is scaled in place, so no second dim^2 x dim^2 copy is alive while matexp runs.
-    # It is rebuilt rather than divided back: a tiny start underflows start * D.
-    gen = build_superoperator(model)
     if start > 0:
-        gen *= start
-        vec = matexp(gen) @ vec
-        gen = build_superoperator(model)
-    gen *= (stop - start) / max(steps - 1, 1)
-    step = matexp(gen)
-    del gen
-    for _ in range(steps):
+        root, factors = _propagator(model, start, 1)
+        for _ in range(factors):
+            vec = root @ vec
+        del root
+    if steps > 1:
+        root, factors = _propagator(model, (stop - start) / (steps - 1), steps - 1)
+    for index in range(steps):
+        if index:
+            for _ in range(factors):
+                vec = root @ vec
         yield classify_density(unvectorize(vec, model.dim))
-        vec = step @ vec
+
+
+def _propagator(model: LindbladModel, t: float, uses: int) -> tuple[np.ndarray, int]:
+    """``(r, k)`` with ``r^k = exp(t D)``, for a propagator applied ``uses`` times to one vector.
+
+    ``r`` starts as the Pade root ``exp(2^-s t D)`` and is squared while
+    ``uses * 2^(s-1) > N``: one N x N squaring then saves more mat-vecs,
+    N^2 each, than its own N^3.
+    """
+    # D is scaled in place, so no second dim^2 x dim^2 copy is alive while matexp_root runs
+    gen = build_superoperator(model)
+    gen *= t
+    root, s = matexp_root(gen)
+    del gen
+    while s > 0 and uses * 2 ** (s - 1) > root.shape[0]:
+        root = root @ root
+        s -= 1
+    return root, 2**s
 
 
 def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:

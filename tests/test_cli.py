@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -292,6 +293,31 @@ def test_kraus_check_fails_on_a_corrupted_weight(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(kraus, "series_trajectory", corrupted)
     assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
     assert "check failed at t=0.5:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+def test_non_finite_oracle_state_fails_the_check(tmp_path, capsys, monkeypatch, entry):
+    real = cli.exact_trajectory
+
+    def corrupted(*args):
+        for index, state in enumerate(real(*args)):
+            if index == 5:
+                matrix = state.matrix.copy()
+                matrix[entry] = np.nan
+                state = SimpleNamespace(matrix=matrix)  # a DensityMatrix refuses NaN
+            yield state
+
+    monkeypatch.setattr(cli, "exact_trajectory", corrupted)
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
+    assert "non-finite state at t=0.5" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "states.json").exists()
+
+
+def test_cli_import_leaves_scipy_out():
+    env = dict(os.environ, PYTHONPATH=str(Path(kraussim.__file__).parents[1]))
+    code = "import sys, kraussim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 from kraussim import circuits, kraus, lindblad as lb, models
@@ -97,6 +98,21 @@ def test_build_tp_series_nilpotent_terminates(qho_spec):
     assert len(series3.terms) == 4
     assert len(series9.terms) == 4  # a^4 = 0 prunes everything past order 3
     assert series3.tail_bound == 0.0
+
+
+def test_series_tail_matches_the_incomplete_gamma_function():
+    # sum_{m > order} x^m / m! = e^x P(order + 1, x), P the regularized lower incomplete gamma function
+    xs = np.logspace(-8, 1.5, 60)
+    for order in range(64):
+        want = np.minimum(np.exp(xs) * scipy.special.gammainc(order + 1, xs), 1.0)
+        got = np.array([kraus._series_tail(float(x), order) for x in xs])
+        # below the normal range (tiny, 2.2e-308) a float has no relative precision left
+        assert np.all(np.abs(got - want) <= 1e-12 * want + np.finfo(float).tiny), order
+    for order in (0, 5):
+        assert kraus._series_tail(0.0, order) == 0.0
+        assert kraus._series_tail(-1.0, order) == 0.0
+        assert kraus._series_tail(50.0, order) == 1.0
+    assert kraus._series_tail(30.0, 40) == 1.0  # the sum exceeds 1 below x = order + 1
 
 
 def test_build_tp_series_tail_bound_is_clipped_at_one(qho_spec):
