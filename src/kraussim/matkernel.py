@@ -202,7 +202,7 @@ def matexp_root(a: np.ndarray) -> tuple[np.ndarray, int]:
     """
     a = _require_square(a)
     # sqrt(||a||_1 ||a||_inf) bounds the 2-norm from above without an SVD
-    norm = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf))) if a.size else 0.0
+    norm = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)))
     if norm > MATEXP_NORM_LIMIT:
         raise ValueError(f"matrix norm {norm} exceeds limit {MATEXP_NORM_LIMIT}")
     n = a.shape[0]
