@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("trotter_steps must be >= 1")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
+        if not isinstance(self.outputs, list) or not all(isinstance(token, str) for token in self.outputs):
+            raise ConfigError(f"outputs must be a list of strings, got {self.outputs!r}")
         if self.noise is not None and not isinstance(self.noise, dict):
             raise ConfigError(f"noise must be an object, got {self.noise!r}")
         if self.check_tol is not None and not 0 <= self.check_tol < np.inf:
@@ -596,9 +598,10 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_mitigate(args) -> int:
     doc = json.loads(Path(args.pairs).read_text())
-    pairs = [
-        (from_doc(np.ndarray, exact), from_doc(np.ndarray, noisy)) for exact, noisy in doc["pairs"]
-    ]
+    pairs = doc.get("pairs") if isinstance(doc, dict) else None
+    if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ConfigError(f"{args.pairs} must hold {{'pairs': [[exact, noisy], ...]}}")
+    pairs = [(from_doc(np.ndarray, exact), from_doc(np.ndarray, noisy)) for exact, noisy in pairs]
     if args.channel == "pauli":
         channel, report = mitigation.fit_pauli_channel(pairs)
         payload = {"channel": channel, "report": report}

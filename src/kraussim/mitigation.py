@@ -10,7 +10,6 @@ output is flagged raw and projected back to the physical cone separately.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -74,11 +73,16 @@ class DepolarizingChannel:
 COMMUTATION_SIGNS = np.array([[1.0 if 0 in (a, b) or a == b else -1.0 for b in range(4)] for a in range(4)])
 
 
+def _commutation_transform(x: np.ndarray, num_qubits: int) -> np.ndarray:
+    """``S x`` for the n-fold Kronecker power ``S`` (symmetric, ``S^2 = 4^n I``) of ``COMMUTATION_SIGNS``."""
+    steps = [(q, COMMUTATION_SIGNS) for q in range(num_qubits)]
+    return apply_to_axes(x.reshape([4] * num_qubits), steps).reshape(-1)
+
+
 def pauli_fidelities(channel: PauliChannel) -> np.ndarray:
     """Eigenvalue ``lambda_P = sum_Q (+-1) eps_Q`` (+ where P and Q commute) of the
     channel on each Pauli string P, in ``pauli_labels`` order."""
-    steps = [(q, COMMUTATION_SIGNS) for q in range(channel.num_qubits)]
-    return apply_to_axes(channel.epsilons.reshape([4] * channel.num_qubits), steps).reshape(-1)
+    return _commutation_transform(channel.epsilons, channel.num_qubits)
 
 
 def _channel_input(channel, rho) -> np.ndarray:
@@ -141,59 +145,14 @@ def invert_channel(channel, rho_noisy) -> DensityMatrix:
 
 @dataclass
 class FitReport:
-    """Diagnostics of a channel fit."""
+    """Diagnostics of a channel fit; ``unidentified`` counts the strings no pair constrains."""
 
     iterations: int = 0
     objective: float = 0.0
     objective_trace: list[float] = field(default_factory=list)
     kkt_residual: float = 0.0
     raw_sum: float = 1.0
-
-
-def _nnls_projected_gradient(a_mat: np.ndarray, b_vec: np.ndarray):
-    """Projected gradient with Armijo backtracking for min ||Ax - b||, x >= 0.
-
-    Monotone descent by construction; stops when the projected-gradient
-    (KKT) residual drops below ``KKT_TOL``.  Stopping short of that, at
-    ``FIT_MAX_ITER`` iterations or with no descent step left, warns.
-    """
-    gram = a_mat.T @ a_mat
-    rhs = a_mat.T @ b_vec
-    lipschitz = float(np.linalg.norm(gram, 2))
-    step0 = 1.0 / lipschitz if lipschitz > 0 else 1.0
-    x = np.zeros(a_mat.shape[1])
-
-    def objective(v):
-        r = a_mat @ v - b_vec
-        return float(r @ r)
-
-    obj = objective(x)
-    trace = [obj]
-    kkt = np.inf
-    iterations = 0
-    for iterations in range(1, FIT_MAX_ITER + 1):
-        grad = 2.0 * (gram @ x - rhs)
-        kkt = float(np.abs(x - np.clip(x - grad, 0.0, None)).max())
-        if kkt < KKT_TOL:
-            break
-        step = step0
-        cand = np.clip(x - step * grad, 0.0, None)
-        cand_obj = objective(cand)
-        while cand_obj > obj + 1e-4 * float(grad @ (cand - x)) and step > 1e-18:
-            step *= 0.5
-            cand = np.clip(x - step * grad, 0.0, None)
-            cand_obj = objective(cand)
-        if cand_obj > obj:
-            break
-        x, obj = cand, cand_obj
-        trace.append(obj)
-    if kkt >= KKT_TOL:
-        warnings.warn(
-            f"Pauli-channel fit stopped after {iterations} iterations with KKT residual "
-            f"{kkt:.3g}, above {KKT_TOL:g}; the fit has not converged",
-            RuntimeWarning,
-        )
-    return x, FitReport(iterations, obj, trace, kkt, float(x.sum()))
+    unidentified: int = 0
 
 
 def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
@@ -203,38 +162,73 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     objective is the Frobenius distance between the channel applied to each
     exact state and its noisy partner, written in Pauli coordinates: the
     strings are orthogonal with norm ``d``, and the channel scales
-    ``Tr(Q rho)`` by ``sum_P s(Q, P) eps_P``.  The unconstrained-sum problem
-    is solved first; the coefficients are then renormalized onto the
+    ``Tr(Q rho)`` by ``(S eps)_Q``.  The Gram matrix is ``S diag(w) S`` with
+    ``w_Q = sum_pairs |Tr(Q rho_exact)|^2 / d``, so the gradient goes through
+    the O(n 4^n) transform of :func:`pauli_fidelities`, the step ``1 / (4^n
+    max w)`` is exact, and no design matrix is built.  Strings with ``w_Q <=
+    DEFAULT_RCOND * max w`` are reported as unidentified.
+
+    Projected gradient with Armijo backtracking, monotone by construction;
+    it stops when the projected-gradient (KKT) residual drops below
+    ``KKT_TOL`` and warns when it stops short of that.  The unconstrained-sum
+    problem is solved first; the coefficients are then renormalized onto the
     probability simplex and the raw sum recorded as a diagnostic.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValueError("need at least one (exact, noisy) pair")
-    exact0 = _as_matrix(pairs[0][0])
-    dim = exact0.shape[0]
+    dim = _as_matrix(pairs[0][0]).shape[0]
     num_qubits = qubit_count(dim, "density matrix dimension")
-    # s(Q, P) for every pair of strings, in pauli_labels order
-    signs = functools.reduce(np.kron, [COMMUTATION_SIGNS] * num_qubits, np.ones((1, 1)))
-    columns = []
-    targets = []
-    for exact, noisy in pairs:
-        e_mat = _as_matrix(exact)
-        n_mat = _as_matrix(noisy)
-        if e_mat.shape != (dim, dim) or n_mat.shape != (dim, dim):
-            raise ValueError("inconsistent pair dimensions")
-        block = pauli_coefficients(e_mat)[:, None] * signs / np.sqrt(dim)
-        columns.append(np.concatenate([block.real, block.imag]))
-        target = pauli_coefficients(n_mat) / np.sqrt(dim)
-        targets.append(np.concatenate([target.real, target.imag]))
-    a_mat = np.concatenate(columns, axis=0)
-    b_vec = np.concatenate(targets)
-    eps, report = _nnls_projected_gradient(a_mat, b_vec)
-    total = eps.sum()
+    # Tr(Q rho) / sqrt(d) of each exact and noisy state, one row per pair
+    exact, noisy = np.empty((2, len(pairs), dim * dim), dtype=complex)
+    for row, (e_rho, n_rho) in enumerate(pairs):
+        for coeffs, mat in ((exact, _as_matrix(e_rho)), (noisy, _as_matrix(n_rho))):
+            if mat.shape != (dim, dim):
+                raise ValueError("inconsistent pair dimensions")
+            coeffs[row] = pauli_coefficients(mat) / np.sqrt(dim)
+    weights = (np.abs(exact) ** 2).sum(axis=0)
+    rhs = _commutation_transform((exact.conj() * noisy).real.sum(axis=0), num_qubits)
+    lipschitz = 4**num_qubits * float(weights.max())
+    step0 = 1.0 / lipschitz if lipschitz > 0 else 1.0
+    x = sx = np.zeros(weights.size)  # sx = S x, carried from the accepted candidate
+
+    def candidate(step):
+        cand = np.clip(x - step * grad, 0.0, None)
+        cand_sx = _commutation_transform(cand, num_qubits)
+        return cand, cand_sx, float((np.abs(exact * cand_sx - noisy) ** 2).sum())
+
+    obj = float((np.abs(noisy) ** 2).sum())
+    trace = [obj]
+    kkt = np.inf
+    iterations = 0
+    for iterations in range(1, FIT_MAX_ITER + 1):
+        grad = 2.0 * (_commutation_transform(weights * sx, num_qubits) - rhs)
+        kkt = float(np.abs(x - np.clip(x - grad, 0.0, None)).max())
+        if kkt < KKT_TOL:
+            break
+        step = step0
+        cand, cand_sx, cand_obj = candidate(step)
+        while cand_obj > obj + 1e-4 * float(grad @ (cand - x)) and step > 1e-18:
+            step *= 0.5
+            cand, cand_sx, cand_obj = candidate(step)
+        if cand_obj > obj:
+            break
+        x, sx, obj = cand, cand_sx, cand_obj
+        trace.append(obj)
+    if kkt >= KKT_TOL:
+        warnings.warn(
+            f"Pauli-channel fit stopped after {iterations} iterations with KKT residual "
+            f"{kkt:.3g}, above {KKT_TOL:g}; the fit has not converged",
+            RuntimeWarning,
+        )
+    unidentified = int((weights <= DEFAULT_RCOND * weights.max()).sum())
+    total = float(x.sum())
+    report = FitReport(iterations, obj, trace, kkt, total, unidentified)
     if total <= 0.0:
-        eps = np.zeros_like(eps)
+        eps = np.zeros_like(x)
         eps[0] = 1.0
     else:
-        eps = eps / total
+        eps = x / total
     return PauliChannel(num_qubits, eps), report
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import kraussim
-from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit
+from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit, models
 from kraussim.matkernel import pauli_string_matrix, to_doc
 
 from conftest import random_density
@@ -75,6 +75,10 @@ BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
             "steps": 2,
             "model_params": {"gamma": 5, "n_max": "junk"},
         },
+        {**BASE_CONFIG, "outputs": 5},
+        {**BASE_CONFIG, "outputs": [5]},
+        # a bare string is not read one character at a time
+        {**BASE_CONFIG, "outputs": "populations"},
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config):
@@ -517,6 +521,29 @@ def test_mitigate_rejects_unpaired_matrices(tmp_path, capsys):
     pairs_file.write_text(json.dumps({"pairs": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]]]}))
     assert run(["mitigate", "--pairs", pairs_file]) == 2
     assert "[re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[1, 2], {"pairs": 5}])
+def test_mitigate_rejects_malformed_pairs_file(tmp_path, capsys, doc):
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps(doc))
+    assert run(["mitigate", "--pairs", pairs_file]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "state, unidentified",
+    [
+        # |0> (x) real qubit state: Tr(Q rho) vanishes on the 10 strings with X or Y on qubit 0 or Y on qubit 1
+        (models.benchmark_initial_states()["pauli-xx-zz"].density().matrix, 10),
+        (random_density(np.random.default_rng(3), 4), 0),
+    ],
+)
+def test_mitigate_pauli_reports_unidentified_strings(tmp_path, capsys, state, unidentified):
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps({"pairs": [[to_doc(state), to_doc(state)]]}))
+    assert run(["mitigate", "--pairs", pairs_file, "--channel", "pauli"]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["unidentified"] == unidentified
 
 
 @pytest.mark.parametrize("channel", ["qdc", "pauli"])

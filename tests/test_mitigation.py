@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_fit_pauli_channel_underdetermined_zero_residual():
     assert report.objective < 1e-12
 
 
-@pytest.mark.parametrize("num_qubits", [1, 2])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
 def test_fit_pauli_channel_matches_scipy_nnls(rng, num_qubits):
     # same objective, formed from dense P rho P, solved by an independent active-set solver
     eps = rng.dirichlet(np.ones(4**num_qubits) * 2)
@@ -185,6 +186,20 @@ def test_fit_pauli_channel_matches_scipy_nnls(rng, num_qubits):
     reference, _ = scipy.optimize.nnls(np.concatenate(columns), np.concatenate(target))
     reference /= reference.sum()
     assert np.abs(fitted.epsilons - reference).max() < 1e-6
+
+
+def test_fit_pauli_channel_five_qubits_stays_small(rng, monkeypatch):
+    # a dense 4^n x 4^n design would need tens of MB here; the fit holds only (pairs, 4^n) arrays
+    pairs = [(random_density(rng, 32), random_density(rng, 32)) for _ in range(2)]
+    monkeypatch.setattr(mit, "FIT_MAX_ITER", 3)
+    tracemalloc.start()
+    try:
+        with pytest.warns(RuntimeWarning, match="stopped after 3 iterations"):
+            mit.fit_pauli_channel(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_fit_qdc_lambda_recovery(rng):
