@@ -192,7 +192,7 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     step0 = 1.0 / lipschitz if lipschitz > 0 else 1.0
     x = sx = np.zeros(weights.size)  # sx = S x, carried from the accepted candidate
 
-    def candidate(step):
+    def candidate(step):  # the current x - step * grad, clipped to x >= 0, with its S x and objective
         cand = np.clip(x - step * grad, 0.0, None)
         cand_sx = _commutation_transform(cand, num_qubits)
         return cand, cand_sx, float((np.abs(exact * cand_sx - noisy) ** 2).sum())
