@@ -4,18 +4,17 @@ Run from the root of a checkout, with BLAS on one thread as in ``perfbench``:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/fit_sweep.py
 
-Each size fits ``--pairs`` (exact, noisy) pairs: seeded random full-rank
-states, and the same states through a seeded random Pauli channel whose
-identity weight is ``1 - STRENGTH``.  The last line of standard output is one
-JSON object with, per size, the median wall time of ``--repeats`` fits, the
-``tracemalloc`` peak of one more fit, the iteration count, the KKT residual
-and the largest error of the fitted probabilities.  Point ``PYTHONPATH`` at
+Each size in ``QUBITS`` fits ``PAIRS`` (exact, noisy) pairs: random full-rank
+states, and the same states through a random Pauli channel whose identity
+weight is ``1 - STRENGTH``, all drawn from ``SEED``.  The last line of
+standard output is one JSON object with, per size, the median wall time of
+``REPEATS`` fits, the ``tracemalloc`` peak of one more fit, the iteration
+count, the KKT residual and the largest error of the fitted probabilities.  Point ``PYTHONPATH`` at
 another checkout's ``src`` to measure that tree with the same inputs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import time
@@ -26,6 +25,10 @@ import numpy as np
 
 from kraussim import mitigation
 
+QUBITS = (2, 3, 4, 5)
+PAIRS = 3
+REPEATS = 3
+SEED = 0
 STRENGTH = 0.1
 
 
@@ -35,21 +38,21 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
-def make_pairs(num_qubits: int, num_pairs: int, seed: int):
-    rng = np.random.default_rng([seed, num_qubits])
+def make_pairs(num_qubits: int):
+    rng = np.random.default_rng([SEED, num_qubits])
     eps = STRENGTH * rng.dirichlet(np.ones(4**num_qubits))
     eps[0] += 1.0 - STRENGTH
     channel = mitigation.PauliChannel(num_qubits, eps)
-    states = [random_density(rng, 2**num_qubits) for _ in range(num_pairs)]
+    states = [random_density(rng, 2**num_qubits) for _ in range(PAIRS)]
     return channel, [(rho, mitigation.apply_pauli_channel(channel, rho).matrix) for rho in states]
 
 
-def measure(num_qubits: int, num_pairs: int, repeats: int, seed: int) -> dict:
-    channel, pairs = make_pairs(num_qubits, num_pairs, seed)
+def measure(num_qubits: int) -> dict:
+    channel, pairs = make_pairs(num_qubits)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             fitted, report = mitigation.fit_pauli_channel(pairs)
             times.append(time.perf_counter() - start)
@@ -71,22 +74,16 @@ def measure(num_qubits: int, num_pairs: int, repeats: int, seed: int) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--qubits", type=int, nargs="+", default=[2, 3, 4, 5])
-    parser.add_argument("--pairs", type=int, default=3)
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
     results = {}
-    for n in args.qubits:
-        results[n] = measure(n, args.pairs, args.repeats, args.seed)
+    for n in QUBITS:
+        results[n] = measure(n)
         row = results[n]
         print(
             f"{n} qubits: {row['fit_s']:.4f} s, peak {row['tracemalloc_peak_mb']:.2f} MB, "
             f"{row['iterations']} iterations, max eps error {row['max_eps_error']:.2e}",
             flush=True,
         )
-    print(json.dumps({"pairs": args.pairs, "repeats": args.repeats, "seed": args.seed, "sizes": results}))
+    print(json.dumps({"pairs": PAIRS, "repeats": REPEATS, "seed": SEED, "sizes": results}))
     return 0
 
 
