@@ -73,11 +73,8 @@ COMMUTATION_SIGNS = np.array([[1.0 if 0 in (a, b) or a == b else -1.0 for b in r
 
 
 def _commutation_transform(x: np.ndarray, num_qubits: int) -> np.ndarray:
-    """``S x`` for the n-fold Kronecker power ``S`` (symmetric, ``S^2 = 4^n I``) of ``COMMUTATION_SIGNS``.
-
-    Each pass applies the signs to the last qubit axis and moves that axis to
-    the front, so after n passes every axis has had one and the order is back."""
-    for _ in range(num_qubits):
+    """``S x`` for the n-fold Kronecker power ``S`` (symmetric, ``S^2 = 4^n I``) of ``COMMUTATION_SIGNS``."""
+    for _ in range(num_qubits):  # signs on the last qubit axis, which then moves to the front
         x = (x.reshape(-1, 4) @ COMMUTATION_SIGNS).T
     return x.reshape(-1)
 
