@@ -46,6 +46,7 @@ METHODS = ("exact", "trotter", "kraus", "kraus-circuit", "kraus-circuit-shots")
 SERIES_VARIANTS = ("auto", "reduced", "truncated", "factored")
 MITIGATIONS = ("none", "qdc", "pauli-fit", "twirl-qdc")
 FIELD_OUTPUTS = ("position-density", "momentum-density", "wigner")
+NOISE_PARAMETERS = {"qdc": "lambda", "pauli": "epsilons"}
 
 
 class ConfigError(ValueError):
@@ -103,8 +104,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
         if not isinstance(self.outputs, list) or not all(isinstance(token, str) for token in self.outputs):
             raise ConfigError(f"outputs must be a list of strings, got {self.outputs!r}")
-        if self.noise is not None and not isinstance(self.noise, dict):
-            raise ConfigError(f"noise must be an object, got {self.noise!r}")
+        if self.noise is not None:
+            if not isinstance(self.noise, dict) or self.noise.get("kind") not in NOISE_PARAMETERS:
+                raise ConfigError(f"noise must be an object with kind qdc or pauli, got {self.noise!r}")
+            fields = sorted(["kind", NOISE_PARAMETERS[self.noise["kind"]]])
+            if sorted(self.noise) != fields:
+                raise ConfigError(f"{self.noise['kind']} noise takes the fields {fields}, got {sorted(self.noise)}")
         if self.check_tol is not None and not 0 <= self.check_tol < np.inf:
             raise ConfigError(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
@@ -115,6 +120,9 @@ class ExperimentConfig:
         if time is not None:
             if not isinstance(time, dict):
                 raise ConfigError(f"time must be an object, got {time!r}")
+            unknown = set(time) - {"start", "stop", "steps"}
+            if unknown:
+                raise ConfigError(f"unknown time fields: {sorted(unknown)}; choose from start, stop and steps")
             doc.setdefault("t_start", time.get("start", 0.0))
             doc.setdefault("t_stop", time.get("stop", 1.0))
             doc.setdefault("steps", time.get("steps", 11))
@@ -235,14 +243,11 @@ def _build_noise(config: ExperimentConfig, dim: int):
         return None
     doc = config.noise
     num_qubits = qubit_count(dim, "noise injection dimension")
-    kind = doc.get("kind")
-    if kind == "qdc":
+    if doc["kind"] == "qdc":
         channel = mitigation.DepolarizingChannel(num_qubits, float(doc["lambda"]))
         return lambda mat: mitigation.apply_qdc(channel, mat).matrix
-    if kind == "pauli":
-        channel = mitigation.PauliChannel(num_qubits, np.asarray(doc["epsilons"], dtype=float))
-        return lambda mat: mitigation.apply_pauli_channel(channel, mat).matrix
-    raise ConfigError(f"unknown noise kind {kind!r}")
+    channel = mitigation.PauliChannel(num_qubits, np.asarray(doc["epsilons"], dtype=float))
+    return lambda mat: mitigation.apply_pauli_channel(channel, mat).matrix
 
 
 def _run_method(
@@ -695,7 +700,7 @@ def main(argv=None) -> int:
     except ConditionError as exc:
         print(f"numerical check failed: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError, FileNotFoundError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ from .lindblad import (
 from .matkernel import DensityMatrix, classify_density, sznagy_dilation, _as_matrix
 
 ZERO_OPERATOR_TOL = 1e-14
-CONTRACTION_TOL = 1e-10
 GROUP_DETECT_TOL = 1e-10
 
 
@@ -122,17 +121,14 @@ class PreparedModel:
 def f_of_t(alpha: float, t: float) -> float:
     """Time weight of the series, ``t`` when alpha = 0 else ``(1-e^{-at})/a``.
 
-    Continuous in alpha at 0; a short series is used when ``alpha * t`` is
-    tiny so both branches agree to full precision.
+    Continuous in alpha at 0: ``expm1`` keeps the second form exact to
+    rounding as ``alpha * t`` goes to 0, where it meets the first.
     """
     if alpha < 0 or t < 0:
         raise ValueError("alpha and t must be nonnegative")
     if alpha < 1e-12:
         return float(t)
-    x = alpha * t
-    if x < 1e-8:
-        return float(t * (1.0 - x / 2.0 + x * x / 6.0))
-    return float(-np.expm1(-x) / alpha)
+    return float(-np.expm1(-alpha * t) / alpha)
 
 
 def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -208,17 +204,15 @@ def _require_spectrum(prep: PreparedModel) -> tuple[np.ndarray, np.ndarray, np.n
 def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.ndarray:
     """Contraction ``T(t) = exp(-i t H_eff)`` built in the shared eigenbasis.
 
-    Raises :class:`ConditionError` when conditions (i) or (ii) fail.
+    ``u`` is unitary and the decays are nonnegative, so the norm of ``T(t)``
+    is ``max exp(-decays t / 2) <= 1`` by construction.  Raises
+    :class:`ConditionError` when conditions (i) or (ii) fail.
     """
     if t < 0:
         raise ValueError("evolution time must be nonnegative")
     u, energies, decays = _require_spectrum(prepare(model))
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
-    t_op = (u * diag) @ u.conj().T
-    top = float(np.linalg.norm(t_op, 2))
-    if top > 1.0 + CONTRACTION_TOL:
-        raise ConditionError(f"T(t) is not a contraction (norm {top})")
-    return t_op
+    return (u * diag) @ u.conj().T
 
 
 def _require_conditions(report: ConditionReport) -> None:
@@ -233,24 +227,35 @@ def _require_structure(prep: PreparedModel) -> None:
         raise ConditionError("no finite group or semigroup structure detected")
 
 
+def _positive_series(x: float, first: int, stride: int = 1, ratio: float = 1.0) -> float:
+    """``sum_j ratio^j x^(first + j stride) / (first + j stride)!`` for ``x, ratio >= 0``.
+
+    Every term is nonnegative, so the sum is taken term by term, without
+    cancellation, until a term no longer raises it.  Each term is the last
+    times ``ratio`` and ``stride`` factors ``x / n``.
+    """
+    term = math.prod(x / n for n in range(1, first + 1))  # x^first / first!
+    total, n = 0.0, first
+    while total + term > total:
+        total += term
+        term *= ratio
+        for _ in range(stride):
+            n += 1
+            term *= x / n
+    return total
+
+
 def _series_tail(x: float, order: int) -> float:
     """Upper bound sum_{m > order} x^m / m!, clipped at 1, the largest trace distance.
 
-    Every term is positive, so the sum is taken directly, without
-    cancellation.  From ``x >= order + 1`` on, its first term alone is at
-    least 1; below, the terms fall at the ratio ``x / m < 1``.
+    From ``x >= order + 1`` on, the first term alone is at least 1; below,
+    :func:`_positive_series` sums terms that fall at the ratio ``x / m < 1``.
     """
     if x <= 0.0:
         return 0.0
     if x >= order + 1:
         return 1.0
-    term = math.prod(x / m for m in range(1, order + 2))  # x^(order+1) / (order+1)!
-    total, m = 0.0, order + 1
-    while total < 1.0 and total + term != total:
-        total += term
-        m += 1
-        term *= x / m
-    return min(total, 1.0)
+    return min(_positive_series(x, order + 1), 1.0)
 
 
 def apply_series(series: KrausSeries, rho0) -> DensityMatrix:
@@ -266,27 +271,19 @@ def apply_series(series: KrausSeries, rho0) -> DensityMatrix:
 
 
 def gen_hyperbolic(ell: int, m: int, theta: float, x: float) -> float:
-    """Root-of-unity filtered exponential sum generalizing cosh and sinh.
+    """Generalized hyperbolic function ``F_{l,m}(x) = sum_j theta^j x^(m + j l) / (m + j l)!``.
 
-    ``(1/l) theta^{-m/l} sum_k w^{-mk} exp(w^k theta^{1/l} x)`` with
-    ``w = exp(2 pi i / l)``; for ``theta = 0`` the nilpotent convention
-    ``x^m / m!`` applies.
+    ``l = 2, theta = 1`` gives cosh (m = 0) and sinh (m = 1); ``theta = 0``
+    leaves the nilpotent ``x^m / m!``.  It is the positive series of
+    :func:`_positive_series`, so every weight is a sum of nonnegative terms.
     """
     if not 0 <= m < ell:
         raise ValueError("need 0 <= m < ell")
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be nonnegative")
-    if x < 0:
+    if not x >= 0:
         raise ValueError("x must be nonnegative")
-    if theta == 0.0:
-        return float(x**m / math.factorial(m))
-    root = np.exp(2j * np.pi / ell)
-    ks = np.arange(ell)
-    total = (root ** (-m * ks) * np.exp(root**ks * theta ** (1.0 / ell) * x)).sum()
-    value = theta ** (-m / ell) * total / ell
-    if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
-        raise ArithmeticError(f"imaginary residue {value.imag} in hyperbolic sum")
-    return float(value.real)
+    return _positive_series(x, m, ell, theta)
 
 
 def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> GroupStructure | None:
@@ -359,12 +356,12 @@ def series_trajectory(
         _require_structure(prep)
         _require_conditions(prep.report)
         work, structure = prep.rescaled, prep.structure
-        table = []
+        table = []  # (indices, product, power vector)
         for powers in itertools.product(*(range(ell) for ell in structure.periods)):
             indices = tuple(n for n, m_n in enumerate(powers) for _ in range(m_n))
             product = functools.reduce(np.matmul, (work.lindblads[n] for n in indices), eye)
             if np.abs(product).max() >= ZERO_OPERATOR_TOL:
-                table.append((indices, product))
+                table.append((indices, product, powers))
         order = sum(ell - 1 for ell in structure.periods)
         terminates = True
     elif variant == "truncated":
@@ -372,7 +369,6 @@ def series_trajectory(
             raise ValueError("truncation order must be nonnegative")
         _require_conditions(prep.report)
         work = prep.normalized
-        sqrt_gammas = [math.sqrt(g) for g in work.gammas]
         table, frontier = [], [((), eye)]
         for _ in range(order):
             table += frontier
@@ -380,7 +376,11 @@ def series_trajectory(
                 (indices + (k,), prod @ op) for indices, prod in frontier for k, op in enumerate(work.lindblads)
             ]
             frontier = [(indices, prod) for indices, prod in frontier if np.abs(prod).max() >= ZERO_OPERATOR_TOL]
-        table += frontier
+        # (indices, product, sqrt(prod gamma_k / m!)); the weight is the last times sqrt(f(t)^m)
+        table = [
+            (ind, prod, math.sqrt(math.prod(work.gammas[k] for k in ind) / math.factorial(len(ind))))
+            for ind, prod in table + frontier
+        ]
         # A vanishing frontier terminates the series exactly (every longer
         # product contains a vanishing factor), so no trace weight is discarded.
         terminates = all(
@@ -395,19 +395,15 @@ def series_trajectory(
         if variant == "reduced":
             # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
             roots = [
-                [math.sqrt(max(gen_hyperbolic(ell, m, theta, g * f_t), 0.0)) for m in range(ell)]
+                [math.sqrt(gen_hyperbolic(ell, m, theta, g * f_t)) for m in range(ell)]
                 for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
             ]
-            weights = [math.prod(roots[n][indices.count(n)] for n in range(len(roots))) for indices, _ in table]
+            weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for _, _, powers in table]
         else:
-            weights = [
-                math.sqrt(f_t ** len(indices) / math.factorial(len(indices)))
-                * math.prod(sqrt_gammas[k] for k in indices)
-                for indices, _ in table
-            ]
+            weights = [scale * math.sqrt(f_t ** len(indices)) for indices, _, scale in table]
         terms = tuple(
             KrausTerm(len(indices), indices, weight, t_op @ product)
-            for weight, (indices, product) in zip(weights, table)
+            for weight, (indices, product, _) in zip(weights, table)
             if weight != 0.0
         )
         tail = 0.0 if terminates else _series_tail(f_t * sum(work.gammas), order)
@@ -445,10 +441,8 @@ def _require_abelian(prep: PreparedModel) -> None:
 
 def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
     """Probability weights ``e^{-g t} F_{l,m}(g t)`` of one abelian factor."""
-    w = np.array(
-        [math.exp(-work_gamma * t) * gen_hyperbolic(period, m, 1.0, work_gamma * t) for m in range(period)]
-    )
-    return np.clip(w, 0.0, None)
+    x = work_gamma * t
+    return np.array([math.exp(-x) * gen_hyperbolic(period, m, 1.0, x) for m in range(period)])
 
 
 def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> DensityMatrix:

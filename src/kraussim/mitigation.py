@@ -51,7 +51,7 @@ class PauliChannel:
             raise ValueError("coefficients must be nonnegative")
         if abs(eps.sum() - 1.0) > 1e-10:
             raise ValueError(f"coefficients sum to {eps.sum()}, expected 1")
-        object.__setattr__(self, "epsilons", np.clip(eps, 0.0, None))
+        object.__setattr__(self, "epsilons", np.maximum(eps, 0.0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     x = sx = np.zeros(weights.size)  # sx = S x, carried from the accepted candidate
 
     def candidate(step):  # the current x - step * grad, clipped to x >= 0, with its S x and objective
-        cand = np.clip(x - step * grad, 0.0, None)
+        cand = np.maximum(x - step * grad, 0.0)
         cand_sx = _commutation_transform(cand, num_qubits)
         return cand, cand_sx, float((np.abs(exact * cand_sx - noisy) ** 2).sum())
 
@@ -203,7 +203,7 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     iterations = 0
     for iterations in range(1, FIT_MAX_ITER + 1):
         grad = 2.0 * (_commutation_transform(weights * sx, num_qubits) - rhs)
-        kkt = float(np.abs(x - np.clip(x - grad, 0.0, None)).max())
+        kkt = float(np.abs(x - np.maximum(x - grad, 0.0)).max())
         if kkt < KKT_TOL:
             break
         step = step0

@@ -54,6 +54,13 @@ def test_main_exit_code_on_bad_config(tmp_path):
 
 BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
 
+# (config, the field its error names): typos and gaps inside the time and noise blocks
+BLOCK_FIELD_ERRORS = [
+    ({**BASE_CONFIG, "time": {"start": 0, "stop": 2, "step": 5}}, "step"),
+    ({**BASE_CONFIG, "noise": {"kind": "qdc", "lambda": 0.2, "lamda": 3}}, "lamda"),
+    ({**BASE_CONFIG, "noise": {"kind": "qdc"}}, "lambda"),
+]
+
 
 @pytest.mark.parametrize(
     "config",
@@ -79,12 +86,36 @@ BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
         {**BASE_CONFIG, "outputs": [5]},
         # a bare string is not read one character at a time
         {**BASE_CONFIG, "outputs": "populations"},
+        *(config for config, _field in BLOCK_FIELD_ERRORS),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config, name", BLOCK_FIELD_ERRORS, ids=["time-step", "noise-lamda", "noise-no-lambda"])
+def test_block_field_errors_name_the_field(tmp_path, capsys, config, name):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert f"'{name}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--config", "{dir}", "--out", "{dir}/o"],
+        ["experiment", "--preset", "pauli-xx-zz", "--out", "{file}"],
+        ["mitigate", "--pairs", "{dir}"],
+    ],
+    ids=["config-is-a-directory", "out-is-a-file", "pairs-is-a-directory"],
+)
+def test_file_system_errors_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    assert run([arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

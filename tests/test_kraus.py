@@ -1,4 +1,6 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ def test_f_of_t_rejects_negative():
 @given(st.floats(min_value=1e-11, max_value=1e-7), st.floats(min_value=0.0, max_value=10.0))
 def test_f_of_t_continuous_at_zero_alpha(alpha, t):
     assert kraus.f_of_t(alpha, t) == pytest.approx(t, abs=1e-6 * max(t, 1.0))
-    # the tiny-argument series agrees with the cancellation-free closed form
+    # the saturating branch is the cancellation-free closed form
     if alpha * t > 0:
         closed = -np.expm1(-alpha * t) / alpha
         assert kraus.f_of_t(alpha, t) == pytest.approx(closed, abs=1e-12 * max(t, 1.0))
@@ -173,11 +175,48 @@ def test_gen_hyperbolic_closed_forms():
     assert kraus.gen_hyperbolic(3, 2, 0.0, 0.9) == pytest.approx(0.9**2 / 2, abs=1e-12)
 
 
+def _exact_gen_hyperbolic(ell, m, theta, x):
+    """F_{l,m}(x) in exact rationals, summed until a term falls below 1e-30 of the sum."""
+    x, theta = Fraction(x), Fraction(theta)
+    total, n = Fraction(0), m
+    while True:
+        term = theta ** ((n - m) // ell) * x**n / math.factorial(n)
+        total += term
+        if term == 0 or term < total * Fraction(1, 10**30):
+            return total
+        n += ell
+
+
+def test_gen_hyperbolic_matches_exact_partial_sums():
+    # the roots-of-unity form cancelled at small x: a factor 78 off at l = 6, m = 5, x = 1e-3
+    for ell in range(1, 7):
+        for m in range(ell):
+            for theta in (0.0, 0.5, 1.0):
+                for x in (1e-6, 1e-3, 0.05, 0.5, 2.0, 10.0):
+                    want = _exact_gen_hyperbolic(ell, m, theta, x)
+                    got = kraus.gen_hyperbolic(ell, m, theta, x)
+                    assert abs(Fraction(got) - want) <= Fraction(1e-14) * want, (ell, m, theta, x)
+
+
+def test_clock_operator_cubic_weight_is_exact():
+    # the period-4 clock operator diag(1, i, -1, -i); its cubic term weighs sqrt(F_{4,3}(gamma f(t)))
+    model = lb.LindbladModel(np.zeros((4, 4), dtype=complex), (np.diag([1, 1j, -1, -1j]),), (1.0,))
+    prep = kraus.prepare(model)
+    assert prep.structure.periods == (4,)
+    t = 1e-4
+    weights = {term.indices: term.weight for term in kraus.build_reduced_series(prep, t).terms}
+    x = prep.rescaled.gammas[0] * kraus.f_of_t(prep.report.alpha, t)
+    want = math.sqrt(_exact_gen_hyperbolic(4, 3, 1.0, x))
+    assert weights[(0, 0, 0)] == pytest.approx(want, rel=1e-14)
+
+
 def test_gen_hyperbolic_validation():
     with pytest.raises(ValueError):
         kraus.gen_hyperbolic(2, 2, 1.0, 0.5)
     with pytest.raises(ValueError):
         kraus.gen_hyperbolic(2, 0, -1.0, 0.5)
+    with pytest.raises(ValueError):
+        kraus.gen_hyperbolic(2, 0, 1.0, float("nan"))  # refused, not summed to 0
 
 
 def test_reduced_series_evaluates_each_weight_once(pauli_spec, monkeypatch):
@@ -397,6 +436,49 @@ def test_random_abelian_model_round_trip(model, seed, t):
         "group circuit": circuits.apply_group_circuit(circuits.build_group_circuit(prep, t), psi),
         "term circuits": circuits.execute_series_tomography(prep, series, t, psi)[0],
     }
+    for name, out in paths.items():
+        assert trace_distance(out, oracle) < 1e-9, name
+    assert np.linalg.norm(kraus.effective_evolution(prep, t), 2) <= 1 + 1e-12
+
+
+@st.composite
+def clock_models(draw):
+    """1-2 commuting diagonal clock operators ``diag(w^k)`` with ``w = exp(2 pi i / p)``, p in 3..8.
+
+    ``k`` starts with 0, 1, so each operator's period is exactly ``p``.  Group
+    detection searches periods up to the dimension, so ``d`` runs from ``p``
+    to 8.  The rates are random and the Hamiltonian is zero.
+    """
+    dim = draw(st.integers(3, 8))
+    ops = []
+    for _ in range(draw(st.integers(1, 2))):
+        period = draw(st.integers(3, dim))
+        powers = [0, 1] + draw(st.lists(st.integers(0, period - 1), min_size=dim - 2, max_size=dim - 2))
+        ops.append(np.diag(np.exp(2j * np.pi * np.array(powers) / period)))
+    gammas = draw(st.lists(st.floats(0.05, 1.5), min_size=len(ops), max_size=len(ops)))
+    return lb.LindbladModel(np.zeros((dim, dim), dtype=complex), tuple(ops), tuple(gammas))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=clock_models(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_clock_model_round_trip(model, seed, t):
+    psi = QuantumState(random_state(np.random.default_rng(seed), model.dim))
+    rho = psi.density()
+    oracle = lb.exact_evolve(model, rho, t)
+    prep = kraus.prepare(model)
+    assert min(prep.structure.periods) >= 3
+    assert np.linalg.norm(kraus.effective_evolution(prep, t), 2) <= 1 + 1e-12
+    series = kraus.build_series(prep, t, "reduced", 0)
+    paths = {
+        "reduced": kraus.apply_series(series, rho),
+        "factored": kraus.apply_factored_evolution(prep, t, rho),
+    }
+    num_qubits = model.dim.bit_length() - 1
+    if model.dim == 2**num_qubits:
+        paths["group circuit"] = circuits.apply_group_circuit(circuits.build_group_circuit(prep, t), psi)
+        # a term circuit holds the system, one ancilla per operator and one for T(t)
+        if num_qubits + series.truncation_order + 1 <= circuits.DEFAULT_ANCILLA_BUDGET:
+            paths["term circuits"] = circuits.execute_series_tomography(prep, series, t, psi)[0]
     for name, out in paths.items():
         assert trace_distance(out, oracle) < 1e-9, name
 
