@@ -153,8 +153,13 @@ def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np
         block = u[:, start:stop]
         sub = block.conj().T @ weighted @ block
         w_sub, v_sub = np.linalg.eigh((sub + sub.conj().T) / 2)
-        u[:, start:stop] = block @ v_sub
         decays[start:stop] = w_sub
+        if stop - start > 1:
+            # the rotation may mix vectors of different (near-degenerate) energies, so each
+            # rotated vector takes its own energy diag(u^dag H u)
+            block = block @ v_sub
+            u[:, start:stop] = block
+            energies[start:stop] = np.einsum("ij,ij->j", block.conj(), h @ block).real
         start = stop
     residual = np.abs(u.conj().T @ weighted @ u - np.diag(decays)).max()
     if residual > 1e-8 * max(1.0, float(np.abs(weighted).max())):

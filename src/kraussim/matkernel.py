@@ -185,20 +185,11 @@ def classify_density(matrix: np.ndarray) -> DensityMatrix:
 
 def matexp(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling and squaring: the degree-13 Pade approximant
-    ``r`` of ``exp(2^-s a)`` from :func:`matexp_root`, squared ``s`` times."""
-    r, s = matexp_root(a)
-    for _ in range(s):
-        r = r @ r
-    return r
+    ``r`` of ``exp(2^-s a)``, squared ``s`` times.
 
-
-def matexp_root(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """``(r, s)`` with ``exp(a) = r^(2^s)``: ``r`` is the degree-13 Pade approximant of ``exp(2^-s a)``.
-
-    This is the scaling step of Higham's scaling-and-squaring method (SIAM J.
-    Matrix Anal. Appl. 26(4), 2005) with the scaling ``s`` of Al-Mohy and
-    Higham (SIAM J. Matrix Anal. Appl. 31(3), 2009); see :func:`_pade13_scaling`.
-    The caller squares ``r`` or applies it ``2^s`` times, whichever is cheaper.
+    This is Higham's scaling-and-squaring method (SIAM J. Matrix Anal. Appl.
+    26(4), 2005) with the scaling ``s`` of Al-Mohy and Higham (SIAM J. Matrix
+    Anal. Appl. 31(3), 2009); see :func:`_pade13_scaling`.
     """
     a = _require_square(a)
     # sqrt(||a||_1 ||a||_inf) bounds the 2-norm from above without an SVD
@@ -240,7 +231,10 @@ def matexp_root(a: np.ndarray) -> tuple[np.ndarray, int]:
     total = np.add(v, u, out=odd)
     v -= u
     del u
-    return np.linalg.solve(v, total), s
+    r = np.linalg.solve(v, total)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
 # Numerator coefficients b_0..b_13 of the degree-13 Pade approximant (Higham 2005, eq. 2.3)

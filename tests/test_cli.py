@@ -228,7 +228,7 @@ def test_steps_flag_leaves_presets_untouched(tmp_path):
 def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
     prepared = ("check_conditions", "detect_group_structure", "normalize_lindblads", "sznagy_dilation")
     builders = ("series_trajectory", "build_series", "build_reduced_series", "build_tp_series")
-    generator = ("build_superoperator", "superoperator_parts")
+    generator = ("_shifted_generator", "build_superoperator", "superoperator_parts")
     calls = dict.fromkeys([*prepared, *builders, *generator], 0)
 
     def counted(name, func):
@@ -261,11 +261,12 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     kraus_method = method.startswith("kraus")
     want = {**dict.fromkeys(prepared, int(kraus_method)), **dict.fromkeys(builders, 0)}
     want["series_trajectory"] = int(kraus_method)
-    # the trotter method builds its hamiltonian-dissipator split once, on top of the
-    # oracle's generator: superoperator_parts calls build_superoperator, which calls
-    # superoperator_parts for the effective-jump parts
-    want["build_superoperator"] = 2 if method == "trotter" else 1
-    want["superoperator_parts"] = 3 if method == "trotter" else 1
+    # the oracle builds the parts of its matrix-free generator once; the trotter method
+    # builds its hamiltonian-dissipator split once: superoperator_parts calls
+    # build_superoperator, which calls superoperator_parts for the effective-jump parts
+    want["_shifted_generator"] = 1
+    want["build_superoperator"] = int(method == "trotter")
+    want["superoperator_parts"] = 2 if method == "trotter" else 0
     assert calls == want
 
 

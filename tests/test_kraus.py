@@ -210,6 +210,20 @@ def test_clock_operator_cubic_weight_is_exact():
     assert weights[(0, 0, 0)] == pytest.approx(want, rel=1e-14)
 
 
+def test_near_degenerate_cluster_keeps_each_vector_energy():
+    # energies 1 and 1 + 1e-8 form one cluster, which the dissipator's eigenvectors rotate; a
+    # one-ulp error in |w|^2 makes eigh swap the two vectors, so each must take its own energy
+    w = np.exp(2j * np.pi / 3)
+    model = lb.LindbladModel(np.diag([0.0, 1.0 + 1e-8, 1.0]).astype(complex), (np.diag([1, w, 1]),), (1.0,))
+    u, energies, _ = kraus.effective_spectrum(model)
+    assert np.abs((u * energies) @ u.conj().T - model.hamiltonian).max() < 1e-15
+    rho = QuantumState(np.ones(3) / np.sqrt(3)).density()
+    oracle = lb.exact_evolve(model, rho, 1.0)
+    reduced = kraus.apply_series(kraus.build_reduced_series(model, 1.0), rho)
+    assert trace_distance(reduced, oracle) < 1e-9
+    assert trace_distance(kraus.apply_factored_evolution(model, 1.0, rho), oracle) < 1e-9
+
+
 def test_gen_hyperbolic_validation():
     with pytest.raises(ValueError):
         kraus.gen_hyperbolic(2, 2, 1.0, 0.5)

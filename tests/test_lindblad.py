@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse
+import scipy.sparse.linalg
+from hypothesis import given, settings, strategies as st
 
 from kraussim import lindblad as lb
 from kraussim import models
@@ -138,15 +141,79 @@ def test_exact_trajectory_matches_pointwise_expm(rng, key, params):
             assert np.abs(lb.vectorize(state.matrix) - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("uses, factors", [(1, 8), (3, 8), (4, 4), (7, 2), (12, 2), (13, 1)])
-def test_propagator_squares_only_while_a_squaring_saves_mat_vecs(uses, factors):
-    # N = 64 and s = 3 at t = 3: one squaring costs an N x N matmul, counted as 0.2 N = 12.8 mat-vecs,
-    # and saves uses * 2^(s-1) mat-vecs
-    model = models.build_model("qho-damped", n_max=7).model
-    root, k = lb._propagator(model, 3.0, uses)
-    assert k == factors
-    want = matexp(3.0 * lb.build_superoperator(model))
-    assert np.abs(np.linalg.matrix_power(root, k) - want).max() < 1e-13
+@pytest.mark.parametrize("key", ["pauli-xx-zz", "schwinger-jz", "qho-damped", "qho-cat"])
+def test_shifted_generator_matches_the_dense_superoperator(rng, key):
+    # the matrix-free action is D - shift I with shift = tr(D) / d^2, and its norm bounds ||D - shift I||_1
+    model = models.build_model(key).model
+    dense = lb.build_superoperator(model)
+    gen = lb._shifted_generator(model)
+    assert gen.shift == pytest.approx(np.trace(dense).real / model.dim**2, abs=1e-12)
+    shifted = dense - gen.shift * np.eye(model.dim**2)
+    assert np.abs(shifted).sum(axis=0).max() <= gen.norm
+    x = np.stack([random_density(rng, model.dim) for _ in range(3)])
+    want = (shifted @ x.reshape(3, -1).T).T.reshape(x.shape)
+    assert np.abs(gen(x) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("scaled_norm, plan", [(0.0, (1, 1)), (2e-16, (1, 1)), (1.0, (18, 1)), (25.0, (50, 3))])
+def test_taylor_plan_minimises_the_number_of_actions(scaled_norm, plan):
+    # theta_18 = 1.09 is the first above 1; at 25 the cost m * ceil(25 / theta_m) is least at
+    # m = 50 (150 actions, against 165 at m = 55 and 180 at m = 45)
+    assert lb._taylor_plan(scaled_norm) == plan
+
+
+@pytest.mark.parametrize("steps, batch", [(17, 1), (18, 16)])
+def test_exact_trajectory_branches_agree(monkeypatch, rng, steps, batch):
+    # d = 4: a grid of steps - 1 <= d^2 = 16 carries the state from point to point (batches of 1);
+    # one more step builds the step map from the 16 basis matrices, one batch of 16
+    model = models.build_model("qho-damped").model
+    rho0 = random_density(rng, model.dim)
+    batches = []
+    propagate = lb._propagate
+
+    def recorded(gen, x, h):
+        batches.append(x.shape[0])
+        return propagate(gen, x, h)
+
+    monkeypatch.setattr(lb, "_propagate", recorded)
+    states = list(lb.exact_trajectory(model, rho0, 0.2, 2.0, steps))
+    assert max(batches) == batch
+    monkeypatch.setattr(lb, "_propagate", propagate)
+    for t, state in zip(np.linspace(0.2, 2.0, steps), states):
+        assert np.abs(state.matrix - lb.exact_evolve(model, rho0, t).matrix).max() < 1e-13
+
+
+@st.composite
+def random_models(draw):
+    """A random Hermitian H and 1-3 random non-normal jump operators on d = 2-6, drawn from one seed."""
+    dim = draw(st.integers(2, 6))
+    count = draw(st.integers(1, 3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    g = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    ops = tuple(gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim)) for _ in range(count))
+    gammas = tuple(gen.uniform(0.05, 1.0, size=count))
+    return lb.LindbladModel((g + g.conj().T) / 4, ops, gammas)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=random_models(), seed=st.integers(0, 2**31 - 1), stop=st.floats(0.0, 2.0), steps=st.integers(1, 40))
+def test_exact_trajectory_matches_dense_expm_on_random_models(model, seed, stop, steps):
+    rho0 = random_density(np.random.default_rng(seed), model.dim)
+    generator = lb.build_superoperator(model)
+    states = list(lb.exact_trajectory(model, rho0, 0.0, stop, steps))
+    for t, state in zip(np.linspace(0.0, stop, steps), states):
+        want = matexp(t * generator) @ lb.vectorize(rho0)
+        assert np.abs(lb.vectorize(state.matrix) - want).max() < 1e-12
+
+
+def test_exact_trajectory_matches_scipy_expm_multiply_at_n_max_31(rng):
+    model = models.build_model("qho-damped", n_max=31).model
+    rho0 = random_density(rng, model.dim)
+    generator = scipy.sparse.csr_matrix(lb.build_superoperator(model))
+    want = scipy.sparse.linalg.expm_multiply(generator, lb.vectorize(rho0), start=0.0, stop=3.0, num=9)
+    states = list(lb.exact_trajectory(model, rho0, 0.0, 3.0, 9))
+    for state, vec in zip(states, want):
+        assert np.abs(lb.vectorize(state.matrix) - vec).max() < 1e-12
 
 
 def test_trotter_commuting_split_is_exact():
