@@ -592,10 +592,10 @@ def execute_series_tomography(
             frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
         diagnostics.append(
             {
-                "order": term.order,
-                "indices": list(term.indices),
-                "weight": term.weight,
-                "survival": survival,
+                "order": int(term.order),
+                "indices": [int(k) for k in term.indices],
+                "weight": float(term.weight),
+                "survival": float(survival),
             }
         )
     return tomography(frequencies), diagnostics

@@ -2,7 +2,9 @@
 
 One JSON config describes an experiment: model, initial state, time grid,
 execution method, mitigation chain and requested outputs.  Records stream
-per time step so long grids never hold every density matrix at once.
+per time step so long grids never hold every density matrix at once: the
+matrices go to one binary ``states.npy``, the per-step diagnostics to
+``run.json`` and the scalar columns to ``trajectory.csv``.
 Exit codes: 0 success, 2 config/validation error, 3 numerical-check failure.
 """
 
@@ -280,7 +282,7 @@ def _run_method(
             if config.method == "kraus":
                 out = kraus.apply_series(series, rho0)
                 diags = [
-                    {"order": term.order, "indices": list(term.indices), "weight": term.weight}
+                    {"order": int(term.order), "indices": [int(k) for k in term.indices], "weight": float(term.weight)}
                     for term in series.terms
                 ]
                 yield out.matrix, diags, bound
@@ -418,24 +420,33 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         )
 
 
-def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path) -> None:
-    """Stream each record to the output tree; deterministic layout.
+def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: int) -> None:
+    """Stream each of the ``steps`` records to the output tree; deterministic layout.
 
     ``trajectory.csv`` gets one row per record under a header taken from the
-    first, ``states.json`` one document per record, and ``fields/`` one
-    float64 ``stepNNN_<name>.npy`` per field with the grid axes saved once
-    as ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).  If a
-    record raises, the files written so far are removed and the error re-raised.
+    first.  ``states.npy`` is one complex128 array of shape ``(steps, 2, d,
+    d)`` in C order, ``[:, 0]`` raw and ``[:, 1]`` mitigated: its NPY header
+    is written with the first record and each record appends its two
+    matrices.  ``run.json`` is one object ``{"steps": [...]}`` with an entry
+    ``{"t", "diagnostics"}`` per record.  ``fields/`` gets one float64
+    ``stepNNN_<name>.npy`` per field with the grid axes saved once as
+    ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).  If a
+    record raises, or the records are not ``steps`` in number, the files
+    written so far are removed and the error raised.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fields_dir = outdir / "fields"
-    written = [outdir / "states.json", outdir / "trajectory.csv"]
+    written = [outdir / "states.npy", outdir / "run.json", outdir / "trajectory.csv"]
     try:
-        with written[0].open("w") as states_file, written[1].open("w", newline="") as table_file:
+        with (
+            written[0].open("wb") as states_file,
+            written[1].open("w") as run_file,
+            written[2].open("w", newline="") as table_file,
+        ):
             table = csv.writer(table_file)
-            states_file.write("[\n")
-            first = True
+            run_file.write('{"steps": [\n')
+            count = 0
             for record in records:
                 row = {
                     "t": record.t,
@@ -443,9 +454,12 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path) -> None
                     "entropy": record.entropy,
                     **record.observables,
                 }
-                doc = {"t": record.t, "raw": record.raw, "mitigated": record.mitigated, "diagnostics": record.diagnostics}
-                if first:
+                if count == 0:
                     table.writerow(row)
+                    dim = record.raw.shape[0]
+                    descr = np.lib.format.dtype_to_descr(np.dtype(np.complex128))
+                    header = {"descr": descr, "fortran_order": False, "shape": (steps, 2, dim, dim)}
+                    np.lib.format.write_array_header_1_0(states_file, header)
                     if record.fields:
                         fields_dir.mkdir(exist_ok=True)
                         grid = analysis.default_grid()
@@ -453,14 +467,18 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path) -> None
                             written.append(fields_dir / f"{name}.npy")
                             np.save(written[-1], axis)
                 else:
-                    states_file.write(",\n")
+                    run_file.write(",\n")
                 table.writerow([repr(float(value)) for value in row.values()])
-                states_file.write(json.dumps(to_doc(doc), sort_keys=True))
+                for matrix in (record.raw, record.mitigated):
+                    states_file.write(np.ascontiguousarray(matrix, dtype=np.complex128).tobytes())
+                run_file.write(json.dumps({"t": record.t, "diagnostics": record.diagnostics}, sort_keys=True))
                 for name, data in record.fields.items():
                     written.append(fields_dir / f"step{record.index:03d}_{name}.npy")
                     np.save(written[-1], data)
-                first = False
-            states_file.write("\n]\n")
+                count += 1
+            if count != steps:
+                raise ValueError(f"expected {steps} records, got {count}")
+            run_file.write("\n]}\n")
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
@@ -550,7 +568,7 @@ def _cmd_experiment(args) -> int:
             checks.append((record.t, record.check_distance, bound))
             yield record
 
-    emit_report(checked(run_experiment(config)), args.out)
+    emit_report(checked(run_experiment(config)), args.out, config.steps)
     if config.check:
         # the step with the least slack; when every bound is infinite, the largest distance
         t, distance, bound = max(checks, key=lambda check: (check[1] - check[2], check[1]))

@@ -296,20 +296,28 @@ def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> Gro
 
     Looks for the smallest ``l <= dim`` with ``L^l`` proportional to the
     identity (theta = |c|^2) or zero (theta = 0), and verifies pairwise
-    commutation up to a phase.  Returns None when any operator lacks the
-    structure; absence is a valid outcome, not an error.  ``unit_norm=True``
-    skips normalizing operators that already have unit norm.
+    commutation up to a phase.  ``L^l`` counts as zero only at rounding
+    level: when no entry exceeds ``l * dim * eps`` times the smaller of 1
+    (the norm of the unit-norm power) and the largest entry of ``|L|^l``
+    (the entrywise scale of its rounding error).  So a small but exactly
+    formed power, such as the 63rd of the unit-norm ladder operator at
+    d = 64 (largest entry 9e-14), is kept.  Returns None when any operator
+    lacks the structure; absence is a valid outcome, not an error.
+    ``unit_norm=True`` skips normalizing operators that already have unit norm.
     """
     norm_model = model if unit_norm else normalize_lindblads(model)
     dim = norm_model.dim
+    eps = np.finfo(float).eps
     periods: list[int] = []
     thetas: list[float] = []
     for op in norm_model.lindblads:
         power = np.eye(dim, dtype=complex)
+        abs_op, abs_power = np.abs(op), np.eye(dim)  # |L| and |L|^l
         found = False
         for ell in range(1, dim + 1):
             power = power @ op
-            if np.abs(power).max() < GROUP_DETECT_TOL:
+            abs_power = abs_power @ abs_op
+            if np.abs(power).max() <= ell * dim * eps * min(1.0, abs_power.max()):
                 periods.append(ell)
                 thetas.append(0.0)
                 found = True
@@ -397,15 +405,20 @@ def series_trajectory(
     for t in ts:
         t_op = effective_evolution(prep, t)
         f_t = f_of_t(prep.report.alpha, t)
-        if variant == "reduced":
-            # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
-            roots = [
-                [math.sqrt(gen_hyperbolic(ell, m, theta, g * f_t)) for m in range(ell)]
-                for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
-            ]
-            weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for _, _, powers in table]
-        else:
-            weights = [scale * math.sqrt(f_t ** len(indices)) for indices, _, scale in table]
+        try:
+            if variant == "reduced":
+                # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
+                roots = [
+                    [math.sqrt(gen_hyperbolic(ell, m, theta, g * f_t)) for m in range(ell)]
+                    for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
+                ]
+                weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for _, _, powers in table]
+            else:
+                weights = [scale * math.sqrt(f_t ** len(indices)) for indices, _, scale in table]
+        except OverflowError:  # a float power overflows with an exception, not with inf
+            weights = [math.inf]
+        if not all(math.isfinite(weight) for weight in weights):
+            raise _weight_overflow(t, max(work.gammas) * f_t)
         terms = tuple(
             KrausTerm(len(indices), indices, weight, t_op @ product)
             for weight, (indices, product, _) in zip(weights, table)
@@ -444,10 +457,24 @@ def _require_abelian(prep: PreparedModel) -> None:
         raise ConditionError("factored evolution requires a uniform dissipator spectrum")
 
 
+def _weight_overflow(t: float, x: float) -> ConditionError:
+    """The refusal of a point whose series weights left the float range."""
+    return ConditionError(
+        f"Kraus weights overflow at t={t:.6g}: gamma*f(t) = {x:.6g} puts exp(gamma*f(t)) beyond the float range"
+    )
+
+
 def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
-    """Probability weights ``e^{-g t} F_{l,m}(g t)`` of one abelian factor."""
+    """Probability weights ``e^{-g t} F_{l,m}(g t)`` of one abelian factor.
+
+    Past ``g t`` of about 709, ``F`` overflows to inf while ``e^{-g t}``
+    underflows to 0: a :class:`ConditionError` names the point.
+    """
     x = work_gamma * t
-    return np.array([math.exp(-x) * gen_hyperbolic(period, m, 1.0, x) for m in range(period)])
+    weights = np.array([math.exp(-x) * gen_hyperbolic(period, m, 1.0, x) for m in range(period)])
+    if not np.isfinite(weights).all():
+        raise _weight_overflow(t, x)
+    return weights
 
 
 def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> DensityMatrix:

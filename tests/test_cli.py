@@ -192,7 +192,7 @@ def test_experiment_preset_check_passes(tmp_path, capsys):
         "experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "out"
     ]) == 0
     assert (tmp_path / "out" / "trajectory.csv").exists()
-    assert (tmp_path / "out" / "states.json").exists()
+    assert (tmp_path / "out" / "states.npy").exists()
     rows = (tmp_path / "out" / "trajectory.csv").read_text().splitlines()
     assert rows[0].split(",")[:3] == ["t", "fidelity", "entropy"]
     assert len(rows) == 22
@@ -346,7 +346,8 @@ def test_non_finite_oracle_state_fails_the_check(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(cli, "exact_trajectory", corrupted)
     assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
     assert "non-finite state at t=0.5" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "states.json").exists()
+    assert not (tmp_path / "o" / "states.npy").exists()
+    assert not (tmp_path / "o" / "run.json").exists()
 
 
 def test_cli_import_leaves_scipy_out():
@@ -384,20 +385,32 @@ def test_experiment_condition_failure_exit_code(tmp_path):
         )
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 3
-    assert not (tmp_path / "o" / "states.json").exists()
+    assert not (tmp_path / "o" / "states.npy").exists()
+    assert not (tmp_path / "o" / "run.json").exists()
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
-def test_emit_report_removes_partial_outputs(tmp_path):
+def _one_qubit_record():
     mat = np.eye(2) / 2
-    record = cli.TrajectoryRecord(0, 0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros((3, 3))}, 0.0, 0.0)
+    return cli.TrajectoryRecord(0, 0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros((3, 3))}, 0.0, 0.0)
 
+
+def test_emit_report_removes_partial_outputs(tmp_path):
     def records():
-        yield record
+        yield _one_qubit_record()
         raise RuntimeError("step 1 failed")
 
     with pytest.raises(RuntimeError, match="step 1 failed"):
-        cli.emit_report(records(), tmp_path / "out")
+        cli.emit_report(records(), tmp_path / "out", 2)
+    assert not (tmp_path / "out" / "states.npy").exists()
+    assert not (tmp_path / "out" / "run.json").exists()
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+
+
+def test_emit_report_refuses_fewer_records_than_steps(tmp_path):
+    # the states.npy header announces `steps` records, so a short stream must leave no file
+    with pytest.raises(ValueError, match="expected 3 records, got 1"):
+        cli.emit_report(iter([_one_qubit_record()]), tmp_path / "out", 3)
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 
 
@@ -439,7 +452,7 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
         return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
 
     files = tree(tmp_path / "a")
-    assert len(files) == 7 and tree(tmp_path / "b") == files
+    assert len(files) == 8 and tree(tmp_path / "b") == files
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -495,6 +508,87 @@ def test_experiment_field_outputs(tmp_path):
         assert np.trapezoid(position, x) == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(momentum, p) == pytest.approx(1.0, abs=1e-6)
         assert np.trapezoid(np.trapezoid(wigner, p, axis=1), x) == pytest.approx(1.0, abs=1e-6)
+
+
+def _write_config(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+NOISY_KRAUS_CONFIG = {
+    "model": "pauli-xx-zz",
+    "state": "pauli-xx-zz",
+    "time": {"start": 0.0, "stop": 1.0, "steps": 4},
+    "method": "kraus",
+    "noise": {"kind": "qdc", "lambda": 0.1},
+    "mitigation": "qdc",
+    "outputs": ["populations"],
+}
+
+
+def test_states_npy_holds_each_records_raw_and_mitigated_matrix(tmp_path):
+    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(NOISY_KRAUS_CONFIG)))
+    assert run(["experiment", "--config", _write_config(tmp_path, NOISY_KRAUS_CONFIG), "--out", tmp_path / "o"]) == 0
+    states = np.load(tmp_path / "o" / "states.npy")
+    assert states.dtype == np.complex128 and states.shape == (4, 2, 4, 4)
+    want = np.stack([np.stack([record.raw, record.mitigated]) for record in records]).astype(np.complex128)
+    assert states.tobytes() == want.tobytes()
+    assert not np.array_equal(states[:, 0], states[:, 1])  # the noise and its inversion both show
+
+
+@pytest.mark.parametrize(
+    "method, extra",
+    [("kraus", {}), ("kraus-circuit-shots", {"shots": 64, "seed": 3})],
+    ids=["kraus", "kraus-circuit-shots"],
+)
+def test_run_json_has_one_entry_per_trajectory_row(tmp_path, method, extra):
+    doc = {
+        "model": "qho-damped",
+        "state": "qho-oscillating",
+        "time": {"start": 0.0, "stop": 1.0, "steps": 3},
+        "method": method,
+        "order": 3,
+        **extra,
+    }
+    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "o"]) == 0
+    steps = json.loads((tmp_path / "o" / "run.json").read_text())["steps"]
+    rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]
+    assert len(steps) == len(rows) == 3
+    keys = {"order", "indices", "weight"} | ({"survival"} if method == "kraus-circuit-shots" else set())
+    for entry, row, record in zip(steps, rows, records):
+        assert set(entry) == {"t", "diagnostics"}
+        assert entry["t"] == float(row.split(",")[0]) == record.t
+        assert entry["diagnostics"] == record.diagnostics and entry["diagnostics"]
+        for term in entry["diagnostics"]:
+            assert set(term) == keys
+
+
+def test_kraus_rerun_is_byte_identical(tmp_path):
+    cfg = _write_config(tmp_path, NOISY_KRAUS_CONFIG)
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "a"]) == 0
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "b"]) == 0
+    names = sorted(path.name for path in (tmp_path / "a").iterdir())
+    assert names == ["run.json", "states.npy", "trajectory.csv"]
+    assert sorted(path.name for path in (tmp_path / "b").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("series, method", [("reduced", "kraus"), ("factored", "kraus"), ("factored", "kraus-circuit")])
+def test_series_weight_overflow_exits_3(tmp_path, capsys, series, method):
+    # gamma*f(t) = 800 at the last point: exp(800) is beyond the float range
+    doc = {
+        "model": "pauli-xx-zz",
+        "state": "pauli-xx-zz",
+        "time": {"stop": 800, "steps": 3},
+        "method": method,
+        "series": series,
+    }
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "o"]) == 3
+    assert "Kraus weights overflow at t=800: gamma*f(t) = 800" in capsys.readouterr().err
+    assert not [path for path in (tmp_path / "o").rglob("*") if path.is_file()]
 
 
 def test_kraus_subcommand(tmp_path, capsys):

@@ -343,6 +343,43 @@ def test_reduced_series_matches_truncated_for_nilpotent(qho_spec, initial_states
     assert trace_distance(a, b) < 1e-12
 
 
+def test_nilpotency_of_a_small_but_exact_power_is_not_assumed():
+    # the unit-norm ladder operator at d = 64 has a^59 ~ 7.6e-11 and a^63 ~ 9e-14, both
+    # formed exactly; only a^64 vanishes, so auto keeps orders 59-63 and matches the oracle
+    model = models.build_model("qho-damped", n_max=63).model
+    assert kraus.detect_group_structure(model).periods == (64,)
+    rho0 = random_density(np.random.default_rng(63), model.dim)
+    oracle = list(lb.exact_trajectory(model, rho0, 0.0, 2.0, 2))[-1]
+    series = kraus.build_series(model, 2.0, "auto", 0)
+    assert series.truncation_order == 63 and series.tail_bound == 0.0
+    assert trace_distance(kraus.apply_series(series, rho0), oracle) < 1e-9
+
+
+def test_rotated_nilpotent_is_detected_at_rounding_level():
+    # in a random basis a^(n_max+1) is rounding residue, not an exact zero
+    # (so neither test alone, |P| against |L|^l or against the unit norm, can be dropped)
+    a = models.build_model("qho-damped", n_max=31).model.lindblads[0]
+    q = np.linalg.qr(random_state(np.random.default_rng(0), 1024).reshape(32, 32))[0]
+    model = lb.LindbladModel(np.zeros((32, 32)), (q @ a @ q.conj().T,), (1.0,))
+    assert kraus.detect_group_structure(model) == kraus.GroupStructure((32,), (0.0,))
+
+
+def test_series_weight_overflow_is_a_condition_error(pauli_spec):
+    x_model = lb.LindbladModel(np.zeros((2, 2)), (PAULI["X"],), (1.0,))
+    cases = [
+        (pauli_spec.model, "reduced", 0),
+        (x_model, "truncated", 120),  # 800^120 overflows a float power
+    ]
+    for model, variant, order in cases:
+        trajectory = kraus.series_trajectory(model, [1.0, 800.0], variant, order)
+        next(trajectory)
+        with pytest.raises(kraus.ConditionError, match="overflow at t=800"):
+            next(trajectory)
+    assert np.isfinite(kraus.factor_weights(1.0, 2, 700.0)).all()
+    with pytest.raises(kraus.ConditionError, match="overflow at t=800"):
+        kraus.factor_weights(1.0, 2, 800.0)
+
+
 def test_prepare_returns_a_prepared_model_unchanged(pauli_spec):
     prep = kraus.prepare(pauli_spec.model)
     assert kraus.prepare(prep) is prep
