@@ -9,12 +9,10 @@ full-rank state drawn from ``SEED`` over ``POINTS`` grid points from 0 to
 ``STOP``.  The oracle is ``lindblad.exact_trajectory``; the series side is
 ``kraus.prepare``, ``kraus.series_trajectory`` at ``auto`` and order
 ``n_max`` (the damped mode's series ends there) and ``kraus.apply_series``
-at each point.  Where ``N = d^2 <= DENSE_MAX_N``, the oracle is compared
-with the dense path, ``exp(dt D)`` from ``matkernel.matexp`` applied as one
-mat-vec per point.  The last line of standard output is one JSON object
+at each point.  The last line of standard output is one JSON object
 with, per size, the median wall time of ``REPEATS`` runs of each side, the
-``tracemalloc`` peak of one more run of each, the largest entry gap between
-the series and the oracle, and the dense-path gap.  Point ``PYTHONPATH`` at
+``tracemalloc`` peak of one more run of each and the largest entry gap
+between the series and the oracle.  Point ``PYTHONPATH`` at
 another checkout's ``src`` to measure that tree with the same inputs.
 """
 
@@ -28,14 +26,12 @@ import tracemalloc
 import numpy as np
 
 from kraussim import kraus, lindblad, models
-from kraussim.matkernel import matexp
 
 N_MAX = (3, 7, 11, 15, 23, 31, 39, 47, 63)
 POINTS = 9
 STOP = 2.0
 REPEATS = 3
 SEED = 0
-DENSE_MAX_N = 1024
 
 
 def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -70,17 +66,6 @@ def timed(func, *args) -> tuple[float, list[float], float, list[np.ndarray]]:
     return statistics.median(times), times, peak / 2**20, out
 
 
-def dense_gap(model, rho0, states: list[np.ndarray]) -> float:
-    step = matexp((STOP / (POINTS - 1)) * lindblad.build_superoperator(model))
-    vec = lindblad.vectorize(rho0)
-    gap = 0.0
-    for index, state in enumerate(states):
-        if index:
-            vec = step @ vec
-        gap = max(gap, float(np.abs(lindblad.vectorize(state) - vec).max()))
-    return gap
-
-
 def measure(n_max: int) -> dict:
     model = models.build_model("qho-damped", n_max=n_max).model
     rho0 = random_density(np.random.default_rng([SEED, n_max]), model.dim)
@@ -95,7 +80,6 @@ def measure(n_max: int) -> dict:
         "series_s_all": series_all,
         "series_tracemalloc_peak_mb": series_peak,
         "series_gap": max(float(np.abs(a - b).max()) for a, b in zip(series, oracle)),
-        "dense_gap": dense_gap(model, rho0, oracle) if model.dim**2 <= DENSE_MAX_N else None,
     }
 
 
@@ -103,11 +87,10 @@ def main() -> int:
     results = {}
     for n_max in N_MAX:
         results[n_max] = row = measure(n_max)
-        dense = "not run" if row["dense_gap"] is None else f"{row['dense_gap']:.1e}"
         print(
             f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB), "
             f"series {row['series_s']:.4f} s ({row['series_tracemalloc_peak_mb']:.2f} MB), "
-            f"series gap {row['series_gap']:.1e}, dense gap {dense}",
+            f"series gap {row['series_gap']:.1e}",
             flush=True,
         )
     print(json.dumps({"points": POINTS, "stop": STOP, "repeats": REPEATS, "seed": SEED, "sizes": results}))

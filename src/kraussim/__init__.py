@@ -17,7 +17,6 @@ from .matkernel import (
     QuantumState,
     fidelity,
     herm_eig,
-    matexp,
     psd_sqrt,
     trace_distance,
     von_neumann_entropy,
@@ -25,7 +24,6 @@ from .matkernel import (
 from .lindblad import (
     ConditionReport,
     LindbladModel,
-    build_superoperator,
     check_conditions,
     effective_hamiltonian,
     exact_evolve,
@@ -65,7 +63,6 @@ __all__ = [
     "apply_series",
     "build_reduced_series",
     "build_series",
-    "build_superoperator",
     "build_tp_series",
     "check_conditions",
     "detect_group_structure",
@@ -77,7 +74,6 @@ __all__ = [
     "fidelity",
     "gen_hyperbolic",
     "herm_eig",
-    "matexp",
     "normalize_lindblads",
     "prepare",
     "psd_sqrt",

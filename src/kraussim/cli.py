@@ -578,7 +578,13 @@ def _cmd_experiment(args) -> int:
                 file=sys.stderr,
             )
             return 3
-        print(f"check passed: least slack at t={t:.6g}, trace distance {distance:.3e} <= bound {bound:.3e}")
+        if bound == np.inf:
+            print(
+                f"check cannot fail: no finite bound exists for method {config.method}; "
+                f"largest trace distance {distance:.3e} at t={t:.6g}"
+            )
+        else:
+            print(f"check passed: least slack at t={t:.6g}, trace distance {distance:.3e} <= bound {bound:.3e}")
     return 0
 
 

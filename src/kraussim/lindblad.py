@@ -1,18 +1,19 @@
-"""Lindblad model definition, commutation-condition checks and exact oracles.
+"""Lindblad model definition, commutation-condition checks and reference integrators.
 
-The exact oracle applies the generator to d x d matrices,
-``rho -> -i H_eff rho + i rho H_eff^dag + sum_n gamma_n L_n rho L_n^dag``, and
-never forms it as a matrix.  The dense superoperator, acting on the row-major
-vectorized density matrix ``vec(rho)[i * dim + j] = rho[i, j]``, is built only
-for the product-formula integrator.  All evolution routines here are
-reference oracles; the production path lives in :mod:`kraussim.kraus`.
+Every evolution here applies a generator of Lindblad form to d x d matrices,
+``X -> A X + X A^dag + sum_k J_k X J_k^dag``, and propagates it with one
+truncated Taylor series (:func:`_propagate`); no dim^2 x dim^2 superoperator
+is formed.  The exact oracle takes ``A = -i H_eff`` and ``J_k = sqrt(gamma_k) L_k``;
+the product-formula integrator splits that generator into two of the same
+form.  All evolution routines here are reference oracles; the production
+path lives in :mod:`kraussim.kraus`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -20,13 +21,13 @@ from .matkernel import (
     DensityMatrix,
     classify_density,
     hermiticity_defect,
-    matexp,
     _as_matrix,
     _onenorm,
     _require_square,
 )
 
 COMMUTATOR_TOL = 1e-10
+PROPAGATE_NORM_LIMIT = 1e5
 CONSTANT_RESIDUAL_TOL = 1e-8
 F_KIND_LINEAR = "linear"
 F_KIND_SATURATING = "saturating"
@@ -176,15 +177,6 @@ def check_conditions(model: LindbladModel) -> ConditionReport:
     )
 
 
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Row-major vectorization."""
-    return np.asarray(rho, dtype=complex).reshape(-1)
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(vec, dtype=complex).reshape(dim, dim)
-
-
 def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
     """Non-Hermitian generator ``H - (i/2) sum_n gamma_n L_n^dag L_n``."""
     h_eff = model.hamiltonian.astype(complex)
@@ -193,68 +185,31 @@ def effective_hamiltonian(model: LindbladModel) -> np.ndarray:
     return h_eff
 
 
-def build_superoperator(model: LindbladModel) -> np.ndarray:
-    """Dense dim^2 x dim^2 generator acting on the row-major vectorization."""
-    flow, jumps = superoperator_parts(model, SPLIT_EFFECTIVE_JUMP)
-    flow += jumps
-    return flow
-
-
-def superoperator_parts(model: LindbladModel, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """Split the generator for product-formula integration.
-
-    ``hamiltonian-dissipator`` separates the commutator term from the full
-    dissipator.  ``effective-jump`` separates the non-Hermitian effective
-    Hamiltonian flow from the jump term ``sum_n gamma_n L rho L^dag``; unlike
-    the first split it does not commute with its complement on a damped
-    bosonic mode, which makes it the right probe of product-formula error.
-    """
-    eye = np.eye(model.dim, dtype=complex)
-    if split == SPLIT_HAMILTONIAN_DISSIPATOR:
-        h = model.hamiltonian
-        d1 = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-        return d1, build_superoperator(model) - d1
-    if split == SPLIT_EFFECTIVE_JUMP:
-        h_eff = effective_hamiltonian(model)
-        d1 = -1j * (np.kron(h_eff, eye) - np.kron(eye, h_eff.conj()))
-        d2 = np.zeros((model.dim**2, model.dim**2), dtype=complex)
-        for op, g in zip(model.lindblads, model.gammas):
-            d2 += g * np.kron(op, op.conj())
-        return d1, d2
-    raise ValueError(f"unknown split {split!r}")
+def _weighted_jumps(model: LindbladModel) -> np.ndarray:
+    """``J_k = sqrt(gamma_k) L_k`` as a ``(k, dim, dim)`` stack, empty for a model without jumps."""
+    jumps = [np.sqrt(g) * op for op, g in zip(model.lindblads, model.gammas)]
+    return np.array(jumps, dtype=complex).reshape(-1, model.dim, model.dim)
 
 
 def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[DensityMatrix]:
     """Yield the exact state at each point of ``np.linspace(start, stop, steps)``.
 
-    The state is propagated by the truncated Taylor series of
-    :func:`_propagate`, which applies the generator to d x d matrices and never
-    forms the dim^2 x dim^2 ``D``.  It is carried to ``start`` and then from
-    point to point, unless the grid has more steps than the basis has
-    matrices (``steps - 1 > dim^2``): then the dim^2 basis matrices are
-    propagated over one step as a single batch, which gives the step map
-    ``exp(dt D)``, and each point takes one mat-vec with it.
+    The state is propagated by :func:`_propagate` to ``start`` and then from
+    point to point, each step in the form that :func:`_repeated` picks for
+    ``steps - 1`` repeats.
     """
     if start < 0 or stop < start or steps < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
     rho = _as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
         raise ValueError("state dimension does not match the model")
-    gen = _shifted_generator(model)
+    gen = _shifted_generator(-1j * effective_hamiltonian(model), _weighted_jumps(model))
     state = _propagate(gen, rho[np.newaxis], start)
     dt = (stop - start) / (steps - 1) if steps > 1 else 0.0
-    n = model.dim**2
-    step_map = None
-    if steps - 1 > n:
-        # row k is vec(exp(dt D) E_k) for the k-th basis matrix E_k, so vec @ step_map = exp(dt D) vec
-        basis = np.eye(n, dtype=complex).reshape(n, model.dim, model.dim)
-        step_map = _propagate(gen, basis, dt).reshape(n, n)
+    step = _repeated(lambda x: _propagate(gen, x, dt), model.dim, steps - 1)
     for index in range(steps):
         if index:
-            if step_map is None:
-                state = _propagate(gen, state, dt)
-            else:
-                state = (state.reshape(-1) @ step_map).reshape(state.shape)
+            state = step(state)
         yield classify_density(state[0])
 
 
@@ -262,10 +217,10 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
 class _ShiftedGenerator:
     """``D - shift I`` applied to d x d matrices: ``X -> A X + X A^dag + sum_k J_k X J_k^dag``.
 
-    ``A = -i H_eff - (shift / 2) I`` and ``J_k = sqrt(gamma_k) L_k``.  The
-    shift is the mean eigenvalue ``tr(D) / dim^2``, which the Taylor
-    propagation multiplies back in as ``exp(shift h)``; ``norm`` bounds
-    ``||D - shift I||_1`` from above.
+    ``A = a - (shift / 2) I`` for the unshifted part ``a`` of
+    :func:`_shifted_generator`.  The shift is the mean eigenvalue
+    ``tr(D) / dim^2``, which the Taylor propagation multiplies back in as
+    ``exp(shift h)``; ``norm`` bounds ``||D - shift I||_1`` from above.
     """
 
     a: np.ndarray
@@ -283,23 +238,57 @@ class _ShiftedGenerator:
         return out
 
 
-def _shifted_generator(model: LindbladModel) -> _ShiftedGenerator:
-    """The parts of :class:`_ShiftedGenerator`, built once per grid.
+def _shifted_generator(a: np.ndarray, jumps: np.ndarray) -> _ShiftedGenerator:
+    """The :class:`_ShiftedGenerator` of ``D: X -> a X + X a^dag + sum_k J_k X J_k^dag``, built once per grid.
 
-    ``tr(D) = 2 dim Re tr(-i H_eff) + sum_k |tr J_k|^2``, and
+    ``jumps`` is the ``(k, d, d)`` stack of the ``J_k`` and may be empty.
+    ``tr(D) = 2 dim Re tr(a) + sum_k |tr J_k|^2``, and
     ``||D - shift I||_1 <= 2 ||A||_1 + sum_k ||J_k||_1^2``, since
     ``||A (x) I||_1 = ||A||_1`` and ``||J (x) J^*||_1 = ||J||_1^2``.
     """
-    dim = model.dim
-    a = -1j * effective_hamiltonian(model)
-    jumps = np.array([np.sqrt(g) * op for op, g in zip(model.lindblads, model.gammas)], dtype=complex)
-    jumps = jumps.reshape(-1, dim, dim)
+    dim = a.shape[0]
+    a = np.array(a, dtype=complex)
     traces = np.trace(jumps, axis1=1, axis2=2)
     shift = 2.0 * float(np.trace(a).real) / dim + float(np.sum(np.abs(traces) ** 2)) / dim**2
     a.flat[:: dim + 1] -= shift / 2
     jump_norms = np.abs(jumps).sum(axis=1).max(axis=1)
     norm = 2.0 * _onenorm(a) + float(np.sum(jump_norms**2))
     return _ShiftedGenerator(a, a.conj().T, jumps, jumps.conj().transpose(0, 2, 1), shift, norm)
+
+
+def _split_generators(model: LindbladModel, split: str) -> tuple[_ShiftedGenerator, _ShiftedGenerator]:
+    """The two parts ``D1, D2`` of the generator for product-formula integration.
+
+    ``hamiltonian-dissipator`` separates the commutator term from the full
+    dissipator.  ``effective-jump`` separates the non-Hermitian effective
+    Hamiltonian flow from the jump term ``sum_n gamma_n L rho L^dag``; unlike
+    the first split it does not commute with its complement on a damped
+    bosonic mode, which makes it the right probe of product-formula error.
+    """
+    jumps = _weighted_jumps(model)
+    a = -1j * effective_hamiltonian(model)
+    if split == SPLIT_HAMILTONIAN_DISSIPATOR:
+        flow = -1j * model.hamiltonian
+        return _shifted_generator(flow, jumps[:0]), _shifted_generator(a - flow, jumps)
+    if split == SPLIT_EFFECTIVE_JUMP:
+        return _shifted_generator(a, jumps[:0]), _shifted_generator(np.zeros_like(a), jumps)
+    raise ValueError(f"unknown split {split!r}")
+
+
+def _repeated(apply: Callable[[np.ndarray], np.ndarray], dim: int, repeats: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The linear map ``apply`` on ``(b, dim, dim)`` stacks, in the form to take ``repeats`` times.
+
+    Up to ``dim^2`` repeats that is ``apply`` itself.  Beyond, the dim^2 basis
+    matrices go through ``apply`` once as a single batch, which gives its
+    matrix, and each repeat is one mat-vec with it.
+    """
+    n = dim**2
+    if repeats <= n:
+        return apply
+    # row k is vec(apply(E_k)) for the k-th basis matrix E_k, so vec(x) @ matrix = vec(apply(x))
+    basis = np.eye(n, dtype=complex).reshape(n, dim, dim)
+    matrix = apply(basis).reshape(n, n)
+    return lambda x: (x.reshape(-1) @ matrix).reshape(x.shape)
 
 
 # theta_m of Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
@@ -331,10 +320,16 @@ def _propagate(gen: _ShiftedGenerator, x: np.ndarray, h: float) -> np.ndarray:
     :func:`_shifted_generator` in place of its norm estimates: ``s`` substeps,
     each a degree-``m`` Taylor polynomial of ``exp(h (D - shift I) / s)`` that
     stops once two consecutive terms are below the unit roundoff relative to
-    the partial sum, times ``exp(shift h / s)``.
+    the partial sum, times ``exp(shift h / s)``.  A step whose ``h * gen.norm``
+    exceeds ``PROPAGATE_NORM_LIMIT``, which would take over 1e4 substeps, is refused.
     """
     if h == 0.0:
         return x
+    if h * gen.norm > PROPAGATE_NORM_LIMIT:
+        raise ValueError(
+            f"evolution time {h:.6g} is too long for one step: its product {h * gen.norm:.3g} with the "
+            f"generator norm bound exceeds {PROPAGATE_NORM_LIMIT:g}; use a shorter time span or more steps"
+        )
     m, s = _taylor_plan(h * gen.norm)
     scale = math.exp(gen.shift * h / s)
     for _ in range(s):
@@ -365,26 +360,30 @@ def trotter_trajectory(
     """Second-order product-formula reference integrator over a time grid.
 
     Yields, for each ``t`` of ``ts``, ``[exp(dt/2 D1) exp(dt D2) exp(dt/2 D1)]^steps``
-    applied to ``rho0`` with ``dt = t / steps``.  The split ``D1, D2`` is built
-    once; each point takes its own two exponentials.  This is a
-    cross-validation path, not the production solver; the output is flagged
-    raw for the non-trace-preserving split.
+    applied to ``rho0`` with ``dt = t / steps``.  The split of :func:`_split_generators`
+    is built once; each exponential is one :func:`_propagate` call, and each point's
+    stage takes the form that :func:`_repeated` picks for ``steps`` repeats.  This is
+    a cross-validation path, not the production solver; the output is flagged raw
+    for the non-trace-preserving split.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    vec0 = vectorize(_as_matrix(rho0))
-    d1, d2 = superoperator_parts(model, split)
+    rho = _as_matrix(rho0)[np.newaxis]
+    first, second = _split_generators(model, split)
     for t in ts:
         if t < 0:
             raise ValueError("evolution time must be nonnegative")
         dt = t / steps
-        half = matexp((dt / 2) * d1)
-        stage = half @ matexp(dt * d2) @ half
-        vec = vec0
+
+        def stage(x: np.ndarray) -> np.ndarray:
+            x = _propagate(first, x, dt / 2)
+            return _propagate(first, _propagate(second, x, dt), dt / 2)
+
+        step = _repeated(stage, model.dim, steps)
+        out = rho
         for _ in range(steps):
-            vec = stage @ vec
-        out = unvectorize(vec, model.dim)
-        yield classify_density(out) if split == SPLIT_HAMILTONIAN_DISSIPATOR else DensityMatrix(out, raw=True)
+            out = step(out)
+        yield classify_density(out[0]) if split == SPLIT_HAMILTONIAN_DISSIPATOR else DensityMatrix(out[0], raw=True)
 
 
 def trotter_evolve(

@@ -21,7 +21,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 STATE_NORM_TOL = 1e-12
-MATEXP_NORM_LIMIT = 1e4
 PSD_SQRT_TOL = 1e-9
 PSD_REJECT_TOL = -1e-6
 DILATION_NORM_TOL = 1e-10
@@ -183,139 +182,8 @@ def classify_density(matrix: np.ndarray) -> DensityMatrix:
         return DensityMatrix(matrix, raw=True)
 
 
-def matexp(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring: the degree-13 Pade approximant
-    ``r`` of ``exp(2^-s a)``, squared ``s`` times.
-
-    This is Higham's scaling-and-squaring method (SIAM J. Matrix Anal. Appl.
-    26(4), 2005) with the scaling ``s`` of Al-Mohy and Higham (SIAM J. Matrix
-    Anal. Appl. 31(3), 2009); see :func:`_pade13_scaling`.
-    """
-    a = _require_square(a)
-    # sqrt(||a||_1 ||a||_inf) bounds the 2-norm from above without an SVD
-    norm = float(np.sqrt(np.linalg.norm(a, 1) * np.linalg.norm(a, np.inf)))
-    if norm > MATEXP_NORM_LIMIT:
-        raise ValueError(f"matrix norm {norm} exceeds limit {MATEXP_NORM_LIMIT}")
-    n = a.shape[0]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    s = _pade13_scaling(a, a4, a6)
-    # c[k] is the coefficient of (2^-s a)^k, so no scaled copy of a or its powers is made;
-    # scaling by a power of two is exact, so this equals scaling the matrices.
-    c = _PADE13 * 0.5 ** (s * np.arange(14))
-    scratch = np.empty_like(a)
-    inner = np.empty_like(a)
-
-    def even_sum(k: int, out: np.ndarray) -> np.ndarray:
-        """``c[k+6] a^6 + c[k+4] a^4 + c[k+2] a^2`` into ``out``, accumulated in place."""
-        np.multiply(a6, c[k + 6], out=out)
-        for power, coeff in ((a4, c[k + 4]), (a2, c[k + 2])):
-            np.multiply(power, coeff, out=scratch)
-            out += scratch
-        return out
-
-    # v = a^6 (c12 a^6 + c10 a^4 + c8 a^2) + c6 a^6 + c4 a^4 + c2 a^2 + c0 I
-    v = a6 @ even_sum(6, inner)
-    v += even_sum(0, inner)
-    v.flat[:: n + 1] += c[0]
-    # u = a [a^6 (c13 a^6 + c11 a^4 + c9 a^2) + c7 a^6 + c5 a^4 + c3 a^2 + c1 I]
-    odd = np.matmul(a6, even_sum(7, inner), out=scratch)
-    # the powers are not needed after this sum, so it scales them in place
-    for power, coeff in ((a6, c[7]), (a4, c[5]), (a2, c[3])):
-        power *= coeff
-        odd += power
-    odd.flat[:: n + 1] += c[1]
-    u = np.matmul(a, odd, out=inner)
-    del a2, a4, a6
-    total = np.add(v, u, out=odd)
-    v -= u
-    del u
-    r = np.linalg.solve(v, total)
-    for _ in range(s):
-        r = r @ r
-    return r
-
-
-# Numerator coefficients b_0..b_13 of the degree-13 Pade approximant (Higham 2005, eq. 2.3)
-_PADE13 = np.array([
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
-    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
-    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-])
-# theta_13 and |c_27|^-1, the leading coefficient of the degree-13 backward-error series (Al-Mohy & Higham 2009)
-_THETA13 = 4.25
-_PADE13_ERROR_RECIP = 113250775606021113483283660800000000.0
-
-
-def _pade13_scaling(a: np.ndarray, a4: np.ndarray, a6: np.ndarray) -> int:
-    """The scaling ``s`` of Al-Mohy and Higham (2009), Algorithm 5.1, at degree 13.
-
-    ``d_k = ||a^k||_1^(1/k)``: d6 from ``a^6``, d8 and d10 from 1-norm
-    estimates of ``a^4 a^4`` and ``a^4 a^6`` (no further product is formed).
-    ``s`` is the least one with ``2^-s eta <= theta_13`` for
-    ``eta = min(max(d6, d8), max(d8, d10))``, raised where the leading term
-    of the backward error of ``2^-s a``, ``|c_27| || |2^-s a|^27 ||_1 / ||2^-s a||_1``,
-    still exceeds the unit roundoff.
-    """
-    d6 = _onenorm(a6) ** (1 / 6)
-    d8 = _onenorm_estimate((a4, a4)) ** (1 / 8)
-    d10 = _onenorm_estimate((a4, a6)) ** (1 / 10)
-    eta = min(max(d6, d8), max(d8, d10))
-    s = max(math.ceil(math.log2(eta / _THETA13)), 0) if eta > 0 else 0
-    # the leading backward-error term scales as 2^(-26 s); || |a|^27 ||_1 is exact from 27 mat-vecs
-    norm_a = _onenorm(a)
-    if norm_a == 0.0:
-        return s
-    column_sums = np.ones(a.shape[0])
-    abs_t = np.abs(a).T
-    for _ in range(27):
-        column_sums = abs_t @ column_sums
-    alpha = float(column_sums.max()) / (norm_a * _PADE13_ERROR_RECIP)
-    return max(s, math.ceil(math.log2(alpha / 2.0**-53) / 26)) if alpha > 0 else s
-
-
 def _onenorm(a: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=0).max())
-
-
-def _onenorm_estimate(factors: tuple[np.ndarray, ...]) -> float:
-    """Lower estimate of the 1-norm of the product of ``factors`` from mat-vecs only.
-
-    Hager's method as refined by Higham (ACM TOMS 14(4), 1988; LAPACK's
-    ``zlacn2``): at most five steps of gradient ascent over the unit 1-norm
-    ball, then one alternating-sign test vector.
-    """
-    n = factors[0].shape[0]
-
-    def apply(x):
-        for factor in reversed(factors):
-            x = factor @ x
-        return x
-
-    def apply_adjoint(y):
-        for factor in factors:
-            y = (y.conj() @ factor).conj()  # factor^H y without forming factor^H
-        return y
-
-    x = np.full(n, 1.0 / n, dtype=complex)
-    estimate = 0.0
-    for _ in range(5):
-        y = apply(x)
-        value = float(np.abs(y).sum())
-        if value <= estimate:
-            break
-        estimate = value
-        magnitude = np.abs(y)
-        z = apply_adjoint(np.divide(y, magnitude, out=np.ones_like(y), where=magnitude > 0))
-        j = int(np.abs(z).argmax())
-        if abs(z[j]) <= np.vdot(x, z).real:
-            break
-        x = np.zeros(n, dtype=complex)
-        x[j] = 1.0
-    i = np.arange(n)
-    alternating = np.where(i % 2, -1.0, 1.0) * (1.0 + i / max(n - 1, 1)) + 0j
-    return max(estimate, 2.0 * float(np.abs(apply(alternating)).sum()) / (3.0 * n))
 
 
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

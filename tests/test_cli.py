@@ -228,8 +228,7 @@ def test_steps_flag_leaves_presets_untouched(tmp_path):
 def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, method, steps):
     prepared = ("check_conditions", "detect_group_structure", "normalize_lindblads", "sznagy_dilation")
     builders = ("series_trajectory", "build_series", "build_reduced_series", "build_tp_series")
-    generator = ("_shifted_generator", "build_superoperator", "superoperator_parts")
-    calls = dict.fromkeys([*prepared, *builders, *generator], 0)
+    calls = dict.fromkeys([*prepared, *builders, "_shifted_generator"], 0)
 
     def counted(name, func):
         def wrapper(*args, **kwargs):
@@ -261,12 +260,9 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     kraus_method = method.startswith("kraus")
     want = {**dict.fromkeys(prepared, int(kraus_method)), **dict.fromkeys(builders, 0)}
     want["series_trajectory"] = int(kraus_method)
-    # the oracle builds the parts of its matrix-free generator once; the trotter method
-    # builds its hamiltonian-dissipator split once: superoperator_parts calls
-    # build_superoperator, which calls superoperator_parts for the effective-jump parts
-    want["_shifted_generator"] = 1
-    want["build_superoperator"] = int(method == "trotter")
-    want["superoperator_parts"] = 2 if method == "trotter" else 0
+    # the oracle builds its matrix-free generator once; the trotter method also builds
+    # the two parts of its split once
+    want["_shifted_generator"] = 3 if method == "trotter" else 1
     assert calls == want
 
 
@@ -300,6 +296,28 @@ def test_experiment_check_tol_failure(tmp_path):
     assert run([
         "experiment", "--config", cfg, "--check", "--check-tol", "1e-12", "--out", tmp_path / "o"
     ]) == 3
+
+
+@pytest.mark.parametrize("method", ["exact", "trotter"])
+def test_experiment_refuses_a_time_step_too_long_to_propagate(tmp_path, capsys, method):
+    # the oracle, which runs beside every method, refuses the step first; test_lindblad holds
+    # each integrator to the same limit on its own
+    cfg = tmp_path / "cfg.json"
+    doc = {"model": "qho-damped", "state": "qho-oscillating", "time": {"stop": 1e9, "steps": 2}, "method": method}
+    cfg.write_text(json.dumps(doc))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "error: evolution time 1e+09 is too long for one step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["trotter", "kraus-circuit-shots"])
+def test_experiment_check_says_when_no_finite_bound_exists(tmp_path, capsys, method):
+    argv = [
+        "experiment", "--preset", "qho-damped", "--method", method, "--steps", 3, "--check", "--out", tmp_path / "o",
+    ]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert f"check cannot fail: no finite bound exists for method {method}; largest trace distance" in out
+    assert "inf" not in out
 
 
 def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):

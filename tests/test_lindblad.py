@@ -1,20 +1,30 @@
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
 from kraussim import lindblad as lb
 from kraussim import models
-from kraussim.matkernel import PAULI, from_doc, matexp, to_doc, trace_distance
+from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
 
-from conftest import random_density
+from conftest import dense_lindbladian, random_density
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPLITS = (lb.SPLIT_HAMILTONIAN_DISSIPATOR, lb.SPLIT_EFFECTIVE_JUMP)
 
 
 def dephasing_model(gamma=0.5):
     return lb.LindbladModel(np.zeros((2, 2)), (PAULI["Z"],), (gamma,))
+
+
+def oracle_generator(model):
+    return lb._shifted_generator(-1j * lb.effective_hamiltonian(model), lb._weighted_jumps(model))
 
 
 def test_model_validation():
@@ -59,30 +69,28 @@ def test_conditions_rejects_zero_operator():
         lb.check_conditions(model)
 
 
-def test_superoperator_trivial():
+def test_superoperator_trivial(rng):
+    # no Hamiltonian and no jumps: the generator and its shift and norm bound are all zero
     model = lb.LindbladModel(np.zeros((2, 2)), (), ())
-    assert np.abs(lb.build_superoperator(model)).max() == 0.0
+    gen = oracle_generator(model)
+    assert gen.shift == 0.0 and gen.norm == 0.0
+    assert np.abs(gen(random_density(rng, 2)[np.newaxis])).max() == 0.0
 
 
 def test_superoperator_dephasing_eigencomponent():
     gamma = 0.5
-    model = dephasing_model(gamma)
-    sup = lb.build_superoperator(model)
+    gen = oracle_generator(dephasing_model(gamma))
     coherence = np.zeros((2, 2), dtype=complex)
     coherence[0, 1] = 1.0
-    out = sup @ lb.vectorize(coherence)
-    assert np.allclose(out, -2 * gamma * lb.vectorize(coherence))
+    out = gen(coherence[np.newaxis])[0] + gen.shift * coherence
+    assert np.allclose(out, -2 * gamma * coherence)
 
 
 def test_superoperator_preserves_trace(pauli_spec, rng):
-    from kraussim.matkernel import matexp
-
-    sup = lb.build_superoperator(pauli_spec.model)
-    prop = matexp(0.7 * sup)
-    dim = pauli_spec.model.dim
+    gen = oracle_generator(pauli_spec.model)
     for _ in range(4):
-        rho = random_density(rng, dim)
-        evolved = lb.unvectorize(prop @ lb.vectorize(rho), dim)
+        rho = random_density(rng, pauli_spec.model.dim)
+        evolved = lb._propagate(gen, rho[np.newaxis], 0.7)[0]
         assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-10)
 
 
@@ -132,27 +140,50 @@ def test_exact_evolve_rejects_negative_time(qho_spec, initial_states):
 def test_exact_trajectory_matches_pointwise_expm(rng, key, params):
     model = models.build_model(key, **params).model
     rho0 = random_density(rng, model.dim)
-    generator = lb.build_superoperator(model)
+    generator = dense_lindbladian(model)
     for start, stop, steps in ((0.0, 2.0, 9), (0.7, 1.9, 5), (1.3, 1.3, 1)):
         states = list(lb.exact_trajectory(model, rho0, start, stop, steps))
         assert len(states) == steps
         for t, state in zip(np.linspace(start, stop, steps), states):
-            want = matexp(t * generator) @ lb.vectorize(rho0)
-            assert np.abs(lb.vectorize(state.matrix) - want).max() < 1e-12
+            want = scipy.linalg.expm(t * generator) @ rho0.reshape(-1)
+            assert np.abs(state.matrix.reshape(-1) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("key", ["pauli-xx-zz", "schwinger-jz", "qho-damped", "qho-cat"])
 def test_shifted_generator_matches_the_dense_superoperator(rng, key):
-    # the matrix-free action is D - shift I with shift = tr(D) / d^2, and its norm bounds ||D - shift I||_1
+    # the matrix-free action is D - shift I with shift = tr(D) / d^2, and its norm bounds ||D - shift I||_1;
+    # so for the oracle's generator and for both parts of each product-formula split
     model = models.build_model(key).model
-    dense = lb.build_superoperator(model)
-    gen = lb._shifted_generator(model)
-    assert gen.shift == pytest.approx(np.trace(dense).real / model.dim**2, abs=1e-12)
-    shifted = dense - gen.shift * np.eye(model.dim**2)
-    assert np.abs(shifted).sum(axis=0).max() <= gen.norm
+    n = model.dim**2
+    pairs = [(oracle_generator(model), dense_lindbladian(model))]
+    for split in SPLITS:
+        pairs += zip(lb._split_generators(model, split), dense_lindbladian(model, split))
     x = np.stack([random_density(rng, model.dim) for _ in range(3)])
-    want = (shifted @ x.reshape(3, -1).T).T.reshape(x.shape)
-    assert np.abs(gen(x) - want).max() < 1e-12
+    for gen, dense in pairs:
+        assert gen.shift == pytest.approx(np.trace(dense).real / n, abs=1e-12)
+        shifted = dense - gen.shift * np.eye(n)
+        assert np.abs(shifted).sum(axis=0).max() <= gen.norm
+        want = (shifted @ x.reshape(3, -1).T).T.reshape(x.shape)
+        assert np.abs(gen(x) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("case", ["qho-fields", "qho-oracle", "pauli-tomo", "pauli-steps", "n_max=15", "n_max=31"])
+def test_propagate_matches_scipy_on_oracle_generators(monkeypatch, rng, case):
+    # one step exp(dt D) of a benchmark workload's grid (seed 1), or of qho-damped at n_max with
+    # dt = 3/8, applied to a batch of three states
+    if case.startswith("n_max="):
+        model = models.build_model("qho-damped", n_max=int(case[6:])).model
+        dt = 3.0 / 8
+    else:
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        config = importlib.import_module("workloads").make_config(case, 1)
+        model = models.build_model(config["model"], **config.get("model_params", {})).model
+        grid = config["time"]
+        dt = (grid["stop"] - grid["start"]) / (grid["steps"] - 1)
+    x = np.stack([random_density(rng, model.dim) for _ in range(3)])
+    got = lb._propagate(oracle_generator(model), x, dt).reshape(3, -1)
+    want = x.reshape(3, -1) @ scipy.linalg.expm(dt * dense_lindbladian(model)).T
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("scaled_norm, plan", [(0.0, (1, 1)), (2e-16, (1, 1)), (1.0, (18, 1)), (25.0, (50, 3))])
@@ -199,21 +230,29 @@ def random_models(draw):
 @given(model=random_models(), seed=st.integers(0, 2**31 - 1), stop=st.floats(0.0, 2.0), steps=st.integers(1, 40))
 def test_exact_trajectory_matches_dense_expm_on_random_models(model, seed, stop, steps):
     rho0 = random_density(np.random.default_rng(seed), model.dim)
-    generator = lb.build_superoperator(model)
+    generator = dense_lindbladian(model)
     states = list(lb.exact_trajectory(model, rho0, 0.0, stop, steps))
     for t, state in zip(np.linspace(0.0, stop, steps), states):
-        want = matexp(t * generator) @ lb.vectorize(rho0)
-        assert np.abs(lb.vectorize(state.matrix) - want).max() < 1e-12
+        want = scipy.linalg.expm(t * generator) @ rho0.reshape(-1)
+        assert np.abs(state.matrix.reshape(-1) - want).max() < 1e-12
 
 
 def test_exact_trajectory_matches_scipy_expm_multiply_at_n_max_31(rng):
     model = models.build_model("qho-damped", n_max=31).model
     rho0 = random_density(rng, model.dim)
-    generator = scipy.sparse.csr_matrix(lb.build_superoperator(model))
-    want = scipy.sparse.linalg.expm_multiply(generator, lb.vectorize(rho0), start=0.0, stop=3.0, num=9)
+    generator = scipy.sparse.csr_matrix(dense_lindbladian(model))
+    want = scipy.sparse.linalg.expm_multiply(generator, rho0.reshape(-1), start=0.0, stop=3.0, num=9)
     states = list(lb.exact_trajectory(model, rho0, 0.0, 3.0, 9))
     for state, vec in zip(states, want):
-        assert np.abs(lb.vectorize(state.matrix) - vec).max() < 1e-12
+        assert np.abs(state.matrix.reshape(-1) - vec).max() < 1e-12
+
+
+def test_evolution_refuses_a_step_past_the_norm_limit(qho_spec, initial_states):
+    rho0 = initial_states["qho-oscillating"].density()
+    with pytest.raises(ValueError, match="evolution time 1e\\+09 is too long for one step"):
+        lb.exact_evolve(qho_spec.model, rho0, 1e9)
+    with pytest.raises(ValueError, match="evolution time 5e\\+08 is too long for one step"):
+        lb.trotter_evolve(qho_spec.model, rho0, 1e9, 1)
 
 
 def test_trotter_commuting_split_is_exact():
@@ -237,6 +276,34 @@ def test_trotter_converges_and_second_order(qho_spec, initial_states):
     assert errors[-1] < errors[0] / 30
     slope = np.polyfit(np.log(steps_grid), np.log(errors), 1)[0]
     assert slope == pytest.approx(-2.0, abs=0.2)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(model=random_models(), seed=st.integers(0, 2**31 - 1), t=st.floats(0.0, 2.0), split=st.sampled_from(SPLITS),
+       data=st.data())
+def test_trotter_trajectory_matches_dense_expm_on_random_models(model, seed, t, split, data):
+    # up to d^2 product-formula steps carry the state (batches of 1); more build the stage map from
+    # the d^2 basis matrices (one batch of d^2)
+    n = model.dim**2
+    steps = data.draw(st.one_of(st.integers(1, n), st.integers(n + 1, n + 4)), label="steps")
+    rho0 = random_density(np.random.default_rng(seed), model.dim)
+    batches = []
+    propagate = lb._propagate
+
+    def recorded(gen, x, h):
+        batches.append(x.shape[0])
+        return propagate(gen, x, h)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lb, "_propagate", recorded)
+        got = lb.trotter_evolve(model, rho0, t, steps, split).matrix.reshape(-1)
+    assert max(batches) == (1 if steps <= n else n)
+    d1, d2 = dense_lindbladian(model, split)
+    dt = t / steps
+    half = scipy.linalg.expm(dt / 2 * d1)
+    stage = half @ scipy.linalg.expm(dt * d2) @ half
+    want = np.linalg.matrix_power(stage, steps) @ rho0.reshape(-1)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("split", [lb.SPLIT_HAMILTONIAN_DISSIPATOR, lb.SPLIT_EFFECTIVE_JUMP])
@@ -277,8 +344,8 @@ def test_normalize_truncated_mode():
     norm = lb.normalize_lindblads(model)
     assert norm.gammas[0] == pytest.approx(3.0, abs=1e-12)
     assert np.linalg.norm(norm.lindblads[0], 2) == pytest.approx(1.0, abs=1e-12)
-    before = lb.build_superoperator(model)
-    after = lb.build_superoperator(norm)
+    before = dense_lindbladian(model)
+    after = dense_lindbladian(norm)
     assert np.abs(before - after).max() < 1e-12
 
 

@@ -1,130 +1,9 @@
-import importlib
-import math
-from pathlib import Path
-
 import numpy as np
 import pytest
-import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
 
-from kraussim import lindblad, matkernel as mk, models
+from kraussim import matkernel as mk
 
 from conftest import random_density, random_state
-
-
-def test_matexp_zero_matrix_gives_identity():
-    assert np.allclose(mk.matexp(np.zeros((2, 2))), np.eye(2))
-
-
-def test_matexp_diagonal():
-    out = mk.matexp(np.diag([1.0, -1.0]))
-    assert np.allclose(out, np.diag([np.e, 1 / np.e]), atol=1e-12)
-
-
-def test_matexp_rotation_closed_form():
-    theta = np.pi / 2
-    gen = np.array([[0.0, -theta], [theta, 0.0]])
-    # exp of the 2-d rotation generator is the rotation matrix itself
-    expected = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    assert np.abs(mk.matexp(gen) - expected).max() < 1e-12
-
-
-def test_matexp_rejects_nonsquare_and_huge_norm():
-    with pytest.raises(ValueError):
-        mk.matexp(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        mk.matexp(2e4 * np.eye(2))
-
-
-def test_matexp_norm_guard_bounds_the_two_norm():
-    # ||a||_2 = 6000 sqrt(2) is inside the limit, the bound sqrt(||a||_1 ||a||_inf) = 12000 is not
-    a = 6000.0 * np.array([[1.0, 1.0], [1.0, -1.0]])
-    assert np.linalg.norm(a, 2) < mk.MATEXP_NORM_LIMIT
-    with pytest.raises(ValueError, match="exceeds limit"):
-        mk.matexp(a)
-
-
-def test_matexp_inverse_property(rng):
-    for _ in range(5):
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        a *= 10 / np.linalg.norm(a, 2)
-        assert np.abs(mk.matexp(a) @ mk.matexp(-a) - np.eye(5)).max() < 1e-9
-
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _relative_gap(got, want):
-    return np.abs(got - want).max() / np.abs(want).max()
-
-
-def _scaling_from_exact_norms(a):
-    """The s of Al-Mohy and Higham (2009) at degree 13 with exact ||a^k||_1^(1/k), k = 6, 8, 10."""
-    a4 = np.linalg.matrix_power(a, 4)
-    a6 = a4 @ a @ a
-    d6, d8, d10 = (np.abs(p).sum(axis=0).max() ** (1 / k) for k, p in ((6, a6), (8, a4 @ a4), (10, a4 @ a6)))
-    eta = min(max(d6, d8), max(d8, d10))
-    return max(math.ceil(math.log2(eta / 4.25)), 0) if eta > 0 else 0
-
-
-# The dt * D of a benchmark workload (seed 1), or of qho-damped at n_max with dt = 3/8.  The 1-norm
-# estimates of ||A^8||_1 and ||A^10||_1 must pick the s that the exact norms give.  scipy.linalg.expm
-# picks the same s on all but n_max 31: there the exact eta is 21.97 > 4 theta_13 = 17, so the rule
-# gives s = 3, and scipy.linalg.expm uses s = 2.
-@pytest.mark.parametrize("case", ["qho-fields", "qho-oracle", "pauli-tomo", "pauli-steps", "n_max=15", "n_max=31"])
-def test_matexp_matches_scipy_on_oracle_generators(monkeypatch, case):
-    if case.startswith("n_max="):
-        model = models.build_model("qho-damped", n_max=int(case[6:])).model
-        dt = 3.0 / 8
-    else:
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        config = importlib.import_module("workloads").make_config(case, 1)
-        model = models.build_model(config["model"], **config.get("model_params", {})).model
-        grid = config["time"]
-        dt = (grid["stop"] - grid["start"]) / (grid["steps"] - 1)
-    generator = dt * lindblad.build_superoperator(model)
-    a4 = np.linalg.matrix_power(generator, 4)
-    assert mk._pade13_scaling(generator, a4, a4 @ generator @ generator) == _scaling_from_exact_norms(generator)
-    assert _relative_gap(mk.matexp(generator), scipy.linalg.expm(generator)) <= 1e-12
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(
-    st.integers(min_value=0, max_value=2**31 - 1),
-    st.integers(min_value=1, max_value=8),
-    st.floats(min_value=-3.0, max_value=3.0),
-    st.booleans(),
-)
-def test_matexp_matches_scipy_on_random_matrices(seed, n, log_norm, real):
-    gen = np.random.default_rng(seed)
-    a = gen.normal(size=(n, n)) + (0.0 if real else 1j * gen.normal(size=(n, n)))
-    norm = 10.0**log_norm
-    a *= norm / np.abs(a).sum(axis=0).max()
-    with np.errstate(over="ignore", invalid="ignore"):  # draws whose exponential overflows are skipped
-        want = scipy.linalg.expm(a)
-    assume(np.isfinite(want).all() and np.abs(want).max() > 0.0)
-    # exp has relative condition number at least ||A||_1, and scipy itself errs by up to ~2e-13 ||A||_1
-    # here: on the ten largest gaps of 20,000 draws, matexp was the closer to 50-digit mpmath
-    assert _relative_gap(mk.matexp(a), want) <= 1e-12 * max(1.0, norm)
-
-
-@pytest.mark.parametrize("coupling", [1.0, 1e2, 5e3])
-def test_matexp_non_normal_closed_form(coupling):
-    # exp([[p, b], [0, q]]) = [[e^p, b (e^p - e^q) / (p - q)], [0, e^q]]
-    p, q = -0.3 + 2.0j, -5.0 + 0.5j
-    a = np.array([[p, coupling], [0.0, q]])
-    want = np.array([[np.exp(p), coupling * (np.exp(p) - np.exp(q)) / (p - q)], [0.0, np.exp(q)]])
-    assert _relative_gap(mk.matexp(a), want) < 1e-13
-
-
-def test_matexp_root_does_not_overscale_a_nilpotent_matrix():
-    # ||a^4||_1^(1/4) = 50 would ask for s = 4, but a^6 = 0, so ||a^8|| = ||a^10|| = 0 and s = 0;
-    # the degree-13 approximant then equals exp(a) = sum_{k<6} a^k / k! exactly
-    a = 50.0 * np.eye(6, k=1)
-    a4 = np.linalg.matrix_power(a, 4)
-    assert mk._pade13_scaling(a, a4, a4 @ a @ a) == 0
-    want = sum(np.linalg.matrix_power(a, k) / math.factorial(k) for k in range(6))
-    assert _relative_gap(mk.matexp(a), want) < 1e-15
 
 
 @pytest.mark.parametrize(
@@ -304,17 +183,6 @@ def test_qubit_count():
     for dim in (0, 3, 6, 12):
         with pytest.raises(ValueError, match=f"dim must be a power of two, got {dim}"):
             mk.qubit_count(dim, "dim")
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=0, max_value=2**31 - 1))
-def test_matexp_inverse_property_hypothesis(seed):
-    gen = np.random.default_rng(seed)
-    a = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-    norm = np.linalg.norm(a, 2)
-    if norm > 10:
-        a *= 10 / norm
-    assert np.abs(mk.matexp(a) @ mk.matexp(-a) - np.eye(3)).max() < 1e-9
 
 
 def test_doc_codec_converts_numpy_values_and_round_trips_exactly():
