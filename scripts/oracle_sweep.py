@@ -41,13 +41,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def run_oracle(model, rho0) -> list[np.ndarray]:
-    return [state.matrix for state in lindblad.exact_trajectory(model, rho0, 0.0, STOP, POINTS)]
+    return list(lindblad.exact_trajectory(model, rho0, 0.0, STOP, POINTS))
 
 
 def run_series(model, rho0, n_max: int) -> list[np.ndarray]:
     prep = kraus.prepare(model)
     ts = np.linspace(0.0, STOP, POINTS)
-    return [kraus.apply_series(series, rho0).matrix for series in kraus.series_trajectory(prep, ts, "auto", n_max)]
+    return [kraus.apply_series(series, rho0) for series in kraus.series_trajectory(prep, ts, "auto", n_max)]
 
 
 def timed(func, *args) -> tuple[float, list[float], float, list[np.ndarray]]:

@@ -31,6 +31,8 @@ from .lindblad import (
     trotter_trajectory,
 )
 from .matkernel import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
     DensityMatrix,
     QuantumState,
     fidelity,
@@ -266,11 +268,11 @@ def _run_method(
             yield None, [], 1e-9
     elif config.method == "trotter":
         for out in trotter_trajectory(model, rho0, ts, config.trotter_steps, config.trotter_split):
-            yield out.matrix, [], np.inf
+            yield out, [], np.inf
     elif config.series == "factored":
         for t in ts:
             if config.method == "kraus":
-                yield kraus.apply_factored_evolution(model, t, rho0).matrix, [], 1e-9
+                yield kraus.apply_factored_evolution(model, t, rho0), [], 1e-9
             else:
                 circuit = circuits.build_group_circuit(model, t)
                 yield circuits.apply_group_circuit(circuit, psi0), [], 1e-9
@@ -285,7 +287,7 @@ def _run_method(
                     {"order": int(term.order), "indices": [int(k) for k in term.indices], "weight": float(term.weight)}
                     for term in series.terms
                 ]
-                yield out.matrix, diags, bound
+                yield out, diags, bound
             else:
                 rho, diags = circuits.execute_series_tomography(
                     model, series, t, psi0, shots=shots, seed=(config.seed, index)
@@ -390,8 +392,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
     methods = _run_method(config, work, psi0, rho0, ts)
-    for index, (t, oracle_state, (raw, diagnostics, bound)) in enumerate(zip(ts, oracles, methods)):
-        oracle = oracle_state.matrix
+    for index, (t, oracle, (raw, diagnostics, bound)) in enumerate(zip(ts, oracles, methods)):
         raw = oracle if raw is None else raw
         check_distance = trace_distance(oracle, raw)
         if check_distance == np.inf:
@@ -401,7 +402,8 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         final = chain.apply(noisy)
         physical = (
             final
-            if hermiticity_defect(final) <= 1e-10 and np.linalg.eigvalsh((final + final.conj().T) / 2).min() >= -1e-10
+            if hermiticity_defect(final) <= HERMITICITY_TOL
+            and np.linalg.eigvalsh((final + final.conj().T) / 2).min() >= EIGENVALUE_FLOOR
             else project_to_physical(final)
         )
         observables, fields = outputs(final, physical)
@@ -600,11 +602,9 @@ def _cmd_kraus(args) -> int:
     }
     if args.state:
         out = kraus.apply_series(series, _named_state(args.state).density())
-        summary["output_trace"] = float(np.trace(out.matrix).real)
+        summary["output_trace"] = float(np.trace(out).real)
         if args.out_state:
-            Path(args.out_state).write_text(
-                json.dumps(to_doc({"matrix": out.matrix}), sort_keys=True)
-            )
+            Path(args.out_state).write_text(json.dumps(to_doc({"matrix": out}), sort_keys=True))
     print(json.dumps(summary, sort_keys=True))
     return 0
 

@@ -40,7 +40,7 @@ from .lindblad import (
     check_conditions,
     normalize_lindblads,
 )
-from .matkernel import DensityMatrix, classify_density, sznagy_dilation, _as_matrix
+from .matkernel import sznagy_dilation, _as_matrix
 
 ZERO_OPERATOR_TOL = 1e-14
 GROUP_DETECT_TOL = 1e-10
@@ -263,8 +263,9 @@ def _series_tail(x: float, order: int) -> float:
     return min(_positive_series(x, order + 1), 1.0)
 
 
-def apply_series(series: KrausSeries, rho0) -> DensityMatrix:
-    """Channel action ``sum_k K rho K^dag`` of a materialized series."""
+def apply_series(series: KrausSeries, rho0) -> np.ndarray:
+    """Channel action ``sum_k K rho K^dag`` of a materialized series, as the complex
+    ``(dim, dim)`` array of that sum, neither classified nor symmetrized."""
     rho = _as_matrix(rho0)
     if rho.shape != (series.dim, series.dim):
         raise ValueError("state dimension does not match the series")
@@ -272,7 +273,7 @@ def apply_series(series: KrausSeries, rho0) -> DensityMatrix:
     for term in series.terms:
         k = term.matrix
         out += k @ rho @ k.conj().T
-    return classify_density(out)
+    return out
 
 
 def gen_hyperbolic(ell: int, m: int, theta: float, x: float) -> float:
@@ -477,8 +478,9 @@ def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
     return weights
 
 
-def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> DensityMatrix:
-    """Channel defined by the factored evolution, one factor at a time.
+def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> np.ndarray:
+    """Channel defined by the factored evolution, one factor at a time, as a complex
+    ``(dim, dim)`` array, neither classified nor symmetrized.
 
     Each factor acts as the finite Kraus sum ``sum_m w_m L^m rho (L^m)^dag``
     with the hyperbolic weights; composing the factors reproduces the
@@ -503,4 +505,4 @@ def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho
             acc += w * (power @ out @ power.conj().T)
             power = power @ op
         out = acc
-    return classify_density(out)
+    return out

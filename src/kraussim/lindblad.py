@@ -191,12 +191,14 @@ def _weighted_jumps(model: LindbladModel) -> np.ndarray:
     return np.array(jumps, dtype=complex).reshape(-1, model.dim, model.dim)
 
 
-def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[DensityMatrix]:
+def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[np.ndarray]:
     """Yield the exact state at each point of ``np.linspace(start, stop, steps)``.
 
-    The state is propagated by :func:`_propagate` to ``start`` and then from
-    point to point, each step in the form that :func:`_repeated` picks for
-    ``steps - 1`` repeats.
+    Each state is a fresh complex ``(dim, dim)`` array, neither classified nor
+    symmetrized.  The state is propagated by :func:`_propagate` to ``start`` in
+    the fewest equal pieces that ``PROPAGATE_NORM_LIMIT`` allows and then from
+    point to point; both legs take the form that :func:`_repeated` picks for
+    their number of repeats.
     """
     if start < 0 or stop < start or steps < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
@@ -204,13 +206,15 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
     if rho.shape != (model.dim, model.dim):
         raise ValueError("state dimension does not match the model")
     gen = _shifted_generator(-1j * effective_hamiltonian(model), _weighted_jumps(model))
-    state = _propagate(gen, rho[np.newaxis], start)
+    pieces = math.ceil(start * gen.norm / PROPAGATE_NORM_LIMIT)
+    state = _power(lambda x: _propagate(gen, x, start / pieces), model.dim, pieces, rho[np.newaxis])
     dt = (stop - start) / (steps - 1) if steps > 1 else 0.0
     step = _repeated(lambda x: _propagate(gen, x, dt), model.dim, steps - 1)
     for index in range(steps):
         if index:
             state = step(state)
-        yield classify_density(state[0])
+        # a copy: _propagate hands back its input for a zero step, which may be rho0 itself
+        yield state[0].copy()
 
 
 @dataclass(frozen=True)
@@ -291,6 +295,14 @@ def _repeated(apply: Callable[[np.ndarray], np.ndarray], dim: int, repeats: int)
     return lambda x: (x.reshape(-1) @ matrix).reshape(x.shape)
 
 
+def _power(apply: Callable[[np.ndarray], np.ndarray], dim: int, repeats: int, x: np.ndarray) -> np.ndarray:
+    """The linear map ``apply`` taken ``repeats`` times on the stack ``x``, in the form of :func:`_repeated`."""
+    step = _repeated(apply, dim, repeats)
+    for _ in range(repeats):
+        x = step(x)
+    return x
+
+
 # theta_m of Al-Mohy & Higham, "Computing the action of the matrix exponential", SIAM J. Sci.
 # Comput. 33(2), 2011, at unit roundoff 2^-53: a degree-m Taylor step of ||h X||_1 <= theta_m has
 # relative backward error at most 2^-53.  m <= 30 from Higham, Functions of Matrices, Table A.3,
@@ -350,21 +362,22 @@ def _propagate(gen: _ShiftedGenerator, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:
-    """The exact state at time ``t``: the one-point :func:`exact_trajectory`."""
-    return next(exact_trajectory(model, rho0, t, t, 1))
+    """The exact state at time ``t``: the one-point :func:`exact_trajectory`, classified by
+    :func:`classify_density` (raw when it is not a physical state)."""
+    return classify_density(next(exact_trajectory(model, rho0, t, t, 1)))
 
 
 def trotter_trajectory(
     model: LindbladModel, rho0, ts: Iterable[float], steps: int, split: str = SPLIT_HAMILTONIAN_DISSIPATOR
-) -> Iterator[DensityMatrix]:
+) -> Iterator[np.ndarray]:
     """Second-order product-formula reference integrator over a time grid.
 
     Yields, for each ``t`` of ``ts``, ``[exp(dt/2 D1) exp(dt D2) exp(dt/2 D1)]^steps``
-    applied to ``rho0`` with ``dt = t / steps``.  The split of :func:`_split_generators`
+    applied to ``rho0`` with ``dt = t / steps``, as a fresh complex ``(dim, dim)``
+    array, neither classified nor symmetrized.  The split of :func:`_split_generators`
     is built once; each exponential is one :func:`_propagate` call, and each point's
     stage takes the form that :func:`_repeated` picks for ``steps`` repeats.  This is
-    a cross-validation path, not the production solver; the output is flagged raw
-    for the non-trace-preserving split.
+    a cross-validation path, not the production solver.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -379,18 +392,17 @@ def trotter_trajectory(
             x = _propagate(first, x, dt / 2)
             return _propagate(first, _propagate(second, x, dt), dt / 2)
 
-        step = _repeated(stage, model.dim, steps)
-        out = rho
-        for _ in range(steps):
-            out = step(out)
-        yield classify_density(out[0]) if split == SPLIT_HAMILTONIAN_DISSIPATOR else DensityMatrix(out[0], raw=True)
+        # a copy: at t = 0 every stage hands back rho, which may be rho0 itself
+        yield _power(stage, model.dim, steps, rho)[0].copy()
 
 
 def trotter_evolve(
     model: LindbladModel, rho0, t: float, steps: int, split: str = SPLIT_HAMILTONIAN_DISSIPATOR
 ) -> DensityMatrix:
-    """The product-formula state at time ``t``: the one-point :func:`trotter_trajectory`."""
-    return next(trotter_trajectory(model, rho0, [t], steps, split))
+    """The product-formula state at time ``t``: the one-point :func:`trotter_trajectory`,
+    classified by :func:`classify_density`.  The ``effective-jump`` split does not
+    preserve the trace, so its state is usually flagged raw."""
+    return classify_density(next(trotter_trajectory(model, rho0, [t], steps, split)))
 
 
 def normalize_lindblads(model: LindbladModel) -> LindbladModel:

@@ -21,7 +21,6 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-10
 STATE_NORM_TOL = 1e-12
-PSD_SQRT_TOL = 1e-9
 PSD_REJECT_TOL = -1e-6
 DILATION_NORM_TOL = 1e-10
 DEFAULT_RCOND = 1e-12

@@ -4,14 +4,13 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import kraussim
 from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit, models
-from kraussim.matkernel import pauli_string_matrix, to_doc
+from kraussim.matkernel import DensityMatrix, pauli_string_matrix, to_doc
 
 from conftest import random_density
 
@@ -356,9 +355,7 @@ def test_non_finite_oracle_state_fails_the_check(tmp_path, capsys, monkeypatch, 
     def corrupted(*args):
         for index, state in enumerate(real(*args)):
             if index == 5:
-                matrix = state.matrix.copy()
-                matrix[entry] = np.nan
-                state = SimpleNamespace(matrix=matrix)  # a DensityMatrix refuses NaN
+                state[entry] = np.nan
             yield state
 
     monkeypatch.setattr(cli, "exact_trajectory", corrupted)
@@ -366,6 +363,54 @@ def test_non_finite_oracle_state_fails_the_check(tmp_path, capsys, monkeypatch, 
     assert "non-finite state at t=0.5" in capsys.readouterr().err
     assert not (tmp_path / "o" / "states.npy").exists()
     assert not (tmp_path / "o" / "run.json").exists()
+
+
+def test_non_finite_method_state_fails_the_check(tmp_path, capsys, monkeypatch):
+    real = kraus.apply_series
+    calls = []
+
+    def corrupted(series, rho0):
+        out = real(series, rho0)
+        if len(calls) == 5:
+            out[0, 1] = np.nan
+        calls.append(series)
+        return out
+
+    monkeypatch.setattr(kraus, "apply_series", corrupted)
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
+    assert "non-finite state at t=0.5" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "states.npy").exists()
+    assert not (tmp_path / "o" / "run.json").exists()
+
+
+@pytest.mark.parametrize(
+    "method, variant",
+    [
+        ("exact", "auto"),
+        ("trotter", lindblad.SPLIT_HAMILTONIAN_DISSIPATOR),
+        ("trotter", lindblad.SPLIT_EFFECTIVE_JUMP),
+        ("kraus", "reduced"),
+        ("kraus", "truncated"),
+        ("kraus", "factored"),
+        ("kraus-circuit", "reduced"),
+    ],
+)
+def test_experiment_validates_only_the_initial_state(monkeypatch, method, variant):
+    # the step loop's own physicality check is its one decision: neither the oracle nor a
+    # method classifies its state, so the one validated DensityMatrix is the initial state
+    validated = []
+    post_init = DensityMatrix.__post_init__
+
+    def counted(self):
+        validated.append(not self.raw)
+        post_init(self)
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
+    doc = {**cli.PRESETS["pauli-xx-zz"], "time": {"start": 0.0, "stop": 1.0, "steps": 5}, "method": method}
+    doc.update({"trotter_split": variant, "trotter_steps": 4} if method == "trotter" else {"series": variant})
+    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
+    assert len(records) == 5
+    assert sum(validated) == 1
 
 
 def test_cli_import_leaves_scipy_out():

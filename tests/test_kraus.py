@@ -91,7 +91,7 @@ def test_build_tp_series_zeroth_order(qho_spec, initial_states):
     rho0 = initial_states["qho-oscillating"].density()
     out = kraus.apply_series(series, rho0)
     t_op = kraus.effective_evolution(lb.normalize_lindblads(qho_spec.model), 0.7)
-    assert np.abs(out.matrix - t_op @ rho0.matrix @ t_op.conj().T).max() < 1e-12
+    assert np.abs(out - t_op @ rho0.matrix @ t_op.conj().T).max() < 1e-12
 
 
 def test_build_tp_series_nilpotent_terminates(qho_spec):
@@ -154,7 +154,7 @@ def test_apply_series_identity_only(initial_states):
         (kraus.KrausTerm(0, (), 1.0, np.eye(4, dtype=complex)),), 0, 0.0, 4
     )
     out = kraus.apply_series(series, rho0)
-    assert np.abs(out.matrix - rho0.matrix).max() == 0.0
+    assert np.abs(out - rho0.matrix).max() == 0.0
 
 
 def test_apply_series_trace_monotone_in_order(schwinger_spec, initial_states):
@@ -162,7 +162,7 @@ def test_apply_series_trace_monotone_in_order(schwinger_spec, initial_states):
     traces = []
     for order in (0, 1, 2, 4, 8):
         series = kraus.build_tp_series(schwinger_spec.model, 1.5, order)
-        traces.append(np.trace(kraus.apply_series(series, rho0).matrix).real)
+        traces.append(np.trace(kraus.apply_series(series, rho0)).real)
     assert all(b >= a - 1e-12 for a, b in zip(traces, traces[1:]))
     assert traces[-1] <= 1 + 1e-9
 
@@ -296,7 +296,7 @@ def test_reduced_series_identity_at_zero(pauli_spec, initial_states):
     assert surviving[0].indices == ()
     rho0 = initial_states["pauli-xx-zz"].density()
     out = kraus.apply_series(series, rho0)
-    assert np.abs(out.matrix - rho0.matrix).max() < 1e-12
+    assert np.abs(out - rho0.matrix).max() < 1e-12
 
 
 def test_reduced_series_matches_oracle(pauli_spec, initial_states):
@@ -318,7 +318,7 @@ def test_reduced_series_single_dephasing_closed_form():
     assert weights[(0,)] * scale == pytest.approx(np.sqrt((1 - np.exp(-2 * gamma * t)) / 2), abs=1e-12)
     plus = np.ones((2, 2), dtype=complex) / 2
     out = kraus.apply_series(series, plus)
-    assert out.matrix[0, 1].real == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-12)
+    assert out[0, 1].real == pytest.approx(0.5 * np.exp(-2 * gamma * t), abs=1e-12)
 
 
 def test_reduced_series_unital(pauli_spec, qho_spec):

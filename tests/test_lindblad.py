@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kraussim import lindblad as lb
 from kraussim import models
-from kraussim.matkernel import PAULI, from_doc, to_doc, trace_distance
+from kraussim.matkernel import PAULI, classify_density, from_doc, to_doc, trace_distance
 
 from conftest import dense_lindbladian, random_density
 
@@ -146,7 +146,7 @@ def test_exact_trajectory_matches_pointwise_expm(rng, key, params):
         assert len(states) == steps
         for t, state in zip(np.linspace(start, stop, steps), states):
             want = scipy.linalg.expm(t * generator) @ rho0.reshape(-1)
-            assert np.abs(state.matrix.reshape(-1) - want).max() < 1e-12
+            assert np.abs(state.reshape(-1) - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("key", ["pauli-xx-zz", "schwinger-jz", "qho-damped", "qho-cat"])
@@ -211,7 +211,7 @@ def test_exact_trajectory_branches_agree(monkeypatch, rng, steps, batch):
     assert max(batches) == batch
     monkeypatch.setattr(lb, "_propagate", propagate)
     for t, state in zip(np.linspace(0.2, 2.0, steps), states):
-        assert np.abs(state.matrix - lb.exact_evolve(model, rho0, t).matrix).max() < 1e-13
+        assert np.abs(state - lb.exact_evolve(model, rho0, t).matrix).max() < 1e-13
 
 
 @st.composite
@@ -234,7 +234,7 @@ def test_exact_trajectory_matches_dense_expm_on_random_models(model, seed, stop,
     states = list(lb.exact_trajectory(model, rho0, 0.0, stop, steps))
     for t, state in zip(np.linspace(0.0, stop, steps), states):
         want = scipy.linalg.expm(t * generator) @ rho0.reshape(-1)
-        assert np.abs(state.matrix.reshape(-1) - want).max() < 1e-12
+        assert np.abs(state.reshape(-1) - want).max() < 1e-12
 
 
 def test_exact_trajectory_matches_scipy_expm_multiply_at_n_max_31(rng):
@@ -244,15 +244,54 @@ def test_exact_trajectory_matches_scipy_expm_multiply_at_n_max_31(rng):
     want = scipy.sparse.linalg.expm_multiply(generator, rho0.reshape(-1), start=0.0, stop=3.0, num=9)
     states = list(lb.exact_trajectory(model, rho0, 0.0, 3.0, 9))
     for state, vec in zip(states, want):
-        assert np.abs(state.matrix.reshape(-1) - vec).max() < 1e-12
+        assert np.abs(state.reshape(-1) - vec).max() < 1e-12
 
 
 def test_evolution_refuses_a_step_past_the_norm_limit(qho_spec, initial_states):
     rho0 = initial_states["qho-oscillating"].density()
     with pytest.raises(ValueError, match="evolution time 1e\\+09 is too long for one step"):
-        lb.exact_evolve(qho_spec.model, rho0, 1e9)
+        list(lb.exact_trajectory(qho_spec.model, rho0, 0.0, 1e9, 2))
     with pytest.raises(ValueError, match="evolution time 5e\\+08 is too long for one step"):
         lb.trotter_evolve(qho_spec.model, rho0, 1e9, 1)
+
+
+@pytest.mark.parametrize("pieces", [3, 21])
+def test_exact_trajectory_takes_a_late_start_in_pieces(monkeypatch, rng, pieces):
+    # the leg to start = 4 would be refused in one step; it goes in ceil(4 * norm / limit) equal
+    # pieces, carried one by one for 3 and through the step map of the d^2 = 16 basis matrices for 21
+    model = models.build_model("qho-damped").model
+    start = 4.0
+    norm = oracle_generator(model).norm
+    monkeypatch.setattr(lb, "PROPAGATE_NORM_LIMIT", start * norm / (pieces - 0.5))
+    rho0 = random_density(rng, model.dim)
+    calls = []
+    propagate = lb._propagate
+
+    def recorded(gen, x, h):
+        calls.append((x.shape[0], h))
+        return propagate(gen, x, h)
+
+    monkeypatch.setattr(lb, "_propagate", recorded)
+    states = list(lb.exact_trajectory(model, rho0, start, 4.3, 3))
+    lead = [batch for batch, h in calls if h == start / pieces]
+    assert lead == ([1] * pieces if pieces <= model.dim**2 else [model.dim**2])
+    generator = dense_lindbladian(model)
+    for t, state in zip(np.linspace(start, 4.3, 3), states):
+        want = scipy.linalg.expm(t * generator) @ rho0.reshape(-1)
+        assert np.abs(state.reshape(-1) - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_yielded_states_do_not_alias_rho0(rng):
+    # a zero step hands its input back: the first exact point from start = 0 and every Trotter stage at t = 0
+    model = models.build_model("qho-damped").model
+    rho0 = random_density(rng, model.dim)
+    kept = rho0.copy()
+    firsts = [next(lb.exact_trajectory(model, rho0, 0.0, 1.0, 3))]
+    firsts += [next(lb.trotter_trajectory(model, rho0, [0.0, 0.5], 4, split)) for split in SPLITS]
+    for first in firsts:
+        assert np.array_equal(first, kept)
+        first[0, 0] = 7.0
+        assert np.array_equal(rho0, kept)
 
 
 def test_trotter_commuting_split_is_exact():
@@ -314,7 +353,7 @@ def test_trotter_trajectory_matches_pointwise(qho_spec, initial_states, split):
     assert len(states) == len(ts)
     for t, state in zip(ts, states):
         want = lb.trotter_evolve(qho_spec.model, rho0, float(t), 8, split)
-        assert np.array_equal(state.matrix, want.matrix)
+        assert np.array_equal(classify_density(state).matrix, want.matrix)
     with pytest.raises(ValueError):
         list(lb.trotter_trajectory(qho_spec.model, rho0, [0.5, -0.1], 8, split))
 
