@@ -1,4 +1,4 @@
-"""Time and memory of the exact oracle and the Kraus series on ``qho-damped`` from ``n_max`` 3 to 63.
+"""Time and memory of the exact oracle, the Kraus series and the Wigner field on ``qho-damped`` from ``n_max`` 3 to 63.
 
 Run from the root of a checkout, with BLAS on one thread as in ``perfbench``:
 
@@ -9,11 +9,15 @@ full-rank state drawn from ``SEED`` over ``POINTS`` grid points from 0 to
 ``STOP``.  The oracle is ``lindblad.exact_trajectory``; the series side is
 ``kraus.prepare``, ``kraus.series_trajectory`` at ``auto`` and order
 ``n_max`` (the damped mode's series ends there) and ``kraus.apply_series``
-at each point.  The last line of standard output is one JSON object
-with, per size, the median wall time of ``REPEATS`` runs of each side, the
-``tracemalloc`` peak of one more run of each and the largest entry gap
-between the series and the oracle.  Point ``PYTHONPATH`` at
-another checkout's ``src`` to measure that tree with the same inputs.
+at each point.  The field side is ``analysis.WignerNodes`` on the
+default grid, built once, and one ``analysis.wigner`` step of the random
+state.  The last line of standard output is one JSON object with, per
+size, the median wall time of ``REPEATS`` runs of each side, the
+``tracemalloc`` peak of one more run of each, the largest entry gap
+between the series and the oracle, and the largest gap between the field
+and its closed form evaluated directly on every grid cell.  Point
+``PYTHONPATH`` at another checkout's ``src`` to measure that tree with the
+same inputs.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import tracemalloc
 
 import numpy as np
 
-from kraussim import kraus, lindblad, models
+from kraussim import analysis, kraus, lindblad, models
 
 N_MAX = (3, 7, 11, 15, 23, 31, 39, 47, 63)
 POINTS = 9
@@ -71,6 +75,9 @@ def measure(n_max: int) -> dict:
     rho0 = random_density(np.random.default_rng([SEED, n_max]), model.dim)
     oracle_s, oracle_all, oracle_peak, oracle = timed(run_oracle, model, rho0)
     series_s, series_all, series_peak, series = timed(run_series, model, rho0, n_max)
+    grid = analysis.default_grid()
+    build_s, build_all, build_peak, nodes = timed(analysis.WignerNodes, grid, model.dim)
+    step_s, step_all, step_peak, field = timed(analysis.wigner, rho0, grid, nodes)
     return {
         "dim": model.dim,
         "oracle_s": oracle_s,
@@ -80,6 +87,13 @@ def measure(n_max: int) -> dict:
         "series_s_all": series_all,
         "series_tracemalloc_peak_mb": series_peak,
         "series_gap": max(float(np.abs(a - b).max()) for a, b in zip(series, oracle)),
+        "field_build_s": build_s,
+        "field_build_s_all": build_all,
+        "field_build_tracemalloc_peak_mb": build_peak,
+        "field_step_s": step_s,
+        "field_step_s_all": step_all,
+        "field_step_tracemalloc_peak_mb": step_peak,
+        "field_gap": float(np.abs(field - analysis._wigner_closed_form(rho0, grid.x, grid.p)).max()),
     }
 
 
@@ -90,7 +104,9 @@ def main() -> int:
         print(
             f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB), "
             f"series {row['series_s']:.4f} s ({row['series_tracemalloc_peak_mb']:.2f} MB), "
-            f"series gap {row['series_gap']:.1e}",
+            f"series gap {row['series_gap']:.1e}; field build {row['field_build_s'] * 1e3:.2f} ms "
+            f"({row['field_build_tracemalloc_peak_mb']:.2f} MB), step {row['field_step_s'] * 1e3:.2f} ms "
+            f"({row['field_step_tracemalloc_peak_mb']:.2f} MB), field gap {row['field_gap']:.1e}",
             flush=True,
         )
     print(json.dumps({"points": POINTS, "stop": STOP, "repeats": REPEATS, "seed": SEED, "sizes": results}))

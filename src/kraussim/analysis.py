@@ -3,7 +3,9 @@
 Densities use mass-independent coordinates, x0 = (a^dag + a)/sqrt(2) and
 p0 = i(a^dag - a)/sqrt(2), so the ground-state width is 1/sqrt(2) and the
 ground-state Wigner peak is 1/pi.  Hermite and Laguerre values come from
-their three-term recurrences.
+their three-term recurrences.  The Wigner field is its closed form on a
+Gauss-Hermite node grid, interpolated exactly onto the phase-space grid by
+two fixed matrices that ``WignerNodes`` builds once per grid and dimension.
 """
 
 from __future__ import annotations
@@ -100,41 +102,74 @@ def position_density(rho, grid: PhaseSpaceGrid, which: str = POSITION) -> np.nda
     return density.real
 
 
-def _laguerre_column(n: int, k: int, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre L_n^(k) by the three-term recurrence."""
-    prev = np.ones_like(x)
-    if n == 0:
-        return prev
-    cur = 1.0 + k - x
-    for j in range(2, n + 1):
-        prev, cur = cur, ((2 * j - 1 + k - x) * cur - (j - 1 + k) * prev) / j
-    return cur
+def _wigner_closed_form(mat: np.ndarray, x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The closed form of ``wigner`` on the outer grid of the axes x and p.
+
+    Each diagonal k = n' - n runs one upward Laguerre recurrence
+    L_n^k(2 r^2) over n and sums its entries before one multiplication by
+    z^k, so the work is O(d^2) field operations.
+    """
+    dim = mat.shape[0]
+    r2 = x[:, None] ** 2 + p[None, :] ** 2
+    two_r2 = 2.0 * r2
+    z = math.sqrt(2.0) * (x[:, None] + 1j * p[None, :])
+    z_power = np.ones_like(z)
+    field = np.zeros_like(r2)
+    for k in range(dim):
+        entries = np.diagonal(mat, k)
+        prev, cur = 0.0, np.ones_like(r2)
+        total = np.zeros_like(z)
+        for n, entry in enumerate(entries):
+            if n > 0:
+                prev, cur = cur, ((2 * n - 1 + k - two_r2) * cur - (n - 1 + k) * prev) / n
+            coeff = (-1.0) ** n * (2.0 if k else 1.0) * math.sqrt(math.factorial(n) / math.factorial(n + k))
+            total += (coeff * entry) * cur
+        field += np.real(z_power * total)
+        z_power *= z
+    return np.exp(-r2) / np.pi * field
 
 
-def wigner(rho, grid: PhaseSpaceGrid) -> np.ndarray:
+class WignerNodes:
+    """The grid work of ``wigner`` for one phase-space grid and dimension.
+
+    W e^{x^2 + p^2} is a polynomial of degree <= 2(d - 1) in each of x and
+    p, so its values on the Gauss-Hermite nodes u_j / sqrt(2) of order
+    2d - 1 fix it exactly.  On each axis, ``to_x`` and ``to_p`` map the
+    node values to the grid: M[j, k] = sum_a psi_a(u_j) psi_a(sqrt(2) x_k)
+    / sum_a psi_a(u_j)^2, where 1 / sum_a psi_a(u_j)^2 is the quadrature
+    weight times e^{u_j^2} (Golub & Welsch, Math. Comp. 23, 221, 1969).
+    """
+
+    def __init__(self, grid: PhaseSpaceGrid, dim: int):
+        from numpy.polynomial.hermite import hermgauss
+
+        roots, _ = hermgauss(2 * dim - 1)
+        at_roots = hermite_functions(2 * dim - 2, roots)
+        interpolate = (at_roots / (at_roots**2).sum(axis=0)).T
+        self.grid = grid
+        self.dim = dim
+        self.nodes = roots / math.sqrt(2.0)
+        self.to_x = interpolate @ hermite_functions(2 * dim - 2, math.sqrt(2.0) * grid.x)
+        self.to_p = interpolate @ hermite_functions(2 * dim - 2, math.sqrt(2.0) * grid.p)
+
+
+def wigner(rho, grid: PhaseSpaceGrid, nodes: WignerNodes | None = None) -> np.ndarray:
     """Phase-space quasi-probability field of a single-mode state.
 
-    Evaluates the closed form over the upper triangle of rho,
+    The closed form over the upper triangle of rho,
     ``W = e^{-r^2}/pi sum_{n<=n'} (-1)^n (2 - delta) sqrt(n!/n'!)
     Re(rho_{n n'} (sqrt(2)(x+ip))^{n'-n}) L_n^{n'-n}(2 r^2)``,
-    normalized so the grid integral is 1.  Output axes are (x, p).
+    is evaluated on the (2d - 1)^2 Gauss-Hermite nodes of ``nodes`` and
+    carried to the grid by two matrix products, which is exact up to
+    rounding.  ``nodes`` is built for ``grid`` and the dimension of rho when
+    not given.  Output axes are (x, p).
     """
     mat = _as_matrix(rho)
-    dim = mat.shape[0]
-    xg, pg = np.meshgrid(grid.x, grid.p, indexing="ij")
-    r2 = xg**2 + pg**2
-    z = math.sqrt(2.0) * (xg + 1j * pg)
-    field = np.zeros_like(r2)
-    for n in range(dim):
-        for n_prime in range(n, dim):
-            entry = mat[n, n_prime]
-            if entry == 0:
-                continue
-            coeff = (-1.0) ** n * (2.0 if n_prime > n else 1.0)
-            coeff *= math.sqrt(math.factorial(n) / math.factorial(n_prime))
-            radial = _laguerre_column(n, n_prime - n, 2.0 * r2)
-            field += coeff * np.real(entry * z ** (n_prime - n)) * radial
-    return np.exp(-r2) / np.pi * field
+    if nodes is None:
+        nodes = WignerNodes(grid, mat.shape[0])
+    elif nodes.grid is not grid or nodes.dim != mat.shape[0]:
+        raise ValueError("Wigner nodes were built for another grid or dimension")
+    return nodes.to_x.T @ _wigner_closed_form(mat, nodes.nodes, nodes.nodes) @ nodes.to_p
 
 
 def grid_integral(field: np.ndarray, grid: PhaseSpaceGrid) -> float:

@@ -50,6 +50,8 @@ METHODS = ("exact", "trotter", "kraus", "kraus-circuit", "kraus-circuit-shots")
 SERIES_VARIANTS = ("auto", "reduced", "truncated", "factored")
 MITIGATIONS = ("none", "qdc", "pauli-fit", "twirl-qdc")
 FIELD_OUTPUTS = ("position-density", "momentum-density", "wigner")
+# The one grid the fields are evaluated on and whose axes fields/ holds.
+FIELD_GRID = analysis.default_grid()
 NOISE_PARAMETERS = {"qdc": "lambda", "pauli": "epsilons"}
 
 
@@ -350,7 +352,7 @@ def _step_outputs(
             raise ConfigError("field outputs need a single-mode bosonic model")
         elif token not in ("populations", "quadratures", *FIELD_OUTPUTS):
             raise ConfigError(f"unknown output token {token!r}")
-    grid = analysis.default_grid()
+    wigner_nodes = analysis.WignerNodes(FIELD_GRID, dim) if "wigner" in config.outputs else None
 
     def read(mitigated: np.ndarray, physical: np.ndarray):
         columns: dict[str, float] = {}
@@ -366,11 +368,11 @@ def _step_outputs(
                     columns[f"x0_{m}"] = x0
                     columns[f"p0_{m}"] = p0
             elif token == "position-density":
-                fields[token] = analysis.position_density(physical, grid, analysis.POSITION)
+                fields[token] = analysis.position_density(physical, FIELD_GRID, analysis.POSITION)
             elif token == "momentum-density":
-                fields[token] = analysis.position_density(physical, grid, analysis.MOMENTUM)
+                fields[token] = analysis.position_density(physical, FIELD_GRID, analysis.MOMENTUM)
             else:
-                fields[token] = analysis.wigner(physical, grid)
+                fields[token] = analysis.wigner(physical, FIELD_GRID, wigner_nodes)
         return columns, fields
 
     return read
@@ -464,8 +466,7 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
                     np.lib.format.write_array_header_1_0(states_file, header)
                     if record.fields:
                         fields_dir.mkdir(exist_ok=True)
-                        grid = analysis.default_grid()
-                        for name, axis in (("x", grid.x), ("p", grid.p)):
+                        for name, axis in (("x", FIELD_GRID.x), ("p", FIELD_GRID.p)):
                             written.append(fields_dir / f"{name}.npy")
                             np.save(written[-1], axis)
                 else:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kraussim import analysis, circuits, kraus, lindblad as lb, models
 
@@ -111,6 +114,69 @@ def test_wigner_fock_values(grid):
     assert w1[mid] == pytest.approx(-1 / np.pi, abs=1e-6)
     for field in (w0, w1):
         assert analysis.grid_integral(field, grid) == pytest.approx(1.0, abs=1e-3)
+
+
+def _laguerre_column(n, k, x):
+    prev = np.ones_like(x)
+    if n == 0:
+        return prev
+    cur = 1.0 + k - x
+    for j in range(2, n + 1):
+        prev, cur = cur, ((2 * j - 1 + k - x) * cur - (j - 1 + k) * prev) / j
+    return cur
+
+
+def reference_wigner(rho, grid):
+    """The closed form over the full grid, one entry and one Laguerre recurrence at a time."""
+    xg, pg = np.meshgrid(grid.x, grid.p, indexing="ij")
+    r2 = xg**2 + pg**2
+    z = math.sqrt(2.0) * (xg + 1j * pg)
+    field = np.zeros_like(r2)
+    for n in range(rho.shape[0]):
+        for n_prime in range(n, rho.shape[0]):
+            coeff = (-1.0) ** n * (2.0 if n_prime > n else 1.0)
+            coeff *= math.sqrt(math.factorial(n) / math.factorial(n_prime))
+            radial = _laguerre_column(n, n_prime - n, 2.0 * r2)
+            field += coeff * np.real(rho[n, n_prime] * z ** (n_prime - n)) * radial
+    return np.exp(-r2) / np.pi * field
+
+
+def _uneven_grid():
+    # x from -4 to 6 in jittered steps, p in steps of 0.09: not square, not symmetric
+    steps = np.random.default_rng(7).uniform(0.03, 0.1, 200)
+    x = np.concatenate([[-4.0], -4.0 + np.cumsum(steps)])
+    return analysis.PhaseSpaceGrid(x[x <= 6.0], np.arange(-4.5, 4.55, 0.09))
+
+
+FIELD_GRIDS = {"default": analysis.default_grid(), "uneven": _uneven_grid()}
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 24), seed=st.integers(0, 2**31 - 1), grid_name=st.sampled_from(sorted(FIELD_GRIDS)))
+def test_wigner_node_interpolation_matches_per_entry_closed_form(dim, seed, grid_name):
+    grid = FIELD_GRIDS[grid_name]
+    rho = random_density(np.random.default_rng(seed), dim)
+    field = analysis.wigner(rho, grid, analysis.WignerNodes(grid, dim))
+    assert field.shape == (grid.x.size, grid.p.size)
+    assert np.abs(field - reference_wigner(rho, grid)).max() <= 1e-14
+
+
+@pytest.mark.parametrize("grid_name", sorted(FIELD_GRIDS))
+def test_wigner_of_a_one_level_state(grid_name):
+    # d = 1: one node at the origin, and the field is the ground-state Gaussian
+    grid = FIELD_GRIDS[grid_name]
+    field = analysis.wigner(np.ones((1, 1)), grid)
+    want = np.exp(-grid.x[:, None] ** 2 - grid.p[None, :] ** 2) / np.pi
+    assert np.abs(field - want).max() <= 1e-15
+    assert np.abs(field - reference_wigner(np.ones((1, 1)), grid)).max() <= 1e-15
+
+
+def test_wigner_refuses_nodes_of_another_grid_or_dimension(grid):
+    rho = np.eye(3) / 3
+    with pytest.raises(ValueError, match="another grid or dimension"):
+        analysis.wigner(rho, grid, analysis.WignerNodes(grid, 4))
+    with pytest.raises(ValueError, match="another grid or dimension"):
+        analysis.wigner(rho, grid, analysis.WignerNodes(FIELD_GRIDS["uneven"], 3))
 
 
 def test_wigner_matches_defining_integral(grid, rng):

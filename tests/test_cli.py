@@ -265,6 +265,28 @@ def test_model_invariant_work_runs_once_per_experiment(tmp_path, monkeypatch, me
     assert calls == want
 
 
+@pytest.mark.parametrize("outputs, builds", [(["quadratures", "wigner"], 1), (["quadratures"], 0)])
+def test_wigner_grid_work_runs_once_per_experiment(tmp_path, monkeypatch, outputs, builds):
+    built = []
+
+    class CountedNodes(analysis.WignerNodes):
+        def __init__(self, grid, dim):
+            built.append(dim)
+            super().__init__(grid, dim)
+
+    monkeypatch.setattr(analysis, "WignerNodes", CountedNodes)
+    doc = {
+        "model": "qho-damped",
+        "state": "qho-oscillating",
+        "time": {"start": 0.0, "stop": 3.0, "steps": 19},
+        "method": "exact",
+        "outputs": outputs,
+    }
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "out"]) == 0
+    assert _row_count(tmp_path / "out") == 19
+    assert len(built) == builds
+
+
 def test_output_operators_are_built_once_per_experiment(tmp_path, monkeypatch):
     labels = []
 
