@@ -24,7 +24,7 @@ from .kraus import (
     _require_spectrum,
 )
 from .lindblad import LindbladModel
-from .matkernel import PAULI, DensityMatrix, QuantumState, apply_to_axes, qubit_count, sznagy_dilation  # noqa: F401 (re-export)
+from .matkernel import PAULI, QuantumState, apply_to_axes, qubit_count, sznagy_dilation  # noqa: F401 (re-export)
 from .matkernel import from_pauli_coefficients, pauli_coefficients, pauli_labels, pauli_string_matrix
 
 ANGLE_PRUNE_TOL = 1e-12
@@ -537,7 +537,7 @@ def sample_shots(state: QuantumState, basis: str, shots: int, seed) -> ShotResul
 _READOUT = np.vstack([np.full(6, 1 / 3), np.kron(np.eye(3), [1.0, -1.0])])
 
 
-def tomography(frequencies) -> DensityMatrix:
+def tomography(frequencies) -> np.ndarray:
     """Linear-inversion reconstruction from a ``(3^n, 2^n)`` table of outcome frequencies.
 
     Row r holds the outcomes of the r-th basis in ``itertools.product("XYZ",
@@ -545,7 +545,8 @@ def tomography(frequencies) -> DensityMatrix:
     ``weight^2 * survival * frequency``.  The per-qubit readout turns the
     table into every string's expectation, averaged over the bases that cover
     it, and ``rho = 2^-n sum_P <P> P``; the identity coefficient is the
-    accumulated trace weight.  The result may be unphysical and is flagged raw.
+    accumulated trace weight.  Returns the complex (d, d) matrix, which may
+    be unphysical.
     """
     table = np.asarray(frequencies, dtype=float)
     if table.ndim != 2 or table.shape[0] != 3 ** qubit_count(table.shape[1], "outcome count"):
@@ -554,7 +555,7 @@ def tomography(frequencies) -> DensityMatrix:
     letter_outcome_pairs = [axis for q in range(n) for axis in (q, n + q)]
     per_qubit = table.reshape([3] * n + [2] * n).transpose(letter_outcome_pairs).reshape([6] * n)
     values = apply_to_axes(per_qubit, [(q, _READOUT) for q in range(n)]).reshape(-1)
-    return DensityMatrix(from_pauli_coefficients(values), raw=True)
+    return from_pauli_coefficients(values)
 
 
 def execute_series_tomography(
@@ -565,8 +566,11 @@ def execute_series_tomography(
     shots: int | None = None,
     seed: int | tuple[int, ...] = 0,
     scheme: str = SCHEME_BINARY,
-) -> tuple[DensityMatrix, list[dict]]:
+) -> tuple[np.ndarray, list[dict]]:
     """Full circuit pipeline for a series: simulate, post-select, measure, invert.
+
+    Returns the reconstructed (d, d) matrix of :func:`tomography` and one
+    diagnostic per term.
 
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) job with a deterministic child

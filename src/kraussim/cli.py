@@ -3,7 +3,8 @@
 One JSON config describes an experiment: model, initial state, time grid,
 execution method, mitigation chain and requested outputs.  Records stream
 per time step so long grids never hold every density matrix at once: the
-matrices go to one binary ``states.npy``, the per-step diagnostics to
+matrices go to one binary ``states.npy``, each phase-space field to one
+``fields/<name>.npy`` stacked the same way, the per-step diagnostics to
 ``run.json`` and the scalar columns to ``trajectory.csv``.
 Exit codes: 0 success, 2 config/validation error, 3 numerical-check failure.
 """
@@ -14,9 +15,10 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -144,7 +146,6 @@ class ExperimentConfig:
 
 @dataclass
 class TrajectoryRecord:
-    index: int
     t: float
     raw: np.ndarray
     mitigated: np.ndarray
@@ -220,7 +221,7 @@ def _resolve_model(config: ExperimentConfig) -> models.ModelSpec:
         model = from_doc(LindbladModel, config.model)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid inline model: {exc}") from exc
-    return models.ModelSpec("custom", model, (), "inline model")
+    return models.ModelSpec("custom", model, ())
 
 
 def _named_state(key: str) -> QuantumState:
@@ -294,7 +295,7 @@ def _run_method(
                 rho, diags = circuits.execute_series_tomography(
                     model, series, t, psi0, shots=shots, seed=(config.seed, index)
                 )
-                yield rho.matrix, diags, bound if shots is None else np.inf
+                yield rho, diags, bound if shots is None else np.inf
 
 
 class _MitigationChain:
@@ -394,7 +395,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
     methods = _run_method(config, work, psi0, rho0, ts)
-    for index, (t, oracle, (raw, diagnostics, bound)) in enumerate(zip(ts, oracles, methods)):
+    for t, oracle, (raw, diagnostics, bound) in zip(ts, oracles, methods):
         raw = oracle if raw is None else raw
         check_distance = trace_distance(oracle, raw)
         if check_distance == np.inf:
@@ -410,7 +411,6 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         )
         observables, fields = outputs(final, physical)
         yield TrajectoryRecord(
-            index=index,
             t=t,
             raw=noisy,
             mitigated=final,
@@ -428,27 +428,28 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     """Stream each of the ``steps`` records to the output tree; deterministic layout.
 
     ``trajectory.csv`` gets one row per record under a header taken from the
-    first.  ``states.npy`` is one complex128 array of shape ``(steps, 2, d,
-    d)`` in C order, ``[:, 0]`` raw and ``[:, 1]`` mitigated: its NPY header
-    is written with the first record and each record appends its two
-    matrices.  ``run.json`` is one object ``{"steps": [...]}`` with an entry
-    ``{"t", "diagnostics"}`` per record.  ``fields/`` gets one float64
-    ``stepNNN_<name>.npy`` per field with the grid axes saved once as
-    ``x.npy`` and ``p.npy`` (2-D fields are indexed ``[x, p]``).  If a
-    record raises, or the records are not ``steps`` in number, the files
-    written so far are removed and the error raised.
+    first.  ``run.json`` is one object ``{"steps": [...]}`` with an entry
+    ``{"t", "diagnostics"}`` per record.  Every per-step array goes to one
+    stacked NPY file of shape ``(steps, *shape)`` in C order, whose header
+    is written with the first record and to which each record appends its
+    row: ``states.npy`` is complex128 ``(steps, 2, d, d)``, ``[:, 0]`` raw
+    and ``[:, 1]`` mitigated, and each field is float64
+    ``fields/<name>.npy``, next to the grid axes ``fields/x.npy`` and
+    ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).  If a record
+    raises, or the records are not ``steps`` in number, the files written
+    so far, and a ``fields/`` this call made, are removed and the error
+    raised.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     fields_dir = outdir / "fields"
-    written = [outdir / "states.npy", outdir / "run.json", outdir / "trajectory.csv"]
+    made_fields_dir = False
+    written = [outdir / "run.json", outdir / "trajectory.csv"]
+    streams: dict[str, BinaryIO] = {}
     try:
-        with (
-            written[0].open("wb") as states_file,
-            written[1].open("w") as run_file,
-            written[2].open("w", newline="") as table_file,
-        ):
-            table = csv.writer(table_file)
+        with ExitStack() as files:
+            run_file = files.enter_context(written[0].open("w"))
+            table = csv.writer(files.enter_context(written[1].open("w", newline="")))
             run_file.write('{"steps": [\n')
             count = 0
             for record in records:
@@ -458,26 +459,33 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
                     "entropy": record.entropy,
                     **record.observables,
                 }
+                arrays = {
+                    "states.npy": np.stack((record.raw, record.mitigated)).astype(np.complex128, copy=False),
+                    **{f"fields/{name}.npy": np.ascontiguousarray(data, np.float64) for name, data in record.fields.items()},
+                }
+                shapes = {name: data.shape for name, data in arrays.items()}
                 if count == 0:
                     table.writerow(row)
-                    dim = record.raw.shape[0]
-                    descr = np.lib.format.dtype_to_descr(np.dtype(np.complex128))
-                    header = {"descr": descr, "fortran_order": False, "shape": (steps, 2, dim, dim)}
-                    np.lib.format.write_array_header_1_0(states_file, header)
+                    first_shapes = shapes
                     if record.fields:
+                        made_fields_dir = not fields_dir.exists()
                         fields_dir.mkdir(exist_ok=True)
                         for name, axis in (("x", FIELD_GRID.x), ("p", FIELD_GRID.p)):
                             written.append(fields_dir / f"{name}.npy")
                             np.save(written[-1], axis)
+                    for name, data in arrays.items():
+                        written.append(outdir / name)
+                        streams[name] = files.enter_context(written[-1].open("wb"))
+                        header = {"descr": np.lib.format.dtype_to_descr(data.dtype), "fortran_order": False}
+                        np.lib.format.write_array_header_1_0(streams[name], {**header, "shape": (steps, *data.shape)})
                 else:
                     run_file.write(",\n")
+                if shapes != first_shapes:
+                    raise ValueError(f"record {count} has arrays {shapes}, the first record {first_shapes}")
+                for name, data in arrays.items():
+                    streams[name].write(data)
                 table.writerow([repr(float(value)) for value in row.values()])
-                for matrix in (record.raw, record.mitigated):
-                    states_file.write(np.ascontiguousarray(matrix, dtype=np.complex128).tobytes())
                 run_file.write(json.dumps({"t": record.t, "diagnostics": record.diagnostics}, sort_keys=True))
-                for name, data in record.fields.items():
-                    written.append(fields_dir / f"step{record.index:03d}_{name}.npy")
-                    np.save(written[-1], data)
                 count += 1
             if count != steps:
                 raise ValueError(f"expected {steps} records, got {count}")
@@ -485,6 +493,8 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     except BaseException:
         for path in written:
             path.unlink(missing_ok=True)
+        if made_fields_dir:
+            fields_dir.rmdir()
         raise
 
 

@@ -111,7 +111,6 @@ class ModelSpec:
     key: str
     model: LindbladModel
     mode_ops: tuple[np.ndarray, ...]
-    description: str
 
 
 def build_model(key: str, **overrides) -> ModelSpec:
@@ -120,35 +119,20 @@ def build_model(key: str, **overrides) -> ModelSpec:
         strings = overrides.pop("pauli_strings", ["IX", "XI", "ZZ", "XX"])
         gammas = overrides.pop("gammas", [0.1, 0.1, 1.0, 1.0])
         _reject_unknown(overrides)
-        return ModelSpec(
-            key,
-            pauli_channel_model(strings, gammas),
-            (),
-            "two-qubit continuous-time Pauli channel with correlated XX/ZZ noise",
-        )
+        return ModelSpec(key, pauli_channel_model(strings, gammas), ())
     if key == "schwinger-jz":
         omega = overrides.pop("omega", 1.0)
         gamma = overrides.pop("gamma", 1.0)
         cutoff = overrides.pop("per_mode_cutoff", 1)
         axis = overrides.pop("axis", "Z")
         _reject_unknown(overrides)
-        return ModelSpec(
-            key,
-            schwinger_model(omega, axis, gamma, cutoff),
-            _two_mode_operators(cutoff),
-            "two-mode degenerate oscillator with angular-momentum dephasing",
-        )
+        return ModelSpec(key, schwinger_model(omega, axis, gamma, cutoff), _two_mode_operators(cutoff))
     if key in ("qho-damped", "qho-cat"):
         omega = overrides.pop("omega", 1.0)
         gamma = overrides.pop("gamma", 1.0 if key == "qho-damped" else 0.6)
         n_max = overrides.pop("n_max", 3)
         _reject_unknown(overrides)
-        return ModelSpec(
-            key,
-            damped_qho_model(omega, gamma, n_max),
-            (annihilation_operator(n_max),),
-            "single damped bosonic mode on a truncated Fock space",
-        )
+        return ModelSpec(key, damped_qho_model(omega, gamma, n_max), (annihilation_operator(n_max),))
     raise KeyError(f"unknown model key {key!r}")
 
 

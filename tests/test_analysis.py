@@ -48,7 +48,7 @@ def test_quadratures_circuit_path_matches_oracle(qho_spec, initial_states):
         series = kraus.build_tp_series(qho_spec.model, t, 3)
         rho_circ, _ = circuits.execute_series_tomography(qho_spec.model, series, t, psi)
         oracle = lb.exact_evolve(qho_spec.model, psi.density(), t)
-        got = analysis.quadrature_expectations(rho_circ.matrix, [a])[0]
+        got = analysis.quadrature_expectations(rho_circ, [a])[0]
         want = analysis.quadrature_expectations(oracle.matrix, [a])[0]
         assert got[0] == pytest.approx(want[0], abs=1e-9)
         assert got[1] == pytest.approx(want[1], abs=1e-9)

@@ -347,7 +347,7 @@ def test_sample_shots_y_eigenstate():
 def test_tomography_exact_reconstruction(rng):
     psi = QuantumState(random_state(rng, 4))
     rho = qc.tomography(0.7 * qc._basis_probabilities(psi, ["XYZ"] * 2))
-    assert np.abs(rho.matrix - 0.7 * psi.density().matrix).max() < 1e-10
+    assert np.abs(rho - 0.7 * psi.density().matrix).max() < 1e-10
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (9, 3), (9,), (27, 4)], ids=lambda shape: "x".join(map(str, shape)))
@@ -363,7 +363,7 @@ def test_tomography_finite_shots_close():
         for i, basis in enumerate("XYZ")
     ]
     rho = qc.tomography(table)
-    assert np.abs(rho.matrix - psi.density().matrix).max() < 0.05
+    assert np.abs(rho - psi.density().matrix).max() < 0.05
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -420,7 +420,7 @@ def test_pipeline_shot_determinism(qho_spec, initial_states):
     series = kraus.build_tp_series(qho_spec.model, 1.0, 3)
     rho_a, _ = qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=128, seed=9)
     rho_b, _ = qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=128, seed=9)
-    assert np.abs(rho_a.matrix - rho_b.matrix).max() == 0.0
+    assert np.abs(rho_a - rho_b).max() == 0.0
     with pytest.raises(ValueError, match="shots must be >= 1"):
         qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=0)
 

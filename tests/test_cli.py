@@ -475,9 +475,9 @@ def test_experiment_condition_failure_exit_code(tmp_path):
     assert not (tmp_path / "o" / "trajectory.csv").exists()
 
 
-def _one_qubit_record():
+def _one_qubit_record(wigner_shape=(3, 3)):
     mat = np.eye(2) / 2
-    return cli.TrajectoryRecord(0, 0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros((3, 3))}, 0.0, 0.0)
+    return cli.TrajectoryRecord(0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros(wigner_shape)}, 0.0, 0.0)
 
 
 def test_emit_report_removes_partial_outputs(tmp_path):
@@ -490,12 +490,31 @@ def test_emit_report_removes_partial_outputs(tmp_path):
     assert not (tmp_path / "out" / "states.npy").exists()
     assert not (tmp_path / "out" / "run.json").exists()
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+    assert not (tmp_path / "out" / "fields").exists()
 
 
 def test_emit_report_refuses_fewer_records_than_steps(tmp_path):
     # the states.npy header announces `steps` records, so a short stream must leave no file
     with pytest.raises(ValueError, match="expected 3 records, got 1"):
         cli.emit_report(iter([_one_qubit_record()]), tmp_path / "out", 3)
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+    assert not (tmp_path / "out" / "fields").exists()
+
+
+def test_emit_report_refuses_a_record_unlike_the_first(tmp_path):
+    # each stacked .npy header fixes the shape of every later row
+    records = [_one_qubit_record(), _one_qubit_record((3, 4))]
+    with pytest.raises(ValueError, match="record 1 has arrays"):
+        cli.emit_report(iter(records), tmp_path / "out", 2)
+    assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+    assert not (tmp_path / "out" / "fields").exists()
+
+
+def test_emit_report_keeps_a_fields_directory_it_did_not_make(tmp_path):
+    (tmp_path / "out" / "fields").mkdir(parents=True)
+    with pytest.raises(ValueError, match="expected 3 records, got 1"):
+        cli.emit_report(iter([_one_qubit_record()]), tmp_path / "out", 3)
+    assert (tmp_path / "out" / "fields").is_dir()
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
 
 
@@ -537,7 +556,7 @@ def test_experiment_rerun_is_byte_identical(tmp_path):
         return sorted(path.relative_to(root) for path in root.rglob("*") if path.is_file())
 
     files = tree(tmp_path / "a")
-    assert len(files) == 8 and tree(tmp_path / "b") == files
+    assert len(files) == 6 and tree(tmp_path / "b") == files
     for name in files:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
@@ -576,23 +595,48 @@ def test_experiment_field_outputs(tmp_path):
     )
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 0
     fields_dir = tmp_path / "out" / "fields"
-    names = ("position-density", "momentum-density", "wigner")
-    expected = {"x.npy", "p.npy"} | {f"step{i:03d}_{name}.npy" for i in range(2) for name in names}
+    expected = {"x.npy", "p.npy", "position-density.npy", "momentum-density.npy", "wigner.npy"}
     assert {path.name for path in fields_dir.iterdir()} == expected
     grid = analysis.default_grid()
     x, p = np.load(fields_dir / "x.npy"), np.load(fields_dir / "p.npy")
     assert x.dtype == p.dtype == np.float64
     assert np.array_equal(x, grid.x) and np.array_equal(p, grid.p)
-    for i in range(2):
-        position = np.load(fields_dir / f"step{i:03d}_position-density.npy")
-        momentum = np.load(fields_dir / f"step{i:03d}_momentum-density.npy")
-        wigner = np.load(fields_dir / f"step{i:03d}_wigner.npy")
-        assert position.dtype == momentum.dtype == wigner.dtype == np.float64
-        assert position.shape == momentum.shape == (x.size,)
-        assert wigner.shape == (x.size, p.size)
-        assert np.trapezoid(position, x) == pytest.approx(1.0, abs=1e-6)
-        assert np.trapezoid(momentum, p) == pytest.approx(1.0, abs=1e-6)
-        assert np.trapezoid(np.trapezoid(wigner, p, axis=1), x) == pytest.approx(1.0, abs=1e-6)
+    position = np.load(fields_dir / "position-density.npy")
+    momentum = np.load(fields_dir / "momentum-density.npy")
+    wigner = np.load(fields_dir / "wigner.npy")
+    assert position.dtype == momentum.dtype == wigner.dtype == np.float64
+    assert position.shape == momentum.shape == (2, x.size)
+    assert wigner.shape == (2, x.size, p.size)
+    for step in range(2):
+        assert np.trapezoid(position[step], x) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(momentum[step], p) == pytest.approx(1.0, abs=1e-6)
+        assert np.trapezoid(np.trapezoid(wigner[step], p, axis=1), x) == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("steps", [2, 5])
+def test_fields_npy_stacks_each_records_field(tmp_path, steps):
+    # the fields/ tree does not grow with the step count
+    doc = {
+        "model": "qho-damped",
+        "state": "qho-oscillating",
+        "time": {"start": 0.0, "stop": 1.0, "steps": steps},
+        "method": "kraus",
+        "outputs": ["quadratures", "wigner", "position-density"],
+    }
+    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "o"]) == 0
+    fields_dir = tmp_path / "o" / "fields"
+    assert sorted(path.name for path in fields_dir.iterdir()) == [
+        "p.npy",
+        "position-density.npy",
+        "wigner.npy",
+        "x.npy",
+    ]
+    for name in ("wigner", "position-density"):
+        got = np.load(fields_dir / f"{name}.npy")
+        want = np.stack([record.fields[name] for record in records])
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def _write_config(tmp_path, doc):
