@@ -565,7 +565,6 @@ def execute_series_tomography(
     initial_state: QuantumState,
     shots: int | None = None,
     seed: int | tuple[int, ...] = 0,
-    scheme: str = SCHEME_BINARY,
 ) -> tuple[np.ndarray, list[dict]]:
     """Full circuit pipeline for a series: simulate, post-select, measure, invert.
 
@@ -584,7 +583,7 @@ def execute_series_tomography(
     frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
     for term_index, term in enumerate(series.terms):
-        circuit = build_kraus_circuit(term, prep, t, scheme)
+        circuit = build_kraus_circuit(term, prep, t)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
         if reduced is not None:
@@ -594,12 +593,5 @@ def execute_series_tomography(
                     rng = np.random.default_rng(np.random.SeedSequence([*seed_base, term_index, basis_index]))
                     probs[basis_index] = rng.multinomial(shots, p / p.sum())
             frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
-        diagnostics.append(
-            {
-                "order": int(term.order),
-                "indices": [int(k) for k in term.indices],
-                "weight": float(term.weight),
-                "survival": float(survival),
-            }
-        )
+        diagnostics.append({**term.record(), "survival": float(survival)})
     return tomography(frequencies), diagnostics

@@ -5,8 +5,11 @@ execution method, mitigation chain and requested outputs.  Records stream
 per time step so long grids never hold every density matrix at once: the
 matrices go to one binary ``states.npy``, each phase-space field to one
 ``fields/<name>.npy`` stacked the same way, the per-step diagnostics to
-``run.json`` and the scalar columns to ``trajectory.csv``.
-Exit codes: 0 success, 2 config/validation error, 3 numerical-check failure.
+``run.json`` and the scalar columns to ``trajectory.csv``.  The output
+directory must be new or empty; the tree is staged inside it and appears
+only once every step is written.
+Exit codes: 0 success, 2 config/validation error (an output directory that
+holds files included), 3 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
+import tempfile
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -55,6 +60,8 @@ FIELD_OUTPUTS = ("position-density", "momentum-density", "wigner")
 # The one grid the fields are evaluated on and whose axes fields/ holds.
 FIELD_GRID = analysis.default_grid()
 NOISE_PARAMETERS = {"qdc": "lambda", "pauli": "epsilons"}
+# The --check bound of the exact methods, and the rounding slack added to a series tail bound.
+CHECK_SLACK = 1e-9
 
 
 class ConfigError(ValueError):
@@ -268,29 +275,24 @@ def _run_method(
     each time of ``ts``.  The exact method yields None: its state is the oracle's."""
     if config.method == "exact":
         for _t in ts:
-            yield None, [], 1e-9
+            yield None, [], CHECK_SLACK
     elif config.method == "trotter":
         for out in trotter_trajectory(model, rho0, ts, config.trotter_steps, config.trotter_split):
             yield out, [], np.inf
     elif config.series == "factored":
         for t in ts:
             if config.method == "kraus":
-                yield kraus.apply_factored_evolution(model, t, rho0), [], 1e-9
+                yield kraus.apply_factored_evolution(model, t, rho0), [], CHECK_SLACK
             else:
                 circuit = circuits.build_group_circuit(model, t)
-                yield circuits.apply_group_circuit(circuit, psi0), [], 1e-9
+                yield circuits.apply_group_circuit(circuit, psi0), [], CHECK_SLACK
     else:
         shots = config.shots if config.method == "kraus-circuit-shots" else None
         trajectory = kraus.series_trajectory(model, ts, config.series, config.order)
         for index, (t, series) in enumerate(zip(ts, trajectory)):
-            bound = series.tail_bound + 1e-9
+            bound = series.tail_bound + CHECK_SLACK
             if config.method == "kraus":
-                out = kraus.apply_series(series, rho0)
-                diags = [
-                    {"order": int(term.order), "indices": [int(k) for k in term.indices], "weight": float(term.weight)}
-                    for term in series.terms
-                ]
-                yield out, diags, bound
+                yield kraus.apply_series(series, rho0), [term.record() for term in series.terms], bound
             else:
                 rho, diags = circuits.execute_series_tomography(
                     model, series, t, psi0, shots=shots, seed=(config.seed, index)
@@ -435,21 +437,24 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     row: ``states.npy`` is complex128 ``(steps, 2, d, d)``, ``[:, 0]`` raw
     and ``[:, 1]`` mitigated, and each field is float64
     ``fields/<name>.npy``, next to the grid axes ``fields/x.npy`` and
-    ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).  If a record
-    raises, or the records are not ``steps`` in number, the files written
-    so far, and a ``fields/`` this call made, are removed and the error
-    raised.
+    ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).
+
+    ``outdir`` is created if needed and must hold nothing, or a
+    :class:`ConfigError` is raised before the first record is pulled.  The
+    tree is written into a ``.partial-*`` stage inside ``outdir`` and moved
+    up once all ``steps`` records are in; if a record raises, or the records
+    are not ``steps`` in number, the stage is removed and the error raised.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    fields_dir = outdir / "fields"
-    made_fields_dir = False
-    written = [outdir / "run.json", outdir / "trajectory.csv"]
+    if any(outdir.iterdir()):
+        raise ConfigError(f"output directory {outdir} already holds files; give a new or empty --out")
+    stage = Path(tempfile.mkdtemp(prefix=".partial-", dir=outdir))
     streams: dict[str, BinaryIO] = {}
     try:
         with ExitStack() as files:
-            run_file = files.enter_context(written[0].open("w"))
-            table = csv.writer(files.enter_context(written[1].open("w", newline="")))
+            run_file = files.enter_context((stage / "run.json").open("w"))
+            table = csv.writer(files.enter_context((stage / "trajectory.csv").open("w", newline="")))
             run_file.write('{"steps": [\n')
             count = 0
             for record in records:
@@ -468,14 +473,11 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
                     table.writerow(row)
                     first_shapes = shapes
                     if record.fields:
-                        made_fields_dir = not fields_dir.exists()
-                        fields_dir.mkdir(exist_ok=True)
+                        (stage / "fields").mkdir()
                         for name, axis in (("x", FIELD_GRID.x), ("p", FIELD_GRID.p)):
-                            written.append(fields_dir / f"{name}.npy")
-                            np.save(written[-1], axis)
+                            np.save(stage / "fields" / f"{name}.npy", axis)
                     for name, data in arrays.items():
-                        written.append(outdir / name)
-                        streams[name] = files.enter_context(written[-1].open("wb"))
+                        streams[name] = files.enter_context((stage / name).open("wb"))
                         header = {"descr": np.lib.format.dtype_to_descr(data.dtype), "fortran_order": False}
                         np.lib.format.write_array_header_1_0(streams[name], {**header, "shape": (steps, *data.shape)})
                 else:
@@ -490,12 +492,10 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
             if count != steps:
                 raise ValueError(f"expected {steps} records, got {count}")
             run_file.write("\n]}\n")
-    except BaseException:
-        for path in written:
-            path.unlink(missing_ok=True)
-        if made_fields_dir:
-            fields_dir.rmdir()
-        raise
+        for entry in stage.iterdir():
+            entry.rename(outdir / entry.name)
+    finally:
+        shutil.rmtree(stage)
 
 
 def _load_config(args) -> ExperimentConfig:

@@ -70,6 +70,10 @@ class KrausTerm:
     def matrix(self) -> np.ndarray:
         return self.weight * self.operator
 
+    def record(self) -> dict:
+        """The term's JSON diagnostic: its order, indices and weight."""
+        return {"order": int(self.order), "indices": [int(k) for k in self.indices], "weight": float(self.weight)}
+
 
 @dataclass(frozen=True)
 class KrausSeries:

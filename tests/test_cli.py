@@ -346,11 +346,11 @@ def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
     # t~0.74 on; the 0.21 distance at t=3 is inside its own bound, not inside the t=0 one
     argv = [
         "experiment", "--preset", "qho-damped", "--method", "kraus", "--series", "truncated",
-        "--order", 2, "--check", "--out", tmp_path / "o",
+        "--order", 2, "--check",
     ]
-    assert run(argv) == 0
+    assert run([*argv, "--out", tmp_path / "o"]) == 0
     assert "check passed: least slack at t=0," in capsys.readouterr().out
-    assert run([*argv, "--check-tol", "1e-3"]) == 3
+    assert run([*argv, "--check-tol", "1e-3", "--out", tmp_path / "tol"]) == 3
     assert "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03" in capsys.readouterr().err
 
 
@@ -473,6 +473,7 @@ def test_experiment_condition_failure_exit_code(tmp_path):
     assert not (tmp_path / "o" / "states.npy").exists()
     assert not (tmp_path / "o" / "run.json").exists()
     assert not (tmp_path / "o" / "trajectory.csv").exists()
+    assert not list((tmp_path / "o").glob(".partial-*"))
 
 
 def _one_qubit_record(wigner_shape=(3, 3)):
@@ -511,11 +512,39 @@ def test_emit_report_refuses_a_record_unlike_the_first(tmp_path):
 
 
 def test_emit_report_keeps_a_fields_directory_it_did_not_make(tmp_path):
+    # an --out that holds anything, even an empty fields/, is refused before a record is pulled
     (tmp_path / "out" / "fields").mkdir(parents=True)
-    with pytest.raises(ValueError, match="expected 3 records, got 1"):
+    with pytest.raises(cli.ConfigError, match="already holds files"):
         cli.emit_report(iter([_one_qubit_record()]), tmp_path / "out", 3)
     assert (tmp_path / "out" / "fields").is_dir()
     assert not [path for path in (tmp_path / "out").rglob("*") if path.is_file()]
+
+
+def test_experiment_refuses_an_out_that_holds_files(tmp_path, capsys, monkeypatch):
+    # a 3-step run with a Wigner field, then a 5-step run without field outputs into the
+    # same --out: the second is refused before any model is built and the first tree stays
+    built = []
+    resolve = cli._resolve_model
+    monkeypatch.setattr(cli, "_resolve_model", lambda config: built.append(config.steps) or resolve(config))
+    out = tmp_path / "o"
+    doc = {**cli.PRESETS["qho-damped"], "method": "kraus", "outputs": ["quadratures", "wigner"]}
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--steps", 3, "--out", out]) == 0
+    first = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert out / "fields" / "wigner.npy" in first
+    doc["outputs"] = ["quadratures"]
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--steps", 5, "--out", out]) == 2
+    assert f"error: output directory {out} already holds files" in capsys.readouterr().err
+    assert built == [3]
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == first
+
+
+def test_experiment_writes_into_an_empty_current_directory(tmp_path, monkeypatch):
+    # the stage sits inside --out, so "." works: nothing has to be renamed onto the directory itself
+    (tmp_path / "run").mkdir()
+    monkeypatch.chdir(tmp_path / "run")
+    assert run(["experiment", "--preset", "pauli-xx-zz", "--steps", 3, "--out", "."]) == 0
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == ["run.json", "states.npy", "trajectory.csv"]
+    assert _row_count(tmp_path / "run") == 3
 
 
 @pytest.mark.parametrize(
