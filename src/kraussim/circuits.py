@@ -572,8 +572,9 @@ def execute_series_tomography(
     diagnostic per term.
 
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
-    shot count samples each (term, basis) job with a deterministic child
-    seed, so parallel and serial schedules agree bit for bit.
+    shot count samples each (term, basis) draw from its own child seed
+    ``[*seed, term_index, basis_index]``, so its counts do not depend on which
+    draws ran before it.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")

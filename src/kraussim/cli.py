@@ -33,7 +33,6 @@ from .lindblad import (
     LindbladModel,
     SPLIT_EFFECTIVE_JUMP,
     SPLIT_HAMILTONIAN_DISSIPATOR,
-    check_conditions,
     exact_trajectory,
     trotter_trajectory,
 )
@@ -538,8 +537,8 @@ def _model_params(pairs) -> dict:
 
 def _cmd_check(args) -> int:
     spec = _build_model(args.model, _model_params(args.param))
-    report = check_conditions(spec.model)
-    structure = kraus.detect_group_structure(spec.model)
+    prep = kraus.prepare(spec.model)
+    report, structure = prep.report, prep.structure
     doc = {
         "model": spec.key,
         "conditions": {

@@ -213,16 +213,16 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 def sznagy_dilation(op: np.ndarray) -> np.ndarray:
     """Unitary 2d x 2d dilation with the contraction in the top-left block.
 
-    ``[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]``; requires
-    ``||L|| <= 1``, which the generator-invariant rescaling guarantees.
+    ``[[L, sqrt(I - L L^dag)], [sqrt(I - L^dag L), -L^dag]]`` for ``||L|| <= 1``
+    (the generator-invariant rescaling guarantees it).  Both roots come from
+    one SVD ``L = V S W^dag``, as ``V sqrt(1 - S^2) V^dag`` and ``W sqrt(1 - S^2) W^dag``.
     """
     mat = _require_square(op, "dilation input")
-    norm = float(np.linalg.norm(mat, 2))
-    if norm > 1.0 + DILATION_NORM_TOL:
-        raise ValueError(f"operator norm {norm} exceeds 1; rescale first")
-    eye = np.eye(mat.shape[0], dtype=complex)
-    upper = psd_sqrt(eye - mat @ mat.conj().T)
-    lower = psd_sqrt(eye - mat.conj().T @ mat)
+    v, sigma, wh = np.linalg.svd(mat)
+    if sigma[0] > 1.0 + DILATION_NORM_TOL:
+        raise ValueError(f"operator norm {sigma[0]} exceeds 1; rescale first")
+    root = np.sqrt(np.clip((1.0 - sigma) * (1.0 + sigma), 0.0, None))  # sigma clipped at 1
+    upper, lower = (v * root) @ v.conj().T, (wh.conj().T * root) @ wh
     return np.block([[mat, upper], [lower, -mat.conj().T]])
 
 

@@ -40,6 +40,24 @@ def random_state(rng, dim):
     return v / np.linalg.norm(v)
 
 
+def haar_unitary(rng, dim):
+    """A Haar-random unitary: QR of a complex Gaussian matrix, R's diagonal phases moved into Q."""
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    phases = np.diag(r) / np.abs(np.diag(r))
+    return q * phases
+
+
+def haar_rotated(model, rng):
+    """``model`` with H and every L_k conjugated by one Haar-random unitary drawn from ``rng``.
+
+    The rotation leaves the spectra and the group structure as they were but
+    gives the operators a dense shared eigenbasis and dense singular vectors.
+    """
+    u = haar_unitary(rng, model.dim)
+    ops = [u @ a @ u.conj().T for a in (model.hamiltonian, *model.lindblads)]
+    return lindblad.LindbladModel(ops[0], tuple(ops[1:]), model.gammas)
+
+
 def align_phase(u, reference):
     """Rotate u by a global phase (magnitude untouched) to match reference."""
     idx = np.unravel_index(np.abs(reference).argmax(), reference.shape)

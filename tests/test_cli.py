@@ -12,7 +12,7 @@ import kraussim
 from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit, models
 from kraussim.matkernel import DensityMatrix, pauli_string_matrix, to_doc
 
-from conftest import random_density
+from conftest import haar_rotated, random_density
 
 
 def run(args):
@@ -177,6 +177,31 @@ def test_check_subcommand(tmp_path, capsys):
     assert doc["alpha"] == pytest.approx(1.0, abs=1e-10)
     assert doc["f_kind"] == "saturating"
     assert doc["group_structure"]["periods"] == [4]
+
+
+@pytest.mark.parametrize("key", models.MODEL_KEYS)
+def test_check_reports_the_prepared_models_decision(tmp_path, key):
+    # every Kraus method of `experiment` acts on kraus.prepare's report and structure
+    assert run(["check", "--model", key, "--out", tmp_path / "report.json"]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    prep = kraus.prepare(models.build_model(key).model)
+    report, structure = prep.report, prep.structure
+    assert sorted(doc) == [
+        "alpha", "conditions", "f_kind", "group_structure", "lambda", "lambda_residual", "model", "nu", "nu_residual",
+    ]
+    assert doc["conditions"] == {
+        "i": report.hamiltonian_commutes,
+        "ii": report.dissipators_commute,
+        "iii": report.ladder_constant_found,
+        "iv": report.damping_constant_found,
+    }
+    assert doc["nu"] == [report.nu.real, report.nu.imag]
+    assert doc["lambda"] == [report.lambda_const.real, report.lambda_const.imag]
+    assert doc["alpha"] == report.alpha
+    assert doc["nu_residual"] == report.nu_residual
+    assert doc["lambda_residual"] == report.lambda_residual
+    expected = None if structure is None else {"periods": list(structure.periods), "thetas": list(structure.thetas)}
+    assert doc["group_structure"] == expected
 
 
 def test_presets_listing(capsys):
@@ -442,6 +467,14 @@ def test_cli_import_leaves_scipy_out():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule():
+    # the package namespace re-exports nothing; each name is imported from its module
+    env = dict(os.environ, PYTHONPATH=str(Path(kraussim.__file__).parents[1]))
+    code = "import sys, kraussim; print(sorted(m for m in sys.modules if m.startswith('kraussim.')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):
     argv = [
         "experiment", "--preset", "pauli-xx-zz", "--method", "kraus-circuit", "--series", "factored",
@@ -450,6 +483,22 @@ def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):
     assert run(argv) == 0
     assert "check passed" in capsys.readouterr().out
     assert _row_count(tmp_path / "o") == 5
+
+
+def _rotated_pauli_config(tmp_path):
+    # ["XZ", "ZY"] conjugated by one Haar unitary: unitary, dense jump operators
+    model = haar_rotated(models.pauli_channel_model(["XZ", "ZY"], [0.3, 0.7]), np.random.default_rng(7))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": to_doc(model), "state": [[1, 0], [0, 0], [0, 0], [1, 0]], "steps": 3}))
+    return cfg
+
+
+@pytest.mark.parametrize("series", [None, "factored"])
+@pytest.mark.parametrize("method", ["kraus", "kraus-circuit"])
+def test_rotated_inline_pauli_model_passes_its_check(tmp_path, capsys, method, series):
+    argv = ["experiment", "--config", _rotated_pauli_config(tmp_path), "--method", method, "--check"]
+    assert run(argv + (["--series", series] if series else []) + ["--out", tmp_path / "o"]) == 0
+    assert "check passed" in capsys.readouterr().out
 
 
 def test_experiment_condition_failure_exit_code(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kraussim import circuits, kraus, lindblad as lb, models
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import random_density, random_state
+from conftest import haar_rotated, random_density, random_state
 
 
 def test_f_of_t_linear_branch():
@@ -473,10 +473,8 @@ def pauli_channels(draw):
 SEEDS = st.integers(0, 2**32 - 1)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(model=pauli_channels(), seed=SEEDS, t=st.floats(0.0, 2.0))
-def test_random_abelian_model_round_trip(model, seed, t):
-    psi = QuantumState(random_state(np.random.default_rng(seed), model.dim))
+def _abelian_round_trip(model, rng, t):
+    psi = QuantumState(random_state(rng, model.dim))
     rho = psi.density()
     oracle = lb.exact_evolve(model, rho, t)
     prep = kraus.prepare(model)
@@ -490,6 +488,20 @@ def test_random_abelian_model_round_trip(model, seed, t):
     for name, out in paths.items():
         assert trace_distance(out, oracle) < 1e-9, name
     assert np.linalg.norm(kraus.effective_evolution(prep, t), 2) <= 1 + 1e-12
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=pauli_channels(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_abelian_model_round_trip(model, seed, t):
+    _abelian_round_trip(model, np.random.default_rng(seed), t)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(model=pauli_channels(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_rotated_abelian_model_round_trip(model, seed, t):
+    # a rotated Pauli string is unitary but dense, so its dilation's off-diagonal blocks must vanish to rounding
+    rng = np.random.default_rng(seed)
+    _abelian_round_trip(haar_rotated(model, rng), rng, t)
 
 
 @st.composite
@@ -510,10 +522,8 @@ def clock_models(draw):
     return lb.LindbladModel(np.zeros((dim, dim), dtype=complex), tuple(ops), tuple(gammas))
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(model=clock_models(), seed=SEEDS, t=st.floats(0.0, 2.0))
-def test_random_clock_model_round_trip(model, seed, t):
-    psi = QuantumState(random_state(np.random.default_rng(seed), model.dim))
+def _clock_round_trip(model, rng, t):
+    psi = QuantumState(random_state(rng, model.dim))
     rho = psi.density()
     oracle = lb.exact_evolve(model, rho, t)
     prep = kraus.prepare(model)
@@ -534,18 +544,22 @@ def test_random_clock_model_round_trip(model, seed, t):
         assert trace_distance(out, oracle) < 1e-9, name
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(
-    n_max=st.integers(1, 5),
-    omega=st.floats(0.0, 2.0),
-    gamma=st.floats(0.05, 1.5),
-    seed=SEEDS,
-    t=st.floats(0.0, 3.0),
-)
-def test_random_damped_mode_round_trip(n_max, omega, gamma, seed, t):
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=clock_models(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_clock_model_round_trip(model, seed, t):
+    _clock_round_trip(model, np.random.default_rng(seed), t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(model=clock_models(), seed=SEEDS, t=st.floats(0.0, 2.0))
+def test_random_rotated_clock_model_round_trip(model, seed, t):
+    rng = np.random.default_rng(seed)
+    _clock_round_trip(haar_rotated(model, rng), rng, t)
+
+
+def _damped_mode_round_trip(model, n_max, rng, t):
     # a^(n_max + 1) = 0 ends the series at order n_max; a nilpotent model has no factored form
-    model = models.damped_qho_model(omega, gamma, n_max)
-    rho = random_density(np.random.default_rng(seed), model.dim)
+    rho = random_density(rng, model.dim)
     oracle = lb.exact_evolve(model, rho, t)
     prep = kraus.prepare(model)
     for variant in ("reduced", "truncated"):
@@ -555,6 +569,29 @@ def test_random_damped_mode_round_trip(n_max, omega, gamma, seed, t):
         kraus.apply_factored_evolution(prep, t, rho)
     with pytest.raises(kraus.ConditionError):
         circuits.build_group_circuit(prep, t)
+    if model.dim & (model.dim - 1) == 0:
+        psi = QuantumState(random_state(rng, model.dim))
+        series = kraus.build_series(prep, t, "reduced", n_max)
+        out = circuits.execute_series_tomography(prep, series, t, psi)[0]
+        assert trace_distance(out, lb.exact_evolve(model, psi.density(), t)) < 1e-9, "term circuits"
+
+
+DAMPED_MODES = dict(n_max=st.integers(1, 5), omega=st.floats(0.0, 2.0), gamma=st.floats(0.05, 1.5))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(**DAMPED_MODES, seed=SEEDS, t=st.floats(0.0, 3.0))
+def test_random_damped_mode_round_trip(n_max, omega, gamma, seed, t):
+    model = models.damped_qho_model(omega, gamma, n_max)
+    _damped_mode_round_trip(model, n_max, np.random.default_rng(seed), t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**DAMPED_MODES, seed=SEEDS, t=st.floats(0.0, 3.0))
+def test_random_rotated_damped_mode_round_trip(n_max, omega, gamma, seed, t):
+    rng = np.random.default_rng(seed)
+    model = haar_rotated(models.damped_qho_model(omega, gamma, n_max), rng)
+    _damped_mode_round_trip(model, n_max, rng, t)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
