@@ -39,7 +39,6 @@ from .lindblad import (
 from .matkernel import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
-    DensityMatrix,
     QuantumState,
     fidelity,
     from_doc,
@@ -105,6 +104,8 @@ class ExperimentConfig:
             raise ConfigError("need finite times with 0 <= start <= stop")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method == "kraus-circuit-shots":
             if self.shots is None or self.shots < 1:
                 raise ConfigError("shot mode needs shots >= 1")
@@ -251,9 +252,10 @@ def _resolve_state(config: ExperimentConfig, dim: int) -> QuantumState:
     return state
 
 
-def _build_noise(config: ExperimentConfig, dim: int):
+def _build_noise(config: ExperimentConfig, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The configured noise channel as a map on matrices; the identity when none is set."""
     if config.noise is None:
-        return None
+        return lambda mat: mat
     doc = config.noise
     num_qubits = qubit_count(dim, "noise injection dimension")
     if doc["kind"] == "qdc":
@@ -299,38 +301,29 @@ def _run_method(
                 yield rho, diags, bound if shots is None else np.inf
 
 
-class _MitigationChain:
-    """twirl -> channel inversion -> physical projection, fit on the first step."""
+def _build_mitigation(config: ExperimentConfig, dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """The configured chain as a map ``(oracle, noisy) -> mitigated``: twirl
+    (``twirl-qdc``), channel inversion, physical projection.  The channel is
+    fit on the first call's pair; ``none`` returns ``noisy`` as it is."""
+    if config.mitigation == "none":
+        return lambda _oracle, noisy: noisy
+    num_qubits = qubit_count(dim, "mitigation dimension")
+    parity = models.fock_parity_operator(dim)
+    channel = None
 
-    def __init__(self, config: ExperimentConfig, dim: int):
-        self.kind = config.mitigation
-        self.num_qubits = None if self.kind == "none" else qubit_count(dim, "mitigation dimension")
-        self.parity = models.fock_parity_operator(dim)
-        self.channel = None
-        self.fitted = self.kind == "none"
+    def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+        nonlocal channel
+        if config.mitigation == "twirl-qdc":
+            noisy = mitigation.parity_twirl(noisy, parity).matrix
+        if channel is None:
+            pairs = [(oracle, noisy)]
+            if config.mitigation == "pauli-fit":
+                channel, _report = mitigation.fit_pauli_channel(pairs)
+            else:
+                channel = mitigation.DepolarizingChannel(num_qubits, mitigation.fit_qdc_lambda(pairs))
+        return project_to_physical(mitigation.invert_channel(channel, noisy).matrix)
 
-    def _twirl(self, mat: np.ndarray) -> np.ndarray:
-        return mitigation.parity_twirl(DensityMatrix(mat, raw=True), self.parity).matrix
-
-    def fit(self, oracle0: np.ndarray, noisy0: np.ndarray) -> None:
-        if self.fitted:
-            return
-        reference = self._twirl(noisy0) if self.kind == "twirl-qdc" else noisy0
-        if self.kind == "pauli-fit":
-            self.channel, _report = mitigation.fit_pauli_channel([(oracle0, reference)])
-        else:
-            lam = mitigation.fit_qdc_lambda([(oracle0, reference)])
-            self.channel = mitigation.DepolarizingChannel(self.num_qubits, lam)
-        self.fitted = True
-
-    def apply(self, mat: np.ndarray) -> np.ndarray:
-        if self.kind == "none":
-            return mat
-        out = mat
-        if self.kind == "twirl-qdc":
-            out = self._twirl(out)
-        out = mitigation.invert_channel(self.channel, out).matrix
-        return project_to_physical(out)
+    return mitigate
 
 
 def _step_outputs(
@@ -391,7 +384,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         work = kraus.prepare(model)
         kraus._require_conditions(work.report)
     noise = _build_noise(config, model.dim)
-    chain = _MitigationChain(config, model.dim)
+    mitigate = _build_mitigation(config, model.dim)
     outputs = _step_outputs(config, spec, model.dim)
     ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
@@ -401,9 +394,8 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         check_distance = trace_distance(oracle, raw)
         if check_distance == np.inf:
             raise ConditionError(f"non-finite state at t={t:.6g}")
-        noisy = noise(raw) if noise is not None else raw
-        chain.fit(oracle, noisy)
-        final = chain.apply(noisy)
+        noisy = noise(raw)
+        final = mitigate(oracle, noisy)
         physical = (
             final
             if hermiticity_defect(final) <= HERMITICITY_TOL
@@ -611,10 +603,7 @@ def _cmd_kraus(args) -> int:
         "tail_bound": series.tail_bound,
     }
     if args.state:
-        out = kraus.apply_series(series, _named_state(args.state).density())
-        summary["output_trace"] = float(np.trace(out).real)
-        if args.out_state:
-            Path(args.out_state).write_text(json.dumps(to_doc({"matrix": out}), sort_keys=True))
+        summary["output_trace"] = float(np.trace(kraus.apply_series(series, _named_state(args.state).density())).real)
     print(json.dumps(summary, sort_keys=True))
     return 0
 
@@ -683,7 +672,6 @@ def build_parser() -> argparse.ArgumentParser:
     kraus_cmd.add_argument("--series", choices=("auto", "reduced", "truncated"), default="auto")
     kraus_cmd.add_argument("--state")
     kraus_cmd.add_argument("--out")
-    kraus_cmd.add_argument("--out-state")
     kraus_cmd.set_defaults(func=_cmd_kraus)
 
     circuit = sub.add_parser("circuit", help="export term or group circuits as JSON")

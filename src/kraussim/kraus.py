@@ -44,6 +44,8 @@ from .matkernel import sznagy_dilation, _as_matrix
 
 ZERO_OPERATOR_TOL = 1e-14
 GROUP_DETECT_TOL = 1e-10
+# The most terms a truncated series may hold; a larger table is refused before it is built.
+MAX_SERIES_TERMS = 2**16
 
 
 class ConditionError(ValueError):
@@ -364,7 +366,9 @@ def series_trajectory(
     series, one term per power vector ``(m_1 .. m_N)`` with ``m_n < period_n``
     and weight ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated``
     has one term per index vector of length ``<= order`` over the unit-norm
-    operators; nilpotent systems terminate on their own.
+    operators; nilpotent systems terminate on their own.  A truncated table
+    that would pass ``MAX_SERIES_TERMS`` is refused with a ``ValueError``
+    before the level that passes it is built.
     """
     prep = prepare(model)
     if variant == "auto":
@@ -390,6 +394,11 @@ def series_trajectory(
         table, frontier = [], [((), eye)]
         for _ in range(order):
             table += frontier
+            if len(table) + len(frontier) * len(work.lindblads) > MAX_SERIES_TERMS:
+                raise ValueError(
+                    f"a truncated series of order {order} over {len(work.lindblads)} operators "
+                    f"would exceed {MAX_SERIES_TERMS} terms; lower the order"
+                )
             frontier = [
                 (indices + (k,), prod @ op) for indices, prod in frontier for k, op in enumerate(work.lindblads)
             ]

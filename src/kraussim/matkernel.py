@@ -145,9 +145,11 @@ class QuantumState:
 class DensityMatrix:
     """Hermitian unit-trace PSD matrix.
 
-    ``raw=True`` skips the physicality checks and marks unphysical
-    intermediates (tomography output, channel-inverted estimates) that still
-    need projection.
+    ``raw=True`` means unvalidated: the physicality checks are skipped and
+    the matrix is kept as given (tomography output, channel outputs,
+    channel-inverted estimates).  No code outside this class reads the
+    flag; a caller that needs a physical state projects the matrix with
+    :func:`project_to_physical`.
     """
 
     matrix: np.ndarray
@@ -241,15 +243,16 @@ def project_to_physical(matrix: np.ndarray) -> np.ndarray:
 def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
 
-    Raw inputs are projected to the physical cone first.
+    An input whose hermiticity defect exceeds ``HERMITICITY_TOL`` is projected
+    to the physical cone first; any other input is taken as a state.
     """
     a = _as_matrix(rho)
     b = _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if (isinstance(rho, DensityMatrix) and rho.raw) or hermiticity_defect(a) > HERMITICITY_TOL:
+    if hermiticity_defect(a) > HERMITICITY_TOL:
         a = project_to_physical(a)
-    if (isinstance(sigma, DensityMatrix) and sigma.raw) or hermiticity_defect(b) > HERMITICITY_TOL:
+    if hermiticity_defect(b) > HERMITICITY_TOL:
         b = project_to_physical(b)
     sqrt_a = psd_sqrt(a)
     inner = sqrt_a @ b @ sqrt_a

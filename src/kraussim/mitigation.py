@@ -4,8 +4,10 @@ A Pauli channel is diagonal in the Pauli-string basis: it scales the
 coefficient ``Tr(P rho)`` of each string P by its eigenvalue (Pauli
 fidelity), so applying and inverting it are elementwise on the coefficient
 vector.  Fitting goes through nonnegative least squares for the general
-channel and a scored line scan for the depolarizing parameter; inversion
-output is flagged raw and projected back to the physical cone separately.
+channel and a scored line scan for the depolarizing parameter.  Applying,
+inverting and twirling return unvalidated ``DensityMatrix(raw=True)``
+outputs; the caller decides physicality once, by projecting back to the
+physical cone.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import numpy as np
 from .matkernel import (
     DEFAULT_RCOND,
     DensityMatrix,
-    classify_density,
     fidelity,
     from_pauli_coefficients,
     hermiticity_defect,
@@ -93,23 +94,19 @@ def _channel_input(channel, rho) -> np.ndarray:
     return mat
 
 
-def _carry_raw(source, matrix: np.ndarray) -> DensityMatrix:
-    if isinstance(source, DensityMatrix) and source.raw:
-        return DensityMatrix(matrix, raw=True)
-    return classify_density(matrix)
-
-
 def apply_pauli_channel(channel: PauliChannel, rho) -> DensityMatrix:
+    """The channel applied to ``rho``, unvalidated (``raw=True``)."""
     mat = _channel_input(channel, rho)
     out = from_pauli_coefficients(pauli_fidelities(channel) * pauli_coefficients(mat))
-    return _carry_raw(rho, out)
+    return DensityMatrix(out, raw=True)
 
 
 def apply_qdc(channel: DepolarizingChannel, rho) -> DensityMatrix:
+    """``(1 - lam) rho + lam Tr(rho) I / d``, unvalidated (``raw=True``) and not symmetrized."""
     mat = _channel_input(channel, rho)
     dim = mat.shape[0]
     out = (1.0 - channel.lam) * mat + channel.lam * np.trace(mat) * np.eye(dim) / dim
-    return _carry_raw(rho, out)
+    return DensityMatrix(out, raw=True)
 
 
 def invert_channel(channel, rho_noisy) -> DensityMatrix:
@@ -298,7 +295,7 @@ def parity_twirl(rho, parity_op: np.ndarray) -> DensityMatrix:
     """Average with the parity conjugation, projecting onto the even sector.
 
     The parity operator must be a Hermitian unitary involution; the output
-    commutes with it.
+    commutes with it and is unvalidated (``raw=True``), whatever the input.
     """
     tau = np.asarray(parity_op, dtype=complex)
     if (
@@ -309,6 +306,4 @@ def parity_twirl(rho, parity_op: np.ndarray) -> DensityMatrix:
     mat = _as_matrix(rho)
     if mat.shape != tau.shape:
         raise ValueError("dimension mismatch")
-    out = (mat + tau @ mat @ tau.conj().T) / 2
-    raw = isinstance(rho, DensityMatrix) and rho.raw
-    return DensityMatrix(out, raw=raw)
+    return DensityMatrix((mat + tau @ mat @ tau.conj().T) / 2, raw=True)

@@ -48,9 +48,10 @@ def schwinger_model(omega: float, axis: str, gamma: float, per_mode_cutoff: int 
     H = omega (1 + n1 + n2) on the truncated two-mode Fock space; the jump
     operator is the quadratic-form angular momentum J_axis.  The constant
     term is kept so eigenvalue reports match the degenerate-level energy
-    2 omega.  On the truncated space the X and Y axes satisfy the
-    commutation conditions only approximately; the condition report carries
-    the residuals.
+    2 omega.  Every axis meets the commutation conditions exactly, X and Y
+    included: J_axis conserves n1 + n2 on the truncated space (a hop past
+    the cutoff gives zero), and the condition residuals are at rounding
+    level.
     """
     if per_mode_cutoff < 1:
         raise ValueError("per-mode cutoff must be at least 1")

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,10 @@ def test_config_validation_errors():
         )
     with pytest.raises(cli.ConfigError):
         cli.ExperimentConfig.from_dict({"model": "pauli-xx-zz", "state": "pauli-xx-zz", "circuit": "group"})
+    # out-of-range integers are refused up front, naming their field
+    for name, value in (("seed", -1), ("steps", 0), ("order", -1)):
+        with pytest.raises(cli.ConfigError, match=f"^{name} must be >= "):
+            cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", **{name: value})
 
 
 def test_main_exit_code_on_bad_config(tmp_path):
@@ -177,6 +182,17 @@ def test_check_subcommand(tmp_path, capsys):
     assert doc["alpha"] == pytest.approx(1.0, abs=1e-10)
     assert doc["f_kind"] == "saturating"
     assert doc["group_structure"]["periods"] == [4]
+
+
+@pytest.mark.parametrize("axis", ["X", "Y"])
+def test_check_schwinger_transverse_axes_meet_the_conditions(tmp_path, axis):
+    for cutoff in (1, 2, 3):
+        out = tmp_path / f"report-{cutoff}.json"
+        argv = ["check", "--model", "schwinger-jz", "--param", f"axis={axis}", "--param", f"per_mode_cutoff={cutoff}"]
+        assert run(argv + ["--out", out]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["conditions"] == {"i": True, "ii": True, "iii": True, "iv": True}
+        assert max(doc["nu_residual"], doc["lambda_residual"]) < 1e-14
 
 
 @pytest.mark.parametrize("key", models.MODEL_KEYS)
@@ -430,21 +446,29 @@ def test_non_finite_method_state_fails_the_check(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o" / "run.json").exists()
 
 
-@pytest.mark.parametrize(
-    "method, variant",
-    [
-        ("exact", "auto"),
-        ("trotter", lindblad.SPLIT_HAMILTONIAN_DISSIPATOR),
-        ("trotter", lindblad.SPLIT_EFFECTIVE_JUMP),
-        ("kraus", "reduced"),
-        ("kraus", "truncated"),
-        ("kraus", "factored"),
-        ("kraus-circuit", "reduced"),
-    ],
-)
-def test_experiment_validates_only_the_initial_state(monkeypatch, method, variant):
-    # the step loop's own physicality check is its one decision: neither the oracle nor a
-    # method classifies its state, so the one validated DensityMatrix is the initial state
+PAULI_NOISE = {"kind": "pauli", "epsilons": [0.9] + [0.1 / 15] * 15}
+QDC_NOISE = {"kind": "qdc", "lambda": 0.3}
+# id -> what the case changes in a 5-step pauli-xx-zz run
+STEP_LOOP_CASES = {
+    "exact-auto": {"method": "exact", "series": "auto"},
+    **{
+        f"trotter-{split}": {"method": "trotter", "trotter_split": split, "trotter_steps": 4}
+        for split in (lindblad.SPLIT_HAMILTONIAN_DISSIPATOR, lindblad.SPLIT_EFFECTIVE_JUMP)
+    },
+    **{f"kraus-{series}": {"method": "kraus", "series": series} for series in ("reduced", "truncated", "factored")},
+    "kraus-circuit-reduced": {"method": "kraus-circuit", "series": "reduced"},
+    "pauli-noise-pauli-fit": {"noise": PAULI_NOISE, "mitigation": "pauli-fit"},
+    "qdc-noise-qdc": {"noise": QDC_NOISE, "mitigation": "qdc"},
+    "qho-cat-qdc-noise-twirl-qdc": {**cli.PRESETS["qho-cat"], "noise": QDC_NOISE, "mitigation": "twirl-qdc"},
+}
+
+
+@pytest.mark.filterwarnings("ignore:Pauli channel is rank deficient")  # one pair leaves strings unconstrained
+@pytest.mark.parametrize("case", STEP_LOOP_CASES.values(), ids=STEP_LOOP_CASES)
+def test_experiment_validates_only_the_initial_state(monkeypatch, case):
+    # the step loop's own physicality check is its one decision: neither the oracle, a method,
+    # the noise channel nor the mitigation chain classifies its state, so the one validated
+    # DensityMatrix is the initial state; a depolarizing fit adds its own on the first record
     validated = []
     post_init = DensityMatrix.__post_init__
 
@@ -453,11 +477,14 @@ def test_experiment_validates_only_the_initial_state(monkeypatch, method, varian
         post_init(self)
 
     monkeypatch.setattr(DensityMatrix, "__post_init__", counted)
-    doc = {**cli.PRESETS["pauli-xx-zz"], "time": {"start": 0.0, "stop": 1.0, "steps": 5}, "method": method}
-    doc.update({"trotter_split": variant, "trotter_steps": 4} if method == "trotter" else {"series": variant})
-    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
-    assert len(records) == 5
-    assert sum(validated) == 1
+    doc = {**cli.PRESETS["pauli-xx-zz"], **case, "time": {"start": 0.0, "stop": 1.0, "steps": 5}}
+    per_record = []
+    for _record in cli.run_experiment(cli.ExperimentConfig.from_dict(doc)):
+        per_record.append(sum(validated))
+        validated.clear()
+    assert per_record[1:] == [0, 0, 0, 0]
+    if "qdc" not in doc.get("mitigation", "none"):
+        assert per_record[0] == 1
 
 
 def test_cli_import_leaves_scipy_out():
@@ -485,20 +512,42 @@ def test_kraus_circuit_factored_series_runs_the_group_circuit(tmp_path, capsys):
     assert _row_count(tmp_path / "o") == 5
 
 
+def _inline_pauli_config(tmp_path, name, model):
+    cfg = tmp_path / f"{name}.json"
+    cfg.write_text(json.dumps({"model": to_doc(model), "state": [[1, 0], [0, 0], [0, 0], [1, 0]], "steps": 3}))
+    return cfg
+
+
 def _rotated_pauli_config(tmp_path):
     # ["XZ", "ZY"] conjugated by one Haar unitary: unitary, dense jump operators
     model = haar_rotated(models.pauli_channel_model(["XZ", "ZY"], [0.3, 0.7]), np.random.default_rng(7))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"model": to_doc(model), "state": [[1, 0], [0, 0], [0, 0], [1, 0]], "steps": 3}))
-    return cfg
+    return _inline_pauli_config(tmp_path, "rotated", model)
+
+
+def _phased_pauli_config(tmp_path):
+    # the jump i XZ: its eigenvalues are +-i, so the factored circuit needs a phase gate
+    model = lindblad.LindbladModel(np.zeros((4, 4), complex), (1j * pauli_string_matrix("XZ"),), (0.7,))
+    return _inline_pauli_config(tmp_path, "phased", model)
 
 
 @pytest.mark.parametrize("series", [None, "factored"])
 @pytest.mark.parametrize("method", ["kraus", "kraus-circuit"])
 def test_rotated_inline_pauli_model_passes_its_check(tmp_path, capsys, method, series):
-    argv = ["experiment", "--config", _rotated_pauli_config(tmp_path), "--method", method, "--check"]
-    assert run(argv + (["--series", series] if series else []) + ["--out", tmp_path / "o"]) == 0
-    assert "check passed" in capsys.readouterr().out
+    for config in (_rotated_pauli_config, _phased_pauli_config):
+        argv = ["experiment", "--config", config(tmp_path), "--method", method, "--check"]
+        assert run(argv + (["--series", series] if series else []) + ["--out", tmp_path / config.__name__]) == 0
+        assert "check passed" in capsys.readouterr().out
+
+
+def test_truncated_series_past_the_term_cap_exits_2(tmp_path, capsys):
+    # no product of pauli-xx-zz's four jumps vanishes: order 12 would hold sum_k 4^k ~ 2.2e7 terms
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "method": "kraus", "series": "truncated", "order": 12}))
+    started = time.perf_counter()
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert time.perf_counter() - started < 30
+    assert f"order 12 over 4 operators would exceed {kraus.MAX_SERIES_TERMS} terms" in capsys.readouterr().err
+    assert list((tmp_path / "o").iterdir()) == []
 
 
 def test_experiment_condition_failure_exit_code(tmp_path):

@@ -80,6 +80,16 @@ def test_fidelity_symmetric_and_pure_overlap(rng):
     assert f == pytest.approx(abs(np.vdot(psi, phi)) ** 2, abs=1e-10)
 
 
+def test_fidelity_projects_an_input_past_the_hermiticity_tolerance(rng):
+    rho, sigma = random_density(rng, 4), random_density(rng, 4)
+    skew = rng.normal(size=(4, 4))
+    off = rho + 0.5e-8 * (skew - skew.T)  # anti-Hermitian defect of about 1e-8
+    assert 1e-9 < mk.hermiticity_defect(off) < 1e-7
+    projected = mk.project_to_physical(off)
+    assert mk.fidelity(off, sigma) == mk.fidelity(projected, sigma)
+    assert mk.fidelity(sigma, off) == mk.fidelity(sigma, projected)
+
+
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         mk.fidelity(np.eye(2) / 2, np.eye(4) / 4)
