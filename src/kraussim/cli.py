@@ -301,17 +301,26 @@ def _run_method(
                 yield rho, diags, bound if shots is None else np.inf
 
 
-def _build_mitigation(config: ExperimentConfig, dim: int) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """The configured chain as a map ``(oracle, noisy) -> mitigated``: twirl
-    (``twirl-qdc``), channel inversion, physical projection.  The channel is
-    fit on the first call's pair; ``none`` returns ``noisy`` as it is."""
+def _build_mitigation(
+    config: ExperimentConfig, dim: int
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The configured chain as a map ``(oracle, noisy) -> (mitigated, physical)``, the step's one
+    physicality decision.  A chain twirls (``twirl-qdc``), inverts the channel fit on the first call's
+    pair and projects, and the projection is both values.  ``none`` keeps ``noisy``, as the physical
+    state too unless its hermiticity defect or its lowest eigenvalue is out of tolerance (no trace test)."""
     if config.mitigation == "none":
-        return lambda _oracle, noisy: noisy
+        return lambda _oracle, noisy: (
+            noisy,
+            noisy
+            if hermiticity_defect(noisy) <= HERMITICITY_TOL
+            and np.linalg.eigvalsh((noisy + noisy.conj().T) / 2).min() >= EIGENVALUE_FLOOR
+            else project_to_physical(noisy),
+        )
     num_qubits = qubit_count(dim, "mitigation dimension")
     parity = models.fock_parity_operator(dim)
     channel = None
 
-    def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> np.ndarray:
+    def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         nonlocal channel
         if config.mitigation == "twirl-qdc":
             noisy = mitigation.parity_twirl(noisy, parity).matrix
@@ -321,7 +330,8 @@ def _build_mitigation(config: ExperimentConfig, dim: int) -> Callable[[np.ndarra
                 channel, _report = mitigation.fit_pauli_channel(pairs)
             else:
                 channel = mitigation.DepolarizingChannel(num_qubits, mitigation.fit_qdc_lambda(pairs))
-        return project_to_physical(mitigation.invert_channel(channel, noisy).matrix)
+        projected = project_to_physical(mitigation.invert_channel(channel, noisy).matrix)
+        return projected, projected
 
     return mitigate
 
@@ -395,13 +405,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         if check_distance == np.inf:
             raise ConditionError(f"non-finite state at t={t:.6g}")
         noisy = noise(raw)
-        final = mitigate(oracle, noisy)
-        physical = (
-            final
-            if hermiticity_defect(final) <= HERMITICITY_TOL
-            and np.linalg.eigvalsh((final + final.conj().T) / 2).min() >= EIGENVALUE_FLOOR
-            else project_to_physical(final)
-        )
+        final, physical = mitigate(oracle, noisy)
         observables, fields = outputs(final, physical)
         yield TrajectoryRecord(
             t=t,
@@ -425,10 +429,10 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     ``{"t", "diagnostics"}`` per record.  Every per-step array goes to one
     stacked NPY file of shape ``(steps, *shape)`` in C order, whose header
     is written with the first record and to which each record appends its
-    row: ``states.npy`` is complex128 ``(steps, 2, d, d)``, ``[:, 0]`` raw
-    and ``[:, 1]`` mitigated, and each field is float64
-    ``fields/<name>.npy``, next to the grid axes ``fields/x.npy`` and
-    ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).
+    row: ``states.npy`` is complex128 ``(steps, 2, d, d)``, ``[:, 0]`` the
+    state after the configured noise and ``[:, 1]`` the mitigated one, and
+    each field is float64 ``fields/<name>.npy``, next to the grid axes
+    ``fields/x.npy`` and ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).
 
     ``outdir`` is created if needed and must hold nothing, or a
     :class:`ConfigError` is raised before the first record is pulled.  The
@@ -489,14 +493,20 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
         shutil.rmtree(stage)
 
 
+def _read_json(path: str) -> object:
+    """The JSON document in the file ``path``; malformed JSON is a :class:`ConfigError` naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def _load_config(args) -> ExperimentConfig:
     doc: dict = {}
     if getattr(args, "preset", None):
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}; see 'kraussim presets'")
         doc.update(PRESETS[args.preset])
     if getattr(args, "config", None):
-        loaded = json.loads(Path(args.config).read_text())
+        loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")
         doc.update(loaded)
@@ -573,7 +583,7 @@ def _cmd_experiment(args) -> int:
             yield record
 
     emit_report(checked(run_experiment(config)), args.out, config.steps)
-    if config.check:
+    if config.check or config.check_tol is not None:  # a tolerance turns the check on
         # the step with the least slack; when every bound is infinite, the largest distance
         t, distance, bound = max(checks, key=lambda check: (check[1] - check[2], check[1]))
         if distance > bound:
@@ -625,7 +635,7 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_mitigate(args) -> int:
-    doc = json.loads(Path(args.pairs).read_text())
+    doc = _read_json(args.pairs)
     pairs = doc.get("pairs") if isinstance(doc, dict) else None
     if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ConfigError(f"{args.pairs} must hold {{'pairs': [[exact, noisy], ...]}}")
@@ -635,8 +645,7 @@ def _cmd_mitigate(args) -> int:
         payload = {"channel": channel, "report": report}
     else:
         lam = mitigation.fit_qdc_lambda(pairs, args.strategy)
-        num_qubits = qubit_count(pairs[0][0].shape[0], "density matrix dimension")
-        channel = mitigation.DepolarizingChannel(num_qubits, lam)
+        channel = mitigation.DepolarizingChannel(qubit_count(len(pairs[0][0]), "density matrix dimension"), lam)
         payload = {"channel": {"num_qubits": channel.num_qubits, "lambda": lam}}
     if args.apply:
         payload["mitigated"] = [

@@ -271,7 +271,7 @@ def _series_tail(x: float, order: int) -> float:
 
 def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     """Channel action ``sum_k K rho K^dag`` of a materialized series, as the complex
-    ``(dim, dim)`` array of that sum, neither classified nor symmetrized."""
+    ``(dim, dim)`` array of that sum, neither validated nor symmetrized."""
     rho = _as_matrix(rho0)
     if rho.shape != (series.dim, series.dim):
         raise ValueError("state dimension does not match the series")
@@ -493,7 +493,7 @@ def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
 
 def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho0) -> np.ndarray:
     """Channel defined by the factored evolution, one factor at a time, as a complex
-    ``(dim, dim)`` array, neither classified nor symmetrized.
+    ``(dim, dim)`` array, neither validated nor symmetrized.
 
     Each factor acts as the finite Kraus sum ``sum_m w_m L^m rho (L^m)^dag``
     with the hyperbolic weights; composing the factors reproduces the

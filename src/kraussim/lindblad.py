@@ -19,7 +19,6 @@ import numpy as np
 
 from .matkernel import (
     DensityMatrix,
-    classify_density,
     hermiticity_defect,
     _as_matrix,
     _onenorm,
@@ -194,7 +193,7 @@ def _weighted_jumps(model: LindbladModel) -> np.ndarray:
 def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, steps: int) -> Iterator[np.ndarray]:
     """Yield the exact state at each point of ``np.linspace(start, stop, steps)``.
 
-    Each state is a fresh complex ``(dim, dim)`` array, neither classified nor
+    Each state is a fresh complex ``(dim, dim)`` array, neither validated nor
     symmetrized.  The state is propagated by :func:`_propagate` to ``start`` in
     the fewest equal pieces that ``PROPAGATE_NORM_LIMIT`` allows and then from
     point to point; both legs take the form that :func:`_repeated` picks for
@@ -362,9 +361,8 @@ def _propagate(gen: _ShiftedGenerator, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def exact_evolve(model: LindbladModel, rho0, t: float) -> DensityMatrix:
-    """The exact state at time ``t``: the one-point :func:`exact_trajectory`, classified by
-    :func:`classify_density` (raw when it is not a physical state)."""
-    return classify_density(next(exact_trajectory(model, rho0, t, t, 1)))
+    """The exact state at time ``t``: the one-point :func:`exact_trajectory`, unvalidated (``raw=True``)."""
+    return DensityMatrix(next(exact_trajectory(model, rho0, t, t, 1)), raw=True)
 
 
 def trotter_trajectory(
@@ -374,7 +372,7 @@ def trotter_trajectory(
 
     Yields, for each ``t`` of ``ts``, ``[exp(dt/2 D1) exp(dt D2) exp(dt/2 D1)]^steps``
     applied to ``rho0`` with ``dt = t / steps``, as a fresh complex ``(dim, dim)``
-    array, neither classified nor symmetrized.  The split of :func:`_split_generators`
+    array, neither validated nor symmetrized.  The split of :func:`_split_generators`
     is built once; each exponential is one :func:`_propagate` call, and each point's
     stage takes the form that :func:`_repeated` picks for ``steps`` repeats.  This is
     a cross-validation path, not the production solver.
@@ -399,10 +397,9 @@ def trotter_trajectory(
 def trotter_evolve(
     model: LindbladModel, rho0, t: float, steps: int, split: str = SPLIT_HAMILTONIAN_DISSIPATOR
 ) -> DensityMatrix:
-    """The product-formula state at time ``t``: the one-point :func:`trotter_trajectory`,
-    classified by :func:`classify_density`.  The ``effective-jump`` split does not
-    preserve the trace, so its state is usually flagged raw."""
-    return classify_density(next(trotter_trajectory(model, rho0, [t], steps, split)))
+    """The product-formula state at time ``t``: the one-point :func:`trotter_trajectory`, unvalidated
+    (``raw=True``); the ``effective-jump`` split does not preserve the trace."""
+    return DensityMatrix(next(trotter_trajectory(model, rho0, [t], steps, split)), raw=True)
 
 
 def normalize_lindblads(model: LindbladModel) -> LindbladModel:

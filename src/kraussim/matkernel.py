@@ -146,10 +146,10 @@ class DensityMatrix:
     """Hermitian unit-trace PSD matrix.
 
     ``raw=True`` means unvalidated: the physicality checks are skipped and
-    the matrix is kept as given (tomography output, channel outputs,
-    channel-inverted estimates).  No code outside this class reads the
-    flag; a caller that needs a physical state projects the matrix with
-    :func:`project_to_physical`.
+    the matrix is kept as given (one-point integrator results, tomography
+    output, channel outputs, channel-inverted estimates).  No code outside
+    this class reads the flag; a caller that needs a physical state
+    projects the matrix with :func:`project_to_physical`.
     """
 
     matrix: np.ndarray
@@ -173,14 +173,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def classify_density(matrix: np.ndarray) -> DensityMatrix:
-    """Wrap a matrix as a DensityMatrix, falling back to raw when unphysical."""
-    try:
-        return DensityMatrix(matrix)
-    except ValueError:
-        return DensityMatrix(matrix, raw=True)
 
 
 def _onenorm(a: np.ndarray) -> float:

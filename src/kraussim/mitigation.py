@@ -27,6 +27,7 @@ from .matkernel import (
     project_to_physical,
     qubit_count,
     _as_matrix,
+    _require_square,
 )
 
 KKT_TOL = 1e-8
@@ -152,6 +153,20 @@ class FitReport:
     unidentified: int = 0
 
 
+def _pair_matrices(pairs) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
+    """Both fits' one input check: the pairs as near-Hermitian matrices of one qubit dimension, and that count."""
+    pairs = [
+        (_near_hermitian(exact, f"pair {index}: exact"), _near_hermitian(noisy, f"pair {index}: noisy"))
+        for index, (exact, noisy) in enumerate(pairs)
+    ]
+    if not pairs:
+        raise ValueError("need at least one (exact, noisy) pair")
+    dim = pairs[0][0].shape[0]
+    if any(mat.shape != (dim, dim) for pair in pairs for mat in pair):
+        raise ValueError("inconsistent pair dimensions")
+    return pairs, qubit_count(dim, "density matrix dimension")
+
+
 def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     """Nonnegative least-squares fit of Pauli-string error probabilities.
 
@@ -171,18 +186,9 @@ def fit_pauli_channel(pairs) -> tuple[PauliChannel, FitReport]:
     problem is solved first; the coefficients are then renormalized onto the
     probability simplex and the raw sum recorded as a diagnostic.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (exact, noisy) pair")
-    dim = _as_matrix(pairs[0][0]).shape[0]
-    num_qubits = qubit_count(dim, "density matrix dimension")
-    # Tr(Q rho) / sqrt(d) of each exact and noisy state, one row per pair
-    exact, noisy = np.empty((2, len(pairs), dim * dim), dtype=complex)
-    for row, (e_rho, n_rho) in enumerate(pairs):
-        for coeffs, mat in ((exact, _as_matrix(e_rho)), (noisy, _as_matrix(n_rho))):
-            if mat.shape != (dim, dim):
-                raise ValueError("inconsistent pair dimensions")
-            coeffs[row] = pauli_coefficients(mat) / np.sqrt(dim)
+    pairs, num_qubits = _pair_matrices(pairs)
+    scale = np.sqrt(2**num_qubits)  # rows Tr(Q rho) / sqrt(d) of each exact and noisy state, one row per pair
+    exact, noisy = (np.array([pauli_coefficients(pair[side]) for pair in pairs]) / scale for side in (0, 1))
     weights = (np.abs(exact) ** 2).sum(axis=0)
     rhs = _commutation_transform((exact.conj() * noisy).real.sum(axis=0), num_qubits)
     lipschitz = 4**num_qubits * float(weights.max())
@@ -233,11 +239,11 @@ def _qdc_score(lam: float, pairs, num_qubits: int, strategy: str) -> float:
     channel = DepolarizingChannel(num_qubits, lam)
     scores = []
     for exact, noisy in pairs:
-        mitigated = invert_channel(channel, noisy)
+        mitigated = invert_channel(channel, noisy).matrix
         if strategy == STRATEGY_FIDELITY:
-            scores.append(fidelity(exact, project_physical(mitigated)))
+            scores.append(fidelity(exact, project_to_physical(mitigated)))
         else:
-            scores.append(-float(np.linalg.norm(_as_matrix(mitigated) - _as_matrix(exact))))
+            scores.append(-float(np.linalg.norm(mitigated - exact)))
     return float(np.mean(scores))
 
 
@@ -246,13 +252,11 @@ def fit_qdc_lambda(pairs, strategy: str = STRATEGY_FIDELITY) -> float:
 
     Plateaus resolve to the smallest maximizing lambda; refinement is only
     accepted on a strict score improvement so the tie-break survives it.
+    The pairs are checked once, so each candidate is projected unvalidated.
     """
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("need at least one (exact, noisy) pair")
     if strategy not in (STRATEGY_FIDELITY, STRATEGY_FROBENIUS):
         raise ValueError(f"unknown strategy {strategy!r}")
-    num_qubits = qubit_count(_as_matrix(pairs[0][0]).shape[0], "density matrix dimension")
+    pairs, num_qubits = _pair_matrices(pairs)
     grid = np.arange(0.0, 0.99 + 1e-12, LAMBDA_GRID_STEP)
     scores = [_qdc_score(lam, pairs, num_qubits, strategy) for lam in grid]
     best = max(scores)
@@ -283,12 +287,17 @@ def fit_qdc_lambda(pairs, strategy: str = STRATEGY_FIDELITY) -> float:
     return lam_best
 
 
-def project_physical(rho) -> DensityMatrix:
-    """Clip negative eigenvalues to zero and renormalize the trace."""
-    mat = _as_matrix(rho)
+def _near_hermitian(rho, what: str) -> np.ndarray:
+    """``rho`` as a square matrix; refused past a hermiticity defect of 1e-8 times its largest entry (at least 1)."""
+    mat = _require_square(_as_matrix(rho), what)
     if hermiticity_defect(mat) > 1e-8 * max(1.0, float(np.abs(mat).max())):
-        raise ValueError("input is too far from Hermitian to project")
-    return DensityMatrix(project_to_physical(mat))
+        raise ValueError(f"{what} is too far from Hermitian to project")
+    return mat
+
+
+def project_physical(rho) -> DensityMatrix:
+    """Clip negative eigenvalues to zero and renormalize the trace; a validated state."""
+    return DensityMatrix(project_to_physical(_near_hermitian(rho, "input")))
 
 
 def parity_twirl(rho, parity_op: np.ndarray) -> DensityMatrix:

@@ -100,6 +100,55 @@ def test_malformed_config_exits_2(tmp_path, capsys, config):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+# id -> (config, the error it exits 2 with)
+REFUSED_CONFIGS = {
+    "unknown-series": ({**BASE_CONFIG, "series": "nope"}, "unknown series variant 'nope'"),
+    "unknown-mitigation": ({**BASE_CONFIG, "mitigation": "nope"}, "unknown mitigation 'nope'"),
+    "unknown-trotter-split": ({**BASE_CONFIG, "trotter_split": "nope"}, "unknown trotter split 'nope'"),
+    "no-state": ({"model": "pauli-xx-zz", "steps": 2}, "missing 1 required positional argument: 'state'"),
+    "non-numeric-amplitudes": (
+        {**BASE_CONFIG, "state": [["a", 0], [0, 0], [0, 0], [1, 0]]},
+        "invalid state amplitudes: complex() can't take second arg if first is a string",
+    ),
+    "state-of-wrong-dimension": (
+        {**BASE_CONFIG, "state": [[1, 0], [0, 0]]},
+        "state dimension 2 does not match model dimension 4",
+    ),
+    "pauli-label-of-wrong-length": (
+        {**BASE_CONFIG, "outputs": ["pauli:ZZZ"]},
+        "Pauli label 'ZZZ' does not match the dimension",
+    ),
+    "quadratures-of-a-qubit-model": ({**BASE_CONFIG, "outputs": ["quadratures"]}, "quadratures need a bosonic model"),
+    "wigner-of-a-two-mode-model": (
+        {"model": "schwinger-jz", "state": "schwinger-jz", "steps": 2, "outputs": ["wigner"]},
+        "field outputs need a single-mode bosonic model",
+    ),
+    "unknown-output-token": ({**BASE_CONFIG, "outputs": ["bogus"]}, "unknown output token 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("config, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
+def test_refused_config_exits_2_with_its_message(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["experiment", "--out", "{dir}/o"], "need --config or --preset"),
+        (["check", "--model", "pauli-xx-zz", "--param", "foo"], "--param expects key=value, got 'foo'"),
+    ],
+    ids=["experiment-without-config-or-preset", "check-param-without-value"],
+)
+def test_refused_arguments_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    assert run([arg.format(dir=tmp_path) for arg in argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("config, name", BLOCK_FIELD_ERRORS, ids=["time-step", "noise-lamda", "noise-no-lambda"])
 def test_block_field_errors_name_the_field(tmp_path, capsys, config, name):
     cfg = tmp_path / "cfg.json"
@@ -109,18 +158,25 @@ def test_block_field_errors_name_the_field(tmp_path, capsys, config, name):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["experiment", "--config", "{dir}", "--out", "{dir}/o"],
-        ["experiment", "--preset", "pauli-xx-zz", "--out", "{file}"],
-        ["mitigate", "--pairs", "{dir}"],
+        (["experiment", "--config", "{dir}", "--out", "{dir}/o"], "{dir}"),
+        (["experiment", "--preset", "pauli-xx-zz", "--out", "{file}"], "{file}"),
+        (["mitigate", "--pairs", "{dir}"], "{dir}"),
+        (["experiment", "--config", "{json}", "--out", "{dir}/o"], "{json} is not valid JSON: Expecting value"),
+        (["mitigate", "--pairs", "{json}"], "{json} is not valid JSON: Expecting value"),
     ],
-    ids=["config-is-a-directory", "out-is-a-file", "pairs-is-a-directory"],
+    ids=["config-is-a-directory", "out-is-a-file", "pairs-is-a-directory", "config-is-malformed", "pairs-is-malformed"],
 )
-def test_file_system_errors_exit_2(tmp_path, capsys, argv):
+def test_file_system_errors_exit_2(tmp_path, capsys, argv, named):
+    # the error names the path it could not use
     (tmp_path / "file").write_text("")
-    assert run([arg.format(dir=tmp_path, file=tmp_path / "file") for arg in argv]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "truncated.json").write_text('{"model": ')
+    paths = {"dir": tmp_path, "file": tmp_path / "file", "json": tmp_path / "truncated.json"}
+    assert run([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named.format(**paths) in err
 
 
 @pytest.mark.parametrize(
@@ -385,14 +441,19 @@ def test_experiment_check_says_when_no_finite_bound_exists(tmp_path, capsys, met
 def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
     # the order-2 tail bound grows from 1e-9 at t=0 and is clipped at 1 from
     # t~0.74 on; the 0.21 distance at t=3 is inside its own bound, not inside the t=0 one
-    argv = [
-        "experiment", "--preset", "qho-damped", "--method", "kraus", "--series", "truncated",
-        "--order", 2, "--check",
-    ]
-    assert run([*argv, "--out", tmp_path / "o"]) == 0
+    argv = ["experiment", "--preset", "qho-damped", "--method", "kraus", "--series", "truncated", "--order", 2]
+    assert run([*argv, "--check", "--out", tmp_path / "o"]) == 0
     assert "check passed: least slack at t=0," in capsys.readouterr().out
-    assert run([*argv, "--check-tol", "1e-3", "--out", tmp_path / "tol"]) == 3
-    assert "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03" in capsys.readouterr().err
+    failed = "check failed at t=3: trace distance 2.145e-01 exceeds bound 1.000e-03"
+    assert run([*argv, "--check", "--check-tol", "1e-3", "--out", tmp_path / "tol"]) == 3
+    assert failed in capsys.readouterr().err
+    # a tolerance turns the check on by itself, from the flag or from the config
+    assert run([*argv, "--check-tol", "1e-3", "--out", tmp_path / "tol-flag"]) == 3
+    assert failed in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**cli.PRESETS["qho-damped"], "check_tol": 1e-3}))
+    assert run([*argv[:1], "--config", cfg, *argv[3:], "--out", tmp_path / "tol-config"]) == 3
+    assert failed in capsys.readouterr().err
 
 
 def test_kraus_check_fails_on_a_corrupted_weight(tmp_path, capsys, monkeypatch):
@@ -466,9 +527,9 @@ STEP_LOOP_CASES = {
 @pytest.mark.filterwarnings("ignore:Pauli channel is rank deficient")  # one pair leaves strings unconstrained
 @pytest.mark.parametrize("case", STEP_LOOP_CASES.values(), ids=STEP_LOOP_CASES)
 def test_experiment_validates_only_the_initial_state(monkeypatch, case):
-    # the step loop's own physicality check is its one decision: neither the oracle, a method,
-    # the noise channel nor the mitigation chain classifies its state, so the one validated
-    # DensityMatrix is the initial state; a depolarizing fit adds its own on the first record
+    # the mitigation step's physicality check is the loop's one decision: neither the oracle, a
+    # method, the noise channel, the mitigation chain nor a depolarizing fit validates a state,
+    # so the one validated DensityMatrix is the initial state
     validated = []
     post_init = DensityMatrix.__post_init__
 
@@ -482,9 +543,7 @@ def test_experiment_validates_only_the_initial_state(monkeypatch, case):
     for _record in cli.run_experiment(cli.ExperimentConfig.from_dict(doc)):
         per_record.append(sum(validated))
         validated.clear()
-    assert per_record[1:] == [0, 0, 0, 0]
-    if "qdc" not in doc.get("mitigation", "none"):
-        assert per_record[0] == 1
+    assert per_record == [1, 0, 0, 0, 0]
 
 
 def test_cli_import_leaves_scipy_out():
@@ -935,6 +994,25 @@ def test_mitigate_rejects_non_qubit_dimension(tmp_path, capsys, channel):
     pairs_file.write_text(json.dumps({"pairs": [[to_doc(rho), to_doc(rho)]]}))
     assert run(["mitigate", "--pairs", pairs_file, "--channel", channel]) == 2
     assert "must be a power of two, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--channel", "qdc"], ["--channel", "qdc", "--strategy", "frobenius-min"], ["--channel", "pauli"]],
+    ids=["qdc-fidelity-max", "qdc-frobenius-min", "pauli"],
+)
+def test_mitigate_refuses_a_non_hermitian_pair(tmp_path, capsys, rng, argv):
+    # both fits check their pairs once, with project_physical's tolerance, whatever the strategy
+    channel = mit.DepolarizingChannel(2, 0.3)
+    pairs = []
+    for _ in range(2):
+        rho = random_density(rng, 4)
+        pairs.append([rho, mit.apply_qdc(channel, rho).matrix])
+    pairs[1][1][0, 1] += 1e-3
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps({"pairs": to_doc(pairs)}))
+    assert run(["mitigate", "--pairs", pairs_file, *argv]) == 2
+    assert capsys.readouterr().err == "error: pair 1: noisy is too far from Hermitian to project\n"
 
 
 def test_kraus_reduced_without_structure_exits_3(tmp_path):

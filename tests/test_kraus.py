@@ -289,6 +289,43 @@ def test_detect_group_structure_needs_phase_commutation():
     assert kraus.detect_group_structure(model) is None
 
 
+def _ket_bra(dim: int, row: int, col: int) -> np.ndarray:
+    op = np.zeros((dim, dim), dtype=complex)
+    op[row, col] = 1.0
+    return op
+
+
+# id -> (jump operators, gammas, the structure detect_group_structure finds); the pairwise branches
+PAIRWISE_STRUCTURE_CASES = {
+    "both-products-vanish": (
+        (_ket_bra(2, 0, 1), _ket_bra(2, 0, 1)), (1.0, 1.0), kraus.GroupStructure((2, 2), (0.0, 0.0))
+    ),
+    "one-product-vanishes": ((_ket_bra(3, 0, 1), _ket_bra(3, 1, 2)), (1.0, 2.0), None),
+    "products-not-proportional": ((PAULI["X"], (PAULI["X"] + PAULI["Z"]) / np.sqrt(2)), (1.0, 1.0), None),
+}
+
+
+@pytest.mark.parametrize("ops, gammas, want", PAIRWISE_STRUCTURE_CASES.values(), ids=PAIRWISE_STRUCTURE_CASES)
+def test_detect_group_structure_pairwise_branches(ops, gammas, want):
+    model = lb.LindbladModel(np.zeros_like(ops[0]), ops, gammas)
+    assert kraus.detect_group_structure(model) == want
+
+
+def test_model_without_structure_runs_a_terminating_truncated_series(rng):
+    # |0><1| and |1><2| with gammas (1, 2) meet all four conditions, but L1 L2 = |0><2| while
+    # L2 L1 = 0, so no structure is found; auto builds the truncated series, whose products end
+    ops, gammas, _want = PAIRWISE_STRUCTURE_CASES["one-product-vanishes"]
+    model = lb.LindbladModel(np.zeros((3, 3)), ops, gammas)
+    prep = kraus.prepare(model)
+    assert prep.report.all_satisfied and prep.structure is None
+    rho0 = random_density(rng, 3)
+    for t in (0.3, 1.0, 2.5):
+        series = kraus.build_series(model, t, "auto", 10)
+        assert [term.indices for term in series.terms] == [(), (0,), (1,), (0, 1)]
+        assert series.tail_bound == 0.0
+        assert trace_distance(kraus.apply_series(series, rho0), lb.exact_evolve(model, rho0, t)) < 1e-12
+
+
 def test_reduced_series_identity_at_zero(pauli_spec, initial_states):
     series = kraus.build_reduced_series(pauli_spec.model, 0.0)
     surviving = [term for term in series.terms if term.weight > 0]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from kraussim import lindblad as lb
 from kraussim import models
-from kraussim.matkernel import PAULI, classify_density, from_doc, to_doc, trace_distance
+from kraussim.matkernel import PAULI, DensityMatrix, from_doc, to_doc, trace_distance
 
 from conftest import dense_lindbladian, random_density
 
@@ -122,7 +122,7 @@ def test_exact_evolve_cptp_and_semigroup(pauli_spec, rng):
     for _ in range(3):
         rho = random_density(rng, model.dim)
         out = lb.exact_evolve(model, rho, 0.9)
-        assert not out.raw
+        DensityMatrix(out.matrix)  # validates: a physical state
         assert np.linalg.eigvalsh(out.matrix).min() >= -1e-9
         two_step = lb.exact_evolve(model, lb.exact_evolve(model, rho, 0.4), 0.5)
         assert trace_distance(two_step, out) < 1e-8
@@ -353,7 +353,7 @@ def test_trotter_trajectory_matches_pointwise(qho_spec, initial_states, split):
     assert len(states) == len(ts)
     for t, state in zip(ts, states):
         want = lb.trotter_evolve(qho_spec.model, rho0, float(t), 8, split)
-        assert np.array_equal(classify_density(state).matrix, want.matrix)
+        assert np.array_equal(state, want.matrix)
     with pytest.raises(ValueError):
         list(lb.trotter_trajectory(qho_spec.model, rho0, [0.5, -0.1], 8, split))
 
