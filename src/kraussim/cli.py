@@ -243,10 +243,13 @@ def _resolve_state(config: ExperimentConfig, dim: int) -> QuantumState:
         state = _named_state(config.state)
     else:
         try:
-            amps = np.array([complex(re, im) for re, im in config.state])
-            state = QuantumState(amps / np.linalg.norm(amps))
+            amps = np.array(from_doc(list[complex], config.state))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"invalid state amplitudes: {exc}") from exc
+        norm = np.linalg.norm(amps)
+        if not 0 < norm < np.inf:
+            raise ConfigError(f"invalid state amplitudes: their norm {norm} must be finite and nonzero")
+        state = QuantumState(amps / norm)
     if state.dim != dim:
         raise ConfigError(f"state dimension {state.dim} does not match model dimension {dim}")
     return state
@@ -438,9 +441,11 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     :class:`ConfigError` is raised before the first record is pulled.  The
     tree is written into a ``.partial-*`` stage inside ``outdir`` and moved
     up once all ``steps`` records are in; if a record raises, or the records
-    are not ``steps`` in number, the stage is removed and the error raised.
+    are not ``steps`` in number, the stage is removed, then ``outdir`` too
+    if this call created it, and the error raised.
     """
     outdir = Path(outdir)
+    created = not outdir.exists()
     outdir.mkdir(parents=True, exist_ok=True)
     if any(outdir.iterdir()):
         raise ConfigError(f"output directory {outdir} already holds files; give a new or empty --out")
@@ -491,6 +496,8 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
             entry.rename(outdir / entry.name)
     finally:
         shutil.rmtree(stage)
+        if created and not any(outdir.iterdir()):
+            outdir.rmdir()
 
 
 def _read_json(path: str) -> object:
@@ -540,26 +547,8 @@ def _model_params(pairs) -> dict:
 def _cmd_check(args) -> int:
     spec = _build_model(args.model, _model_params(args.param))
     prep = kraus.prepare(spec.model)
-    report, structure = prep.report, prep.structure
-    doc = {
-        "model": spec.key,
-        "conditions": {
-            "i": report.hamiltonian_commutes,
-            "ii": report.dissipators_commute,
-            "iii": report.ladder_constant_found,
-            "iv": report.damping_constant_found,
-        },
-        "nu": [report.nu.real, report.nu.imag],
-        "lambda": [report.lambda_const.real, report.lambda_const.imag],
-        "alpha": report.alpha,
-        "f_kind": report.f_kind,
-        "nu_residual": report.nu_residual,
-        "lambda_residual": report.lambda_residual,
-        "group_structure": None
-        if structure is None
-        else {"periods": list(structure.periods), "thetas": list(structure.thetas)},
-    }
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    doc = {"model": spec.key, "report": prep.report, "structure": prep.structure}
+    text = json.dumps(to_doc(doc), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)
     print(text)
@@ -646,7 +635,7 @@ def _cmd_mitigate(args) -> int:
     else:
         lam = mitigation.fit_qdc_lambda(pairs, args.strategy)
         channel = mitigation.DepolarizingChannel(qubit_count(len(pairs[0][0]), "density matrix dimension"), lam)
-        payload = {"channel": {"num_qubits": channel.num_qubits, "lambda": lam}}
+        payload = {"channel": channel}
     if args.apply:
         payload["mitigated"] = [
             mitigation.project_physical(mitigation.invert_channel(channel, noisy)).matrix

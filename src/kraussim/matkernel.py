@@ -265,8 +265,8 @@ def von_neumann_entropy(rho) -> float:
 
 def to_doc(value):
     """JSON-ready form of a value: a dataclass becomes a dict of its fields that
-    are not None, a complex array nested ``[re, im]`` pairs, a real array a list
-    of floats, a tuple a list and a numpy scalar a Python number."""
+    are not None, a complex number or array ``[re, im]`` pairs, a real array a
+    list of floats, a tuple a list and a numpy scalar its Python value's form."""
     # exact types: np.float64 subclasses float but still becomes a Python float
     if type(value) in (float, int, str, bool):
         return value
@@ -274,12 +274,13 @@ def to_doc(value):
         return [to_doc(item) for item in value]
     if isinstance(value, dict):
         return {key: to_doc(item) for key, item in value.items()}
-    if isinstance(value, np.ndarray):
+    if isinstance(value, np.generic):
+        return to_doc(value.item())
+    if isinstance(value, (complex, np.ndarray)):
+        value = np.asarray(value)
         if np.iscomplexobj(value):
             return np.stack([value.real, value.imag], axis=-1).tolist()
         return value.astype(float).tolist()
-    if isinstance(value, np.generic):
-        return value.item()
     if dataclasses.is_dataclass(value):
         items = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
         return {name: to_doc(item) for name, item in items.items() if item is not None}
@@ -289,8 +290,8 @@ def to_doc(value):
 def from_doc(kind, doc):
     """Inverse of :func:`to_doc` for ``kind``, a dataclass or a type hint.
 
-    Unknown dataclass fields are rejected.  An ``np.ndarray`` is read as a
-    real vector or as a complex matrix given in ``[re, im]`` pairs.
+    Unknown dataclass fields are rejected.  A ``complex`` is an ``[re, im]``
+    pair, and an ``np.ndarray`` a real vector or a complex matrix of such pairs.
     """
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
@@ -304,6 +305,10 @@ def from_doc(kind, doc):
         return None if doc is None else from_doc(inner, doc)
     if origin in (tuple, list):
         return origin(from_doc(args[0], item) for item in doc)
+    if kind is complex:
+        if not isinstance(doc, list) or len(doc) != 2:
+            raise ValueError(f"a complex number must be an [re, im] pair, got {doc!r}")
+        return complex(*doc)
     if kind is np.ndarray:
         arr = np.ascontiguousarray(doc, dtype=float)
         if arr.ndim == 1:

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from kraussim import lindblad, models
+from kraussim.matkernel import from_doc, to_doc
 
 
 @pytest.fixture
@@ -85,3 +89,24 @@ def dense_lindbladian(model, split=None):
     if split == lindblad.SPLIT_EFFECTIVE_JUMP:
         return effective, jumps
     raise ValueError(f"unknown split {split!r}")
+
+
+def assert_json_round_trip(value, kind=None):
+    """``from_doc`` rebuilds ``value`` from the JSON text of ``to_doc(value)`` field by field, each
+    array with its dtype and ``np.array_equal`` entries; ``kind`` defaults to ``type(value)``."""
+    _assert_same(from_doc(kind or type(value), json.loads(json.dumps(to_doc(value)))), value)
+
+
+def _assert_same(got, want):
+    if dataclasses.is_dataclass(want):
+        assert type(got) is type(want)
+        for f in dataclasses.fields(want):
+            _assert_same(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == want.dtype and np.array_equal(got, want)
+    elif isinstance(want, (list, tuple)):
+        assert type(got) is type(want) and len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same(a, b)
+    else:
+        assert got == want

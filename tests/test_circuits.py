@@ -8,7 +8,7 @@ from kraussim import circuits as qc
 from kraussim import kraus, lindblad as lb
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import align_phase, random_state
+from conftest import align_phase, assert_json_round_trip, random_state
 
 
 def test_sznagy_identity_blocks():
@@ -450,6 +450,7 @@ def test_circuit_json_round_trip(qho_spec):
     assert back.postselect == circuit.postselect
     assert len(back.gates) == len(circuit.gates)
     assert np.abs(qc.circuit_unitary(back) - qc.circuit_unitary(circuit)).max() < 1e-12
+    assert_json_round_trip(circuit)
 
 
 def test_gate_doc_omits_unset_angle_and_matrix():

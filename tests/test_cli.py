@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 import kraussim
 from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit, models
-from kraussim.matkernel import DensityMatrix, pauli_string_matrix, to_doc
+from kraussim.matkernel import DensityMatrix, from_doc, pauli_string_matrix, to_doc
 
 from conftest import haar_rotated, random_density
 
@@ -110,6 +111,23 @@ REFUSED_CONFIGS = {
         {**BASE_CONFIG, "state": [["a", 0], [0, 0], [0, 0], [1, 0]]},
         "invalid state amplitudes: complex() can't take second arg if first is a string",
     ),
+    "amplitudes-not-pairs": (
+        {**BASE_CONFIG, "state": [1, 0, 0, 0]},
+        "invalid state amplitudes: a complex number must be an [re, im] pair, got 1",
+    ),
+    "amplitude-of-three-numbers": (
+        {**BASE_CONFIG, "state": [[1, 0, 0], [0, 0], [0, 0], [0, 0]]},
+        "invalid state amplitudes: a complex number must be an [re, im] pair, got [1, 0, 0]",
+    ),
+    "zero-state": (
+        {**BASE_CONFIG, "state": [[0, 0], [0, 0], [0, 0], [0, 0]]},
+        "invalid state amplitudes: their norm 0.0 must be finite and nonzero",
+    ),
+    "non-finite-state": (
+        {**BASE_CONFIG, "state": [[float("nan"), 0], [0, 0], [0, 0], [1, 0]]},
+        "invalid state amplitudes: their norm nan must be finite and nonzero",
+    ),
+    "empty-state": ({**BASE_CONFIG, "state": []}, "invalid state amplitudes: their norm 0.0 must be finite and nonzero"),
     "state-of-wrong-dimension": (
         {**BASE_CONFIG, "state": [[1, 0], [0, 0]]},
         "state dimension 2 does not match model dimension 4",
@@ -129,11 +147,29 @@ REFUSED_CONFIGS = {
 
 @pytest.mark.parametrize("config, message", REFUSED_CONFIGS.values(), ids=REFUSED_CONFIGS)
 def test_refused_config_exits_2_with_its_message(tmp_path, capsys, config, message):
+    # refused before any warning, and without leaving the --out the run made
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_failed_run_keeps_the_out_it_did_not_make(tmp_path, monkeypatch):
+    # an existing empty --out, `.` and the parents of a new --out stay; only the --out the run made goes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**BASE_CONFIG, "outputs": ["bogus"]}))
+    (tmp_path / "empty").mkdir()
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "empty"]) == 2
+    assert list((tmp_path / "empty").iterdir()) == []
+    assert run(["experiment", "--config", cfg, "--out", tmp_path / "new" / "o"]) == 2
+    assert (tmp_path / "new").is_dir() and not (tmp_path / "new" / "o").exists()
+    monkeypatch.chdir(tmp_path / "empty")
+    assert run(["experiment", "--config", cfg, "--out", "."]) == 2
+    assert list((tmp_path / "empty").iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -231,13 +267,17 @@ def test_module_entry_point_runs_the_cli():
         assert name in proc.stdout
 
 
+# the ConditionReport fields of conditions i-iv
+CONDITIONS = ("hamiltonian_commutes", "dissipators_commute", "ladder_constant_found", "damping_constant_found")
+
+
 def test_check_subcommand(tmp_path, capsys):
     assert run(["check", "--model", "qho-damped", "--out", tmp_path / "report.json"]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert doc["conditions"] == {"i": True, "ii": True, "iii": True, "iv": True}
-    assert doc["alpha"] == pytest.approx(1.0, abs=1e-10)
-    assert doc["f_kind"] == "saturating"
-    assert doc["group_structure"]["periods"] == [4]
+    assert {name: doc["report"][name] for name in CONDITIONS} == dict.fromkeys(CONDITIONS, True)
+    assert doc["report"]["alpha"] == pytest.approx(1.0, abs=1e-10)
+    assert doc["report"]["f_kind"] == "saturating"
+    assert doc["structure"]["periods"] == [4]
 
 
 @pytest.mark.parametrize("axis", ["X", "Y"])
@@ -246,9 +286,9 @@ def test_check_schwinger_transverse_axes_meet_the_conditions(tmp_path, axis):
         out = tmp_path / f"report-{cutoff}.json"
         argv = ["check", "--model", "schwinger-jz", "--param", f"axis={axis}", "--param", f"per_mode_cutoff={cutoff}"]
         assert run(argv + ["--out", out]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["conditions"] == {"i": True, "ii": True, "iii": True, "iv": True}
-        assert max(doc["nu_residual"], doc["lambda_residual"]) < 1e-14
+        report = json.loads(out.read_text())["report"]
+        assert {name: report[name] for name in CONDITIONS} == dict.fromkeys(CONDITIONS, True)
+        assert max(report["nu_residual"], report["lambda_residual"]) < 1e-14
 
 
 @pytest.mark.parametrize("key", models.MODEL_KEYS)
@@ -257,23 +297,9 @@ def test_check_reports_the_prepared_models_decision(tmp_path, key):
     assert run(["check", "--model", key, "--out", tmp_path / "report.json"]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
     prep = kraus.prepare(models.build_model(key).model)
-    report, structure = prep.report, prep.structure
-    assert sorted(doc) == [
-        "alpha", "conditions", "f_kind", "group_structure", "lambda", "lambda_residual", "model", "nu", "nu_residual",
-    ]
-    assert doc["conditions"] == {
-        "i": report.hamiltonian_commutes,
-        "ii": report.dissipators_commute,
-        "iii": report.ladder_constant_found,
-        "iv": report.damping_constant_found,
-    }
-    assert doc["nu"] == [report.nu.real, report.nu.imag]
-    assert doc["lambda"] == [report.lambda_const.real, report.lambda_const.imag]
-    assert doc["alpha"] == report.alpha
-    assert doc["nu_residual"] == report.nu_residual
-    assert doc["lambda_residual"] == report.lambda_residual
-    expected = None if structure is None else {"periods": list(structure.periods), "thetas": list(structure.thetas)}
-    assert doc["group_structure"] == expected
+    assert doc == to_doc({"model": key, "report": prep.report, "structure": prep.structure})
+    assert sorted(doc["report"]) == sorted(f.name for f in dataclasses.fields(lindblad.ConditionReport))
+    assert from_doc(lindblad.ConditionReport, doc["report"]) == prep.report
 
 
 def test_presets_listing(capsys):
@@ -606,7 +632,7 @@ def test_truncated_series_past_the_term_cap_exits_2(tmp_path, capsys):
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "o"]) == 2
     assert time.perf_counter() - started < 30
     assert f"order 12 over 4 operators would exceed {kraus.MAX_SERIES_TERMS} terms" in capsys.readouterr().err
-    assert list((tmp_path / "o").iterdir()) == []
+    assert not (tmp_path / "o").exists()
 
 
 def test_experiment_condition_failure_exit_code(tmp_path):
@@ -949,7 +975,8 @@ def test_mitigate_subcommand(tmp_path, rng, capsys):
         "mitigate", "--pairs", pairs_file, "--channel", "qdc", "--apply", "--out", out_file
     ]) == 0
     doc = json.loads(out_file.read_text())
-    assert doc["channel"]["lambda"] == pytest.approx(0.3, abs=1e-3)
+    assert doc["channel"]["lam"] == pytest.approx(0.3, abs=1e-3)
+    assert from_doc(mit.DepolarizingChannel, doc["channel"]) == mit.DepolarizingChannel(2, doc["channel"]["lam"])
     assert len(doc["mitigated"]) == 4
     assert run(["mitigate", "--pairs", pairs_file, "--channel", "pauli"]) == 0
     fit = json.loads(capsys.readouterr().out)

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kraussim import circuits, kraus, lindblad as lb, models
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import haar_rotated, random_density, random_state
+from conftest import assert_json_round_trip, haar_rotated, random_density, random_state
 
 
 def test_f_of_t_linear_branch():
@@ -652,6 +652,12 @@ def test_series_json_round_trip(qho_spec):
         assert a.indices == b.indices
         assert a.weight == pytest.approx(b.weight, abs=1e-15)
         assert np.abs(a.operator - b.operator).max() < 1e-15
+    assert_json_round_trip(series)
+    # the condition report and group structure `kraussim check` writes, of every registry model
+    for key in models.MODEL_KEYS:
+        prep = kraus.prepare(models.build_model(key).model)
+        assert_json_round_trip(prep.report)
+        assert_json_round_trip(prep.structure, kraus.GroupStructure | None)
 
 
 def test_term_ordering_is_lexicographic(pauli_spec):

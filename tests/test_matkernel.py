@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from kraussim import matkernel as mk
 
-from conftest import random_density, random_state
+from conftest import assert_json_round_trip, random_density, random_state
 
 
 @pytest.mark.parametrize(
@@ -205,3 +207,23 @@ def test_doc_codec_converts_numpy_values_and_round_trips_exactly():
     back = mk.from_doc(np.ndarray, pairs)
     assert back.tobytes() == mat.tobytes()
     assert mk.from_doc(np.ndarray, doc["eps"]).dtype == float
+
+
+@pytest.mark.parametrize(
+    "value",
+    [complex(-0.0, 2.0), 1e-300j, np.complex128(1 / 3 - 0.5j), np.complex64(0.25 + 0.75j)],
+    ids=["python", "tiny-imaginary", "numpy-complex128", "numpy-complex64"],
+)
+def test_doc_codec_carries_complex_scalars_as_pairs(value):
+    pair = mk.to_doc(value)
+    assert [type(part) for part in pair] == [float, float]
+    assert np.array(pair).tobytes() == np.array([value.real, value.imag], dtype=float).tobytes()
+    assert_json_round_trip(value, complex)
+    assert type(mk.from_doc(complex, pair)) is complex
+    assert mk.from_doc(list[complex], [pair, [1, 0]]) == [value, 1]
+
+
+@pytest.mark.parametrize("doc", [1, [1, 0, 0], [1], "1+2j", None], ids=["number", "triple", "single", "string", "null"])
+def test_doc_codec_refuses_a_complex_number_that_is_not_a_pair(doc):
+    with pytest.raises(ValueError, match=re.escape(f"a complex number must be an [re, im] pair, got {doc!r}")):
+        mk.from_doc(complex, doc)

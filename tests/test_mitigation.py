@@ -8,7 +8,7 @@ import scipy.optimize
 from kraussim import mitigation as mit
 from kraussim.matkernel import from_doc, pauli_labels, pauli_string_matrix, to_doc
 
-from conftest import random_density
+from conftest import assert_json_round_trip, random_density
 
 
 def one_qubit_channel(eps_map):
@@ -311,3 +311,8 @@ def test_channel_json_round_trip():
     qdc = mit.DepolarizingChannel(2, 0.25)
     back = from_doc(mit.DepolarizingChannel, json.loads(json.dumps(to_doc(qdc))))
     assert back.lam == qdc.lam and back.num_qubits == qdc.num_qubits
+    # field by field, with the fit's report and the channel `mitigate --channel qdc` writes
+    rho = random_density(np.random.default_rng(5), 2)
+    fitted, report = mit.fit_pauli_channel([(rho, mit.apply_pauli_channel(channel, rho).matrix)])
+    for value in (channel, qdc, fitted, report, mit.DepolarizingChannel(1, mit.fit_qdc_lambda([(rho, rho)]))):
+        assert_json_round_trip(value)
