@@ -43,29 +43,28 @@ _SINGLE_QUBIT = {
 class Gate:
     """One circuit operation.
 
-    ``kind`` is one of x, y, z, h, phase, rz, ry, unitary.  ``controls``
-    carry per-control polarities in ``control_values`` (default all 1).
-    ``phase`` multiplies by e^{i angle} when the target and every control
-    read 1, which makes multi-controlled phases symmetric in their qubits.
+    ``kind`` is one of x, y, z, h, phase, rz, ry, unitary, on distinct
+    qubits.  The core acts where every control reads 1.  ``phase``
+    multiplies by e^{i angle} when the target and every control read 1,
+    which makes multi-controlled phases symmetric in their qubits.
     """
 
     kind: str
     targets: tuple[int, ...]
     controls: tuple[int, ...] = ()
-    control_values: tuple[int, ...] = ()
     angle: float | None = None
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        for q in (*self.targets, *self.controls):
+            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
+                raise ValueError(f"qubit index must be an integer, got {q!r}")
         targets = tuple(int(q) for q in self.targets)
         controls = tuple(int(q) for q in self.controls)
-        values = tuple(int(v) for v in self.control_values) or (1,) * len(controls)
         if not targets:
             raise ValueError("gate needs at least one target")
-        if set(targets) & set(controls):
-            raise ValueError("target and control sets must be disjoint")
-        if len(values) != len(controls) or any(v not in (0, 1) for v in values):
-            raise ValueError("control polarities must match controls")
+        if len(set(targets + controls)) != len(targets) + len(controls):
+            raise ValueError(f"gate qubits must be distinct, got targets {targets} and controls {controls}")
         if self.kind == "unitary":
             mat = np.asarray(self.matrix, dtype=complex)
             if mat.shape != (2 ** len(targets), 2 ** len(targets)):
@@ -83,7 +82,6 @@ class Gate:
             raise ValueError(f"{self.kind} gate takes exactly one target")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
-        object.__setattr__(self, "control_values", values)
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the uncontrolled core on the target qubits."""
@@ -135,23 +133,13 @@ class ShotResult:
     counts: dict[str, float]
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
-    mat = gate.unitary()
-    targets = list(gate.targets)
-    controls = list(gate.controls)
-    rest = [q for q in range(num_qubits) if q not in targets and q not in controls]
-    perm = targets + controls + rest
-    moved = tensor.transpose(perm).reshape(
-        2 ** len(targets), 2 ** len(controls), -1
-    )
-    ctrl_index = 0
-    for v in gate.control_values:
-        ctrl_index = (ctrl_index << 1) | v
-    block = moved[:, ctrl_index, :]
-    moved = moved.copy()
-    moved[:, ctrl_index, :] = mat @ block
-    out = moved.reshape([2] * num_qubits).transpose(np.argsort(perm))
-    return out
+def _apply_gate(tensor: np.ndarray, gate: Gate) -> np.ndarray:
+    """``gate`` on one copy of the register, targets then controls first: ``[:, -1]`` is where every control reads 1."""
+    front = gate.targets + gate.controls
+    perm = front + tuple(q for q in range(tensor.ndim) if q not in front)
+    flat = tensor.transpose(perm).copy().reshape(2 ** len(gate.targets), 2 ** len(gate.controls), -1)
+    flat[:, -1] = gate.unitary() @ flat[:, -1]
+    return flat.reshape(tensor.shape).transpose(np.argsort(perm))
 
 
 def simulate_statevector(circuit: Circuit, state) -> QuantumState:
@@ -162,7 +150,7 @@ def simulate_statevector(circuit: Circuit, state) -> QuantumState:
         raise ValueError(f"state dimension {amps.size} does not match {n} qubits")
     tensor = amps.reshape([2] * n) if n else amps
     for gate in circuit.gates:
-        tensor = _apply_gate(tensor, gate, n)
+        tensor = _apply_gate(tensor, gate)
     return QuantumState(tensor.reshape(-1))
 
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from kraussim import circuits as qc
 from kraussim import kraus, lindblad as lb
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import align_phase, assert_json_round_trip, random_state
+from conftest import align_phase, assert_json_round_trip, haar_unitary, random_state
 
 
 def test_sznagy_identity_blocks():
@@ -455,7 +456,7 @@ def test_circuit_json_round_trip(qho_spec):
 
 def test_gate_doc_omits_unset_angle_and_matrix():
     assert to_doc(qc.Gate("x", (1,), (0,))) == {
-        "kind": "x", "targets": [1], "controls": [0], "control_values": [1]
+        "kind": "x", "targets": [1], "controls": [0]
     }
 
 
@@ -470,3 +471,74 @@ def test_gate_validation():
         qc.Gate("unitary", (0,), matrix=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         qc.Circuit(1, 0, (qc.Gate("x", (3,)),))
+    # every qubit of a gate is distinct: the kernel moves each axis once
+    with pytest.raises(ValueError, match="distinct"):
+        qc.Gate("x", (1,), (0, 0))
+    with pytest.raises(ValueError, match="distinct"):
+        qc.Gate("unitary", (0, 0), matrix=np.eye(4))
+    # a qubit index is an integer as given, never rounded or parsed
+    refused = [((1.5,), (), "1.5"), (("1",), (), "'1'"), ((2,), (0.9,), "0.9"), ((True,), (), "True")]
+    for targets, controls, shown in refused:
+        with pytest.raises(ValueError, match=re.escape(f"qubit index must be an integer, got {shown}")):
+            qc.Gate("x", targets, controls)
+    doc = {"num_system_qubits": 2, "num_ancilla_qubits": 0, "gates": [{"kind": "x", "targets": [1.5]}]}
+    with pytest.raises(ValueError, match="got 1.5"):
+        from_doc(qc.Circuit, doc)
+    assert qc.Gate("x", (np.int64(1),), (np.int64(0),)).targets == (1,)
+
+
+def test_circuit_doc_with_control_polarities_is_refused():
+    doc = to_doc(qc.Circuit(2, 0, (qc.cnot(0, 1),)))
+    doc["gates"][0]["control_values"] = [1]
+    with pytest.raises(ValueError, match=re.escape("unknown Gate fields: ['control_values']")):
+        from_doc(qc.Circuit, doc)
+
+
+def _dense_gate(gate, n):
+    """The gate on n qubits, column by column from the basis states (qubit 0 most significant)."""
+    core = gate.unitary()
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        if not all(bits[c] for c in gate.controls):
+            out[col, col] = 1.0
+            continue
+        core_col = int("".join(str(bits[q]) for q in gate.targets), 2)
+        for core_row in range(core.shape[0]):
+            row_bits = list(bits)
+            for k, q in enumerate(gate.targets):
+                row_bits[q] = (core_row >> (len(gate.targets) - 1 - k)) & 1
+            out[int("".join(map(str, row_bits)), 2), col] += core[core_row, core_col]
+    return out
+
+
+def _random_gate(rng, kind, n):
+    """A gate of ``kind`` on random distinct qubits: 1-2 targets for unitary, 0-2 controls."""
+    num_targets = int(rng.integers(1, min(2, n) + 1)) if kind == "unitary" else 1
+    num_controls = int(rng.integers(0, min(2, n - num_targets) + 1))
+    qubits = [int(q) for q in rng.permutation(n)[: num_targets + num_controls]]
+    return qc.Gate(
+        kind,
+        tuple(qubits[:num_targets]),
+        tuple(qubits[num_targets:]),
+        angle=float(rng.uniform(-np.pi, np.pi)) if kind in ("phase", "rz", "ry") else None,
+        matrix=haar_unitary(rng, 2**num_targets) if kind == "unitary" else None,
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_statevector_matches_dense_gate_operators(rng, n):
+    kinds = ["x", "y", "z", "h", "phase", "rz", "ry", "unitary"]
+    # the first gate keeps every axis in place, so the kernel's first copy is of the caller's array
+    gates = [qc.Gate("h", (0,))] + [_random_gate(rng, kind, n) for kind in kinds * 3]
+    amps = random_state(rng, 2**n)
+    given = amps.copy()
+    expected = amps
+    for gate in gates:
+        dense = _dense_gate(gate, n)
+        single = qc.simulate_statevector(qc.Circuit(n, 0, (gate,)), expected).amplitudes
+        expected = dense @ expected
+        assert np.abs(single - expected).max() < 1e-12
+    final = qc.simulate_statevector(qc.Circuit(n, 0, tuple(gates)), amps).amplitudes
+    assert np.abs(final - expected).max() < 1e-12
+    assert np.array_equal(amps, given)
