@@ -17,7 +17,8 @@ standard output is one JSON object with, per size:
 - the time spent in ``build_kraus_circuit``, ``simulate_statevector``,
   ``_basis_probabilities`` and ``tomography`` over one more run of each
   mode, measured by wrapping those ``circuits`` attributes;
-- the term count at each point and the gate count over the grid;
+- the term count at each point and the gate count of the circuits built
+  over the grid;
 - the ``tracemalloc`` peak of one more run of each mode;
 - the largest trace distance between the infinite-shot state and
   ``lindblad.exact_trajectory``, which must stay below ``ORACLE_TOL``
@@ -29,16 +30,12 @@ with the same inputs.
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-import tracemalloc
-from collections import defaultdict
-
 import numpy as np
 
 from kraussim import circuits, kraus, lindblad, models
 from kraussim.matkernel import QuantumState, trace_distance
+
+from harness import REPEATS, layer_times, sweep, timed
 
 QUBITS = (2, 3, 4, 5)
 STRINGS = 6
@@ -46,7 +43,6 @@ GAMMAS = (0.1, 1.0)
 POINTS = 3
 STOP = 1.0
 SHOTS = 1024
-REPEATS = 3
 SEED = 0
 ORACLE_TOL = 1e-9
 LAYERS = ("build_kraus_circuit", "simulate_statevector", "_basis_probabilities", "tomography")
@@ -73,52 +69,6 @@ def run_grid(prep, series: list, ts: list[float], psi0: QuantumState, shots: int
     ]
 
 
-def layer_times(func, *args) -> tuple[dict[str, float], int]:
-    """Seconds spent in each of ``LAYERS`` over one call of ``func``, and the gates built."""
-    spent: dict[str, float] = defaultdict(float)
-    gates = 0
-    originals = {name: getattr(circuits, name) for name in LAYERS}
-
-    def wrap(name, inner):
-        def timed_layer(*a, **k):
-            nonlocal gates
-            start = time.perf_counter()
-            try:
-                out = inner(*a, **k)
-            finally:
-                spent[name] += time.perf_counter() - start
-            if name == "build_kraus_circuit":
-                gates += len(out.gates)
-            return out
-
-        return timed_layer
-
-    try:
-        for name, inner in originals.items():
-            setattr(circuits, name, wrap(name, inner))
-        func(*args)
-    finally:
-        for name, inner in originals.items():
-            setattr(circuits, name, inner)
-    return {name: spent[name] for name in LAYERS}, gates
-
-
-def timed(func, *args) -> tuple[float, list[float], float, object]:
-    """Median and all wall times of ``REPEATS`` calls, the ``tracemalloc`` peak in MB of one more, and its result."""
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        func(*args)
-        times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        out = func(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return statistics.median(times), times, peak / 2**20, out
-
-
 def measure(num_qubits: int) -> dict:
     strings, gammas, psi0 = draw_inputs(num_qubits)
     model = models.build_model("pauli-xx-zz", pauli_strings=strings, gammas=gammas).model
@@ -127,9 +77,10 @@ def measure(num_qubits: int) -> dict:
     series = list(kraus.series_trajectory(prep, ts, "reduced", 0))
     exact_s, exact_all, exact_peak, states = timed(run_grid, prep, series, ts, psi0, None)
     shots_s, shots_all, shots_peak, _counts = timed(run_grid, prep, series, ts, psi0, SHOTS)
-    exact_layers, gates = layer_times(run_grid, prep, series, ts, psi0, None)
-    shots_layers, _gates = layer_times(run_grid, prep, series, ts, psi0, SHOTS)
+    exact_layers, _ = layer_times(circuits, LAYERS, run_grid, prep, series, ts, psi0, None)
+    shots_layers, _ = layer_times(circuits, LAYERS, run_grid, prep, series, ts, psi0, SHOTS)
     oracle = lindblad.exact_trajectory(model, psi0.density().matrix, 0.0, STOP, POINTS)
+    gates = sum(len(circuits.build_kraus_circuit(term, prep, t).gates) for t, s in zip(ts, series) for term in s.terms)
     return {
         "strings": strings,
         "gammas": gammas,
@@ -148,25 +99,16 @@ def measure(num_qubits: int) -> dict:
     }
 
 
-def main() -> int:
-    results = {}
-    for num_qubits in QUBITS:
-        results[num_qubits] = row = measure(num_qubits)
-        layers = ", ".join(f"{name} {row['shots_layers_s'][name]:.3f} s" for name in LAYERS)
-        print(
-            f"{num_qubits} qubits: {'/'.join(map(str, row['terms']))} terms, {row['gates']} gates; infinite shots "
-            f"{row['infinite_shot_s']:.3f} s, {SHOTS} shots {row['shots_s']:.3f} s (draws "
-            f"{row['shot_draw_s']:.3f} s, peak {row['shots_tracemalloc_peak_mb']:.2f} MB); {layers}; "
-            f"oracle gap {row['oracle_trace_distance']:.1e}",
-            flush=True,
-        )
-    print(
-        json.dumps(
-            {"points": POINTS, "stop": STOP, "shots": SHOTS, "repeats": REPEATS, "seed": SEED, "sizes": results}
-        )
+def progress(num_qubits: int, row: dict) -> str:
+    layers = ", ".join(f"{name} {row['shots_layers_s'][name]:.3f} s" for name in LAYERS)
+    return (
+        f"{num_qubits} qubits: {'/'.join(map(str, row['terms']))} terms, {row['gates']} gates; infinite shots "
+        f"{row['infinite_shot_s']:.3f} s, {SHOTS} shots {row['shots_s']:.3f} s (draws "
+        f"{row['shot_draw_s']:.3f} s, peak {row['shots_tracemalloc_peak_mb']:.2f} MB); {layers}; "
+        f"oracle gap {row['oracle_trace_distance']:.1e}"
     )
-    return 0 if all(row["oracle_trace_distance"] < ORACLE_TOL for row in results.values()) else 1
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    rows = sweep(QUBITS, measure, progress, points=POINTS, stop=STOP, shots=SHOTS, repeats=REPEATS, seed=SEED)
+    raise SystemExit(0 if all(row["oracle_trace_distance"] < ORACLE_TOL for row in rows.values()) else 1)

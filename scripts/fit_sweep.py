@@ -15,27 +15,18 @@ another checkout's ``src`` to measure that tree with the same inputs.
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-import tracemalloc
 import warnings
 
 import numpy as np
 
 from kraussim import mitigation
 
+from harness import REPEATS, random_density, sweep, timed
+
 QUBITS = (2, 3, 4, 5)
 PAIRS = 3
-REPEATS = 3
 SEED = 0
 STRENGTH = 0.1
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def make_pairs(num_qubits: int):
@@ -51,21 +42,11 @@ def measure(num_qubits: int) -> dict:
     channel, pairs = make_pairs(num_qubits)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        times = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            fitted, report = mitigation.fit_pauli_channel(pairs)
-            times.append(time.perf_counter() - start)
-        tracemalloc.start()
-        try:
-            mitigation.fit_pauli_channel(pairs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        fit_s, fit_all, peak, (fitted, report) = timed(mitigation.fit_pauli_channel, pairs)
     return {
-        "fit_s": statistics.median(times),
-        "fit_s_all": times,
-        "tracemalloc_peak_mb": peak / 2**20,
+        "fit_s": fit_s,
+        "fit_s_all": fit_all,
+        "tracemalloc_peak_mb": peak,
         "iterations": report.iterations,
         "kkt_residual": report.kkt_residual,
         "max_eps_error": float(np.abs(fitted.epsilons - channel.epsilons).max()),
@@ -73,19 +54,12 @@ def measure(num_qubits: int) -> dict:
     }
 
 
-def main() -> int:
-    results = {}
-    for n in QUBITS:
-        results[n] = measure(n)
-        row = results[n]
-        print(
-            f"{n} qubits: {row['fit_s']:.4f} s, peak {row['tracemalloc_peak_mb']:.2f} MB, "
-            f"{row['iterations']} iterations, max eps error {row['max_eps_error']:.2e}",
-            flush=True,
-        )
-    print(json.dumps({"pairs": PAIRS, "repeats": REPEATS, "seed": SEED, "sizes": results}))
-    return 0
+def progress(num_qubits: int, row: dict) -> str:
+    return (
+        f"{num_qubits} qubits: {row['fit_s']:.4f} s, peak {row['tracemalloc_peak_mb']:.2f} MB, "
+        f"{row['iterations']} iterations, max eps error {row['max_eps_error']:.2e}"
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sweep(QUBITS, measure, progress, pairs=PAIRS, repeats=REPEATS, seed=SEED)

@@ -13,7 +13,9 @@ at each point.  The field side is ``analysis.WignerNodes`` on the
 default grid, built once, and one ``analysis.wigner`` step of the random
 state.  The last line of standard output is one JSON object with, per
 size, the median wall time of ``REPEATS`` runs of each side, the
-``tracemalloc`` peak of one more run of each, the largest entry gap
+``tracemalloc`` peak of one more run of each, the time spent in
+``kraus.apply_series`` over one more series run (``apply_s``: the channel
+action apart from the series construction), the largest entry gap
 between the series and the oracle, and the largest gap between the field
 and its closed form evaluated directly on every grid cell.  Point
 ``PYTHONPATH`` at another checkout's ``src`` to measure that tree with the
@@ -22,26 +24,16 @@ same inputs.
 
 from __future__ import annotations
 
-import json
-import statistics
-import time
-import tracemalloc
-
 import numpy as np
 
 from kraussim import analysis, kraus, lindblad, models
 
+from harness import REPEATS, layer_times, random_density, sweep, timed
+
 N_MAX = (3, 7, 11, 15, 23, 31, 39, 47, 63)
 POINTS = 9
 STOP = 2.0
-REPEATS = 3
 SEED = 0
-
-
-def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
 
 
 def run_oracle(model, rho0) -> list[np.ndarray]:
@@ -54,27 +46,12 @@ def run_series(model, rho0, n_max: int) -> list[np.ndarray]:
     return [kraus.apply_series(series, rho0) for series in kraus.series_trajectory(prep, ts, "auto", n_max)]
 
 
-def timed(func, *args) -> tuple[float, list[float], float, list[np.ndarray]]:
-    """Median and all wall times of ``REPEATS`` calls, the ``tracemalloc`` peak in MB of one more, and its result."""
-    times = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        func(*args)
-        times.append(time.perf_counter() - start)
-    tracemalloc.start()
-    try:
-        out = func(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return statistics.median(times), times, peak / 2**20, out
-
-
 def measure(n_max: int) -> dict:
     model = models.build_model("qho-damped", n_max=n_max).model
     rho0 = random_density(np.random.default_rng([SEED, n_max]), model.dim)
     oracle_s, oracle_all, oracle_peak, oracle = timed(run_oracle, model, rho0)
     series_s, series_all, series_peak, series = timed(run_series, model, rho0, n_max)
+    series_layers, _ = layer_times(kraus, ("apply_series",), run_series, model, rho0, n_max)
     grid = analysis.default_grid()
     build_s, build_all, build_peak, nodes = timed(analysis.WignerNodes, grid, model.dim)
     step_s, step_all, step_peak, field = timed(analysis.wigner, rho0, grid, nodes)
@@ -86,6 +63,7 @@ def measure(n_max: int) -> dict:
         "series_s": series_s,
         "series_s_all": series_all,
         "series_tracemalloc_peak_mb": series_peak,
+        "apply_s": series_layers["apply_series"],
         "series_gap": max(float(np.abs(a - b).max()) for a, b in zip(series, oracle)),
         "field_build_s": build_s,
         "field_build_s_all": build_all,
@@ -97,21 +75,15 @@ def measure(n_max: int) -> dict:
     }
 
 
-def main() -> int:
-    results = {}
-    for n_max in N_MAX:
-        results[n_max] = row = measure(n_max)
-        print(
-            f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB), "
-            f"series {row['series_s']:.4f} s ({row['series_tracemalloc_peak_mb']:.2f} MB), "
-            f"series gap {row['series_gap']:.1e}; field build {row['field_build_s'] * 1e3:.2f} ms "
-            f"({row['field_build_tracemalloc_peak_mb']:.2f} MB), step {row['field_step_s'] * 1e3:.2f} ms "
-            f"({row['field_step_tracemalloc_peak_mb']:.2f} MB), field gap {row['field_gap']:.1e}",
-            flush=True,
-        )
-    print(json.dumps({"points": POINTS, "stop": STOP, "repeats": REPEATS, "seed": SEED, "sizes": results}))
-    return 0
+def progress(n_max: int, row: dict) -> str:
+    return (
+        f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB), "
+        f"series {row['series_s']:.4f} s ({row['series_tracemalloc_peak_mb']:.2f} MB, apply {row['apply_s']:.4f} s), "
+        f"series gap {row['series_gap']:.1e}; field build {row['field_build_s'] * 1e3:.2f} ms "
+        f"({row['field_build_tracemalloc_peak_mb']:.2f} MB), step {row['field_step_s'] * 1e3:.2f} ms "
+        f"({row['field_step_tracemalloc_peak_mb']:.2f} MB), field gap {row['field_gap']:.1e}"
+    )
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sweep(N_MAX, measure, progress, points=POINTS, stop=STOP, repeats=REPEATS, seed=SEED)

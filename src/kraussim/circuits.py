@@ -39,12 +39,20 @@ _SINGLE_QUBIT = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``: an integer as given, never rounded or parsed, and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit operation.
 
     ``kind`` is one of x, y, z, h, phase, rz, ry, unitary, on distinct
-    qubits.  The core acts where every control reads 1.  ``phase``
+    qubits.  ``angle`` is set on phase, rz and ry only, and ``matrix`` on
+    unitary only.  The core acts where every control reads 1.  ``phase``
     multiplies by e^{i angle} when the target and every control read 1,
     which makes multi-controlled phases symmetric in their qubits.
     """
@@ -56,11 +64,8 @@ class Gate:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
-        for q in (*self.targets, *self.controls):
-            if isinstance(q, bool) or not isinstance(q, (int, np.integer)):
-                raise ValueError(f"qubit index must be an integer, got {q!r}")
-        targets = tuple(int(q) for q in self.targets)
-        controls = tuple(int(q) for q in self.controls)
+        targets = tuple(_integer(q, "qubit index") for q in self.targets)
+        controls = tuple(_integer(q, "qubit index") for q in self.controls)
         if not targets:
             raise ValueError("gate needs at least one target")
         if len(set(targets + controls)) != len(targets) + len(controls):
@@ -78,6 +83,10 @@ class Gate:
                 raise ValueError(f"{self.kind} gate needs a finite angle")
         elif self.kind not in _SINGLE_QUBIT:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        if self.angle is not None and self.kind not in ("phase", "rz", "ry"):
+            raise ValueError(f"{self.kind} gate takes no angle")
+        if self.matrix is not None and self.kind != "unitary":
+            raise ValueError(f"{self.kind} gate takes no matrix")
         if self.kind != "unitary" and len(targets) != 1:
             raise ValueError(f"{self.kind} gate takes exactly one target")
         object.__setattr__(self, "targets", targets)
@@ -109,16 +118,24 @@ class Circuit:
     postselect: tuple[int, ...] = ()
 
     def __post_init__(self):
+        for name in ("num_system_qubits", "num_ancilla_qubits"):
+            size = _integer(getattr(self, name), name)
+            if size < 0:
+                raise ValueError(f"{name} must be non-negative, got {size}")
+            object.__setattr__(self, name, size)
         gates = tuple(self.gates)
         n = self.num_qubits
         for gate in gates:
             used = gate.targets + gate.controls
             if any(q < 0 or q >= n for q in used):
                 raise ValueError(f"gate acts on qubit outside the register: {gate}")
-        if any(q < 0 or q >= n for q in self.postselect):
+        postselect = tuple(_integer(q, "post-selection index") for q in self.postselect)
+        if any(q < 0 or q >= n for q in postselect):
             raise ValueError("post-selection index outside the register")
+        if len(set(postselect)) != len(postselect):
+            raise ValueError(f"post-selection indices must be distinct, got {postselect}")
         object.__setattr__(self, "gates", gates)
-        object.__setattr__(self, "postselect", tuple(self.postselect))
+        object.__setattr__(self, "postselect", postselect)
 
     @property
     def num_qubits(self) -> int:

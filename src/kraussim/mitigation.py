@@ -49,6 +49,8 @@ class PauliChannel:
         eps = np.asarray(self.epsilons, dtype=float)
         if eps.size != 4**self.num_qubits:
             raise ValueError("need one coefficient per Pauli string")
+        if not np.isfinite(eps).all():
+            raise ValueError("coefficients must be finite")
         if eps.min() < -1e-12:
             raise ValueError("coefficients must be nonnegative")
         if abs(eps.sum() - 1.0) > 1e-10:

@@ -487,6 +487,30 @@ def test_gate_validation():
     assert qc.Gate("x", (np.int64(1),), (np.int64(0),)).targets == (1,)
 
 
+# id -> (a Circuit document, the error it is refused with)
+MALFORMED_CIRCUIT_DOCS = {
+    "negative-register": ({"num_system_qubits": -1}, "num_system_qubits must be non-negative, got -1"),
+    "fractional-register": ({"num_system_qubits": 1.5}, "num_system_qubits must be an integer, got 1.5"),
+    "boolean-register": ({"num_ancilla_qubits": True}, "num_ancilla_qubits must be an integer, got True"),
+    "fractional-postselect": ({"postselect": [1.5]}, "post-selection index must be an integer, got 1.5"),
+    "boolean-postselect": ({"postselect": [True]}, "post-selection index must be an integer, got True"),
+    "repeated-postselect": ({"postselect": [1, 1]}, "post-selection indices must be distinct, got (1, 1)"),
+    "angle-on-x": ({"gates": [{"kind": "x", "targets": [0], "angle": 0.5}]}, "x gate takes no angle"),
+    "matrix-on-h": (
+        {"gates": [{"kind": "h", "targets": [0], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
+        "h gate takes no matrix",
+    ),
+}
+
+
+@pytest.mark.parametrize("fields, message", MALFORMED_CIRCUIT_DOCS.values(), ids=MALFORMED_CIRCUIT_DOCS)
+def test_malformed_circuit_doc_is_refused(fields, message):
+    # each field overrides a well-formed one-system, one-ancilla document with no gates
+    doc = {"num_system_qubits": 1, "num_ancilla_qubits": 1, "gates": [], **fields}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        from_doc(qc.Circuit, doc)
+
+
 def test_circuit_doc_with_control_polarities_is_refused():
     doc = to_doc(qc.Circuit(2, 0, (qc.cnot(0, 1),)))
     doc["gates"][0]["control_values"] = [1]

@@ -142,6 +142,10 @@ REFUSED_CONFIGS = {
         "field outputs need a single-mode bosonic model",
     ),
     "unknown-output-token": ({**BASE_CONFIG, "outputs": ["bogus"]}, "unknown output token 'bogus'"),
+    "nan-pauli-noise": (
+        {**BASE_CONFIG, "noise": {"kind": "pauli", "epsilons": [float("nan")] + [1 / 15] * 15}},
+        "coefficients must be finite",
+    ),
 }
 
 

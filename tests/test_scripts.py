@@ -1,14 +1,17 @@
 """The measurement scripts under ``scripts/`` run at their smallest size.
 
-Each script reaches into kraussim by name (``circuit_sweep`` wraps
-``circuits`` functions by attribute), so a rename would break it silently.
-The scripts are loaded from their files without writing bytecode next to
-them.
+Each script reaches into kraussim by name (the sweeps wrap module functions
+by attribute through ``harness.layer_times``), so a rename would break it
+silently.  The scripts are imported with ``scripts/`` on ``sys.path``, as
+running one puts it there, and without writing bytecode next to them.
 """
 
-import importlib.util
+import importlib
 import sys
+import types
 from pathlib import Path
+
+import pytest
 
 from kraussim import mitigation
 
@@ -17,26 +20,55 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 def load_script(name: str, monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    return importlib.import_module(name)
 
 
 def test_circuit_sweep_smallest_size(monkeypatch):
     sweep = load_script("circuit_sweep", monkeypatch)
     row = sweep.measure(2)
+    assert set(row) == {
+        "strings", "gammas", "terms", "gates", "infinite_shot_s", "infinite_shot_s_all", "shots_s",
+        "shots_s_all", "shot_draw_s", "infinite_shot_layers_s", "shots_layers_s",
+        "infinite_shot_tracemalloc_peak_mb", "shots_tracemalloc_peak_mb", "oracle_trace_distance",
+    }
     assert row["oracle_trace_distance"] < sweep.ORACLE_TOL
     assert set(row["shots_layers_s"]) == set(sweep.LAYERS)
+    assert row["gates"] > 0
 
 
 def test_fit_sweep_smallest_size(monkeypatch):
     row = load_script("fit_sweep", monkeypatch).measure(2)
+    assert set(row) == {
+        "fit_s", "fit_s_all", "tracemalloc_peak_mb", "iterations", "kkt_residual", "max_eps_error", "warnings"
+    }
     assert row["kkt_residual"] < mitigation.KKT_TOL
 
 
 def test_oracle_sweep_smallest_size(monkeypatch):
     row = load_script("oracle_sweep", monkeypatch).measure(3)
+    assert set(row) == {
+        "dim", "oracle_s", "oracle_s_all", "oracle_tracemalloc_peak_mb", "series_s", "series_s_all",
+        "series_tracemalloc_peak_mb", "apply_s", "series_gap", "field_build_s", "field_build_s_all",
+        "field_build_tracemalloc_peak_mb", "field_step_s", "field_step_s_all", "field_step_tracemalloc_peak_mb",
+        "field_gap",
+    }
+    assert row["apply_s"] > 0
     assert row["series_gap"] < 1e-9
     assert row["field_gap"] < 1e-9
 
+
+def test_layer_times_restores_the_attributes_when_the_call_raises(monkeypatch):
+    harness = load_script("harness", monkeypatch)
+    module = types.SimpleNamespace(first=lambda: 1, second=lambda: 2)
+    originals = (module.first, module.second)
+
+    def failing():
+        module.first()
+        raise RuntimeError("measured call failed")
+
+    with pytest.raises(RuntimeError, match="measured call failed"):
+        harness.layer_times(module, ("first", "second"), failing)
+    assert (module.first, module.second) == originals
+    spent, out = harness.layer_times(module, ("first", "second"), lambda: module.first() + module.second())
+    assert out == 3 and set(spent) == {"first", "second"}
