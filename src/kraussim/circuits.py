@@ -25,7 +25,7 @@ from .kraus import (
 )
 from .lindblad import LindbladModel
 from .matkernel import PAULI, QuantumState, apply_to_axes, from_pauli_coefficients, pauli_coefficients
-from .matkernel import pauli_labels, pauli_string_matrix, qubit_count
+from .matkernel import pauli_labels, pauli_string_matrix, qubit_count, _axis_orders, _integer, _real
 from .matkernel import sznagy_dilation  # noqa: F401 (re-export: acceptance criterion 6 reads circuits.sznagy_dilation)
 
 ANGLE_PRUNE_TOL = 1e-12
@@ -38,12 +38,12 @@ _SINGLE_QUBIT = {
     "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
 }
 
-
-def _integer(value, what: str) -> int:
-    """``value`` as an ``int``: an integer as given, never rounded or parsed, and not a ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+# kind -> core matrix of an angle, for the kinds that take one
+_ROTATIONS = {
+    "phase": lambda a: np.diag([1.0, np.exp(1j * a)]),
+    "rz": lambda a: np.diag([np.exp(-0.5j * a), np.exp(0.5j * a)]),
+    "ry": lambda a: np.array([[np.cos(a / 2), -np.sin(a / 2)], [np.sin(a / 2), np.cos(a / 2)]], dtype=complex),
+}
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,10 @@ class Gate:
     """One circuit operation.
 
     ``kind`` is one of x, y, z, h, phase, rz, ry, unitary, on distinct
-    qubits.  ``angle`` is set on phase, rz and ry only, and ``matrix`` on
-    unitary only.  The core acts where every control reads 1.  ``phase``
-    multiplies by e^{i angle} when the target and every control read 1,
-    which makes multi-controlled phases symmetric in their qubits.
+    qubits.  ``angle``, a finite real, is set on phase, rz and ry only, and
+    ``matrix`` on unitary only.  The core acts where every control reads 1.
+    ``phase`` multiplies by e^{i angle} when the target and every control
+    read 1, which makes multi-controlled phases symmetric in their qubits.
     """
 
     kind: str
@@ -78,12 +78,11 @@ class Gate:
             if defect > 1e-9:
                 raise ValueError(f"matrix is not unitary (defect {defect})")
             object.__setattr__(self, "matrix", mat)
-        elif self.kind in ("phase", "rz", "ry"):
-            if self.angle is None or not np.isfinite(self.angle):
-                raise ValueError(f"{self.kind} gate needs a finite angle")
+        elif self.kind in _ROTATIONS:
+            object.__setattr__(self, "angle", _real(self.angle, f"{self.kind} gate angle"))
         elif self.kind not in _SINGLE_QUBIT:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if self.angle is not None and self.kind not in ("phase", "rz", "ry"):
+        if self.angle is not None and self.kind not in _ROTATIONS:
             raise ValueError(f"{self.kind} gate takes no angle")
         if self.matrix is not None and self.kind != "unitary":
             raise ValueError(f"{self.kind} gate takes no matrix")
@@ -94,16 +93,8 @@ class Gate:
 
     def unitary(self) -> np.ndarray:
         """Dense matrix of the uncontrolled core on the target qubits."""
-        if self.kind == "unitary":
-            return self.matrix
-        if self.kind == "phase":
-            return np.diag([1.0, np.exp(1j * self.angle)])
-        if self.kind == "rz":
-            return np.diag([np.exp(-0.5j * self.angle), np.exp(0.5j * self.angle)])
-        if self.kind == "ry":
-            c, s = np.cos(self.angle / 2), np.sin(self.angle / 2)
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        return _SINGLE_QUBIT[self.kind]
+        rotation = _ROTATIONS.get(self.kind)
+        return rotation(self.angle) if rotation else _SINGLE_QUBIT.get(self.kind, self.matrix)
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -152,11 +143,10 @@ class ShotResult:
 
 def _apply_gate(tensor: np.ndarray, gate: Gate) -> np.ndarray:
     """``gate`` on one copy of the register, targets then controls first: ``[:, -1]`` is where every control reads 1."""
-    front = gate.targets + gate.controls
-    perm = front + tuple(q for q in range(tensor.ndim) if q not in front)
-    flat = tensor.transpose(perm).copy().reshape(2 ** len(gate.targets), 2 ** len(gate.controls), -1)
+    to_front, back = _axis_orders(tensor.ndim, gate.targets + gate.controls)
+    flat = tensor.transpose(to_front).copy().reshape(2 ** len(gate.targets), 2 ** len(gate.controls), -1)
     flat[:, -1] = gate.unitary() @ flat[:, -1]
-    return flat.reshape(tensor.shape).transpose(np.argsort(perm))
+    return flat.reshape(tensor.shape).transpose(back)
 
 
 def simulate_statevector(circuit: Circuit, state) -> QuantumState:
@@ -230,10 +220,6 @@ def trace_out(state, qubit_indices) -> np.ndarray:
     return flat @ flat.conj().T
 
 
-def _gray(i: int) -> int:
-    return i ^ (i >> 1)
-
-
 def _multiplexed_rotation_gates(kind: str, target: int, controls, angles) -> list[Gate]:
     """Uniformly controlled rotation as a Gray-walk of CNOTs and rotations.
 
@@ -241,7 +227,6 @@ def _multiplexed_rotation_gates(kind: str, target: int, controls, angles) -> lis
     significant bit.  All-equal angle vectors collapse to one uncontrolled
     rotation.
     """
-    controls = list(controls)
     angles = np.asarray(angles, dtype=float)
     k = len(controls)
     if angles.size != 2**k:
@@ -251,17 +236,16 @@ def _multiplexed_rotation_gates(kind: str, target: int, controls, angles) -> lis
     if k == 0 or np.abs(angles - angles[0]).max() < ANGLE_PRUNE_TOL:
         return [Gate(kind, (target,), angle=float(angles[0]))]
     d = 2**k
-    thetas = np.empty(d)
     values = np.arange(d)
-    for j in range(d):
-        parity = np.bitwise_count(values & _gray(j)).astype(np.int64) & 1
-        thetas[j] = float((angles * (1 - 2 * parity)).sum() / d)
+    gray = values ^ (values >> 1)
+    # row j: the Walsh signs of Gray code j over every control value
+    signs = 1 - 2 * (np.bitwise_count(gray[:, None] & values).astype(np.int64) & 1)
+    thetas = (angles * signs).sum(axis=1) / d
     gates: list[Gate] = []
     for j in range(d):
         if abs(thetas[j]) > ANGLE_PRUNE_TOL:
             gates.append(Gate(kind, (target,), angle=thetas[j]))
-        flipped = _gray(j) ^ _gray((j + 1) % d)
-        bit = flipped.bit_length() - 1
+        bit = int(gray[j] ^ gray[(j + 1) % d]).bit_length() - 1
         gates.append(cnot(controls[k - 1 - bit], target))
     return gates
 
@@ -491,7 +475,7 @@ def apply_group_circuit(circuit: Circuit, system_state) -> np.ndarray:
 # Factors that map each letter's eigenbasis onto Z, applied in turn: H, and
 # phase(-pi/2) then H, the gates a device runs before reading out Z.
 _H = _SINGLE_QUBIT["h"]
-_BASIS_CHANGE = {"X": (_H,), "Y": (np.diag([1.0, np.exp(-0.5j * np.pi)]), _H), "Z": ()}
+_BASIS_CHANGE = {"X": (_H,), "Y": (_ROTATIONS["phase"](-np.pi / 2), _H), "Z": ()}
 
 
 def _basis_probabilities(state: QuantumState, choices) -> np.ndarray:

@@ -22,6 +22,7 @@ from .matkernel import (
     hermiticity_defect,
     _as_matrix,
     _onenorm,
+    _real,
     _require_square,
 )
 
@@ -36,7 +37,7 @@ SPLIT_EFFECTIVE_JUMP = "effective-jump"
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """Hamiltonian, jump operators and positive damping rates (hbar = 1)."""
+    """Hamiltonian, jump operators and finite positive damping rates (hbar = 1)."""
 
     hamiltonian: np.ndarray
     lindblads: tuple[np.ndarray, ...]
@@ -48,7 +49,7 @@ class LindbladModel:
         if defect > COMMUTATOR_TOL * max(1.0, float(np.abs(h).max())):
             raise ValueError(f"hamiltonian is not Hermitian (defect {defect})")
         ops = tuple(_require_square(op, "lindblad operator") for op in self.lindblads)
-        gammas = tuple(float(g) for g in self.gammas)
+        gammas = tuple(_real(g, "damping rate") for g in self.gammas)
         if len(ops) != len(gammas):
             raise ValueError("one damping rate is required per Lindblad operator")
         if any(g <= 0 for g in gammas):

@@ -81,7 +81,7 @@ def apply_to_axes(tensor: np.ndarray, steps) -> np.ndarray:
     """Apply each ``(axis, matrix)`` of ``steps`` in turn to that axis of ``tensor``:
     ``out[..., i, ...] = sum_j matrix[i, j] tensor[..., j, ...]``."""
     for axis, matrix in steps:
-        to_front, back = _axis_orders(tensor.ndim, axis)
+        to_front, back = _axis_orders(tensor.ndim, (axis,))
         moved = tensor.transpose(to_front)
         out = matrix @ moved.reshape(moved.shape[0], -1)
         tensor = out.reshape(matrix.shape[0], *moved.shape[1:]).transpose(back)
@@ -89,10 +89,10 @@ def apply_to_axes(tensor: np.ndarray, steps) -> np.ndarray:
 
 
 @functools.cache
-def _axis_orders(ndim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Transposes that move ``axis`` to the front and back again (``np.moveaxis`` without its argument checks)."""
-    rest = [a for a in range(ndim) if a != axis]
-    return (axis, *rest), (*range(1, axis + 1), 0, *range(axis + 1, ndim))
+def _axis_orders(ndim: int, front: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Transposes that move the ``front`` axes, in order, to the front and back again (``np.moveaxis`` without its checks)."""
+    to_front = (*front, *(a for a in range(ndim) if a not in front))
+    return to_front, tuple(to_front.index(a) for a in range(ndim))
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -102,6 +102,21 @@ def _as_matrix(value) -> np.ndarray:
     if isinstance(value, QuantumState):
         return value.density().matrix
     return np.asarray(value, dtype=complex)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``: an integer as given, never rounded or parsed, and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a ``float``: a finite integer or float as given, never parsed, and not a ``bool``."""
+    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+    if not (real and math.isfinite(value)):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return float(value)
 
 
 def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel
-from .matkernel import QuantumState, pauli_string_matrix
+from .matkernel import QuantumState, pauli_string_matrix, _integer
 
 
 def annihilation_operator(n_max: int) -> np.ndarray:
@@ -69,13 +69,13 @@ def schwinger_model(omega: float, axis: str, gamma: float, per_mode_cutoff: int 
         j_op = (n1 - n2) / 2
     else:
         raise ValueError(f"invalid axis {axis!r}")
-    return LindbladModel(h, (j_op,), (float(gamma),))
+    return LindbladModel(h, (j_op,), (gamma,))
 
 
 def damped_qho_model(omega: float, gamma: float, n_max: int) -> LindbladModel:
     """Single damped bosonic mode: H = omega a^dag a, L = a (particle loss)."""
     a = annihilation_operator(n_max)
-    return LindbladModel(omega * (a.conj().T @ a), (a,), (float(gamma),))
+    return LindbladModel(omega * (a.conj().T @ a), (a,), (gamma,))
 
 
 def fock_parity_operator(dim: int) -> np.ndarray:
@@ -124,14 +124,14 @@ def build_model(key: str, **overrides) -> ModelSpec:
     if key == "schwinger-jz":
         omega = overrides.pop("omega", 1.0)
         gamma = overrides.pop("gamma", 1.0)
-        cutoff = overrides.pop("per_mode_cutoff", 1)
+        cutoff = _integer(overrides.pop("per_mode_cutoff", 1), "per_mode_cutoff")
         axis = overrides.pop("axis", "Z")
         _reject_unknown(overrides)
         return ModelSpec(key, schwinger_model(omega, axis, gamma, cutoff), _two_mode_operators(cutoff))
     if key in ("qho-damped", "qho-cat"):
         omega = overrides.pop("omega", 1.0)
         gamma = overrides.pop("gamma", 1.0 if key == "qho-damped" else 0.6)
-        n_max = overrides.pop("n_max", 3)
+        n_max = _integer(overrides.pop("n_max", 3), "n_max")
         _reject_unknown(overrides)
         return ModelSpec(key, damped_qho_model(omega, gamma, n_max), (annihilation_operator(n_max),))
     raise KeyError(f"unknown model key {key!r}")

@@ -67,6 +67,31 @@ def test_diagonal_unitary_schemes_agree(rng, size):
     assert np.abs(align_phase(u_binary, u_gray) - u_gray).max() < 1e-10
 
 
+def _loop_rotation_angles(angles: np.ndarray) -> list[float]:
+    """The rotation angles of a uniformly controlled rotation, its Gray-ordered
+    Walsh angles solved row by row: the reference for the broadcast solve."""
+    d = angles.size
+    if np.abs(angles).max() < qc.ANGLE_PRUNE_TOL:
+        return []
+    if d == 1 or np.abs(angles - angles[0]).max() < qc.ANGLE_PRUNE_TOL:
+        return [float(angles[0])]
+    thetas = np.empty(d)
+    values = np.arange(d)
+    for j in range(d):
+        parity = np.bitwise_count(values & (j ^ (j >> 1))).astype(np.int64) & 1
+        thetas[j] = float((angles * (1 - 2 * parity)).sum() / d)
+    return [theta for theta in thetas if abs(theta) > qc.ANGLE_PRUNE_TOL]
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_multiplexed_rotation_angles_match_the_row_loop(rng, k):
+    # mixed magnitudes, so that some solved angles fall under the pruning tolerance
+    for _ in range(20):
+        angles = rng.normal(size=2**k) * 10.0 ** rng.uniform(-14, 1, size=2**k)
+        gates = qc._multiplexed_rotation_gates("ry", k, list(range(k)), angles)
+        assert np.array_equal([g.angle for g in gates if g.kind == "ry"], _loop_rotation_angles(angles))
+
+
 def test_diagonal_unitary_rejects_bad_length():
     with pytest.raises(ValueError):
         qc.encode_diagonal_unitary(np.zeros(3))
@@ -467,6 +492,9 @@ def test_gate_validation():
         qc.Gate("x", (0,), (0,))
     with pytest.raises(ValueError):
         qc.Gate("ry", (0,))
+    # an int or a float angle passes, numpy floats included, and is kept as a float
+    angles = [qc.Gate("rz", (0,), angle=a).angle for a in (1, 0.5, np.float64(0.25), np.float32(0.5))]
+    assert angles == [1.0, 0.5, 0.25, 0.5] and {type(a) for a in angles} == {float}
     with pytest.raises(ValueError):
         qc.Gate("unitary", (0,), matrix=np.array([[1.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
@@ -499,6 +527,19 @@ MALFORMED_CIRCUIT_DOCS = {
     "matrix-on-h": (
         {"gates": [{"kind": "h", "targets": [0], "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]},
         "h gate takes no matrix",
+    ),
+    # an angle is a finite real number as given, never parsed
+    "string-angle": (
+        {"gates": [{"kind": "rz", "targets": [0], "angle": "a"}]},
+        "rz gate angle must be a finite real number, got 'a'",
+    ),
+    "list-angle": (
+        {"gates": [{"kind": "ry", "targets": [0], "angle": [1, 2]}]},
+        "ry gate angle must be a finite real number, got [1, 2]",
+    ),
+    "boolean-angle": (
+        {"gates": [{"kind": "phase", "targets": [0], "angle": True}]},
+        "phase gate angle must be a finite real number, got True",
     ),
 }
 

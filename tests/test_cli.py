@@ -59,6 +59,22 @@ def test_main_exit_code_on_bad_config(tmp_path):
 
 BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
 
+QHO_CONFIG = {"model": "qho-damped", "state": "qho-oscillating", "steps": 2}
+
+
+def _sigma_minus_config(rate):
+    """An inline one-qubit model with the one jump operator |0><1| at ``rate``."""
+    return {
+        "model": {
+            "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+            "lindblads": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+            "gammas": [rate],
+        },
+        "state": [[1, 0], [0, 0]],
+        "steps": 2,
+    }
+
+
 # (config, the field its error names): typos and gaps inside the time and noise blocks
 BLOCK_FIELD_ERRORS = [
     ({**BASE_CONFIG, "time": {"start": 0, "stop": 2, "step": 5}}, "step"),
@@ -75,18 +91,9 @@ BLOCK_FIELD_ERRORS = [
         {**BASE_CONFIG, "noise": "qdc"},
         {**BASE_CONFIG, "model_params": [1]},
         {**BASE_CONFIG, "model_params": {"gammas": 1}},
-        {"model": "qho-damped", "state": "qho-oscillating", "steps": 2, "model_params": {"n_max": 2.5}},
+        {**QHO_CONFIG, "model_params": {"n_max": 2.5}},
         # model_params only parametrize registry models; next to an inline sigma-minus model they are refused
-        {
-            "model": {
-                "hamiltonian": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-                "lindblads": [[[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
-                "gammas": [1.0],
-            },
-            "state": [[1, 0], [0, 0]],
-            "steps": 2,
-            "model_params": {"gamma": 5, "n_max": "junk"},
-        },
+        {**_sigma_minus_config(1.0), "model_params": {"gamma": 5, "n_max": "junk"}},
         {**BASE_CONFIG, "outputs": 5},
         {**BASE_CONFIG, "outputs": [5]},
         # a bare string is not read one character at a time
@@ -146,6 +153,14 @@ REFUSED_CONFIGS = {
         {**BASE_CONFIG, "noise": {"kind": "pauli", "epsilons": [float("nan")] + [1 / 15] * 15}},
         "coefficients must be finite",
     ),
+    "nan-rate": (_sigma_minus_config(float("nan")), "invalid inline model: damping rate must be a finite real number, got nan"),
+    "string-rate": (_sigma_minus_config("0.5"), "invalid inline model: damping rate must be a finite real number, got '0.5'"),
+    "boolean-rate": (
+        {**QHO_CONFIG, "model_params": {"gamma": True}},
+        "damping rate must be a finite real number, got True",
+    ),
+    "boolean-n-max": ({**QHO_CONFIG, "model_params": {"gamma": True, "n_max": True}}, "n_max must be an integer, got True"),
+    "fractional-n-max": ({**QHO_CONFIG, "model_params": {"n_max": 2.5}}, "n_max must be an integer, got 2.5"),
 }
 
 

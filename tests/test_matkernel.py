@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -188,6 +189,15 @@ def test_apply_to_axes_matches_kron(rng):
     out = mk.apply_to_axes(vec.reshape(2, 3), [(1, b), (0, a)])
     assert out.shape == (4, 3)
     assert np.abs(out.reshape(-1) - np.kron(a, b) @ vec).max() < 1e-12
+
+
+@pytest.mark.parametrize("ndim, front", [(3, (2, 0)), (4, (1, 3)), (5, (4, 0, 2)), (5, (0, 1, 2, 3, 4)), (6, (3,))])
+def test_axis_orders_move_the_front_axes_and_back(ndim, front):
+    tensor = np.arange(math.prod(range(2, ndim + 2))).reshape(range(2, ndim + 2))
+    to_front, back = mk._axis_orders(ndim, front)
+    moved = tensor.transpose(to_front)
+    assert np.array_equal(moved, np.moveaxis(tensor, front, range(len(front))))
+    assert np.array_equal(moved.transpose(back), tensor)
 
 
 def test_qubit_count():
