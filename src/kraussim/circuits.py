@@ -9,6 +9,7 @@ ancilla registers, which purify the channel mixture.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -548,6 +549,68 @@ def tomography(frequencies) -> np.ndarray:
     return from_pauli_coefficients(values)
 
 
+# numpy's SeedSequence hash constants (a pool of four uint32 words) and
+# PCG64's 128-bit LCG multiplier, as numpy seeds ``PCG64(SeedSequence(...))``.
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _entropy_words(values) -> list[int]:
+    """The uint32 words ``SeedSequence`` reads from non-negative ints, low word first."""
+    words = []
+    for value in map(int, values):
+        if value < 0:
+            raise ValueError(f"seed entries must be non-negative integers, got {value}")
+        words += [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
+    return words
+
+
+def _hasher(value: int, mult: int):
+    """SeedSequence's hash of uint32 arrays: call i xors with c_i, then multiplies by c_{i+1} = c_i * mult."""
+
+    def hash_(v: np.ndarray) -> np.ndarray:
+        nonlocal value
+        v = (v ^ np.uint32(value)) * np.uint32(value := value * mult & _MASK32)
+        return v ^ v >> 16
+
+    return hash_
+
+
+def _seed_words(columns) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row, along a last axis.
+
+    ``columns[i]`` holds the i-th uint32 entropy word of every row, broadcast
+    to one shape.  The hash constants are the same for every row, so each
+    step of numpy's pool mixing is one array operation over all rows.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, columns))
+    words = [np.broadcast_to(np.asarray(c, np.uint32), shape) for c in [*columns, *[0] * (4 - len(columns))]]
+    a, b = _hasher(_INIT_A, _MULT_A), _hasher(_INIT_B, _MULT_B)
+
+    def mix(x, y):
+        r = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)
+        return r ^ r >> 16
+
+    pool = [a(words[i]) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], a(pool[src]))
+    for src, dst in itertools.product(range(4, len(words)), range(4)):
+        pool[dst] = mix(pool[dst], a(words[src]))
+    out = np.empty((*shape, 8), np.uint32)
+    for i in range(8):
+        out[..., i] = b(pool[i % 4])
+    return out.astype("<u4", copy=False).view("<u8")
+
+
+def _pcg64_state(words) -> dict:
+    """The ``PCG64.state`` numpy seeds from four ``generate_state`` words."""
+    w0, w1, w2, w3 = map(int, words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+    state = ((inc + (w0 << 64 | w1)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
 def execute_series_tomography(
     model: LindbladModel | PreparedModel,
     series: KrausSeries,
@@ -564,7 +627,8 @@ def execute_series_tomography(
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) draw from its own child seed
     ``[*seed, term_index, basis_index]``, so its counts do not depend on which
-    draws ran before it.
+    draws ran before it: the counts of ``default_rng(SeedSequence(row))``, with
+    every row's seed words hashed in one pass and one generator reseeded per draw.
     """
     if shots is not None and shots < 1:
         raise ValueError("shots must be >= 1")
@@ -573,6 +637,11 @@ def execute_series_tomography(
     seed_base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
     frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
+    if shots is not None:
+        seed_words = _seed_words(
+            [*_entropy_words(seed_base), *np.indices((len(series.terms), 3**n_sys), np.uint32)]
+        )
+        rng = np.random.Generator(np.random.PCG64(0))
     for term_index, term in enumerate(series.terms):
         circuit = build_kraus_circuit(term, prep, t)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
@@ -580,9 +649,9 @@ def execute_series_tomography(
         if reduced is not None:
             probs = _basis_probabilities(reduced, ["XYZ"] * n_sys)
             if shots is not None:
-                for basis_index, p in enumerate(probs):
-                    rng = np.random.default_rng(np.random.SeedSequence([*seed_base, term_index, basis_index]))
-                    probs[basis_index] = rng.multinomial(shots, p / p.sum())
+                for p, words in zip(probs, seed_words[term_index]):
+                    rng.bit_generator.state = _pcg64_state(words)
+                    p[:] = rng.multinomial(shots, p / p.sum())
             frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
         diagnostics.append({**term.record(), "survival": float(survival)})
     return tomography(frequencies), diagnostics

@@ -114,7 +114,11 @@ def _integer(value, what: str) -> int:
 def _real(value, what: str) -> float:
     """``value`` as a ``float``: a finite integer or float as given, never parsed, and not a ``bool``."""
     real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
-    if not (real and math.isfinite(value)):
+    try:
+        finite = real and math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        finite = False
+    if not finite:
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
 

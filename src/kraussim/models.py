@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lindblad import LindbladModel
-from .matkernel import QuantumState, pauli_string_matrix, _integer
+from .matkernel import QuantumState, pauli_string_matrix, _integer, _real
 
 
 def annihilation_operator(n_max: int) -> np.ndarray:
@@ -60,7 +60,7 @@ def schwinger_model(omega: float, axis: str, gamma: float, per_mode_cutoff: int 
     n2 = a2.conj().T @ a2
     dim = (per_mode_cutoff + 1) ** 2
     h = omega * (np.eye(dim, dtype=complex) + n1 + n2)
-    axis = axis.upper()
+    axis = axis.upper() if isinstance(axis, str) else axis
     if axis == "X":
         j_op = (a1.conj().T @ a2 + a2.conj().T @ a1) / 2
     elif axis == "Y":
@@ -122,14 +122,14 @@ def build_model(key: str, **overrides) -> ModelSpec:
         _reject_unknown(overrides)
         return ModelSpec(key, pauli_channel_model(strings, gammas), ())
     if key == "schwinger-jz":
-        omega = overrides.pop("omega", 1.0)
+        omega = _real(overrides.pop("omega", 1.0), "omega")
         gamma = overrides.pop("gamma", 1.0)
         cutoff = _integer(overrides.pop("per_mode_cutoff", 1), "per_mode_cutoff")
         axis = overrides.pop("axis", "Z")
         _reject_unknown(overrides)
         return ModelSpec(key, schwinger_model(omega, axis, gamma, cutoff), _two_mode_operators(cutoff))
     if key in ("qho-damped", "qho-cat"):
-        omega = overrides.pop("omega", 1.0)
+        omega = _real(overrides.pop("omega", 1.0), "omega")
         gamma = overrides.pop("gamma", 1.0 if key == "qho-damped" else 0.6)
         n_max = _integer(overrides.pop("n_max", 3), "n_max")
         _reject_unknown(overrides)

@@ -457,6 +457,66 @@ def test_pipeline_shot_determinism(qho_spec, initial_states):
         qc.execute_series_tomography(qho_spec.model, series, 1.0, psi, shots=0)
 
 
+def _seed_rows(rng):
+    """Seed rows of 1-7 ints: 0, 2^32 - 1, random words, and base seeds of 2^32 and above."""
+    special = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 2**32]
+    for length in range(1, 8):
+        for _ in range(12):
+            row = [int(v) for v in rng.integers(0, 2**32, size=length)]
+            if rng.random() < 0.6:
+                row[0] = special[rng.integers(len(special))]
+            row[-1] = int(rng.choice([0, 2**32 - 1, row[-1]]))
+            yield row
+
+
+def test_seed_words_and_pcg64_state_match_numpy(rng):
+    by_width: dict[int, list] = {}
+    for row in _seed_rows(rng):
+        by_width.setdefault(len(qc._entropy_words(row)), []).append(row)
+    assert max(by_width) > 4  # the leftover-entropy loop runs
+    for rows in by_width.values():
+        words = qc._seed_words(list(zip(*[qc._entropy_words(row) for row in rows])))
+        for row, row_words in zip(rows, words):
+            assert np.array_equal(row_words, np.random.SeedSequence(row).generate_state(4, np.uint64))
+            assert qc._pcg64_state(row_words) == np.random.PCG64(np.random.SeedSequence(row)).state
+
+
+def _per_draw_frequencies(prep, series, t, psi, shots, seed):
+    """The frequency table of execute_series_tomography with one new generator per (term, basis) draw."""
+    n_sys = qc.qubit_count(prep.dim, "system dimension")
+    seed_base = (seed,) if isinstance(seed, int) else tuple(seed)
+    frequencies = np.zeros((3**n_sys, 2**n_sys))
+    for term_index, term in enumerate(series.terms):
+        circuit = qc.build_kraus_circuit(term, prep, t)
+        final = qc.simulate_statevector(circuit, qc.embed_state(circuit, psi))
+        reduced, survival = qc.postselect(final, circuit.postselect)
+        if reduced is not None:
+            probs = qc._basis_probabilities(reduced, ["XYZ"] * n_sys)
+            for basis_index, p in enumerate(probs):
+                rng = np.random.default_rng(np.random.SeedSequence([*seed_base, term_index, basis_index]))
+                probs[basis_index] = rng.multinomial(shots, p / p.sum())
+            frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
+    return frequencies
+
+
+@pytest.mark.parametrize("seed", [0, 9, (3, 1), (2**32 - 1, 0), (2**40, 5), (2**70, 2**33, 7)])
+def test_series_tomography_counts_match_a_generator_per_draw(pauli_spec, qho_spec, initial_states, monkeypatch, seed):
+    monkeypatch.setattr(qc, "tomography", lambda frequencies: frequencies)
+    for spec, state, t in [(pauli_spec, "pauli-xx-zz", 0.9), (qho_spec, "qho-oscillating", 1.0)]:
+        prep = kraus.prepare(spec.model)
+        series = kraus.build_tp_series(prep, t, 3)
+        psi = initial_states[state]
+        frequencies, _ = qc.execute_series_tomography(prep, series, t, psi, shots=64, seed=seed)
+        assert np.array_equal(frequencies, _per_draw_frequencies(prep, series, t, psi, 64, seed))
+
+
+@pytest.mark.parametrize("seed", [-1, (1, -1)])
+def test_series_tomography_refuses_a_negative_seed(pauli_spec, initial_states, seed):
+    series = kraus.build_reduced_series(pauli_spec.model, 0.9)
+    with pytest.raises(ValueError, match="non-negative"):
+        qc.execute_series_tomography(pauli_spec.model, series, 0.9, initial_states["pauli-xx-zz"], shots=16, seed=seed)
+
+
 def test_serialized_series_drives_circuits(qho_spec, initial_states):
     # the JSON form of a series carries everything the circuit builder needs
     psi = initial_states["qho-oscillating"]
@@ -540,6 +600,10 @@ MALFORMED_CIRCUIT_DOCS = {
     "boolean-angle": (
         {"gates": [{"kind": "phase", "targets": [0], "angle": True}]},
         "phase gate angle must be a finite real number, got True",
+    ),
+    "huge-angle": (
+        {"gates": [{"kind": "rz", "targets": [0], "angle": 10**400}]},
+        f"rz gate angle must be a finite real number, got {10**400}",
     ),
 }
 

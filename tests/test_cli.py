@@ -61,6 +61,8 @@ BASE_CONFIG = {"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2}
 
 QHO_CONFIG = {"model": "qho-damped", "state": "qho-oscillating", "steps": 2}
 
+SCHWINGER_CONFIG = {"model": "schwinger-jz", "state": "schwinger-jz", "steps": 2}
+
 
 def _sigma_minus_config(rate):
     """An inline one-qubit model with the one jump operator |0><1| at ``rate``."""
@@ -145,7 +147,7 @@ REFUSED_CONFIGS = {
     ),
     "quadratures-of-a-qubit-model": ({**BASE_CONFIG, "outputs": ["quadratures"]}, "quadratures need a bosonic model"),
     "wigner-of-a-two-mode-model": (
-        {"model": "schwinger-jz", "state": "schwinger-jz", "steps": 2, "outputs": ["wigner"]},
+        {**SCHWINGER_CONFIG, "outputs": ["wigner"]},
         "field outputs need a single-mode bosonic model",
     ),
     "unknown-output-token": ({**BASE_CONFIG, "outputs": ["bogus"]}, "unknown output token 'bogus'"),
@@ -161,6 +163,14 @@ REFUSED_CONFIGS = {
     ),
     "boolean-n-max": ({**QHO_CONFIG, "model_params": {"gamma": True, "n_max": True}}, "n_max must be an integer, got True"),
     "fractional-n-max": ({**QHO_CONFIG, "model_params": {"n_max": 2.5}}, "n_max must be an integer, got 2.5"),
+    # an integer past the float range is refused, not overflowed
+    "huge-rate": (
+        {**BASE_CONFIG, "model_params": {"gammas": [1, 1, 1, 10**400]}},
+        f"damping rate must be a finite real number, got {10**400}",
+    ),
+    "boolean-omega": ({**QHO_CONFIG, "model_params": {"omega": True}}, "omega must be a finite real number, got True"),
+    "string-omega": ({**SCHWINGER_CONFIG, "model_params": {"omega": "1"}}, "omega must be a finite real number, got '1'"),
+    "integer-axis": ({**SCHWINGER_CONFIG, "model_params": {"axis": 1}}, "invalid axis 1"),
 }
 
 
