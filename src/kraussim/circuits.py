@@ -150,9 +150,14 @@ def _apply_gate(tensor: np.ndarray, gate: Gate) -> np.ndarray:
     return flat.reshape(tensor.shape).transpose(back)
 
 
+def _amplitudes(state) -> np.ndarray:
+    """The amplitude vector of a :class:`QuantumState`, or of a plain array taken as complex."""
+    return state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+
+
 def simulate_statevector(circuit: Circuit, state) -> QuantumState:
     """Exact action of the gate list on a full-register state."""
-    amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+    amps = _amplitudes(state)
     n = circuit.num_qubits
     if amps.size != 2**n:
         raise ValueError(f"state dimension {amps.size} does not match {n} qubits")
@@ -175,11 +180,7 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 def embed_state(circuit: Circuit, system_state) -> np.ndarray:
     """Tensor the system state with ancillas initialized to 0."""
-    amps = (
-        system_state.amplitudes
-        if isinstance(system_state, QuantumState)
-        else np.asarray(system_state, dtype=complex)
-    )
+    amps = _amplitudes(system_state)
     if amps.size != 2**circuit.num_system_qubits:
         raise ValueError("system state dimension mismatch")
     anc = np.zeros(2**circuit.num_ancilla_qubits, dtype=complex)
@@ -193,7 +194,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
     Returns the reduced state and the survival probability; a vanishing
     branch returns (None, 0.0) so callers can drop the term.
     """
-    amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+    amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
     ancillas = sorted(set(int(a) for a in ancilla_indices))
     if any(a < 0 or a >= n for a in ancillas):
@@ -212,7 +213,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
 
 def trace_out(state, qubit_indices) -> np.ndarray:
     """Reduced density matrix after tracing the listed qubits of a pure state."""
-    amps = state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
+    amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
     traced = sorted(set(int(q) for q in qubit_indices))
     kept = [q for q in range(n) if q not in traced]
@@ -316,12 +317,6 @@ def _diagonal_contraction_gates(decays, qubits, ancilla: int) -> list[Gate]:
         raise ValueError("decay entries must lie in [0, 1]")
     angles = 2.0 * np.arccos(np.clip(decays, 0.0, 1.0))
     return _multiplexed_rotation_gates("ry", ancilla, qubits, angles)
-
-
-def encode_diagonal_contraction(decays) -> Circuit:
-    """Block encoding of ``diag(decays)`` via one post-selected ancilla."""
-    n = qubit_count(np.size(decays), "decay vector length")
-    return Circuit(n, 1, tuple(_diagonal_contraction_gates(decays, range(n), n)), postselect=(n,))
 
 
 def _distribution_angles(probs: np.ndarray, level: int, num_qubits: int) -> np.ndarray:
@@ -438,7 +433,7 @@ def build_group_circuit(
     ancillas are traced out, not post-selected; they hold the classical
     mixture over powers, so no trace weight is discarded.
     """
-    if t < 0:
+    if _real(t, "evolution time") < 0:
         raise ValueError("evolution time must be nonnegative")
     prep = prepare(model)
     _require_abelian(prep)
@@ -502,23 +497,11 @@ def _basis_probabilities(state: QuantumState, choices) -> np.ndarray:
     return np.abs(stack.reshape(-1, 2**n)) ** 2
 
 
-def _shot_result(basis: str, weights: np.ndarray) -> ShotResult:
-    """Counts keyed by outcome bitstring (qubit 0 leftmost); zero weights are left out."""
-    counts = {format(i, f"0{len(basis)}b"): float(w) for i, w in enumerate(weights) if w > 0}
-    return ShotResult(basis, counts)
-
-
 def sample_shots(state: QuantumState, basis: str, shots: int, seed) -> ShotResult:
-    """Sample measurement outcomes in a Pauli product basis.
-
-    The generator is seeded deterministically; identical seeds reproduce
-    identical counts regardless of evaluation order elsewhere.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    probs = _basis_probabilities(state, basis)[0]
-    rng = np.random.default_rng(seed)
-    return _shot_result(basis, rng.multinomial(shots, probs / probs.sum()))
+    """Sample measurement outcomes in a Pauli product basis, keyed by bitstring (qubit 0 leftmost)
+    and without the outcomes never drawn: the counts of ``default_rng(seed)``, through :func:`_shot_draws`."""
+    counts = _shot_draws(seed, shots, ())(_basis_probabilities(state, basis))[0]
+    return ShotResult(basis, {format(i, f"0{len(basis)}b"): float(w) for i, w in enumerate(counts) if w > 0})
 
 
 # Readout of one qubit's (letter, outcome) pair, letters X, Y, Z, into the
@@ -556,10 +539,11 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
 
 
-def _entropy_words(values) -> list[int]:
-    """The uint32 words ``SeedSequence`` reads from non-negative ints, low word first."""
+def _entropy_words(seed) -> list[int]:
+    """The uint32 words ``SeedSequence`` reads from a non-negative int or a sequence of them, low word first."""
     words = []
-    for value in map(int, values):
+    for value in seed if np.iterable(seed) else (seed,):
+        value = _integer(value, "seed entry")
         if value < 0:
             raise ValueError(f"seed entries must be non-negative integers, got {value}")
         words += [value >> shift & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
@@ -581,10 +565,10 @@ def _seed_words(columns) -> np.ndarray:
     """``SeedSequence(row).generate_state(4, np.uint64)`` of every row, along a last axis.
 
     ``columns[i]`` holds the i-th uint32 entropy word of every row, broadcast
-    to one shape.  The hash constants are the same for every row, so each
-    step of numpy's pool mixing is one array operation over all rows.
+    to one shape of at least one row.  The hash constants are the same for every
+    row, so each step of numpy's pool mixing is one array operation over all rows.
     """
-    shape = np.broadcast_shapes(*map(np.shape, columns))
+    shape = np.broadcast_shapes(*map(np.shape, columns), (1,))  # no 0-d words, whose products warn on overflow
     words = [np.broadcast_to(np.asarray(c, np.uint32), shape) for c in [*columns, *[0] * (4 - len(columns))]]
     a, b = _hasher(_INIT_A, _MULT_A), _hasher(_INIT_B, _MULT_B)
 
@@ -611,6 +595,24 @@ def _pcg64_state(words) -> dict:
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
 
 
+def _shot_draws(seed, shots: int, shape: tuple[int, ...]):
+    """The one shot draw: ``draw(probs, *index)`` replaces row r of ``probs`` by the ``shots`` outcome counts of
+    ``default_rng(SeedSequence([*seed, *index, r]))`` (of ``default_rng(seed)`` when ``shape=()``), reseeding one
+    generator per row from seed words hashed for all of ``shape`` at once; ``seed`` is non-negative integers."""
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
+    seed_words = _seed_words([*_entropy_words(seed), *np.indices(shape, np.uint32)])
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def draw(probs: np.ndarray, *index: int) -> np.ndarray:
+        for p, words in zip(probs, seed_words[index]):
+            rng.bit_generator.state = _pcg64_state(words)
+            p[:] = rng.multinomial(shots, p / p.sum())
+        return probs
+
+    return draw
+
+
 def execute_series_tomography(
     model: LindbladModel | PreparedModel,
     series: KrausSeries,
@@ -626,32 +628,22 @@ def execute_series_tomography(
 
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) draw from its own child seed
-    ``[*seed, term_index, basis_index]``, so its counts do not depend on which
-    draws ran before it: the counts of ``default_rng(SeedSequence(row))``, with
-    every row's seed words hashed in one pass and one generator reseeded per draw.
+    ``[*seed, term_index, basis_index]`` through :func:`_shot_draws`, so its
+    counts do not depend on which draws ran before it.
     """
-    if shots is not None and shots < 1:
-        raise ValueError("shots must be >= 1")
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
-    seed_base = (seed,) if isinstance(seed, (int, np.integer)) else tuple(int(s) for s in seed)
     frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
-    if shots is not None:
-        seed_words = _seed_words(
-            [*_entropy_words(seed_base), *np.indices((len(series.terms), 3**n_sys), np.uint32)]
-        )
-        rng = np.random.Generator(np.random.PCG64(0))
+    draw = None if shots is None else _shot_draws(seed, shots, (len(series.terms), 3**n_sys))
     for term_index, term in enumerate(series.terms):
         circuit = build_kraus_circuit(term, prep, t)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
         if reduced is not None:
             probs = _basis_probabilities(reduced, ["XYZ"] * n_sys)
-            if shots is not None:
-                for p, words in zip(probs, seed_words[term_index]):
-                    rng.bit_generator.state = _pcg64_state(words)
-                    p[:] = rng.multinomial(shots, p / p.sum())
+            if draw is not None:
+                draw(probs, term_index)
             frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
         diagnostics.append({**term.record(), "survival": float(survival)})
     return tomography(frequencies), diagnostics

@@ -49,6 +49,9 @@ from .matkernel import (
     to_doc,
     trace_distance,
     von_neumann_entropy,
+    _integer,
+    _numbers,
+    _real,
 )
 
 METHODS = ("exact", "trotter", "kraus", "kraus-circuit", "kraus-circuit-shots")
@@ -88,33 +91,30 @@ class ExperimentConfig:
     check_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("steps", "order", "trotter_steps", "seed", "shots"):
-            value = getattr(self, name)
-            if name == "shots" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        try:
+            for name, least in (("steps", 1), ("order", 0), ("trotter_steps", 1), ("seed", 0)):
+                if _integer(getattr(self, name), name) < least:
+                    raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
+            if self.shots is not None:
+                _integer(self.shots, "shots")
+            if self.check_tol is not None and _real(self.check_tol, "check_tol") < 0:
+                raise ValueError(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
+            times = _numbers([self.t_start, self.t_stop], "times")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
         if self.series not in SERIES_VARIANTS:
             raise ConfigError(f"unknown series variant {self.series!r}")
         if self.mitigation not in MITIGATIONS:
             raise ConfigError(f"unknown mitigation {self.mitigation!r}")
-        if not 0 <= self.t_start <= self.t_stop < np.inf:
+        if not 0 <= times[0] <= times[1] < np.inf:
             raise ConfigError("need finite times with 0 <= start <= stop")
-        if self.steps < 1:
-            raise ConfigError("steps must be >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.method == "kraus-circuit-shots":
             if self.shots is None or self.shots < 1:
                 raise ConfigError("shot mode needs shots >= 1")
             if self.series == "factored":
                 raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
-        if self.order < 0:
-            raise ConfigError("order must be >= 0")
-        if self.trotter_steps < 1:
-            raise ConfigError("trotter_steps must be >= 1")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
         if not isinstance(self.outputs, list) or not all(isinstance(token, str) for token in self.outputs):
@@ -125,8 +125,6 @@ class ExperimentConfig:
             fields = sorted(["kind", NOISE_PARAMETERS[self.noise["kind"]]])
             if sorted(self.noise) != fields:
                 raise ConfigError(f"{self.noise['kind']} noise takes the fields {fields}, got {sorted(self.noise)}")
-        if self.check_tol is not None and not 0 <= self.check_tol < np.inf:
-            raise ConfigError(f"check_tol must be finite and >= 0, got {self.check_tol!r}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -262,9 +260,9 @@ def _build_noise(config: ExperimentConfig, dim: int) -> Callable[[np.ndarray], n
     doc = config.noise
     num_qubits = qubit_count(dim, "noise injection dimension")
     if doc["kind"] == "qdc":
-        channel = mitigation.DepolarizingChannel(num_qubits, float(doc["lambda"]))
+        channel = mitigation.DepolarizingChannel(num_qubits, doc["lambda"])
         return lambda mat: mitigation.apply_qdc(channel, mat).matrix
-    channel = mitigation.PauliChannel(num_qubits, np.asarray(doc["epsilons"], dtype=float))
+    channel = mitigation.PauliChannel(num_qubits, doc["epsilons"])
     return lambda mat: mitigation.apply_pauli_channel(channel, mat).matrix
 
 
@@ -510,23 +508,18 @@ def _read_json(path: str) -> object:
 
 def _load_config(args) -> ExperimentConfig:
     doc: dict = {}
-    if getattr(args, "preset", None):
+    if args.preset:
         doc.update(PRESETS[args.preset])
-    if getattr(args, "config", None):
+    if args.config:
         loaded = _read_json(args.config)
         if not isinstance(loaded, dict):
             raise ConfigError(f"config must be a JSON object, got {type(loaded).__name__}")
         doc.update(loaded)
     if not doc:
         raise ConfigError("need --config or --preset")
-    for key in ("method", "series", "order", "shots", "seed", "mitigation", "steps"):
-        value = getattr(args, key, None)
-        if value is not None:
-            doc[key] = value
-    if getattr(args, "check", False):
-        doc["check"] = True
-    if getattr(args, "check_tol", None) is not None:
-        doc["check_tol"] = args.check_tol
+    for key in ("method", "series", "order", "shots", "seed", "mitigation", "steps", "check", "check_tol"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     return ExperimentConfig.from_dict(doc)
 
 
@@ -653,18 +646,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kraussim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    check = sub.add_parser("check", help="condition and group-structure report")
-    check.add_argument("--model", required=True, choices=models.MODEL_KEYS)
-    check.add_argument("--param", action="append", metavar="KEY=VALUE")
+    model_args = argparse.ArgumentParser(add_help=False)
+    model_args.add_argument("--model", required=True, choices=models.MODEL_KEYS)
+    model_args.add_argument("--param", action="append", metavar="KEY=VALUE")
+
+    check = sub.add_parser("check", parents=[model_args], help="condition and group-structure report")
     check.add_argument("--out")
     check.set_defaults(func=_cmd_check)
 
     presets = sub.add_parser("presets", help="list experiment presets")
     presets.set_defaults(func=_cmd_presets)
 
-    kraus_cmd = sub.add_parser("kraus", help="build and optionally apply a series")
-    kraus_cmd.add_argument("--model", required=True, choices=models.MODEL_KEYS)
-    kraus_cmd.add_argument("--param", action="append", metavar="KEY=VALUE")
+    kraus_cmd = sub.add_parser("kraus", parents=[model_args], help="build and optionally apply a series")
     kraus_cmd.add_argument("--time", type=float, required=True)
     kraus_cmd.add_argument("--order", type=int, default=3)
     kraus_cmd.add_argument("--series", choices=("auto", "reduced", "truncated"), default="auto")
@@ -672,9 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     kraus_cmd.add_argument("--out")
     kraus_cmd.set_defaults(func=_cmd_kraus)
 
-    circuit = sub.add_parser("circuit", help="export term or group circuits as JSON")
-    circuit.add_argument("--model", required=True, choices=models.MODEL_KEYS)
-    circuit.add_argument("--param", action="append", metavar="KEY=VALUE")
+    circuit = sub.add_parser("circuit", parents=[model_args], help="export term or group circuits as JSON")
     circuit.add_argument("--time", type=float, required=True)
     circuit.add_argument("--order", type=int, default=3)
     circuit.add_argument("--scheme", choices=(circuits.SCHEME_BINARY, circuits.SCHEME_GRAY), default=circuits.SCHEME_BINARY)
@@ -704,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--seed", type=int)
     experiment.add_argument("--steps", type=int)
     experiment.add_argument("--mitigation", choices=MITIGATIONS)
-    experiment.add_argument("--check", action="store_true")
+    experiment.add_argument("--check", action="store_true", default=None)
     experiment.add_argument("--check-tol", type=float)
     experiment.add_argument("--out", required=True)
     experiment.set_defaults(func=_cmd_experiment)

@@ -40,7 +40,7 @@ from .lindblad import (
     check_conditions,
     normalize_lindblads,
 )
-from .matkernel import sznagy_dilation, _as_matrix
+from .matkernel import sznagy_dilation, _as_matrix, _real
 
 ZERO_OPERATOR_TOL = 1e-14
 GROUP_DETECT_TOL = 1e-10
@@ -219,7 +219,7 @@ def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.nd
     is ``max exp(-decays t / 2) <= 1`` by construction.  Raises
     :class:`ConditionError` when conditions (i) or (ii) fail.
     """
-    if t < 0:
+    if _real(t, "evolution time") < 0:
         raise ValueError("evolution time must be nonnegative")
     u, energies, decays = _require_spectrum(prepare(model))
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
@@ -500,7 +500,7 @@ def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho
     reduced series exactly (the per-factor registers of the corresponding
     circuit keep the powers from interfering).
     """
-    if t < 0:
+    if _real(t, "evolution time") < 0:
         raise ValueError("evolution time must be nonnegative")
     prep = prepare(model)
     _require_abelian(prep)

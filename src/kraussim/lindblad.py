@@ -200,7 +200,7 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
     point to point; both legs take the form that :func:`_repeated` picks for
     their number of repeats.
     """
-    if start < 0 or stop < start or steps < 1:
+    if _real(start, "start time") < 0 or _real(stop, "stop time") < start or steps < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
     rho = _as_matrix(rho0)
     if rho.shape != (model.dim, model.dim):
@@ -383,7 +383,7 @@ def trotter_trajectory(
     rho = _as_matrix(rho0)[np.newaxis]
     first, second = _split_generators(model, split)
     for t in ts:
-        if t < 0:
+        if _real(t, "evolution time") < 0:
             raise ValueError("evolution time must be nonnegative")
         dt = t / steps
 

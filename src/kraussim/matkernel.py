@@ -111,12 +111,24 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
-def _real(value, what: str) -> float:
-    """``value`` as a ``float``: a finite integer or float as given, never parsed, and not a ``bool``."""
-    real = not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+def _numbers(value, what: str) -> np.ndarray:
+    """``value``, a number or nested lists of numbers (integers and floats, numpy's too), as a float array:
+    the one rule of what a number is.  Nothing is parsed, so a string or a ``bool`` is refused."""
+    leaves = np.asarray(value, dtype=object)
+    for leaf in leaves.flat:
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, float, np.integer, np.floating)):
+            raise ValueError(f"{what} must hold numbers, got {leaf!r}")
     try:
-        finite = real and math.isfinite(value)
-    except OverflowError:  # an int past the float range
+        return leaves.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} must hold numbers within the float range, got {value!r}") from None
+
+
+def _real(value, what: str) -> float:
+    """``value`` as a ``float``: one finite number of :func:`_numbers`."""
+    try:
+        finite = _numbers(value, what).ndim == 0 and math.isfinite(value)
+    except ValueError:  # not a number, or an int past the float range
         finite = False
     if not finite:
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
@@ -310,7 +322,8 @@ def from_doc(kind, doc):
     """Inverse of :func:`to_doc` for ``kind``, a dataclass or a type hint.
 
     Unknown dataclass fields are rejected.  A ``complex`` is an ``[re, im]``
-    pair, and an ``np.ndarray`` a real vector or a complex matrix of such pairs.
+    pair, and an ``np.ndarray`` a real vector or a complex matrix of such pairs;
+    their entries are numbers, never strings or booleans.
     """
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
@@ -327,9 +340,11 @@ def from_doc(kind, doc):
     if kind is complex:
         if not isinstance(doc, list) or len(doc) != 2:
             raise ValueError(f"a complex number must be an [re, im] pair, got {doc!r}")
-        return complex(*doc)
+        value = complex(*doc)  # refuses a string with complex()'s own message
+        _numbers(doc, "a complex number")  # and a bool
+        return value
     if kind is np.ndarray:
-        arr = np.ascontiguousarray(doc, dtype=float)
+        arr = _numbers(doc, "an array")
         if arr.ndim == 1:
             return arr
         if arr.ndim != 3 or arr.shape[-1] != 2:

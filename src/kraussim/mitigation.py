@@ -27,6 +27,8 @@ from .matkernel import (
     project_to_physical,
     qubit_count,
     _as_matrix,
+    _numbers,
+    _real,
     _require_square,
 )
 
@@ -46,9 +48,9 @@ class PauliChannel:
     epsilons: np.ndarray
 
     def __post_init__(self):
-        eps = np.asarray(self.epsilons, dtype=float)
-        if eps.size != 4**self.num_qubits:
-            raise ValueError("need one coefficient per Pauli string")
+        eps = _numbers(self.epsilons, "Pauli channel coefficients")
+        if eps.shape != (4**self.num_qubits,):
+            raise ValueError(f"need a vector of one coefficient per Pauli string, got shape {eps.shape}")
         if not np.isfinite(eps).all():
             raise ValueError("coefficients must be finite")
         if eps.min() < -1e-12:
@@ -66,8 +68,8 @@ class DepolarizingChannel:
     lam: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
+        if not 0.0 <= _real(self.lam, "lambda") <= 1.0:
+            raise ValueError(f"lambda must lie in [0, 1], got {self.lam!r}")
 
 
 # Commutation sign s(a, b) of the single-qubit Paulis I, X, Y, Z: +1 when one

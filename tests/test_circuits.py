@@ -97,8 +97,13 @@ def test_diagonal_unitary_rejects_bad_length():
         qc.encode_diagonal_unitary(np.zeros(3))
 
 
+def _contraction_circuit(decays):
+    n = int(np.log2(decays.size))
+    return qc.Circuit(n, 1, tuple(qc._diagonal_contraction_gates(decays, range(n), n)), postselect=(n,))
+
+
 def test_contraction_all_ones_identity():
-    circuit = qc.encode_diagonal_contraction(np.ones(4))
+    circuit = _contraction_circuit(np.ones(4))
     assert len(circuit.gates) == 0
     state = random_state(np.random.default_rng(1), 4)
     out = qc.simulate_statevector(circuit, qc.embed_state(circuit, state))
@@ -108,7 +113,7 @@ def test_contraction_all_ones_identity():
 
 
 def test_contraction_projector():
-    circuit = qc.encode_diagonal_contraction(np.array([1.0, 0.0]))
+    circuit = _contraction_circuit(np.array([1.0, 0.0]))
     plus = np.array([1.0, 1.0]) / np.sqrt(2)
     out = qc.simulate_statevector(circuit, qc.embed_state(circuit, plus))
     reduced, prob = qc.postselect(out, circuit.postselect)
@@ -118,7 +123,7 @@ def test_contraction_projector():
 
 def test_contraction_matches_diagonal():
     decays = np.exp(-np.array([0.5, 1.0, 1.5, 2.0]))
-    circuit = qc.encode_diagonal_contraction(decays)
+    circuit = _contraction_circuit(decays)
     block = np.zeros((4, 4), dtype=complex)
     for j in range(4):
         basis = np.zeros(4, dtype=complex)
@@ -131,7 +136,7 @@ def test_contraction_matches_diagonal():
 
 def test_contraction_rejects_out_of_range():
     with pytest.raises(ValueError):
-        qc.encode_diagonal_contraction(np.array([1.0, 1.5]))
+        _contraction_circuit(np.array([1.0, 1.5]))
 
 
 def _distribution_circuit(amps):
@@ -368,6 +373,26 @@ def test_sample_shots_y_eigenstate():
     plus_i = QuantumState(np.array([1.0, 1j], dtype=complex) / np.sqrt(2))
     result = qc.sample_shots(plus_i, "Y", 1000, seed=0)
     assert result.counts == {"0": 1000.0}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sample_shots_draws_the_counts_of_default_rng(rng, n):
+    # sample_shots shares the pipeline's draw, and still draws what default_rng(seed) draws
+    seeds = [0, 7, 2**32, 2**63 + 1, 2**130, (3, 1), (2**63 + 1, 5), (2**130, 0, 2**32 - 1)]
+    for seed in seeds + [int(s) for s in rng.integers(0, 2**63, size=8)]:
+        psi = QuantumState(random_state(rng, 2**n))
+        basis = "".join(rng.choice(list("XYZ"), size=n))
+        probs = qc._basis_probabilities(psi, basis)[0]
+        expected = np.random.default_rng(seed).multinomial(1000, probs / probs.sum())
+        counts = qc.sample_shots(psi, basis, 1000, seed).counts
+        assert counts == {format(i, f"0{n}b"): float(c) for i, c in enumerate(expected) if c > 0}
+
+
+@pytest.mark.parametrize("seed", [-1, (2, -3), True, 1.5, "5", (1, 2.0)])
+def test_sample_shots_refuses_a_seed_that_is_not_non_negative_integers(seed):
+    zero = QuantumState(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ValueError, match="seed entr"):
+        qc.sample_shots(zero, "Z", 10, seed)
 
 
 def test_tomography_exact_reconstruction(rng):

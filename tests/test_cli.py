@@ -63,6 +63,8 @@ QHO_CONFIG = {"model": "qho-damped", "state": "qho-oscillating", "steps": 2}
 
 SCHWINGER_CONFIG = {"model": "schwinger-jz", "state": "schwinger-jz", "steps": 2}
 
+KRAUS_CONFIG = {**BASE_CONFIG, "method": "kraus"}
+
 
 def _sigma_minus_config(rate):
     """An inline one-qubit model with the one jump operator |0><1| at ``rate``."""
@@ -171,6 +173,38 @@ REFUSED_CONFIGS = {
     "boolean-omega": ({**QHO_CONFIG, "model_params": {"omega": True}}, "omega must be a finite real number, got True"),
     "string-omega": ({**SCHWINGER_CONFIG, "model_params": {"omega": "1"}}, "omega must be a finite real number, got '1'"),
     "integer-axis": ({**SCHWINGER_CONFIG, "model_params": {"axis": 1}}, "invalid axis 1"),
+    # numbers are never parsed: a string or a bool is refused wherever a number enters
+    "boolean-stop": ({**KRAUS_CONFIG, "time": {"stop": True}}, "times must hold numbers, got True"),
+    "boolean-start": ({**KRAUS_CONFIG, "time": {"start": False}}, "times must hold numbers, got False"),
+    "boolean-check-tol": ({**KRAUS_CONFIG, "check_tol": True}, "check_tol must be a finite real number, got True"),
+    "string-lambda": (
+        {**KRAUS_CONFIG, "noise": {"kind": "qdc", "lambda": "0.1"}},
+        "lambda must be a finite real number, got '0.1'",
+    ),
+    "boolean-lambda": (
+        {**KRAUS_CONFIG, "noise": {"kind": "qdc", "lambda": True}},
+        "lambda must be a finite real number, got True",
+    ),
+    "string-epsilons": (
+        {**KRAUS_CONFIG, "noise": {"kind": "pauli", "epsilons": ["1"] + ["0"] * 15}},
+        "Pauli channel coefficients must hold numbers, got '1'",
+    ),
+    "boolean-epsilons": (
+        {**KRAUS_CONFIG, "noise": {"kind": "pauli", "epsilons": [True] + [0] * 15}},
+        "Pauli channel coefficients must hold numbers, got True",
+    ),
+    "nested-epsilons": (
+        {**KRAUS_CONFIG, "noise": {"kind": "pauli", "epsilons": [[1.0] + [0.0] * 15]}},
+        "need a vector of one coefficient per Pauli string, got shape (1, 16)",
+    ),
+    "boolean-amplitude": (
+        {**KRAUS_CONFIG, "state": [[True, 0], [0, 0], [0, 0], [0, 0]]},
+        "invalid state amplitudes: a complex number must hold numbers, got True",
+    ),
+    "string-matrix-entry": (
+        {**_sigma_minus_config(1.0), "model": {**_sigma_minus_config(1.0)["model"], "hamiltonian": [[["0", 0], [0, 0]], [[0, 0], [0, 0]]]}},
+        "invalid inline model: an array must hold numbers, got '0'",
+    ),
 }
 
 
@@ -280,6 +314,24 @@ def test_integer_config_fields_are_type_checked(tmp_path, capsys, fields):
     cfg.write_text(json.dumps({"model": "pauli-xx-zz", "state": "pauli-xx-zz", "steps": 2, **fields}))
     assert run(["experiment", "--config", cfg, "--out", tmp_path / "out"]) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("time", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kraus", "--model", "qho-damped", "--series", "truncated"],
+        ["kraus", "--model", "qho-damped", "--series", "truncated", "--state", "qho-oscillating"],
+        ["circuit", "--model", "qho-damped"],
+        ["circuit", "--model", "pauli-xx-zz", "--group"],
+    ],
+    ids=["kraus", "kraus-state", "circuit", "circuit-group"],
+)
+def test_non_finite_time_exits_2(capsys, argv, time):
+    # an evolution time is a finite real number: no NaN series or pruned-away gates are printed
+    assert run([*argv, "--time", time]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: evolution time must be a finite real number, got {time}\n"
 
 
 def test_kraus_unknown_state_names_the_key(capsys):
@@ -1018,6 +1070,15 @@ def test_mitigate_rejects_unpaired_matrices(tmp_path, capsys):
     pairs_file.write_text(json.dumps({"pairs": [[[[1, 0], [0, 0]], [[1, 0], [0, 0]]]]}))
     assert run(["mitigate", "--pairs", pairs_file]) == 2
     assert "[re, im] pairs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["0.5", True], ids=["string", "boolean"])
+def test_mitigate_refuses_an_entry_that_is_not_a_number(tmp_path, capsys, entry):
+    noisy = [[[entry, 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps({"pairs": [[to_doc(np.diag([1.0, 0.0]).astype(complex)), noisy]]}))
+    assert run(["mitigate", "--pairs", pairs_file]) == 2
+    assert capsys.readouterr().err == f"error: an array must hold numbers, got {entry!r}\n"
 
 
 @pytest.mark.parametrize("doc", [[1, 2], {"pairs": 5}])

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -74,6 +75,22 @@ def test_effective_evolution_oscillator_eigenfactors(qho_spec):
     expected = np.diag(np.exp(-1j * n * t) * np.exp(-0.5 * n * t))
     assert np.abs(t_op - expected).max() < 1e-12
     assert np.linalg.norm(t_op, 2) <= 1 + 1e-10
+
+
+@pytest.mark.parametrize("t", [math.inf, math.nan, -0.5, True, "0.5"], ids=["inf", "nan", "negative", "boolean", "string"])
+def test_evolution_times_are_finite_real_numbers_that_are_not_negative(pauli_spec, t):
+    # one time rule for every route; a non-finite time used to give a series of NaN terms
+    message = "evolution time must be nonnegative" if t == -0.5 else f"evolution time must be a finite real number, got {t!r}"
+    rho = np.eye(4) / 4
+    for build in (
+        lambda: kraus.build_series(pauli_spec.model, t, "truncated", 3),
+        lambda: kraus.effective_evolution(pauli_spec.model, t),
+        lambda: kraus.apply_factored_evolution(pauli_spec.model, t, rho),
+        lambda: circuits.build_group_circuit(pauli_spec.model, t),
+        lambda: next(lb.trotter_trajectory(pauli_spec.model, rho, [t], 4)),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 def test_effective_evolution_requires_shared_eigenbasis():

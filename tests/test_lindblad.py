@@ -133,6 +133,15 @@ def test_exact_evolve_rejects_negative_time(qho_spec, initial_states):
         lb.exact_evolve(qho_spec.model, initial_states["qho-oscillating"].density(), -0.1)
 
 
+@pytest.mark.parametrize("t", [np.inf, np.nan], ids=["inf", "nan"])
+def test_exact_evolve_refuses_a_non_finite_time(qho_spec, initial_states, t):
+    # inf used to raise OverflowError from the piece count of the leg to the start
+    with pytest.raises(ValueError, match=f"start time must be a finite real number, got {t}"):
+        lb.exact_evolve(qho_spec.model, initial_states["qho-oscillating"].density(), t)
+    with pytest.raises(ValueError, match=f"stop time must be a finite real number, got {t}"):
+        next(lb.exact_trajectory(qho_spec.model, initial_states["qho-oscillating"].density(), 0.0, t, 3))
+
+
 @pytest.mark.parametrize(
     "key, params",
     [("pauli-xx-zz", {}), ("schwinger-jz", {}), ("qho-damped", {}), ("qho-cat", {}), ("qho-damped", {"n_max": 15})],

@@ -220,6 +220,32 @@ def test_doc_codec_converts_numpy_values_and_round_trips_exactly():
 
 
 @pytest.mark.parametrize(
+    "kind, doc, bad",
+    [
+        (np.ndarray, [True, 0], True),  # np.asarray([True, 0]) is int64, so no dtype test sees the bool
+        (np.ndarray, ["0.5", 1], "0.5"),
+        (np.ndarray, [[[1, 0], [0, False]]], False),
+        (np.ndarray, [[[1, 0], ["0", 0]]], "0"),
+        (complex, [True, 0], True),
+        (complex, [0, False], False),
+    ],
+    ids=["bool-among-ints", "string-in-vector", "bool-in-matrix", "string-in-matrix", "bool-real-part", "bool-imaginary-part"],
+)
+def test_doc_codec_refuses_a_string_or_bool_where_a_number_goes(kind, doc, bad):
+    what = "a complex number" if kind is complex else "an array"
+    with pytest.raises(ValueError, match=re.escape(f"{what} must hold numbers, got {bad!r}")):
+        mk.from_doc(kind, doc)
+
+
+def test_numbers_refuses_an_int_past_the_float_range():
+    assert mk._numbers([1, 2.5, np.int64(3)], "x").tolist() == [1.0, 2.5, 3.0]
+    with pytest.raises(ValueError, match="x must hold numbers within the float range"):
+        mk._numbers([0, 10**400], "x")
+    with pytest.raises(ValueError, match=f"x must be a finite real number, got {10**400}"):
+        mk._real(10**400, "x")
+
+
+@pytest.mark.parametrize(
     "value",
     [complex(-0.0, 2.0), 1e-300j, np.complex128(1 / 3 - 0.5j), np.complex64(0.25 + 0.75j)],
     ids=["python", "tiny-imaginary", "numpy-complex128", "numpy-complex64"],

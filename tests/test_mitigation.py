@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,27 @@ def test_channel_validation():
         mit.PauliChannel(1, np.array([0.9, 0.2, 0.0, -0.1]))
     with pytest.raises(ValueError):
         mit.DepolarizingChannel(1, 1.5)
+
+
+@pytest.mark.parametrize("lam", ["0.1", True, float("nan"), [0.1]], ids=["string", "boolean", "nan", "list"])
+def test_depolarizing_channel_takes_a_real_number(lam):
+    with pytest.raises(ValueError, match=re.escape(f"lambda must be a finite real number, got {lam!r}")):
+        mit.DepolarizingChannel(1, lam)
+
+
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (["1", "0", "0", "0"], "Pauli channel coefficients must hold numbers, got '1'"),
+        ([True, 0, 0, 0], "Pauli channel coefficients must hold numbers, got True"),
+        ([[1.0, 0.0, 0.0, 0.0]], "need a vector of one coefficient per Pauli string, got shape (1, 4)"),
+        ([[1.0, 0.0], [0.0, 0.0]], "need a vector of one coefficient per Pauli string, got shape (2, 2)"),
+    ],
+    ids=["strings", "boolean", "nested", "matrix"],
+)
+def test_pauli_channel_takes_a_vector_of_numbers(eps, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        mit.PauliChannel(1, eps)
 
 
 def test_apply_pauli_identity():
