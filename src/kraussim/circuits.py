@@ -196,7 +196,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
     """
     amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
-    ancillas = sorted(set(int(a) for a in ancilla_indices))
+    ancillas = sorted(set(_integer(a, "ancilla index") for a in ancilla_indices))
     if any(a < 0 or a >= n for a in ancillas):
         raise ValueError("ancilla index out of range")
     if not ancillas:
@@ -215,7 +215,7 @@ def trace_out(state, qubit_indices) -> np.ndarray:
     """Reduced density matrix after tracing the listed qubits of a pure state."""
     amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
-    traced = sorted(set(int(q) for q in qubit_indices))
+    traced = sorted(set(_integer(q, "qubit index") for q in qubit_indices))
     kept = [q for q in range(n) if q not in traced]
     tensor = amps.reshape([2] * n).transpose(kept + traced)
     flat = tensor.reshape(2 ** len(kept), 2 ** len(traced))
@@ -371,18 +371,18 @@ def _t_block_gates(
 
 
 def build_kraus_circuit(
-    term: KrausTerm,
-    model: LindbladModel | PreparedModel,
-    t: float,
-    scheme: str = SCHEME_BINARY,
+    term: KrausTerm, model: LindbladModel | PreparedModel, t: float, scheme: str = SCHEME_BINARY, *, _shared=None
 ) -> Circuit:
     """Circuit for one Kraus term: dilations of each applied operator, then T(t).
 
     One fresh ancilla per operator application carries the unitary dilation;
     one more carries the diagonal contraction of T.  Post-selecting every
     ancilla on 0 leaves the system in ``T prod(L) |psi>`` normalized, with
-    survival probability equal to its squared norm.
+    survival probability equal to its squared norm.  Calls for one (model,
+    t, scheme) that pass one ``_shared`` dict build each dilation gate, per
+    (operator, slot), and each T(t) block, per order, once between them.
     """
+    shared = {} if _shared is None else _shared
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
     m = term.order
@@ -393,15 +393,12 @@ def build_kraus_circuit(
     gates: list[Gate] = []
     # Rightmost factor in the operator product acts first.
     for slot, op_index in enumerate(reversed(term.indices)):
-        anc = n_sys + slot
-        gates.append(Gate("unitary", (anc, *system), matrix=prep.dilations[op_index]))
-    gates += _t_block_gates(prep, t, system, n_sys + m, scheme)
-    return Circuit(
-        n_sys,
-        total_anc,
-        tuple(gates),
-        postselect=tuple(range(n_sys, n_sys + total_anc)),
-    )
+        if (slot, op_index) not in shared:
+            shared[slot, op_index] = Gate("unitary", (n_sys + slot, *system), matrix=prep.dilations[op_index])
+        gates.append(shared[slot, op_index])
+    if m not in shared:
+        shared[m] = _t_block_gates(prep, t, system, n_sys + m, scheme)
+    return Circuit(n_sys, total_anc, (*gates, *shared[m]), postselect=tuple(range(n_sys, n_sys + total_anc)))
 
 
 def _controlled_operator_gates(op: np.ndarray, control: int, system: list[int]) -> list[Gate]:
@@ -596,18 +593,20 @@ def _pcg64_state(words) -> dict:
 
 
 def _shot_draws(seed, shots: int, shape: tuple[int, ...]):
-    """The one shot draw: ``draw(probs, *index)`` replaces row r of ``probs`` by the ``shots`` outcome counts of
-    ``default_rng(SeedSequence([*seed, *index, r]))`` (of ``default_rng(seed)`` when ``shape=()``), reseeding one
-    generator per row from seed words hashed for all of ``shape`` at once; ``seed`` is non-negative integers."""
+    """The one shot draw: ``draw(probs, *index)`` normalises the rows of ``probs`` in one pass, then replaces row r
+    by the ``shots`` outcome counts of ``default_rng(SeedSequence([*seed, *index, r]))`` (of ``default_rng(seed)``
+    when ``shape=()``), reseeding one generator per row from seed words hashed for all of ``shape`` at once and
+    read as Python ints once per call of ``draw``; ``seed`` is non-negative integers."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
     seed_words = _seed_words([*_entropy_words(seed), *np.indices(shape, np.uint32)])
     rng = np.random.Generator(np.random.PCG64(0))
 
     def draw(probs: np.ndarray, *index: int) -> np.ndarray:
-        for p, words in zip(probs, seed_words[index]):
+        probs /= probs.sum(axis=1, keepdims=True)
+        for p, words in zip(probs, seed_words[index].tolist()):
             rng.bit_generator.state = _pcg64_state(words)
-            p[:] = rng.multinomial(shots, p / p.sum())
+            p[:] = rng.multinomial(shots, p)
         return probs
 
     return draw
@@ -636,8 +635,9 @@ def execute_series_tomography(
     frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
     draw = None if shots is None else _shot_draws(seed, shots, (len(series.terms), 3**n_sys))
+    shared: dict = {}
     for term_index, term in enumerate(series.terms):
-        circuit = build_kraus_circuit(term, prep, t)
+        circuit = build_kraus_circuit(term, prep, t, _shared=shared)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
         if reduced is not None:

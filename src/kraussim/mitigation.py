@@ -27,6 +27,7 @@ from .matkernel import (
     project_to_physical,
     qubit_count,
     _as_matrix,
+    _integer,
     _numbers,
     _real,
     _require_square,
@@ -48,6 +49,7 @@ class PauliChannel:
     epsilons: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
         eps = _numbers(self.epsilons, "Pauli channel coefficients")
         if eps.shape != (4**self.num_qubits,):
             raise ValueError(f"need a vector of one coefficient per Pauli string, got shape {eps.shape}")
@@ -68,6 +70,7 @@ class DepolarizingChannel:
     lam: float
 
     def __post_init__(self):
+        object.__setattr__(self, "num_qubits", _integer(self.num_qubits, "num_qubits"))
         if not 0.0 <= _real(self.lam, "lambda") <= 1.0:
             raise ValueError(f"lambda must lie in [0, 1], got {self.lam!r}")
 

@@ -9,7 +9,7 @@ from kraussim import circuits as qc
 from kraussim import kraus, lindblad as lb
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
-from conftest import align_phase, assert_json_round_trip, haar_unitary, random_state
+from conftest import align_phase, assert_json_round_trip, haar_rotated, haar_unitary, random_state
 
 
 def test_sznagy_identity_blocks():
@@ -217,6 +217,18 @@ def test_postselect_dead_branch():
     one = np.array([0.0, 1.0], dtype=complex)
     out, prob = qc.postselect(one, (0,))
     assert out is None and prob == 0.0
+
+
+@pytest.mark.parametrize("index", [1.5, "1", True], ids=["fractional", "string", "boolean"])
+def test_postselect_and_trace_out_take_integer_indices(index):
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1 / np.sqrt(2)
+    with pytest.raises(ValueError, match=re.escape(f"ancilla index must be an integer, got {index!r}")):
+        qc.postselect(bell, [index])
+    with pytest.raises(ValueError, match=re.escape(f"qubit index must be an integer, got {index!r}")):
+        qc.trace_out(bell, [index])
+    assert qc.postselect(bell, [np.int64(1)])[1] == pytest.approx(0.5, abs=1e-12)
+    assert np.abs(qc.trace_out(bell, [np.int64(1)]) - np.eye(2) / 2).max() < 1e-12
 
 
 def test_kraus_circuit_order_zero_is_t_block(qho_spec, initial_states):
@@ -540,6 +552,88 @@ def test_series_tomography_refuses_a_negative_seed(pauli_spec, initial_states, s
     series = kraus.build_reduced_series(pauli_spec.model, 0.9)
     with pytest.raises(ValueError, match="non-negative"):
         qc.execute_series_tomography(pauli_spec.model, series, 0.9, initial_states["pauli-xx-zz"], shots=16, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, (3, 1), (2**40, 5)])
+def test_shot_draw_normalises_each_table_once(rng, seed):
+    # rows scaled away from sum 1: the one table-wide normalisation is the per-row p / p.sum() of
+    # _per_draw_frequencies, and the counts are those of a generator per row
+    seed_base = (seed,) if isinstance(seed, int) else seed
+    for n in range(1, 6):
+        probs = rng.random((3**n, 2**n)) * 10.0 ** rng.uniform(-3, 3, size=(3**n, 1))
+        assert np.array_equal(probs / probs.sum(axis=1, keepdims=True), [p / p.sum() for p in probs])
+        drawn = qc._shot_draws(seed, 1024, (2, 3**n))(probs.copy(), 1)
+        for r, (p, counts) in enumerate(zip(probs, drawn)):
+            rng_row = np.random.default_rng(np.random.SeedSequence([*seed_base, 1, r]))
+            assert np.array_equal(counts, rng_row.multinomial(1024, p / p.sum()))
+
+
+def _gate_record(gate):
+    return gate.kind, gate.targets, gate.controls, gate.angle, None if gate.matrix is None else gate.matrix.tobytes()
+
+
+def _tomography_cases(pauli_spec, qho_spec):
+    """(model, state, scheme) of pauli-xx-zz, qho-damped with the gray scheme, and a Haar-rotated Pauli channel."""
+    rotated = haar_rotated(pauli_spec.model, np.random.default_rng(11))
+    return {
+        "pauli-xx-zz": (pauli_spec.model, "pauli-xx-zz", qc.SCHEME_BINARY),
+        "qho-damped-gray": (qho_spec.model, "qho-oscillating", qc.SCHEME_GRAY),
+        "haar-rotated": (rotated, "pauli-xx-zz", qc.SCHEME_BINARY),
+    }
+
+
+def _run_with_scheme(monkeypatch, scheme):
+    """Make execute_series_tomography build its circuits with ``scheme``; returns the list of circuits it runs."""
+    build, simulate, ran = qc.build_kraus_circuit, qc.simulate_statevector, []
+    monkeypatch.setattr(qc, "build_kraus_circuit", lambda term, model, t, **kw: build(term, model, t, scheme, **kw))
+    monkeypatch.setattr(qc, "simulate_statevector", lambda circuit, state: ran.append(circuit) or simulate(circuit, state))
+    return ran
+
+
+@pytest.mark.parametrize("case", ["pauli-xx-zz", "qho-damped-gray", "haar-rotated"])
+def test_series_tomography_runs_the_circuits_of_build_kraus_circuit(pauli_spec, qho_spec, initial_states, monkeypatch, case):
+    model, state, scheme = _tomography_cases(pauli_spec, qho_spec)[case]
+    prep = kraus.prepare(model)
+    series = kraus.build_tp_series(prep, 0.7, 3)
+    fresh = [qc.build_kraus_circuit(term, prep, 0.7, scheme) for term in series.terms]
+    ran = _run_with_scheme(monkeypatch, scheme)
+    qc.execute_series_tomography(prep, series, 0.7, initial_states[state], shots=16)
+    assert len(ran) == len(fresh) == len(series.terms)
+    for got, want in zip(ran, fresh):
+        assert (got.num_system_qubits, got.num_ancilla_qubits, got.postselect) == (
+            want.num_system_qubits, want.num_ancilla_qubits, want.postselect
+        )
+        assert [_gate_record(g) for g in got.gates] == [_gate_record(g) for g in want.gates]
+    n_sys = fresh[0].num_system_qubits
+    if case == "haar-rotated":  # T(t) carries its basis change
+        assert any(g.kind == "unitary" and len(g.targets) == n_sys for c in fresh for g in c.gates)
+
+
+@pytest.mark.parametrize("case", ["pauli-xx-zz", "qho-damped-gray", "haar-rotated"])
+def test_series_tomography_builds_each_dilation_and_t_block_once(pauli_spec, qho_spec, initial_states, monkeypatch, case):
+    model, state, scheme = _tomography_cases(pauli_spec, qho_spec)[case]
+    prep = kraus.prepare(model)
+    series = kraus.build_tp_series(prep, 0.7, 3)
+    n_sys = qc.qubit_count(prep.dim, "system dimension")
+    dilations, t_blocks = [], []
+    post_init, t_block_gates = qc.Gate.__post_init__, qc._t_block_gates
+
+    def counted_gate(gate):
+        if gate.kind == "unitary" and len(gate.targets) == n_sys + 1:
+            dilations.append((gate.targets, np.asarray(gate.matrix).tobytes()))
+        post_init(gate)
+
+    def counted_t_block(prep, t, system, ancilla, scheme):
+        t_blocks.append(ancilla - n_sys)
+        return t_block_gates(prep, t, system, ancilla, scheme)
+
+    monkeypatch.setattr(qc.Gate, "__post_init__", counted_gate)
+    monkeypatch.setattr(qc, "_t_block_gates", counted_t_block)
+    _run_with_scheme(monkeypatch, scheme)
+    qc.execute_series_tomography(prep, series, 0.7, initial_states[state], shots=16)
+    slots = {(slot, k) for term in series.terms for slot, k in enumerate(reversed(term.indices))}
+    assert len(dilations) == len(set(dilations)) == len(slots)
+    assert sorted(t_blocks) == sorted({term.order for term in series.terms})
 
 
 def test_serialized_series_drives_circuits(qho_spec, initial_states):

@@ -49,6 +49,26 @@ def test_pauli_channel_takes_a_vector_of_numbers(eps, message):
         mit.PauliChannel(1, eps)
 
 
+@pytest.mark.parametrize(
+    "kind, doc",
+    [
+        (mit.PauliChannel, {"num_qubits": 1.5, "epsilons": [1.0] + [0.0] * 7}),
+        (mit.PauliChannel, {"num_qubits": True, "epsilons": [1.0, 0.0, 0.0, 0.0]}),
+        (mit.DepolarizingChannel, {"num_qubits": True, "lam": 0.25}),
+        (mit.DepolarizingChannel, {"num_qubits": "1", "lam": 0.25}),
+    ],
+    ids=["pauli-fractional", "pauli-boolean", "depolarizing-boolean", "depolarizing-string"],
+)
+def test_channels_take_an_integer_qubit_count(kind, doc):
+    with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer, got {doc['num_qubits']!r}")):
+        from_doc(kind, doc)
+
+
+def test_channels_keep_a_numpy_qubit_count_as_an_int():
+    for channel in (mit.PauliChannel(np.int64(1), [1.0, 0.0, 0.0, 0.0]), mit.DepolarizingChannel(np.int64(1), 0.25)):
+        assert type(channel.num_qubits) is int and channel.num_qubits == 1
+
+
 def test_apply_pauli_identity():
     rho = random_density(np.random.default_rng(0), 2)
     out = mit.apply_pauli_channel(one_qubit_channel({"I": 1.0}), rho)

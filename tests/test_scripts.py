@@ -34,6 +34,9 @@ def test_circuit_sweep_smallest_size(monkeypatch):
     }
     assert row["oracle_trace_distance"] < sweep.ORACLE_TOL
     assert set(row["shots_layers_s"]) == set(sweep.LAYERS)
+    # the construction that runs is timed, with its gates shared within each call
+    assert row["infinite_shot_layers_s"]["build_kraus_circuit"] > 0
+    assert row["shots_layers_s"]["build_kraus_circuit"] > 0
     assert row["gates"] > 0
 
 
