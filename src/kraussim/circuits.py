@@ -179,13 +179,15 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
 
 
 def embed_state(circuit: Circuit, system_state) -> np.ndarray:
-    """Tensor the system state with ancillas initialized to 0."""
+    """Tensor the system state with ancillas initialized to 0: the amplitudes fill every ``2^m``-th entry
+    of the register (m ancillas) and every other entry is 0."""
     amps = _amplitudes(system_state)
     if amps.size != 2**circuit.num_system_qubits:
         raise ValueError("system state dimension mismatch")
-    anc = np.zeros(2**circuit.num_ancilla_qubits, dtype=complex)
-    anc[0] = 1.0
-    return np.kron(amps, anc)
+    stride = 2**circuit.num_ancilla_qubits
+    out = np.zeros(amps.size * stride, dtype=complex)
+    out[::stride] = amps
+    return out
 
 
 def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
@@ -216,6 +218,8 @@ def trace_out(state, qubit_indices) -> np.ndarray:
     amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
     traced = sorted(set(_integer(q, "qubit index") for q in qubit_indices))
+    if any(q < 0 or q >= n for q in traced):
+        raise ValueError("qubit index out of range")
     kept = [q for q in range(n) if q not in traced]
     tensor = amps.reshape([2] * n).transpose(kept + traced)
     flat = tensor.reshape(2 ** len(kept), 2 ** len(traced))
@@ -623,7 +627,7 @@ def execute_series_tomography(
     """Full circuit pipeline for a series: simulate, post-select, measure, invert.
 
     Returns the reconstructed (d, d) matrix of :func:`tomography` and one
-    diagnostic per term.
+    ``{"order", "indices", "weight", "survival"}`` diagnostic per term.
 
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) draw from its own child seed
@@ -634,9 +638,10 @@ def execute_series_tomography(
     n_sys = qubit_count(prep.dim, "system dimension")
     frequencies = np.zeros((3**n_sys, 2**n_sys))
     diagnostics: list[dict] = []
-    draw = None if shots is None else _shot_draws(seed, shots, (len(series.terms), 3**n_sys))
+    terms = series.terms
+    draw = None if shots is None else _shot_draws(seed, shots, (len(terms), 3**n_sys))
     shared: dict = {}
-    for term_index, term in enumerate(series.terms):
+    for term_index, term in enumerate(terms):
         circuit = build_kraus_circuit(term, prep, t, _shared=shared)
         final = simulate_statevector(circuit, embed_state(circuit, initial_state))
         reduced, survival = postselect(final, circuit.postselect)
@@ -645,5 +650,7 @@ def execute_series_tomography(
             if draw is not None:
                 draw(probs, term_index)
             frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
-        diagnostics.append({**term.record(), "survival": float(survival)})
+        diagnostics.append(
+            {"order": term.order, "indices": list(term.indices), "weight": term.weight, "survival": survival}
+        )
     return tomography(frequencies), diagnostics

@@ -4,10 +4,10 @@ One JSON config describes an experiment: model, initial state, time grid,
 execution method, mitigation chain and requested outputs.  Records stream
 per time step so long grids never hold every density matrix at once: the
 matrices go to one binary ``states.npy``, each phase-space field to one
-``fields/<name>.npy`` stacked the same way, the per-step diagnostics to
-``run.json`` and the scalar columns to ``trajectory.csv``.  The output
-directory must be new or empty; the tree is staged inside it and appears
-only once every step is written.
+``fields/<name>.npy`` stacked the same way, the series' term table (once)
+and each step's rows and weights over it to ``run.json`` and the scalar
+columns to ``trajectory.csv``.  The output directory must be new or empty;
+the tree is staged inside it and appears only once every step is written.
 Exit codes: 0 success, 2 config/validation error (an output directory that
 holds files included), 3 numerical-check failure.
 """
@@ -151,13 +151,17 @@ class ExperimentConfig:
 
 @dataclass
 class TrajectoryRecord:
+    """One step's outputs.  ``table`` is the run's term table, the same for every step (empty
+    without a series), and ``diagnostics`` the step's ``{"rows", "weights"[, "survivals"]}`` over it."""
+
     t: float
     raw: np.ndarray
     mitigated: np.ndarray
     fidelity_vs_oracle: float
     entropy: float
     observables: dict[str, float]
-    diagnostics: list
+    diagnostics: dict
+    table: tuple[tuple[int, ...], ...]
     fields: dict[str, np.ndarray]
     check_distance: float
     check_bound: float
@@ -272,34 +276,36 @@ def _run_method(
     psi0: QuantumState,
     rho0: np.ndarray,
     ts: list[float],
-) -> Iterator[tuple[np.ndarray | None, list, float]]:
-    """Yield the method's raw state, per-term diagnostics and check bound at
-    each time of ``ts``.  The exact method yields None: its state is the oracle's."""
+) -> Iterator[tuple[np.ndarray | None, tuple, dict, float]]:
+    """Yield the method's raw state, the run's term table, the step's diagnostics over it and
+    the check bound at each time of ``ts``.  The exact method yields None: its state is the oracle's."""
     if config.method == "exact":
         for _t in ts:
-            yield None, [], CHECK_SLACK
+            yield None, (), {}, CHECK_SLACK
     elif config.method == "trotter":
         for out in trotter_trajectory(model, rho0, ts, config.trotter_steps, config.trotter_split):
-            yield out, [], np.inf
+            yield out, (), {}, np.inf
     elif config.series == "factored":
         for t in ts:
             if config.method == "kraus":
-                yield kraus.apply_factored_evolution(model, t, rho0), [], CHECK_SLACK
+                yield kraus.apply_factored_evolution(model, t, rho0), (), {}, CHECK_SLACK
             else:
                 circuit = circuits.build_group_circuit(model, t)
-                yield circuits.apply_group_circuit(circuit, psi0), [], CHECK_SLACK
+                yield circuits.apply_group_circuit(circuit, psi0), (), {}, CHECK_SLACK
     else:
         shots = config.shots if config.method == "kraus-circuit-shots" else None
         trajectory = kraus.series_trajectory(model, ts, config.series, config.order)
         for index, (t, series) in enumerate(zip(ts, trajectory)):
             bound = series.tail_bound + CHECK_SLACK
+            step = {"rows": list(series.rows), "weights": series.weights.tolist()}
             if config.method == "kraus":
-                yield kraus.apply_series(series, rho0), [term.record() for term in series.terms], bound
+                yield kraus.apply_series(series, rho0), series.table, step, bound
             else:
                 rho, diags = circuits.execute_series_tomography(
                     model, series, t, psi0, shots=shots, seed=(config.seed, index)
                 )
-                yield rho, diags, bound if shots is None else np.inf
+                step["survivals"] = [diag["survival"] for diag in diags]
+                yield rho, series.table, step, bound if shots is None else np.inf
 
 
 def _build_mitigation(
@@ -400,7 +406,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
     methods = _run_method(config, work, psi0, rho0, ts)
-    for t, oracle, (raw, diagnostics, bound) in zip(ts, oracles, methods):
+    for t, oracle, (raw, table, diagnostics, bound) in zip(ts, oracles, methods):
         raw = oracle if raw is None else raw
         check_distance = trace_distance(oracle, raw)
         if check_distance == np.inf:
@@ -416,6 +422,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
             entropy=von_neumann_entropy(physical),
             observables=observables,
             diagnostics=diagnostics,
+            table=table,
             fields=fields,
             check_distance=check_distance,
             check_bound=bound,
@@ -426,14 +433,18 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
     """Stream each of the ``steps`` records to the output tree; deterministic layout.
 
     ``trajectory.csv`` gets one row per record under a header taken from the
-    first.  ``run.json`` is one object ``{"steps": [...]}`` with an entry
-    ``{"t", "diagnostics"}`` per record.  Every per-step array goes to one
-    stacked NPY file of shape ``(steps, *shape)`` in C order, whose header
-    is written with the first record and to which each record appends its
-    row: ``states.npy`` is complex128 ``(steps, 2, d, d)``, ``[:, 0]`` the
-    state after the configured noise and ``[:, 1]`` the mitigated one, and
-    each field is float64 ``fields/<name>.npy``, next to the grid axes
-    ``fields/x.npy`` and ``fields/p.npy`` (Wigner rows are indexed ``[x, p]``).
+    first.  ``run.json`` is one object ``{"steps": [...], "table": [...]}``:
+    ``table`` holds the first record's term table once, one ``{"order",
+    "indices"}`` row per term, and ``steps`` an entry ``{"t", **diagnostics}``
+    per record, so a series step gives the table ``rows`` it used, their
+    ``weights`` and, on the circuit path, their ``survivals``.  Every
+    per-step array goes to one stacked NPY file of shape ``(steps, *shape)``
+    in C order, whose header is written with the first record and to which
+    each record appends its row: ``states.npy`` is complex128 ``(steps, 2,
+    d, d)``, ``[:, 0]`` the state after the configured noise and ``[:, 1]``
+    the mitigated one, and each field is float64 ``fields/<name>.npy``, next
+    to the grid axes ``fields/x.npy`` and ``fields/p.npy`` (Wigner rows are
+    indexed ``[x, p]``).
 
     ``outdir`` is created if needed and must hold nothing, or a
     :class:`ConfigError` is raised before the first record is pulled.  The
@@ -454,7 +465,7 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
             run_file = files.enter_context((stage / "run.json").open("w"))
             table = csv.writer(files.enter_context((stage / "trajectory.csv").open("w", newline="")))
             run_file.write('{"steps": [\n')
-            count = 0
+            count, terms = 0, []
             for record in records:
                 row = {
                     "t": record.t,
@@ -470,6 +481,7 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
                 if count == 0:
                     table.writerow(row)
                     first_shapes = shapes
+                    terms = [{"indices": indices, "order": len(indices)} for indices in record.table]
                     if record.fields:
                         (stage / "fields").mkdir()
                         for name, axis in (("x", FIELD_GRID.x), ("p", FIELD_GRID.p)):
@@ -485,11 +497,11 @@ def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: 
                 for name, data in arrays.items():
                     streams[name].write(data)
                 table.writerow([repr(float(value)) for value in row.values()])
-                run_file.write(json.dumps({"t": record.t, "diagnostics": record.diagnostics}, sort_keys=True))
+                run_file.write(json.dumps({"t": record.t, **record.diagnostics}, sort_keys=True))
                 count += 1
             if count != steps:
                 raise ValueError(f"expected {steps} records, got {count}")
-            run_file.write("\n]}\n")
+            run_file.write(f'\n], "table": {json.dumps(terms, sort_keys=True)}}}\n')
         for entry in stage.iterdir():
             entry.rename(outdir / entry.name)
     finally:
@@ -574,7 +586,9 @@ def _cmd_experiment(args) -> int:
                 file=sys.stderr,
             )
             return 3
-        if bound == np.inf:
+        if config.method == "exact":
+            print("check cannot fail: the exact method is the oracle, so it is compared with itself at every step")
+        elif bound == np.inf:
             print(
                 f"check cannot fail: no finite bound exists for method {config.method}; "
                 f"largest trace distance {distance:.3e} at t={t:.6g}"
@@ -590,7 +604,7 @@ def _cmd_kraus(args) -> int:
     if args.out:
         Path(args.out).write_text(json.dumps(to_doc(series), sort_keys=True))
     summary = {
-        "terms": len(series.terms),
+        "terms": len(series.rows),
         "truncation_order": series.truncation_order,
         "tail_bound": series.tail_bound,
     }
@@ -622,6 +636,8 @@ def _cmd_mitigate(args) -> int:
     if not isinstance(pairs, list) or not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
         raise ConfigError(f"{args.pairs} must hold {{'pairs': [[exact, noisy], ...]}}")
     pairs = [(from_doc(np.ndarray, exact), from_doc(np.ndarray, noisy)) for exact, noisy in pairs]
+    if any(mat.ndim != 2 for pair in pairs for mat in pair):
+        raise ConfigError(f"{args.pairs}: each matrix must be a list of rows of [re, im] pairs")
     if args.channel == "pauli":
         channel, report = mitigation.fit_pauli_channel(pairs)
         payload = {"channel": channel, "report": report}

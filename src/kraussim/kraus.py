@@ -34,12 +34,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .lindblad import (
-    ConditionReport,
-    LindbladModel,
-    check_conditions,
-    normalize_lindblads,
-)
+from .lindblad import ConditionReport, LindbladModel, check_conditions, normalize_lindblads
 from .matkernel import sznagy_dilation, _as_matrix, _real
 
 ZERO_OPERATOR_TOL = 1e-14
@@ -54,14 +49,7 @@ class ConditionError(ValueError):
 
 @dataclass(frozen=True)
 class KrausTerm:
-    """One term of the series.
-
-    ``indices`` is the application sequence of Lindblad-operator indices
-    (leftmost applied last), ``weight`` the nonnegative scalar folded out of
-    the operator product, and ``operator`` the materialized
-    ``T(t) @ prod(L)`` product over unit-norm operators.  The full Kraus
-    matrix is ``weight * operator``.
-    """
+    """One term of a series, as :attr:`KrausSeries.terms` builds it; its Kraus matrix is ``weight * operator``."""
 
     order: int
     indices: tuple[int, ...]
@@ -72,17 +60,30 @@ class KrausTerm:
     def matrix(self) -> np.ndarray:
         return self.weight * self.operator
 
-    def record(self) -> dict:
-        """The term's JSON diagnostic: its order, indices and weight."""
-        return {"order": int(self.order), "indices": [int(k) for k in self.indices], "weight": float(self.weight)}
-
 
 @dataclass(frozen=True)
 class KrausSeries:
-    terms: tuple[KrausTerm, ...]
+    """The series at one time over the term table that every point of its run shares.
+
+    ``table`` holds each term's application sequence of Lindblad-operator indices
+    (leftmost applied last), whose length is the term's order.  The point keeps the
+    table ``rows`` of nonzero weight: ``weights`` are their weights and ``operators``
+    their ``(K, d, d)`` stack of ``T(t) @ prod(L)`` over unit-norm operators, so term
+    k's Kraus matrix is ``weights[k] * operators[k]``.
+    """
+
+    table: tuple[tuple[int, ...], ...]
+    rows: tuple[int, ...]
+    weights: np.ndarray
+    operators: np.ndarray
     truncation_order: int
     tail_bound: float
-    dim: int
+
+    @property
+    def terms(self) -> tuple[KrausTerm, ...]:
+        """The kept terms as :class:`KrausTerm` objects, built on each read."""
+        kept = [self.table[row] for row in self.rows]
+        return tuple(KrausTerm(len(ind), ind, w, op) for ind, w, op in zip(kept, self.weights.tolist(), self.operators))
 
 
 @dataclass(frozen=True)
@@ -228,9 +229,7 @@ def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.nd
 
 def _require_conditions(report: ConditionReport) -> None:
     if not report.all_satisfied:
-        raise ConditionError(
-            "commutation conditions unsatisfied: " + ", ".join(report.failing())
-        )
+        raise ConditionError("commutation conditions unsatisfied: " + ", ".join(report.failing()))
 
 
 def _require_structure(prep: PreparedModel) -> None:
@@ -273,11 +272,11 @@ def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     """Channel action ``sum_k K rho K^dag`` of a materialized series, as the complex
     ``(dim, dim)`` array of that sum, neither validated nor symmetrized."""
     rho = _as_matrix(rho0)
-    if rho.shape != (series.dim, series.dim):
+    if rho.shape != series.operators.shape[1:]:
         raise ValueError("state dimension does not match the series")
     out = np.zeros_like(rho)
-    for term in series.terms:
-        k = term.matrix
+    for weight, operator in zip(series.weights, series.operators):
+        k = weight * operator
         out += k @ rho @ k.conj().T
     return out
 
@@ -320,22 +319,19 @@ def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> Gro
     for op in norm_model.lindblads:
         power = np.eye(dim, dtype=complex)
         abs_op, abs_power = np.abs(op), np.eye(dim)  # |L| and |L|^l
-        found = False
         for ell in range(1, dim + 1):
             power = power @ op
             abs_power = abs_power @ abs_op
             if np.abs(power).max() <= ell * dim * eps * min(1.0, abs_power.max()):
                 periods.append(ell)
                 thetas.append(0.0)
-                found = True
                 break
             c = np.trace(power) / dim
             if np.abs(power - c * np.eye(dim)).max() < GROUP_DETECT_TOL and abs(c) > GROUP_DETECT_TOL:
                 periods.append(ell)
                 thetas.append(float(abs(c) ** 2))
-                found = True
                 break
-        if not found:
+        else:
             return None
     for a in range(len(norm_model.lindblads)):
         for b in range(a + 1, len(norm_model.lindblads)):
@@ -360,15 +356,16 @@ def series_trajectory(
     """Yield the series at each time of ``ts``: ``reduced``, ``truncated`` at ``order``, or ``auto``.
 
     ``auto`` picks ``reduced`` exactly when the model has power-law structure.
-    The operator products do not depend on time, so the term table is built
-    once and terms whose product vanishes are pruned; each point only builds
-    ``T(t)``, the weights and the tail bound.  ``reduced`` is the exact finite
-    series, one term per power vector ``(m_1 .. m_N)`` with ``m_n < period_n``
-    and weight ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated``
-    has one term per index vector of length ``<= order`` over the unit-norm
-    operators; nilpotent systems terminate on their own.  A truncated table
-    that would pass ``MAX_SERIES_TERMS`` is refused with a ``ValueError``
-    before the level that passes it is built.
+    The operator products do not depend on time, so the term table and the
+    stack of its products are built once, terms whose product vanishes pruned;
+    each point only builds ``T(t)``, one batched ``T(t) @ stack``, the weights
+    and the tail bound.  ``reduced`` is the exact finite series, one term per
+    power vector ``(m_1 .. m_N)`` with ``m_n < period_n`` and weight
+    ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated`` has one term
+    per index vector of length ``<= order`` over the unit-norm operators;
+    nilpotent systems terminate on their own.  A truncated table that would
+    pass ``MAX_SERIES_TERMS`` is refused with a ``ValueError`` before the
+    level that passes it is built.
     """
     prep = prepare(model)
     if variant == "auto":
@@ -378,12 +375,13 @@ def series_trajectory(
         _require_structure(prep)
         _require_conditions(prep.report)
         work, structure = prep.rescaled, prep.structure
-        table = []  # (indices, product, power vector)
+        entries = []  # (indices, product, power vector)
         for powers in itertools.product(*(range(ell) for ell in structure.periods)):
             indices = tuple(n for n, m_n in enumerate(powers) for _ in range(m_n))
             product = functools.reduce(np.matmul, (work.lindblads[n] for n in indices), eye)
             if np.abs(product).max() >= ZERO_OPERATOR_TOL:
-                table.append((indices, product, powers))
+                entries.append((indices, product, powers))
+        del product
         order = sum(ell - 1 for ell in structure.periods)
         terminates = True
     elif variant == "truncated":
@@ -391,10 +389,10 @@ def series_trajectory(
             raise ValueError("truncation order must be nonnegative")
         _require_conditions(prep.report)
         work = prep.normalized
-        table, frontier = [], [((), eye)]
+        entries, frontier = [], [((), eye)]
         for _ in range(order):
-            table += frontier
-            if len(table) + len(frontier) * len(work.lindblads) > MAX_SERIES_TERMS:
+            entries += frontier
+            if len(entries) + len(frontier) * len(work.lindblads) > MAX_SERIES_TERMS:
                 raise ValueError(
                     f"a truncated series of order {order} over {len(work.lindblads)} operators "
                     f"would exceed {MAX_SERIES_TERMS} terms; lower the order"
@@ -404,17 +402,22 @@ def series_trajectory(
             ]
             frontier = [(indices, prod) for indices, prod in frontier if np.abs(prod).max() >= ZERO_OPERATOR_TOL]
         # (indices, product, sqrt(prod gamma_k / m!)); the weight is the last times sqrt(f(t)^m)
-        table = [
+        entries = [
             (ind, prod, math.sqrt(math.prod(work.gammas[k] for k in ind) / math.factorial(len(ind))))
-            for ind, prod in table + frontier
+            for ind, prod in entries + frontier
         ]
         # A vanishing frontier terminates the series exactly (every longer
         # product contains a vanishing factor), so no trace weight is discarded.
         terminates = all(
             np.abs(prod @ op).max() < ZERO_OPERATOR_TOL for _indices, prod in frontier for op in work.lindblads
         )
+        del frontier
     else:
         raise ValueError(f"unknown series variant {variant!r}; choose auto, reduced or truncated")
+    # the products live on only in the stack, so the run holds one copy of them
+    table, products, factors = zip(*entries)
+    stack = np.array(products)
+    del entries, products, eye
 
     for t in ts:
         t_op = effective_evolution(prep, t)
@@ -426,20 +429,17 @@ def series_trajectory(
                     [math.sqrt(gen_hyperbolic(ell, m, theta, g * f_t)) for m in range(ell)]
                     for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
                 ]
-                weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for _, _, powers in table]
+                weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for powers in factors]
             else:
-                weights = [scale * math.sqrt(f_t ** len(indices)) for indices, _, scale in table]
+                weights = [scale * math.sqrt(f_t ** len(indices)) for indices, scale in zip(table, factors)]
         except OverflowError:  # a float power overflows with an exception, not with inf
             weights = [math.inf]
         if not all(math.isfinite(weight) for weight in weights):
             raise _weight_overflow(t, max(work.gammas) * f_t)
-        terms = tuple(
-            KrausTerm(len(indices), indices, weight, t_op @ product)
-            for weight, (indices, product, _) in zip(weights, table)
-            if weight != 0.0
-        )
+        kept = [row for row, weight in enumerate(weights) if weight != 0.0]
+        operators = t_op @ (stack if len(kept) == len(table) else stack[kept])
         tail = 0.0 if terminates else _series_tail(f_t * sum(work.gammas), order)
-        yield KrausSeries(terms, order, tail, prep.dim)
+        yield KrausSeries(table, tuple(kept), np.array([weights[row] for row in kept]), operators, order, tail)
 
 
 def build_series(model: LindbladModel | PreparedModel, t: float, variant: str, order: int) -> KrausSeries:

@@ -322,8 +322,9 @@ def from_doc(kind, doc):
     """Inverse of :func:`to_doc` for ``kind``, a dataclass or a type hint.
 
     Unknown dataclass fields are rejected.  A ``complex`` is an ``[re, im]``
-    pair, and an ``np.ndarray`` a real vector or a complex matrix of such pairs;
-    their entries are numbers, never strings or booleans.
+    pair, and an ``np.ndarray`` a real vector or a complex array of any rank,
+    nested lists of such pairs; their entries are numbers, never strings or
+    booleans.
     """
     if dataclasses.is_dataclass(kind):
         hints = typing.get_type_hints(kind)
@@ -347,8 +348,8 @@ def from_doc(kind, doc):
         arr = _numbers(doc, "an array")
         if arr.ndim == 1:
             return arr
-        if arr.ndim != 3 or arr.shape[-1] != 2:
-            raise ValueError(f"a matrix must be nested [re, im] pairs, got shape {arr.shape}")
+        if arr.shape[-1:] != (2,):
+            raise ValueError(f"a complex array must be nested [re, im] pairs, got shape {arr.shape}")
         return arr.view(complex)[..., 0]
     return doc
 

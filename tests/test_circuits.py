@@ -231,6 +231,25 @@ def test_postselect_and_trace_out_take_integer_indices(index):
     assert np.abs(qc.trace_out(bell, [np.int64(1)]) - np.eye(2) / 2).max() < 1e-12
 
 
+@pytest.mark.parametrize("index", [5, -1], ids=["past-the-register", "negative"])
+def test_postselect_and_trace_out_refuse_an_index_out_of_range(index):
+    bell = np.zeros(4, dtype=complex)
+    bell[0] = bell[3] = 1 / np.sqrt(2)
+    with pytest.raises(ValueError, match="^ancilla index out of range$"):
+        qc.postselect(bell, [index])
+    with pytest.raises(ValueError, match="^qubit index out of range$"):
+        qc.trace_out(bell, [index])
+
+
+@pytest.mark.parametrize("num_ancillas", [0, 1, 3])
+def test_embed_state_tensors_the_system_with_zero_ancillas(rng, num_ancillas):
+    amps = random_state(rng, 4)
+    ancillas = np.zeros(2**num_ancillas)
+    ancillas[0] = 1.0  # |0...0>
+    got = qc.embed_state(qc.Circuit(2, num_ancillas, ()), amps)
+    assert got.dtype == complex and np.array_equal(got, np.kron(amps, ancillas))
+
+
 def test_kraus_circuit_order_zero_is_t_block(qho_spec, initial_states):
     model = lb.normalize_lindblads(qho_spec.model)
     series = kraus.build_tp_series(qho_spec.model, 0.8, 0)

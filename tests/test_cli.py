@@ -545,6 +545,15 @@ def test_experiment_check_says_when_no_finite_bound_exists(tmp_path, capsys, met
     assert "inf" not in out
 
 
+def test_experiment_check_says_the_exact_method_cannot_fail(tmp_path, capsys):
+    # the exact method's state is the oracle, so its distance to the oracle is 0 by construction
+    argv = ["experiment", "--preset", "pauli-xx-zz", "--method", "exact", "--steps", 3, "--check"]
+    assert run([*argv, "--out", tmp_path / "o"]) == 0
+    out = capsys.readouterr().out
+    assert "check cannot fail: the exact method is the oracle, so it is compared with itself at every step" in out
+    assert "check passed" not in out
+
+
 def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
     # the order-2 tail bound grows from 1e-9 at t=0 and is clipped at 1 from
     # t~0.74 on; the 0.21 distance at t=3 is inside its own bound, not inside the t=0 one
@@ -569,9 +578,9 @@ def test_kraus_check_fails_on_a_corrupted_weight(tmp_path, capsys, monkeypatch):
     def corrupted(model, ts, variant, order):
         for index, series in enumerate(real(model, ts, variant, order)):
             if index == 5:
-                term = series.terms[0]
-                terms = (dataclasses.replace(term, weight=1.001 * term.weight), *series.terms[1:])
-                series = dataclasses.replace(series, terms=terms)
+                weights = series.weights.copy()
+                weights[0] *= 1.001
+                series = dataclasses.replace(series, weights=weights)
             yield series
 
     monkeypatch.setattr(kraus, "series_trajectory", corrupted)
@@ -742,7 +751,7 @@ def test_experiment_condition_failure_exit_code(tmp_path):
 
 def _one_qubit_record(wigner_shape=(3, 3)):
     mat = np.eye(2) / 2
-    return cli.TrajectoryRecord(0.0, mat, mat, 1.0, 0.0, {}, [], {"wigner": np.zeros(wigner_shape)}, 0.0, 0.0)
+    return cli.TrajectoryRecord(0.0, mat, mat, 1.0, 0.0, {}, {}, (), {"wigner": np.zeros(wigner_shape)}, 0.0, 0.0)
 
 
 def test_emit_report_removes_partial_outputs(tmp_path):
@@ -964,7 +973,9 @@ def test_states_npy_holds_each_records_raw_and_mitigated_matrix(tmp_path):
     [("kraus", {}), ("kraus-circuit-shots", {"shots": 64, "seed": 3})],
     ids=["kraus", "kraus-circuit-shots"],
 )
-def test_run_json_has_one_entry_per_trajectory_row(tmp_path, method, extra):
+def test_run_json_rebuilds_each_steps_terms_from_the_table(tmp_path, method, extra):
+    # run.json holds the term table once; each step's rows, weights and survivals rebuild the
+    # {order, indices, weight[, survival]} of every term that the series and the circuits gave
     doc = {
         "model": "qho-damped",
         "state": "qho-oscillating",
@@ -973,18 +984,29 @@ def test_run_json_has_one_entry_per_trajectory_row(tmp_path, method, extra):
         "order": 3,
         **extra,
     }
-    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
     assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "o"]) == 0
-    steps = json.loads((tmp_path / "o" / "run.json").read_text())["steps"]
+    written = json.loads((tmp_path / "o" / "run.json").read_text())
     rows = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[1:]
-    assert len(steps) == len(rows) == 3
-    keys = {"order", "indices", "weight"} | ({"survival"} if method == "kraus-circuit-shots" else set())
-    for entry, row, record in zip(steps, rows, records):
-        assert set(entry) == {"t", "diagnostics"}
-        assert entry["t"] == float(row.split(",")[0]) == record.t
-        assert entry["diagnostics"] == record.diagnostics and entry["diagnostics"]
-        for term in entry["diagnostics"]:
-            assert set(term) == keys
+    assert set(written) == {"steps", "table"} and len(written["steps"]) == len(rows) == 3
+    prep = kraus.prepare(models.build_model("qho-damped").model)
+    psi0 = models.benchmark_initial_states()["qho-oscillating"]
+    ts = [0.0, 0.5, 1.0]
+    keys = {"t", "rows", "weights"} | ({"survivals"} if "shots" in extra else set())
+    trajectory = kraus.series_trajectory(prep, ts, "auto", 3)
+    for index, (entry, row, series) in enumerate(zip(written["steps"], rows, trajectory)):
+        assert written["table"] == [{"order": len(indices), "indices": list(indices)} for indices in series.table]
+        assert set(entry) == keys and entry["t"] == float(row.split(",")[0]) == ts[index]
+        if "shots" in extra:
+            seed = (extra["seed"], index)
+            _, want = circuits.execute_series_tomography(prep, series, ts[index], psi0, extra["shots"], seed)
+        else:
+            want = [
+                {"order": term.order, "indices": list(term.indices), "weight": term.weight} for term in series.terms
+            ]
+        rebuilt = [{**written["table"][r], "weight": w} for r, w in zip(entry["rows"], entry["weights"], strict=True)]
+        for term, survival in zip(rebuilt, entry.get("survivals", [])):
+            term["survival"] = survival
+        assert rebuilt == want and want
 
 
 def test_kraus_rerun_is_byte_identical(tmp_path):
@@ -1024,7 +1046,8 @@ def test_kraus_subcommand(tmp_path, capsys):
     assert summary["tail_bound"] == 0.0
     assert summary["output_trace"] == pytest.approx(1.0, abs=1e-9)
     doc = json.loads(out_file.read_text())
-    assert len(doc["terms"]) == 4
+    assert len(doc["table"]) == len(doc["rows"]) == len(doc["weights"]) == 4
+    assert np.shape(doc["operators"]) == (4, 4, 4, 2)  # (terms, d, d, [re, im])
 
 
 def test_circuit_subcommand(tmp_path):

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import re
@@ -167,9 +168,7 @@ def test_tp_series_matches_oracle_schwinger(schwinger_spec, initial_states):
 
 def test_apply_series_identity_only(initial_states):
     rho0 = initial_states["pauli-xx-zz"].density()
-    series = kraus.KrausSeries(
-        (kraus.KrausTerm(0, (), 1.0, np.eye(4, dtype=complex)),), 0, 0.0, 4
-    )
+    series = kraus.KrausSeries(((),), (0,), np.ones(1), np.eye(4, dtype=complex)[None], 0, 0.0)
     out = kraus.apply_series(series, rho0)
     assert np.abs(out - rho0.matrix).max() == 0.0
 
@@ -646,6 +645,52 @@ def test_random_rotated_damped_mode_round_trip(n_max, omega, gamma, seed, t):
     rng = np.random.default_rng(seed)
     model = haar_rotated(models.damped_qho_model(omega, gamma, n_max), rng)
     _damped_mode_round_trip(model, n_max, rng, t)
+
+
+def _table_round_trip(model, t, order):
+    """Each point keeps exactly the table rows of nonzero weight, each weight the per-term formula of
+    its variant, and stacks ``T(t) @ prod(L)`` of those rows bit for bit; the run shares one table."""
+    prep = kraus.prepare(model)
+    eye = np.eye(model.dim, dtype=complex)
+    for variant in ("reduced", "truncated") if prep.structure is not None else ("truncated",):
+        work = prep.rescaled if variant == "reduced" else prep.normalized
+        trajectory = list(kraus.series_trajectory(prep, [0.0, t], variant, order))
+        for time, series in zip([0.0, t], trajectory):
+            assert series.table is trajectory[0].table
+            f_t = kraus.f_of_t(prep.report.alpha, time)
+            weights = []
+            for indices in series.table:
+                if variant == "reduced":
+                    structure, powers = prep.structure, [indices.count(n) for n in range(len(work.lindblads))]
+                    roots = [
+                        math.sqrt(kraus.gen_hyperbolic(ell, m, theta, g * f_t))
+                        for ell, theta, g, m in zip(structure.periods, structure.thetas, work.gammas, powers)
+                    ]
+                    weights.append(math.prod(roots))
+                else:
+                    scale = math.sqrt(math.prod(work.gammas[k] for k in indices) / math.factorial(len(indices)))
+                    weights.append(scale * math.sqrt(f_t ** len(indices)))
+            assert series.rows == tuple(row for row, weight in enumerate(weights) if weight != 0.0)
+            assert series.weights.tolist() == [weights[row] for row in series.rows]
+            t_op = kraus.effective_evolution(prep, time)
+            assert series.operators.shape == (len(series.rows), model.dim, model.dim)
+            for row, operator in zip(series.rows, series.operators):
+                product = functools.reduce(np.matmul, (work.lindblads[k] for k in series.table[row]), eye)
+                assert np.array_equal(operator, t_op @ product)
+
+
+TABLE_MODELS = st.one_of(
+    pauli_channels().map(lambda model: (model, 3)),
+    clock_models().map(lambda model: (model, 3)),
+    st.builds(lambda n_max, omega, gamma: (models.damped_qho_model(omega, gamma, n_max), n_max), **DAMPED_MODES),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=TABLE_MODELS, t=st.floats(0.0, 3.0))
+def test_series_table_stacks_each_product_and_weighs_each_term(case, t):
+    model, order = case
+    _table_round_trip(model, t, order)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

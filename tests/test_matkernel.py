@@ -219,6 +219,15 @@ def test_doc_codec_converts_numpy_values_and_round_trips_exactly():
     assert mk.from_doc(np.ndarray, doc["eps"]).dtype == float
 
 
+def test_doc_codec_reads_a_complex_array_of_any_rank_as_pairs(rng):
+    # one rule for a state vector, a matrix and a stack of matrices: the last axis is [re, im]
+    for shape in ((4,), (4, 4), (3, 4, 4)):
+        value = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert_json_round_trip(value, np.ndarray)
+    with pytest.raises(ValueError, match=re.escape("a complex array must be nested [re, im] pairs, got shape (2, 3)")):
+        mk.from_doc(np.ndarray, [[1, 2, 3], [4, 5, 6]])
+
+
 @pytest.mark.parametrize(
     "kind, doc, bad",
     [
