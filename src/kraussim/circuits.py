@@ -1,9 +1,10 @@
 """Gate-level realization of Kraus terms, statevector emulation and tomography.
 
-Qubit 0 is the most significant bit of basis labels.  Circuits put system
-qubits first (indices ``0 .. S-1``) and ancillas after them.  Non-unitary
-blocks enter through unitary dilations and block encodings whose ancillas
-are post-selected on reading 0; group-structured factors instead keep their
+Qubit 0 is the most significant bit of basis labels.  Circuits put system qubits first
+(indices ``0 .. S-1``) and ancillas after them; a Kraus term puts T(t)'s contraction
+ancilla first, so all terms of one :func:`execute_series_tomography` call share one T(t)
+block.  Non-unitary blocks enter through unitary dilations and block encodings whose
+ancillas are post-selected on reading 0; group-structured factors instead keep their
 ancilla registers, which purify the channel mixture.
 """
 
@@ -72,16 +73,17 @@ class Gate:
         if len(set(targets + controls)) != len(targets) + len(controls):
             raise ValueError(f"gate qubits must be distinct, got targets {targets} and controls {controls}")
         if self.kind == "unitary":
-            mat = np.asarray(self.matrix, dtype=complex)
-            if mat.shape != (2 ** len(targets), 2 ** len(targets)):
+            core = np.asarray(self.matrix, dtype=complex)
+            if core.shape != (2 ** len(targets), 2 ** len(targets)):
                 raise ValueError("unitary matrix shape does not match target count")
-            defect = np.abs(mat.conj().T @ mat - np.eye(mat.shape[0])).max()
+            defect = np.abs(core.conj().T @ core - np.eye(core.shape[0])).max()
             if defect > 1e-9:
                 raise ValueError(f"matrix is not unitary (defect {defect})")
-            object.__setattr__(self, "matrix", mat)
+            object.__setattr__(self, "matrix", core)
         elif self.kind in _ROTATIONS:
             object.__setattr__(self, "angle", _real(self.angle, f"{self.kind} gate angle"))
-        elif self.kind not in _SINGLE_QUBIT:
+            core = _ROTATIONS[self.kind](self.angle)
+        elif (core := _SINGLE_QUBIT.get(self.kind)) is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.angle is not None and self.kind not in _ROTATIONS:
             raise ValueError(f"{self.kind} gate takes no angle")
@@ -91,11 +93,11 @@ class Gate:
             raise ValueError(f"{self.kind} gate takes exactly one target")
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "controls", controls)
+        object.__setattr__(self, "_core", core)  # not a field: to_doc, from_doc and == never see it
 
     def unitary(self) -> np.ndarray:
-        """Dense matrix of the uncontrolled core on the target qubits."""
-        rotation = _ROTATIONS.get(self.kind)
-        return rotation(self.angle) if rotation else _SINGLE_QUBIT.get(self.kind, self.matrix)
+        """Dense matrix of the uncontrolled core on the target qubits, built once per gate."""
+        return self._core
 
 
 def cnot(control: int, target: int) -> Gate:
@@ -379,18 +381,16 @@ def build_kraus_circuit(
 ) -> Circuit:
     """Circuit for one Kraus term: dilations of each applied operator, then T(t).
 
-    One fresh ancilla per operator application carries the unitary dilation;
-    one more carries the diagonal contraction of T.  Post-selecting every
-    ancilla on 0 leaves the system in ``T prod(L) |psi>`` normalized, with
-    survival probability equal to its squared norm.  Calls for one (model,
-    t, scheme) that pass one ``_shared`` dict build each dilation gate, per
-    (operator, slot), and each T(t) block, per order, once between them.
+    Qubits are the system, T's contraction ancilla at ``n_sys``, then one dilation ancilla per operator
+    application (slot s at ``n_sys + 1 + s``), so the T(t) block depends on t alone.  Post-selecting
+    every ancilla on 0 leaves ``T prod(L) |psi>`` normalized, with survival probability its squared
+    norm.  Calls for one (model, t, scheme) that pass one ``_shared`` dict build each dilation gate,
+    keyed (slot, operator), and the T(t) block, keyed t, once.
     """
     shared = {} if _shared is None else _shared
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
-    m = term.order
-    total_anc = m + 1
+    total_anc = term.order + 1
     if n_sys + total_anc > DEFAULT_ANCILLA_BUDGET:
         raise ValueError(f"term needs {n_sys + total_anc} qubits, over the budget {DEFAULT_ANCILLA_BUDGET}")
     system = list(range(n_sys))
@@ -398,11 +398,11 @@ def build_kraus_circuit(
     # Rightmost factor in the operator product acts first.
     for slot, op_index in enumerate(reversed(term.indices)):
         if (slot, op_index) not in shared:
-            shared[slot, op_index] = Gate("unitary", (n_sys + slot, *system), matrix=prep.dilations[op_index])
+            shared[slot, op_index] = Gate("unitary", (n_sys + 1 + slot, *system), matrix=prep.dilations[op_index])
         gates.append(shared[slot, op_index])
-    if m not in shared:
-        shared[m] = _t_block_gates(prep, t, system, n_sys + m, scheme)
-    return Circuit(n_sys, total_anc, (*gates, *shared[m]), postselect=tuple(range(n_sys, n_sys + total_anc)))
+    if t not in shared:
+        shared[t] = _t_block_gates(prep, t, system, n_sys, scheme)
+    return Circuit(n_sys, total_anc, (*gates, *shared[t]), postselect=tuple(range(n_sys, n_sys + total_anc)))
 
 
 def _controlled_operator_gates(op: np.ndarray, control: int, system: list[int]) -> list[Gate]:

@@ -275,7 +275,7 @@ def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     if rho.shape != series.operators.shape[1:]:
         raise ValueError("state dimension does not match the series")
     out = np.zeros_like(rho)
-    for weight, operator in zip(series.weights, series.operators):
+    for weight, operator in zip(series.weights.tolist(), series.operators):
         k = weight * operator
         out += k @ rho @ k.conj().T
     return out

@@ -652,7 +652,52 @@ def test_series_tomography_builds_each_dilation_and_t_block_once(pauli_spec, qho
     qc.execute_series_tomography(prep, series, 0.7, initial_states[state], shots=16)
     slots = {(slot, k) for term in series.terms for slot, k in enumerate(reversed(term.indices))}
     assert len(dilations) == len(set(dilations)) == len(slots)
-    assert sorted(t_blocks) == sorted({term.order for term in series.terms})
+    assert t_blocks == [0]  # one T(t) block per call, on the contraction ancilla n_sys
+
+
+@pytest.mark.parametrize("case", ["pauli-xx-zz", "qho-damped-gray", "haar-rotated"])
+def test_kraus_circuits_of_one_call_share_one_t_block_on_the_contraction_ancilla(
+    pauli_spec, qho_spec, initial_states, monkeypatch, case
+):
+    model, state, scheme = _tomography_cases(pauli_spec, qho_spec)[case]
+    prep = kraus.prepare(model)
+    series = kraus.build_tp_series(prep, 0.7, 3)
+    n_sys = qc.qubit_count(prep.dim, "system dimension")
+    system, build = tuple(range(n_sys)), qc.build_kraus_circuit
+    ran = _run_with_scheme(monkeypatch, scheme)
+    qc.execute_series_tomography(prep, series, 0.7, initial_states[state], shots=16)
+    assert len(ran) == len(series.terms) and {term.order for term in series.terms} == {0, 1, 2, 3}
+    block = ran[0].gates[series.terms[0].order :]
+    assert block and any(n_sys in g.targets + g.controls for g in block)
+    assert all(set(g.targets + g.controls) <= {*system, n_sys} for g in block)
+    for term, circuit in zip(series.terms, ran):
+        tail = circuit.gates[term.order :]
+        assert len(tail) == len(block) and all(got is want for got, want in zip(tail, block))
+        dilations = circuit.gates[: term.order]
+        assert [g.targets for g in dilations] == [(n_sys + 1 + s, *system) for s in range(term.order)]
+        for gate, k in zip(dilations, reversed(term.indices)):
+            assert gate.matrix.tobytes() == prep.dilations[k].tobytes()
+        assert circuit.postselect == tuple(range(n_sys, n_sys + term.order + 1))
+    # the block is keyed by t: a dict shared with another time gets that time's block
+    shared = {}
+    first, later = (build(series.terms[-1], prep, t, scheme, _shared=shared) for t in (0.7, 1.3))
+    fresh = build(series.terms[-1], prep, 1.3, scheme)
+    assert [_gate_record(g) for g in later.gates] == [_gate_record(g) for g in fresh.gates]
+    assert [_gate_record(g) for g in later.gates] != [_gate_record(g) for g in first.gates]
+
+
+def test_gate_unitary_is_the_core_of_its_kind():
+    cores = [(qc.Gate(kind, (0,)), qc._SINGLE_QUBIT[kind]) for kind in "xyzh"]
+    for kind, angle in itertools.product(qc._ROTATIONS, [0.0, 0.3, -2.1, 7]):
+        cores.append((qc.Gate(kind, (0,), (1,), angle=angle), qc._ROTATIONS[kind](float(angle))))
+    u = haar_unitary(np.random.default_rng(3), 4)
+    cores.append((qc.Gate("unitary", (0, 2), matrix=u), u))
+    for gate, core in cores:
+        assert gate.unitary().tobytes() == np.asarray(core, dtype=complex).tobytes()
+        assert gate.unitary() is gate.unitary()
+        doc = to_doc(gate)
+        assert "_core" not in doc and from_doc(qc.Gate, doc).unitary().tobytes() == gate.unitary().tobytes()
+    assert qc.Gate("ry", (0,), angle=0.3) == qc.Gate("ry", (0,), angle=0.3) != qc.Gate("ry", (0,), angle=0.4)
 
 
 def test_serialized_series_drives_circuits(qho_spec, initial_states):
