@@ -34,6 +34,7 @@ ANGLE_PRUNE_TOL = 1e-12
 SCHEME_BINARY = "binary"
 SCHEME_GRAY = "gray"
 DEFAULT_ANCILLA_BUDGET = 16
+MAX_SHOTS = 2**63 - 1  # numpy draws int64 counts
 
 _SINGLE_QUBIT = {
     **{letter.lower(): PAULI[letter] for letter in "XYZ"},
@@ -438,7 +439,7 @@ def build_group_circuit(
         raise ValueError("evolution time must be nonnegative")
     prep = prepare(model)
     _require_abelian(prep)
-    work = prep.rescaled
+    work = prep.normalized
     n_sys = qubit_count(work.dim, "system dimension")
     system = list(range(n_sys))
     gates: list[Gate] = []
@@ -601,8 +602,8 @@ def _shot_draws(seed, shots: int, shape: tuple[int, ...]):
     by the ``shots`` outcome counts of ``default_rng(SeedSequence([*seed, *index, r]))`` (of ``default_rng(seed)``
     when ``shape=()``), reseeding one generator per row from seed words hashed for all of ``shape`` at once and
     read as Python ints once per call of ``draw``; ``seed`` is non-negative integers."""
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must be >= 1 and <= {MAX_SHOTS}, got {shots}")
     seed_words = _seed_words([*_entropy_words(seed), *np.indices(shape, np.uint32)])
     rng = np.random.Generator(np.random.PCG64(0))
 

@@ -111,8 +111,8 @@ class ExperimentConfig:
         if not 0 <= times[0] <= times[1] < np.inf:
             raise ConfigError("need finite times with 0 <= start <= stop")
         if self.method == "kraus-circuit-shots":
-            if self.shots is None or self.shots < 1:
-                raise ConfigError("shot mode needs shots >= 1")
+            if self.shots is None or not 1 <= self.shots <= circuits.MAX_SHOTS:
+                raise ConfigError(f"shot mode needs 1 <= shots <= {circuits.MAX_SHOTS}, got {self.shots}")
             if self.series == "factored":
                 raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):

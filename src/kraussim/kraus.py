@@ -9,7 +9,7 @@ products once and yields a time grid of either
 
 * the general truncated series over all index vectors up to order M, or
 * the exact finite series for operators with power-law structure
-  (``L^l = c I`` or ``L^l = 0`` plus commutativity up to phase);
+  (``L^l = c I`` with ``|c| = 1``, or ``L^l = 0``, plus commutativity up to phase);
 
 ``build_series`` and its two fixed-variant forms are its one-point calls.
 The factored channel, one operator at a time, is valid for the abelian case.
@@ -88,8 +88,8 @@ class KrausSeries:
 
 @dataclass(frozen=True)
 class GroupStructure:
-    """Per-operator power law: ``L^period = c I`` with ``theta = |c|^2``,
-    or ``L^period = 0`` with ``theta = 0``."""
+    """Per-operator power law of unit-norm operators: ``L^period = c I`` with ``|c| = 1``
+    and ``theta = 1``, or ``L^period = 0`` with ``theta = 0``."""
 
     periods: tuple[int, ...]
     thetas: tuple[float, ...]
@@ -103,26 +103,23 @@ class GroupStructure:
 class PreparedModel:
     """Time-independent data of a Lindblad model, built once by :func:`prepare`.
 
-    ``normalized`` has unit-norm jump operators and ``report`` is its
-    condition report.  ``rescaled`` further polishes every non-nilpotent
-    theta to exactly 1 and ``structure`` describes it (thetas 1, or 0 when
-    nilpotent); both are None when the operators lack power-law structure.
-    ``spectrum`` is the shared eigenbasis ``(u, energies, decays)`` of
-    ``normalized``, None when conditions (i) or (ii) fail.  ``dilations``
-    holds the Sz.-Nagy dilation of each operator of ``normalized``.
+    ``normalized``, the model with unit-norm jump operators, is the one
+    operator set that every construction reads.  ``report`` is its condition
+    report and ``structure`` its power law, None when the operators lack one.
+    ``spectrum`` is its shared eigenbasis ``(u, energies, decays)``, None
+    when conditions (i) or (ii) fail, and ``dilations`` holds the Sz.-Nagy
+    dilation of each of its operators.
     """
 
-    model: LindbladModel
     normalized: LindbladModel
     report: ConditionReport
     structure: GroupStructure | None
-    rescaled: LindbladModel | None
     spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     dilations: tuple[np.ndarray, ...]
 
     @property
     def dim(self) -> int:
-        return self.model.dim
+        return self.normalized.dim
 
 
 def f_of_t(alpha: float, t: float) -> float:
@@ -186,24 +183,11 @@ def prepare(model: LindbladModel | PreparedModel) -> PreparedModel:
     normalized = normalize_lindblads(model)
     report = check_conditions(normalized)
     structure = detect_group_structure(normalized, unit_norm=True)
-    rescaled = None
-    if structure is not None:
-        scales = [
-            1.0 if theta == 0.0 else theta ** (1.0 / (2 * ell))
-            for ell, theta in zip(structure.periods, structure.thetas)
-        ]
-        rescaled = LindbladModel(
-            model.hamiltonian,
-            tuple(op / b for op, b in zip(normalized.lindblads, scales)),
-            tuple(b * b * g for g, b in zip(normalized.gammas, scales)),
-        )
-        thetas = tuple(0.0 if theta == 0.0 else 1.0 for theta in structure.thetas)
-        structure = GroupStructure(structure.periods, thetas)
     spectrum = None
     if report.hamiltonian_commutes and report.dissipators_commute:
         spectrum = effective_spectrum(normalized)
     dilations = tuple(sznagy_dilation(op) for op in normalized.lindblads)
-    return PreparedModel(model, normalized, report, structure, rescaled, spectrum, dilations)
+    return PreparedModel(normalized, report, structure, spectrum, dilations)
 
 
 def _require_spectrum(prep: PreparedModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -300,16 +284,20 @@ def gen_hyperbolic(ell: int, m: int, theta: float, x: float) -> float:
 def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> GroupStructure | None:
     """Operator-level power-law detection on the unit-norm form of a model.
 
-    Looks for the smallest ``l <= dim`` with ``L^l`` proportional to the
-    identity (theta = |c|^2) or zero (theta = 0), and verifies pairwise
-    commutation up to a phase.  ``L^l`` counts as zero only at rounding
-    level: when no entry exceeds ``l * dim * eps`` times the smaller of 1
-    (the norm of the unit-norm power) and the largest entry of ``|L|^l``
-    (the entrywise scale of its rounding error).  So a small but exactly
-    formed power, such as the 63rd of the unit-norm ladder operator at
-    d = 64 (largest entry 9e-14), is kept.  Returns None when any operator
-    lacks the structure; absence is a valid outcome, not an error.
-    ``unit_norm=True`` skips normalizing operators that already have unit norm.
+    Looks for the smallest ``l <= dim`` with ``L^l = c I``, ``|c| = 1``
+    (theta = 1) or ``L^l = 0`` (theta = 0), and verifies pairwise
+    commutation up to a phase.  A unit-norm ``L`` with ``L^l = c I`` has
+    ``|c| <= 1``, and alone it fails condition (iv), ``[L^dag L, L] =
+    lambda L``, when ``|c| < 1``: ``lambda != 0`` makes ``L`` nilpotent and
+    ``lambda = 0`` normal, so such an operator gets no structure.  ``L^l``
+    counts as zero only at rounding level: when no entry exceeds
+    ``l * dim * eps`` times the smaller of 1 (the norm of the unit-norm
+    power) and the largest entry of ``|L|^l`` (the entrywise scale of its
+    rounding error).  So a small but exactly formed power, such as the
+    63rd of the unit-norm ladder operator at d = 64 (largest entry 9e-14),
+    is kept.  Returns None when any operator lacks the structure; absence
+    is a valid outcome, not an error.  ``unit_norm=True`` skips
+    normalizing operators that already have unit norm.
     """
     norm_model = model if unit_norm else normalize_lindblads(model)
     dim = norm_model.dim
@@ -327,9 +315,9 @@ def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> Gro
                 thetas.append(0.0)
                 break
             c = np.trace(power) / dim
-            if np.abs(power - c * np.eye(dim)).max() < GROUP_DETECT_TOL and abs(c) > GROUP_DETECT_TOL:
+            if np.abs(power - c * np.eye(dim)).max() < GROUP_DETECT_TOL and abs(abs(c) - 1.0) < GROUP_DETECT_TOL:
                 periods.append(ell)
-                thetas.append(float(abs(c) ** 2))
+                thetas.append(1.0)
                 break
         else:
             return None
@@ -371,10 +359,10 @@ def series_trajectory(
     if variant == "auto":
         variant = "reduced" if prep.structure is not None else "truncated"
     eye = np.eye(prep.dim, dtype=complex)
+    work, structure = prep.normalized, prep.structure
     if variant == "reduced":
         _require_structure(prep)
         _require_conditions(prep.report)
-        work, structure = prep.rescaled, prep.structure
         entries = []  # (indices, product, power vector)
         for powers in itertools.product(*(range(ell) for ell in structure.periods)):
             indices = tuple(n for n, m_n in enumerate(powers) for _ in range(m_n))
@@ -388,7 +376,6 @@ def series_trajectory(
         if order < 0:
             raise ValueError("truncation order must be nonnegative")
         _require_conditions(prep.report)
-        work = prep.normalized
         entries, frontier = [], [((), eye)]
         for _ in range(order):
             entries += frontier
@@ -466,7 +453,7 @@ def _require_abelian(prep: PreparedModel) -> None:
     # Factoring pulls the decay of T(t) out as exp(sum gamma_n t / 2), which
     # requires the weighted dissipator sum to be a uniform multiple of I.
     _, _, decays = prep.spectrum
-    total_rate = sum(prep.rescaled.gammas)
+    total_rate = sum(prep.normalized.gammas)
     if np.ptp(decays) > 1e-10 * max(1.0, total_rate):
         raise ConditionError("factored evolution requires a uniform dissipator spectrum")
 
@@ -478,13 +465,13 @@ def _weight_overflow(t: float, x: float) -> ConditionError:
     )
 
 
-def factor_weights(work_gamma: float, period: int, t: float) -> np.ndarray:
+def factor_weights(gamma: float, period: int, t: float) -> np.ndarray:
     """Probability weights ``e^{-g t} F_{l,m}(g t)`` of one abelian factor.
 
     Past ``g t`` of about 709, ``F`` overflows to inf while ``e^{-g t}``
     underflows to 0: a :class:`ConditionError` names the point.
     """
-    x = work_gamma * t
+    x = gamma * t
     weights = np.array([math.exp(-x) * gen_hyperbolic(period, m, 1.0, x) for m in range(period)])
     if not np.isfinite(weights).all():
         raise _weight_overflow(t, x)
@@ -504,7 +491,7 @@ def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho
         raise ValueError("evolution time must be nonnegative")
     prep = prepare(model)
     _require_abelian(prep)
-    work = prep.rescaled
+    work = prep.normalized
     rho = _as_matrix(rho0)
     if rho.shape != (work.dim, work.dim):
         raise ValueError("state dimension does not match the model")

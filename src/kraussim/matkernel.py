@@ -341,9 +341,9 @@ def from_doc(kind, doc):
     if kind is complex:
         if not isinstance(doc, list) or len(doc) != 2:
             raise ValueError(f"a complex number must be an [re, im] pair, got {doc!r}")
-        value = complex(*doc)  # refuses a string with complex()'s own message
-        _numbers(doc, "a complex number")  # and a bool
-        return value
+        if any(isinstance(part, str) for part in doc):
+            complex(*doc)  # refuses a string with complex()'s own message
+        return complex(*_numbers(doc, "a complex number").tolist())  # and a bool, or an int past the float range
     if kind is np.ndarray:
         arr = _numbers(doc, "an array")
         if arr.ndim == 1:

@@ -395,6 +395,9 @@ def test_sample_shots_validation():
         qc.sample_shots(zero, "Q", 10, seed=0)
     with pytest.raises(ValueError):
         qc.sample_shots(zero, "Z", 0, seed=0)
+    with pytest.raises(ValueError, match=f"shots must be >= 1 and <= {2**63 - 1}, got {2**63}"):
+        qc.sample_shots(zero, "Z", 2**63, seed=0)
+    assert qc.sample_shots(zero, "Z", 2**63 - 1, seed=0).counts == {"0": float(2**63 - 1)}
     with pytest.raises(ValueError, match="basis 'ZZ' measures 2 qubits, but the state has dimension 2"):
         qc.sample_shots(zero, "ZZ", 10, seed=0)
 

@@ -201,6 +201,15 @@ REFUSED_CONFIGS = {
         {**KRAUS_CONFIG, "state": [[True, 0], [0, 0], [0, 0], [0, 0]]},
         "invalid state amplitudes: a complex number must hold numbers, got True",
     ),
+    # past numpy's int64 counts, refused before any step runs rather than overflowed in the draw
+    "shots-past-int64": (
+        {**QHO_CONFIG, "method": "kraus-circuit-shots", "shots": 10**20},
+        f"shot mode needs 1 <= shots <= {2**63 - 1}, got {10**20}",
+    ),
+    "huge-amplitude": (
+        {**BASE_CONFIG, "state": [[10**400, 0], [0, 0], [0, 0], [0, 0]]},
+        "invalid state amplitudes: a complex number must hold numbers within the float range",
+    ),
     "string-matrix-entry": (
         {**_sigma_minus_config(1.0), "model": {**_sigma_minus_config(1.0)["model"], "hamiltonian": [[["0", 0], [0, 0]], [[0, 0], [0, 0]]]}},
         "invalid inline model: an array must hold numbers, got '0'",

@@ -221,7 +221,7 @@ def test_clock_operator_cubic_weight_is_exact():
     assert prep.structure.periods == (4,)
     t = 1e-4
     weights = {term.indices: term.weight for term in kraus.build_reduced_series(prep, t).terms}
-    x = prep.rescaled.gammas[0] * kraus.f_of_t(prep.report.alpha, t)
+    x = prep.normalized.gammas[0] * kraus.f_of_t(prep.report.alpha, t)
     want = math.sqrt(_exact_gen_hyperbolic(4, 3, 1.0, x))
     assert weights[(0, 0, 0)] == pytest.approx(want, rel=1e-14)
 
@@ -303,6 +303,16 @@ def test_detect_group_structure_needs_phase_commutation():
     lower = np.array([[0, 1], [0, 0]], dtype=complex)
     model = lb.LindbladModel(np.zeros((2, 2)), (PAULI["X"], lower), (1.0, 1.0))
     assert kraus.detect_group_structure(model) is None
+
+
+@pytest.mark.parametrize("c", [0.25, 0.5, 0.9])
+def test_power_law_off_the_unit_circle_gets_no_structure_and_fails_condition_iv(c):
+    # L^2 = c I with ||L|| = 1 and |c| < 1: L is neither nilpotent nor normal, so [L^dag L, L] = lambda L fails
+    model = lb.LindbladModel(np.zeros((2, 2)), (np.array([[0, 1], [c, 0]], dtype=complex),), (1.0,))
+    assert kraus.detect_group_structure(model) is None
+    prep = kraus.prepare(model)
+    assert prep.structure is None
+    assert prep.report.failing() == ["iv"]
 
 
 def _ket_bra(dim: int, row: int, col: int) -> np.ndarray:
@@ -436,7 +446,7 @@ def test_series_weight_overflow_is_a_condition_error(pauli_spec):
 def test_prepare_returns_a_prepared_model_unchanged(pauli_spec):
     prep = kraus.prepare(pauli_spec.model)
     assert kraus.prepare(prep) is prep
-    assert prep.model is pauli_spec.model
+    assert prep.normalized.hamiltonian is pauli_spec.model.hamiltonian and prep.dim == pauli_spec.model.dim
     # conditions (i)/(ii) unmet: no shared eigenbasis
     transverse = lb.LindbladModel(PAULI["X"], (np.array([[0, 1], [0, 0]]),), (1.0,))
     assert kraus.prepare(transverse).spectrum is None
@@ -647,13 +657,54 @@ def test_random_rotated_damped_mode_round_trip(n_max, omega, gamma, seed, t):
     _damped_mode_round_trip(model, n_max, rng, t)
 
 
+@st.composite
+def schwinger_models(draw):
+    """The two-mode Schwinger model with random omega and rate, axis X, Y or Z, and per-mode cutoff 1 or 3.
+
+    ``J_axis`` is Hermitian with a zero eigenvalue, so no power of it vanishes or is a multiple of I:
+    the model has no power-law structure and ``auto`` runs the truncated series.  Its dimension, 4 or
+    16, is a power of two, so its term circuits run too; at cutoff 3, or rotated, ``T(t)`` changes basis.
+    """
+    omega, gamma = draw(st.floats(0.0, 2.0)), draw(st.floats(0.05, 1.5))
+    return models.schwinger_model(omega, draw(st.sampled_from("XYZ")), gamma, draw(st.sampled_from((1, 3))))
+
+
+def _schwinger_round_trip(model, order, rng, t):
+    # the truncated series and its infinite-shot term circuits both stay within the series' tail bound
+    psi = QuantumState(random_state(rng, model.dim))
+    oracle = lb.exact_evolve(model, psi.density(), t)
+    prep = kraus.prepare(model)
+    assert prep.structure is None
+    series = kraus.build_series(prep, t, "auto", order)
+    bound = series.tail_bound + 1e-9
+    assert trace_distance(kraus.apply_series(series, psi.density()), oracle) <= bound, "truncated"
+    out = circuits.execute_series_tomography(prep, series, t, psi)[0]  # at most 4 + 8 + 1 qubits
+    assert trace_distance(out, oracle) <= bound, "term circuits"
+
+
+SCHWINGER_CASES = dict(model=schwinger_models(), order=st.integers(0, 8), seed=SEEDS, t=st.floats(0.0, 2.0))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**SCHWINGER_CASES)
+def test_random_schwinger_model_round_trip(model, order, seed, t):
+    _schwinger_round_trip(model, order, np.random.default_rng(seed), t)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(**SCHWINGER_CASES)
+def test_random_rotated_schwinger_model_round_trip(model, order, seed, t):
+    rng = np.random.default_rng(seed)
+    _schwinger_round_trip(haar_rotated(model, rng), order, rng, t)
+
+
 def _table_round_trip(model, t, order):
     """Each point keeps exactly the table rows of nonzero weight, each weight the per-term formula of
     its variant, and stacks ``T(t) @ prod(L)`` of those rows bit for bit; the run shares one table."""
     prep = kraus.prepare(model)
     eye = np.eye(model.dim, dtype=complex)
     for variant in ("reduced", "truncated") if prep.structure is not None else ("truncated",):
-        work = prep.rescaled if variant == "reduced" else prep.normalized
+        work = prep.normalized
         trajectory = list(kraus.series_trajectory(prep, [0.0, t], variant, order))
         for time, series in zip([0.0, t], trajectory):
             assert series.table is trajectory[0].table

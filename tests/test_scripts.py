@@ -1,4 +1,4 @@
-"""The measurement scripts under ``scripts/`` run at their smallest size.
+"""The measurement scripts under ``scripts/`` run at their smallest size, and the output comparison at one seed.
 
 Each script reaches into kraussim by name (the sweeps wrap module functions
 by attribute through ``harness.layer_times``), so a rename would break it
@@ -7,6 +7,8 @@ running one puts it there, and without writing bytecode next to them.
 """
 
 import importlib
+import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -75,3 +77,15 @@ def test_layer_times_restores_the_attributes_when_the_call_raises(monkeypatch):
     assert (module.first, module.second) == originals
     spent, out = harness.layer_times(module, ("first", "second"), lambda: module.first() + module.second())
     assert out == 3 and set(spent) == {"first", "second"}
+
+
+def test_same_outputs_finds_the_checkout_equal_to_itself():
+    # every case of one seed runs in fresh processes on both sides, with nothing differing and nothing failing
+    src = SCRIPTS.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-B", str(SCRIPTS / "same_outputs.py"), str(src), str(src), "--seeds", "1"],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == {"cases": 12, "differ": [], "nonzero_exit": []}
