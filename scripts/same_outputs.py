@@ -15,14 +15,18 @@ that nothing a run prints names the tree it ran.  The cases are:
   ``qho-damped --scheme gray`` and ``schwinger-jz --order 2``.
 
 A case is the same when both runs give the same exit code, the same standard output and error,
-and the same set of output files with the same bytes.  Each differing case is printed, and the
-last line is one JSON object: the case count, the names of the cases that differ and of those
-whose base run exited nonzero.  The exit code is 1 when any case differs.
+and the same set of output files with the same bytes.  Each differing case is printed.  When both
+runs wrote a ``trajectory.csv`` under one header and with as many rows, a second line gives the
+largest absolute gap of each column that moved, so a change that moves columns by rounding shows
+by how much.  The last line is one JSON object: the case count, the names of the cases that differ
+and of those whose base run exited nonzero.  The exit code is 1 when any case differs.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -93,6 +97,20 @@ def differences(base: dict, change: dict) -> list[str]:
     return found + [name for name in names if base["files"].get(name) != change["files"].get(name)]
 
 
+def column_gaps(base: bytes, change: bytes) -> dict[str, float]:
+    """Largest absolute gap of each column whose text differs between two CSV files, in header order;
+    empty when their headers or row counts differ."""
+    (head, *rows), (other, *moved) = (list(csv.reader(io.StringIO(text.decode()))) for text in (base, change))
+    if head != other or len(rows) != len(moved):
+        return {}
+    gaps = {}
+    for j, name in enumerate(head):
+        pairs = [(a[j], b[j]) for a, b in zip(rows, moved) if a[j] != b[j]]
+        if pairs:
+            gaps[name] = max(abs(float(a) - float(b)) for a, b in pairs)
+    return gaps
+
+
 def compare(base_src: Path, change_src: Path, workloads, seeds) -> dict:
     differ, nonzero = [], []
     table = cases(workloads, seeds)
@@ -106,6 +124,12 @@ def compare(base_src: Path, change_src: Path, workloads, seeds) -> dict:
             if found:
                 differ.append(name)
                 print(f"{name}: differs in {', '.join(found)}", flush=True)
+                csv_name = next((f for f in found if Path(f).name == "trajectory.csv"), None)
+                if csv_name in base["files"] and csv_name in change["files"]:
+                    gaps = column_gaps(base["files"][csv_name], change["files"][csv_name])
+                    if gaps:
+                        moved = ", ".join(f"{column} {gap:.2e}" for column, gap in gaps.items())
+                        print(f"{name}: {csv_name} largest column gaps: {moved}", flush=True)
     return {"cases": len(table), "differ": differ, "nonzero_exit": nonzero}
 
 

@@ -40,18 +40,20 @@ from .matkernel import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     QuantumState,
-    fidelity,
     from_doc,
     hermiticity_defect,
-    project_to_physical,
     pauli_string_matrix,
     qubit_count,
     to_doc,
     trace_distance,
-    von_neumann_entropy,
+    _entropy,
+    _hermitian_eigh,
     _integer,
     _numbers,
+    _physical,
     _real,
+    _root,
+    _root_fidelity,
 )
 
 METHODS = ("exact", "trotter", "kraus", "kraus-circuit", "kraus-circuit-shots")
@@ -110,11 +112,12 @@ class ExperimentConfig:
             raise ConfigError(f"unknown mitigation {self.mitigation!r}")
         if not 0 <= times[0] <= times[1] < np.inf:
             raise ConfigError("need finite times with 0 <= start <= stop")
-        if self.method == "kraus-circuit-shots":
+        # a given shot count is range-checked whatever the method; shot mode needs one
+        if self.shots is not None or self.method == "kraus-circuit-shots":
             if self.shots is None or not 1 <= self.shots <= circuits.MAX_SHOTS:
                 raise ConfigError(f"shot mode needs 1 <= shots <= {circuits.MAX_SHOTS}, got {self.shots}")
-            if self.series == "factored":
-                raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
+        if self.method == "kraus-circuit-shots" and self.series == "factored":
+            raise ConfigError("the factored circuit traces its ancillas out and cannot be sampled; use kraus-circuit")
         if self.trotter_split not in (SPLIT_HAMILTONIAN_DISSIPATOR, SPLIT_EFFECTIVE_JUMP):
             raise ConfigError(f"unknown trotter split {self.trotter_split!r}")
         if not isinstance(self.outputs, list) or not all(isinstance(token, str) for token in self.outputs):
@@ -308,26 +311,32 @@ def _run_method(
                 yield rho, series.table, step, bound if shots is None else np.inf
 
 
+Spectrum = tuple[np.ndarray, np.ndarray]
+
+
 def _build_mitigation(
     config: ExperimentConfig, dim: int
-) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """The configured chain as a map ``(oracle, noisy) -> (mitigated, physical)``, the step's one
-    physicality decision.  A chain twirls (``twirl-qdc``), inverts the channel fit on the first call's
-    pair and projects, and the projection is both values.  ``none`` keeps ``noisy``, as the physical
-    state too unless its hermiticity defect or its lowest eigenvalue is out of tolerance (no trace test)."""
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Spectrum]]:
+    """The configured chain as a map ``(oracle, noisy) -> (mitigated, physical, (w, u))``, the step's one
+    physicality decision, with ``(w, u)`` the eigenpairs of the physical state's Hermitian part from the
+    step's one ``eigh``.  A chain twirls (``twirl-qdc``), inverts the channel fit on the first call's pair
+    and projects, and the projection is both values.  ``none`` keeps ``noisy``, as the physical state too
+    unless its hermiticity defect or its lowest eigenvalue is out of tolerance (no trace test).  Every
+    projection is :func:`project_to_physical`'s arithmetic on that ``eigh``."""
     if config.mitigation == "none":
-        return lambda _oracle, noisy: (
-            noisy,
-            noisy
-            if hermiticity_defect(noisy) <= HERMITICITY_TOL
-            and np.linalg.eigvalsh((noisy + noisy.conj().T) / 2).min() >= EIGENVALUE_FLOOR
-            else project_to_physical(noisy),
-        )
+
+        def keep(_oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray, Spectrum]:
+            w, u = _hermitian_eigh(noisy)
+            if hermiticity_defect(noisy) <= HERMITICITY_TOL and w[0] >= EIGENVALUE_FLOOR:
+                return noisy, noisy, (w, u)
+            return noisy, *_physical(w, u)
+
+        return keep
     num_qubits = qubit_count(dim, "mitigation dimension")
     parity = models.fock_parity_operator(dim)
     channel = None
 
-    def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray, Spectrum]:
         nonlocal channel
         if config.mitigation == "twirl-qdc":
             noisy = mitigation.parity_twirl(noisy, parity).matrix
@@ -337,8 +346,8 @@ def _build_mitigation(
                 channel, _report = mitigation.fit_pauli_channel(pairs)
             else:
                 channel = mitigation.DepolarizingChannel(num_qubits, mitigation.fit_qdc_lambda(pairs))
-        projected = project_to_physical(mitigation.invert_channel(channel, noisy).matrix)
-        return projected, projected
+        projected, spectrum = _physical(*_hermitian_eigh(mitigation.invert_channel(channel, noisy).matrix))
+        return projected, projected, spectrum
 
     return mitigate
 
@@ -412,14 +421,14 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         if check_distance == np.inf:
             raise ConditionError(f"non-finite state at t={t:.6g}")
         noisy = noise(raw)
-        final, physical = mitigate(oracle, noisy)
+        final, physical, (w, u) = mitigate(oracle, noisy)
         observables, fields = outputs(final, physical)
         yield TrajectoryRecord(
             t=t,
             raw=noisy,
             mitigated=final,
-            fidelity_vs_oracle=fidelity(oracle, physical),
-            entropy=von_neumann_entropy(physical),
+            fidelity_vs_oracle=_root_fidelity(_root(w, u), oracle),  # through sqrt(physical): one eigh per state
+            entropy=_entropy(w),
             observables=observables,
             diagnostics=diagnostics,
             table=table,

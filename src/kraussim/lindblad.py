@@ -21,7 +21,6 @@ from .matkernel import (
     DensityMatrix,
     hermiticity_defect,
     _as_matrix,
-    _onenorm,
     _real,
     _require_square,
 )
@@ -256,7 +255,7 @@ def _shifted_generator(a: np.ndarray, jumps: np.ndarray) -> _ShiftedGenerator:
     shift = 2.0 * float(np.trace(a).real) / dim + float(np.sum(np.abs(traces) ** 2)) / dim**2
     a.flat[:: dim + 1] -= shift / 2
     jump_norms = np.abs(jumps).sum(axis=1).max(axis=1)
-    norm = 2.0 * _onenorm(a) + float(np.sum(jump_norms**2))
+    norm = 2.0 * float(np.abs(a).sum(axis=0).max()) + float(np.sum(jump_norms**2))
     return _ShiftedGenerator(a, a.conj().T, jumps, jumps.conj().transpose(0, 2, 1), shift, norm)
 
 

@@ -37,10 +37,7 @@ def pauli_string_matrix(label: str) -> np.ndarray:
     """Tensor product of single-qubit Paulis; qubit 0 is the leftmost letter."""
     if not label or any(c not in PAULI for c in label):
         raise ValueError(f"invalid Pauli string label {label!r}")
-    out = np.array([[1.0]], dtype=complex)
-    for c in label:
-        out = np.kron(out, PAULI[c])
-    return out
+    return functools.reduce(np.kron, [PAULI[c] for c in label], np.ones((1, 1), dtype=complex))
 
 
 def qubit_count(dim: int, what: str) -> int:
@@ -206,24 +203,14 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _onenorm(a: np.ndarray) -> float:
-    return float(np.abs(a).sum(axis=0).max())
-
-
 def herm_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ascending real eigenvalues and the unitary eigenvector matrix U
-    with ``U diag(w) U^dag`` reconstructing the input.  The input is
-    symmetrized when its hermiticity defect is within tolerance and rejected
-    otherwise.
-    """
+    """Ascending eigenvalues ``w`` and unitary eigenvectors ``U`` of a Hermitian matrix, ``U diag(w) U^dag``
+    its Hermitian part; a hermiticity defect past tolerance is rejected."""
     h = _require_square(h)
     defect = hermiticity_defect(h)
     if defect > HERMITICITY_TOL * max(1.0, float(np.abs(h).max())):
         raise ValueError(f"matrix is not Hermitian (defect {defect})")
-    w, u = np.linalg.eigh((h + h.conj().T) / 2)
-    return w, u
+    return _hermitian_eigh(h)
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
@@ -231,8 +218,12 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
     w, u = herm_eig(a)
     if w.min() < PSD_REJECT_TOL:
         raise ValueError(f"matrix is not PSD (eigenvalue {w.min()})")
-    w = np.clip(w, 0.0, None)
-    return (u * np.sqrt(w)) @ u.conj().T
+    return _root(w, u)
+
+
+def _root(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``U diag(sqrt(max(w, 0))) U^dag``, the PSD root of the matrix with eigenpairs ``(w, u)``."""
+    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
 
 
 def sznagy_dilation(op: np.ndarray) -> np.ndarray:
@@ -253,32 +244,37 @@ def sznagy_dilation(op: np.ndarray) -> np.ndarray:
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues and renormalize to unit trace."""
+    return _physical(*_hermitian_eigh(matrix))[0]
+
+
+def _hermitian_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenpairs ``(w, u)`` of the Hermitian part ``(M + M^dag) / 2`` of a finite square matrix."""
     mat = _require_square(matrix)
-    mat = (mat + mat.conj().T) / 2
-    w, u = np.linalg.eigh(mat)
+    return np.linalg.eigh((mat + mat.conj().T) / 2)
+
+
+def _physical(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """The state with eigenvectors ``u`` and eigenvalues ``w`` clipped at 0 to unit trace, and its eigenpairs."""
     w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if total <= 0.0:
+    if (total := w.sum()) <= 0.0:
         raise ValueError("projection clipped every eigenvalue; degenerate input")
-    return (u * (w / total)) @ u.conj().T
+    w = w / total
+    return (u * w) @ u.conj().T, (w, u)
 
 
 def fidelity(rho, sigma) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].
-
-    An input whose hermiticity defect exceeds ``HERMITICITY_TOL`` is projected
-    to the physical cone first; any other input is taken as a state.
-    """
-    a = _as_matrix(rho)
-    b = _as_matrix(sigma)
+    """Uhlmann fidelity (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2, clamped to [0, 1].  An input whose hermiticity
+    defect exceeds ``HERMITICITY_TOL`` is projected to the physical cone first; any other is taken as a state."""
+    a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if hermiticity_defect(a) > HERMITICITY_TOL:
-        a = project_to_physical(a)
-    if hermiticity_defect(b) > HERMITICITY_TOL:
-        b = project_to_physical(b)
-    sqrt_a = psd_sqrt(a)
-    inner = sqrt_a @ b @ sqrt_a
+    a, b = (project_to_physical(m) if hermiticity_defect(m) > HERMITICITY_TOL else m for m in (a, b))
+    return _root_fidelity(psd_sqrt(a), b)
+
+
+def _root_fidelity(root: np.ndarray, sigma: np.ndarray) -> float:
+    """Fidelity of ``sigma`` with the state whose PSD root is ``root``; the fidelity is symmetric, so either may give it."""
+    inner = root @ sigma @ root
     w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
     # eigenvalues at solver-noise level would pollute the square root
     floor = max(float(w.max()), 0.0) * 1e-13
@@ -287,9 +283,13 @@ def fidelity(rho, sigma) -> float:
 
 
 def von_neumann_entropy(rho) -> float:
-    """Spectral entropy -sum(w ln w) in nats; zero eigenvalues contribute 0."""
-    w = np.linalg.eigvalsh(_as_matrix(rho))
-    w = np.clip(w, 0.0, None)
+    """Spectral entropy -sum(w ln w) in nats of the Hermitian part of ``rho``; zero eigenvalues contribute 0."""
+    mat = _as_matrix(rho)
+    return _entropy(np.linalg.eigvalsh((mat + mat.conj().T) / 2))
+
+
+def _entropy(w: np.ndarray) -> float:
+    """-sum(w ln w) over the eigenvalues ``w``; zero and negative ones contribute 0."""
     nz = w[w > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
@@ -357,8 +357,7 @@ def from_doc(kind, doc):
 def trace_distance(rho, sigma) -> float:
     """Half the trace norm of the difference of two Hermitian matrices; ``inf``
     when either has a non-finite entry, so that no bound accepts it."""
-    a = _as_matrix(rho)
-    b = _as_matrix(sigma)
+    a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):

@@ -9,12 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import kraussim
-from kraussim import analysis, circuits, cli, kraus, lindblad, mitigation as mit, models
+from kraussim import analysis, circuits, cli, kraus, lindblad, matkernel as mk, mitigation as mit, models
 from kraussim.matkernel import DensityMatrix, from_doc, pauli_string_matrix, to_doc
 
-from conftest import haar_rotated, random_density
+from conftest import haar_rotated, haar_unitary, random_density
 
 
 def run(args):
@@ -228,6 +229,21 @@ def test_refused_config_exits_2_with_its_message(tmp_path, capsys, config, messa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["--preset", "pauli-xx-zz", "--steps", 2, "--shots", 0], 2),
+        # the preset's shots (1024) are in range, and the exact method leaves them unused
+        (["--preset", "qho-damped", "--method", "exact", "--steps", 2], 0),
+    ],
+    ids=["kraus-with-zero-shots", "exact-with-the-presets-shots"],
+)
+def test_shots_are_range_checked_whatever_the_method(tmp_path, capsys, argv, code):
+    assert run(["experiment", *argv, "--out", tmp_path / "o"]) == code
+    if code == 2:
+        assert capsys.readouterr().err == f"error: shot mode needs 1 <= shots <= {circuits.MAX_SHOTS}, got 0\n"
 
 
 def test_failed_run_keeps_the_out_it_did_not_make(tmp_path, monkeypatch):
@@ -669,6 +685,121 @@ def test_experiment_validates_only_the_initial_state(monkeypatch, case):
         per_record.append(sum(validated))
         validated.clear()
     assert per_record == [1, 0, 0, 0, 0]
+
+
+def _decompositions_per_record(monkeypatch, doc):
+    """The ``np.linalg.eigh`` and ``eigvalsh`` calls made while each record of a run of ``doc`` is produced."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _func=getattr(np.linalg, name), **kwargs):
+            calls.append(_func)
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    per_record = []
+    for _record in cli.run_experiment(cli.ExperimentConfig.from_dict(doc)):
+        per_record.append(len(calls))
+        calls.clear()
+    return per_record
+
+
+@pytest.mark.filterwarnings("ignore:Pauli channel is rank deficient")  # one pair leaves strings unconstrained
+@pytest.mark.parametrize(
+    "case", [{"mitigation": "none"}, {"noise": PAULI_NOISE, "mitigation": "pauli-fit"}], ids=["none", "pauli-fit"]
+)
+def test_each_step_decomposes_three_matrices(monkeypatch, case):
+    # one eigh of the state that becomes the physical one serves the physicality decision, the
+    # projection, the entropy and the fidelity's root; the fidelity product and the check difference
+    # take one eigvalsh each.  The first record also carries the run's setup and the channel fit.
+    doc = {**cli.PRESETS["pauli-xx-zz"], **case, "time": {"start": 0.0, "stop": 1.0, "steps": 6}}
+    assert _decompositions_per_record(monkeypatch, doc)[1:] == [3] * 5
+
+
+def _non_physical(rng, dim):
+    """A unit-trace Hermitian matrix with one clearly negative eigenvalue."""
+    u = haar_unitary(rng, dim)
+    w = np.linspace(-0.05, 1.0, dim)
+    return (u * (w / w.sum())) @ u.conj().T
+
+
+@pytest.mark.filterwarnings("ignore:Pauli channel is rank deficient")
+@pytest.mark.parametrize("chain", ["none", "pauli-fit"])
+def test_mitigation_projects_with_project_to_physicals_arithmetic(rng, chain):
+    oracle, noisy = random_density(rng, 4), _non_physical(rng, 4)
+    config = cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz", mitigation=chain)
+    mitigated, physical, (w, u) = cli._build_mitigation(config, 4)(oracle, noisy)
+    projected = noisy
+    if chain == "pauli-fit":
+        channel, _report = mit.fit_pauli_channel([(oracle, noisy)])
+        projected = mit.invert_channel(channel, noisy).matrix
+        assert mitigated is physical
+    else:
+        assert mitigated is noisy
+    assert np.array_equal(physical, mk.project_to_physical(projected))
+    # the eigenpairs handed on are the physical state's own
+    assert w.min() >= 0.0 and w.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.allclose((u * w) @ u.conj().T, physical, atol=1e-14)
+
+
+def test_none_mitigation_keeps_a_physical_state_with_its_hermitian_parts_eigenpairs(rng):
+    noisy = random_density(rng, 4)
+    config = cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz")
+    mitigated, physical, (w, u) = cli._build_mitigation(config, 4)(random_density(rng, 4), noisy)
+    assert mitigated is noisy and physical is noisy
+    w_ref, u_ref = np.linalg.eigh((noisy + noisy.conj().T) / 2)
+    assert np.array_equal(w, w_ref) and np.array_equal(u, u_ref)
+
+
+def _drawn_state(seed: int, dim: int, rank: int) -> np.ndarray:
+    """A state of the given rank (capped at ``dim``), with a dense eigenbasis."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(dim)
+    w[: min(rank, dim)] = rng.uniform(0.05, 1.0, min(rank, dim))
+    u = haar_unitary(rng, dim)
+    return (u * (w / w.sum())) @ u.conj().T
+
+
+STATE_DRAWS = {"dim": st.integers(2, 16), "seed": st.integers(0, 2**32 - 1), "rank": st.integers(1, 16)}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(**STATE_DRAWS, oracle_rank=st.integers(1, 16))
+def test_shared_spectrum_fidelity_and_entropy_match_the_separate_helpers(dim, seed, rank, oracle_rank):
+    # full-rank and rank-deficient states on both sides: the step's one eigh of the physical state
+    # gives the fidelity through sqrt(physical) and the entropy that the module-level helpers give
+    oracle, noisy = _drawn_state(seed, dim, oracle_rank), _drawn_state(seed + 1, dim, rank)
+    config = cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz")
+    _mitigated, physical, (w, u) = cli._build_mitigation(config, dim)(oracle, noisy)
+    assert physical is noisy
+    assert mk._root_fidelity(mk._root(w, u), oracle) == pytest.approx(mk.fidelity(oracle, physical), abs=1e-12)
+    assert mk._entropy(w) == pytest.approx(mk.von_neumann_entropy(physical), abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    **STATE_DRAWS,
+    lowest=st.floats(-3e-10, 1e-10),
+    defect=st.sampled_from([0.0, 0.5 * mk.HERMITICITY_TOL, 2 * mk.HERMITICITY_TOL]),
+)
+def test_none_mitigation_decides_as_the_separate_predicate(dim, seed, rank, lowest, defect):
+    # a state whose lowest eigenvalue is moved near EIGENVALUE_FLOOR, with a hermiticity defect on
+    # either side of HERMITICITY_TOL: the shared eigh keeps or projects as the separate eigvalsh did
+    noisy = _drawn_state(seed, dim, rank)
+    w, u = np.linalg.eigh(noisy)
+    noisy = noisy + (lowest - w[0]) * np.outer(u[:, 0], u[:, 0].conj())
+    noisy[0, 1] += defect
+    hermitian = (noisy + noisy.conj().T) / 2
+    assume(abs(np.linalg.eigvalsh(hermitian).min() - mk.EIGENVALUE_FLOOR) >= 1e-12)
+    keeps = (
+        mk.hermiticity_defect(noisy) <= mk.HERMITICITY_TOL
+        and np.linalg.eigvalsh(hermitian).min() >= mk.EIGENVALUE_FLOOR
+    )
+    config = cli.ExperimentConfig(model="pauli-xx-zz", state="pauli-xx-zz")
+    _mitigated, physical, _spectrum = cli._build_mitigation(config, dim)(noisy, noisy)
+    assert (physical is noisy) == keeps
+    if not keeps:
+        assert np.array_equal(physical, mk.project_to_physical(noisy))
 
 
 def test_cli_import_leaves_scipy_out():

@@ -108,6 +108,14 @@ def test_entropy_examples():
     )
 
 
+def test_entropy_reads_the_hermitian_part():
+    # the upper triangle counts as much as the lower one: both give the spectrum {0.3, 0.7}
+    upper = np.array([[0.5, 0.4], [0.0, 0.5]])
+    want = -(0.3 * np.log(0.3) + 0.7 * np.log(0.7))
+    assert mk.von_neumann_entropy(upper) == pytest.approx(want, abs=1e-12)
+    assert mk.von_neumann_entropy(upper.T) == mk.von_neumann_entropy(upper)
+
+
 def test_trace_distance_examples():
     zero = np.diag([1.0, 0.0])
     one = np.diag([0.0, 1.0])

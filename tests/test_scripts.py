@@ -89,3 +89,25 @@ def test_same_outputs_finds_the_checkout_equal_to_itself():
     )
     assert done.returncode == 0, done.stdout + done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == {"cases": 12, "differ": [], "nonzero_exit": []}
+
+
+def test_same_outputs_reports_the_largest_gap_of_each_moved_column(monkeypatch, capsys):
+    same = load_script("same_outputs", monkeypatch)
+    base = b"t,fidelity,entropy\n0.0,1.0,0.5\n1.0,0.9,0.25\n"
+    moved = b"t,fidelity,entropy\n0.0,0.99999999999999,0.5\n1.0,0.9000000000001,0.25\n"
+
+    def fake_run(src, argv, config, workdir):
+        # the experiment case moves two fidelity values; every other case is the same
+        csv_bytes = moved if src.name == "change" and config is not None else base
+        return {"code": 0, "stdout": b"", "stderr": b"", "files": {"out/trajectory.csv": csv_bytes}}
+
+    monkeypatch.setattr(same, "run", fake_run)
+    summary = same.compare(Path("base"), Path("change"), ["pauli-steps"], range(1))
+    assert summary["differ"] == ["pauli-steps/0"]
+    assert capsys.readouterr().out.splitlines() == [
+        "pauli-steps/0: differs in out/trajectory.csv",
+        "pauli-steps/0: out/trajectory.csv largest column gaps: fidelity 1.00e-13",
+    ]
+    # no gaps are read across different headers or row counts
+    assert same.column_gaps(base, moved.replace(b"entropy", b"purity")) == {}
+    assert same.column_gaps(base, moved.rsplit(b"1.0,", 1)[0]) == {}
