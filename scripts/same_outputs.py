@@ -10,6 +10,10 @@ that nothing a run prints names the tree it ran.  The cases are:
 
 * ``kraussim experiment --config cfg.json --check --out out`` for each workload and seed, with the
   config that ``perfbench/workloads.py`` generates (imported here, never written to);
+* ``kraussim experiment --preset P --check --out out`` for each of the four presets, which runs the
+  ``twirl-qdc`` mitigation and the truncated ``schwinger-jz`` series that no workload runs, and for
+  ``pauli-xx-zz`` with ``--method exact``, ``trotter`` and ``kraus-circuit`` and with ``--series
+  factored`` under ``kraus`` and ``kraus-circuit``;
 * ``kraussim check`` for each registry model;
 * ``kraussim circuit --time 0.5`` for ``pauli-xx-zz`` (term circuits and ``--group``),
   ``qho-damped --scheme gray`` and ``schwinger-jz --order 2``.
@@ -40,6 +44,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 from workloads import GENERATORS  # noqa: E402
 
 MODEL_KEYS = ("pauli-xx-zz", "schwinger-jz", "qho-damped", "qho-cat")
+PRESET_ARGS = (
+    *(("--preset", key) for key in MODEL_KEYS),  # each preset is named after its model
+    ("--preset", "pauli-xx-zz", "--method", "exact"),
+    ("--preset", "pauli-xx-zz", "--method", "trotter"),
+    ("--preset", "pauli-xx-zz", "--method", "kraus-circuit"),
+    ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus"),
+    ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus-circuit"),
+)
 CIRCUIT_ARGS = (
     ("--model", "pauli-xx-zz"),
     ("--model", "pauli-xx-zz", "--group"),
@@ -61,6 +73,8 @@ def cases(workloads, seeds) -> dict[str, tuple[list[str], dict | None]]:
         for seed in seeds:
             argv = ["experiment", "--config", "cfg.json", "--check", "--out", "out"]
             out[f"{name}/{seed}"] = (argv, GENERATORS[name](seed))
+    for args in PRESET_ARGS:
+        out["experiment/" + " ".join(args[1:])] = (["experiment", *args, "--check", "--out", "out"], None)
     for key in MODEL_KEYS:
         out[f"check/{key}"] = (["check", "--model", key], None)
     for args in CIRCUIT_ARGS:

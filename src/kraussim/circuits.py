@@ -27,7 +27,7 @@ from .kraus import (
 )
 from .lindblad import LindbladModel
 from .matkernel import PAULI, QuantumState, apply_to_axes, from_pauli_coefficients, pauli_coefficients
-from .matkernel import pauli_labels, pauli_string_matrix, qubit_count, _axis_orders, _integer, _real
+from .matkernel import pauli_labels, pauli_string_matrix, qubit_count, _axis_orders, _integer, _real, _time
 from .matkernel import sznagy_dilation  # noqa: F401 (re-export: acceptance criterion 6 reads circuits.sznagy_dilation)
 
 ANGLE_PRUNE_TOL = 1e-12
@@ -101,6 +101,14 @@ class Gate:
         return self._core
 
 
+def _qubits(indices, n: int, what: str) -> tuple[int, ...]:
+    """The one rule of a qubit index: each of ``indices`` read with ``_integer`` and inside the ``n``-qubit register."""
+    qubits = tuple([_integer(q, what) for q in indices])
+    if outside := [q for q in qubits if not 0 <= q < n]:
+        raise ValueError(f"{what} {outside[0]} is outside the {n}-qubit register")
+    return qubits
+
+
 def cnot(control: int, target: int) -> Gate:
     return Gate("x", (target,), (control,))
 
@@ -119,14 +127,8 @@ class Circuit:
                 raise ValueError(f"{name} must be non-negative, got {size}")
             object.__setattr__(self, name, size)
         gates = tuple(self.gates)
-        n = self.num_qubits
-        for gate in gates:
-            used = gate.targets + gate.controls
-            if any(q < 0 or q >= n for q in used):
-                raise ValueError(f"gate acts on qubit outside the register: {gate}")
-        postselect = tuple(_integer(q, "post-selection index") for q in self.postselect)
-        if any(q < 0 or q >= n for q in postselect):
-            raise ValueError("post-selection index outside the register")
+        _qubits([q for gate in gates for q in gate.targets + gate.controls], self.num_qubits, "qubit index")
+        postselect = _qubits(self.postselect, self.num_qubits, "post-selection index")
         if len(set(postselect)) != len(postselect):
             raise ValueError(f"post-selection indices must be distinct, got {postselect}")
         object.__setattr__(self, "gates", gates)
@@ -201,9 +203,7 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
     """
     amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
-    ancillas = sorted(set(_integer(a, "ancilla index") for a in ancilla_indices))
-    if any(a < 0 or a >= n for a in ancillas):
-        raise ValueError("ancilla index out of range")
+    ancillas = sorted(set(_qubits(ancilla_indices, n, "ancilla index")))
     if not ancillas:
         return QuantumState(amps), 1.0
     slicer = [slice(None)] * n
@@ -220,9 +220,7 @@ def trace_out(state, qubit_indices) -> np.ndarray:
     """Reduced density matrix after tracing the listed qubits of a pure state."""
     amps = _amplitudes(state)
     n = qubit_count(amps.size, "state dimension")
-    traced = sorted(set(_integer(q, "qubit index") for q in qubit_indices))
-    if any(q < 0 or q >= n for q in traced):
-        raise ValueError("qubit index out of range")
+    traced = sorted(set(_qubits(qubit_indices, n, "qubit index")))
     kept = [q for q in range(n) if q not in traced]
     tensor = amps.reshape([2] * n).transpose(kept + traced)
     flat = tensor.reshape(2 ** len(kept), 2 ** len(traced))
@@ -402,7 +400,7 @@ def build_kraus_circuit(
             shared[slot, op_index] = Gate("unitary", (n_sys + 1 + slot, *system), matrix=prep.dilations[op_index])
         gates.append(shared[slot, op_index])
     if t not in shared:
-        shared[t] = _t_block_gates(prep, t, system, n_sys, scheme)
+        shared[t] = _t_block_gates(prep, _time(t), system, n_sys, scheme)
     return Circuit(n_sys, total_anc, (*gates, *shared[t]), postselect=tuple(range(n_sys, n_sys + total_anc)))
 
 
@@ -435,8 +433,7 @@ def build_group_circuit(
     ancillas are traced out, not post-selected; they hold the classical
     mixture over powers, so no trace weight is discarded.
     """
-    if _real(t, "evolution time") < 0:
-        raise ValueError("evolution time must be nonnegative")
+    t = _time(t)
     prep = prepare(model)
     _require_abelian(prep)
     work = prep.normalized

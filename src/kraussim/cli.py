@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import shutil
 import sys
@@ -355,46 +356,43 @@ def _build_mitigation(
 def _step_outputs(
     config: ExperimentConfig, spec: models.ModelSpec, dim: int
 ) -> Callable[[np.ndarray, np.ndarray], tuple[dict[str, float], dict[str, np.ndarray]]]:
-    """Check the output tokens and build their operators once.  The returned
-    function reads one step's observable columns from its mitigated state and
-    its phase-space fields from the physical one."""
-    operators: dict[str, np.ndarray] = {}
-    for token in config.outputs:
-        if token.startswith("pauli:"):
-            label = token.split(":", 1)[1]
-            operators[token] = pauli_string_matrix(label)
-            if operators[token].shape != (dim, dim):
+    """Check the output tokens and build one reader per distinct token once, with its
+    operator or Wigner nodes.  The returned function reads one step's observable
+    columns from its mitigated state and its phase-space fields from the physical one."""
+    columns: list[Callable[[np.ndarray], dict[str, float]]] = []
+    fields: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
+    for token in dict.fromkeys(config.outputs):
+        if token.startswith("pauli:") or token == "parity":
+            label = token.split(":", 1)[-1]
+            op = models.fock_parity_operator(dim) if token == "parity" else pauli_string_matrix(label)
+            if op.shape != (dim, dim):
                 raise ConfigError(f"Pauli label {label!r} does not match the dimension")
-        elif token == "parity":
-            operators[token] = models.fock_parity_operator(dim)
-        elif token == "quadratures" and not spec.mode_ops:
+            columns.append(lambda rho, token=token, op=op: {token: float(np.trace(op @ rho).real)})
+        elif token == "populations":
+            columns.append(lambda rho: {f"pop_{i}": float(val) for i, val in enumerate(np.diag(rho).real)})
+        elif token == "quadratures" and spec.mode_ops:
+            names = [f"{axis}0_{m}" for m in range(len(spec.mode_ops)) for axis in "xp"]
+            columns.append(
+                lambda rho: dict(zip(names, itertools.chain(*analysis.quadrature_expectations(rho, spec.mode_ops))))
+            )
+        elif token == "quadratures":
             raise ConfigError("quadratures need a bosonic model")
-        elif token in FIELD_OUTPUTS and (len(spec.mode_ops) != 1 or spec.mode_ops[0].shape != (dim, dim)):
-            raise ConfigError("field outputs need a single-mode bosonic model")
-        elif token not in ("populations", "quadratures", *FIELD_OUTPUTS):
+        elif token not in FIELD_OUTPUTS:
             raise ConfigError(f"unknown output token {token!r}")
-    wigner_nodes = analysis.WignerNodes(FIELD_GRID, dim) if "wigner" in config.outputs else None
+        elif len(spec.mode_ops) != 1 or spec.mode_ops[0].shape != (dim, dim):
+            raise ConfigError("field outputs need a single-mode bosonic model")
+        elif token == "wigner":
+            nodes = analysis.WignerNodes(FIELD_GRID, dim)
+            fields[token] = lambda rho: analysis.wigner(rho, FIELD_GRID, nodes)
+        else:
+            which = analysis.POSITION if token == "position-density" else analysis.MOMENTUM
+            fields[token] = lambda rho, which=which: analysis.position_density(rho, FIELD_GRID, which)
 
     def read(mitigated: np.ndarray, physical: np.ndarray):
-        columns: dict[str, float] = {}
-        fields: dict[str, np.ndarray] = {}
-        for token in config.outputs:
-            if token in operators:
-                columns[token] = float(np.trace(operators[token] @ mitigated).real)
-            elif token == "populations":
-                for i, val in enumerate(np.diag(mitigated).real):
-                    columns[f"pop_{i}"] = float(val)
-            elif token == "quadratures":
-                for m, (x0, p0) in enumerate(analysis.quadrature_expectations(mitigated, spec.mode_ops)):
-                    columns[f"x0_{m}"] = x0
-                    columns[f"p0_{m}"] = p0
-            elif token == "position-density":
-                fields[token] = analysis.position_density(physical, FIELD_GRID, analysis.POSITION)
-            elif token == "momentum-density":
-                fields[token] = analysis.position_density(physical, FIELD_GRID, analysis.MOMENTUM)
-            else:
-                fields[token] = analysis.wigner(physical, FIELD_GRID, wigner_nodes)
-        return columns, fields
+        values: dict[str, float] = {}
+        for column in columns:
+            values.update(column(mitigated))
+        return values, {token: field(physical) for token, field in fields.items()}
 
     return read
 

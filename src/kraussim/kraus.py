@@ -35,7 +35,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .lindblad import ConditionReport, LindbladModel, check_conditions, normalize_lindblads
-from .matkernel import sznagy_dilation, _as_matrix, _real
+from .matkernel import sznagy_dilation, _integer, _state, _time
 
 ZERO_OPERATOR_TOL = 1e-14
 GROUP_DETECT_TOL = 1e-10
@@ -128,10 +128,11 @@ def f_of_t(alpha: float, t: float) -> float:
     Continuous in alpha at 0: ``expm1`` keeps the second form exact to
     rounding as ``alpha * t`` goes to 0, where it meets the first.
     """
-    if alpha < 0 or t < 0:
-        raise ValueError("alpha and t must be nonnegative")
+    t = _time(t)
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     if alpha < 1e-12:
-        return float(t)
+        return t
     return float(-np.expm1(-alpha * t) / alpha)
 
 
@@ -204,8 +205,7 @@ def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.nd
     is ``max exp(-decays t / 2) <= 1`` by construction.  Raises
     :class:`ConditionError` when conditions (i) or (ii) fail.
     """
-    if _real(t, "evolution time") < 0:
-        raise ValueError("evolution time must be nonnegative")
+    t = _time(t)
     u, energies, decays = _require_spectrum(prepare(model))
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
     return (u * diag) @ u.conj().T
@@ -255,9 +255,7 @@ def _series_tail(x: float, order: int) -> float:
 def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     """Channel action ``sum_k K rho K^dag`` of a materialized series, as the complex
     ``(dim, dim)`` array of that sum, neither validated nor symmetrized."""
-    rho = _as_matrix(rho0)
-    if rho.shape != series.operators.shape[1:]:
-        raise ValueError("state dimension does not match the series")
+    rho = _state(rho0, series.operators.shape[1], "the series")
     out = np.zeros_like(rho)
     for weight, operator in zip(series.weights.tolist(), series.operators):
         k = weight * operator
@@ -351,10 +349,13 @@ def series_trajectory(
     power vector ``(m_1 .. m_N)`` with ``m_n < period_n`` and weight
     ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated`` has one term
     per index vector of length ``<= order`` over the unit-norm operators;
-    nilpotent systems terminate on their own.  A truncated table that would
+    nilpotent systems terminate on their own.  A negative ``order`` is
+    refused whatever the variant.  A truncated table that would
     pass ``MAX_SERIES_TERMS`` is refused with a ``ValueError`` before the
     level that passes it is built.
     """
+    if _integer(order, "order") < 0:
+        raise ValueError("order must be nonnegative")
     prep = prepare(model)
     if variant == "auto":
         variant = "reduced" if prep.structure is not None else "truncated"
@@ -373,8 +374,6 @@ def series_trajectory(
         order = sum(ell - 1 for ell in structure.periods)
         terminates = True
     elif variant == "truncated":
-        if order < 0:
-            raise ValueError("truncation order must be nonnegative")
         _require_conditions(prep.report)
         entries, frontier = [], [((), eye)]
         for _ in range(order):
@@ -487,14 +486,11 @@ def apply_factored_evolution(model: LindbladModel | PreparedModel, t: float, rho
     reduced series exactly (the per-factor registers of the corresponding
     circuit keep the powers from interfering).
     """
-    if _real(t, "evolution time") < 0:
-        raise ValueError("evolution time must be nonnegative")
+    t = _time(t)
     prep = prepare(model)
     _require_abelian(prep)
     work = prep.normalized
-    rho = _as_matrix(rho0)
-    if rho.shape != (work.dim, work.dim):
-        raise ValueError("state dimension does not match the model")
+    rho = _state(rho0, work.dim, "the model")
     u, energies, _ = prep.spectrum
     unitary = (u * np.exp(-1j * energies * t)) @ u.conj().T
     out = unitary @ rho @ unitary.conj().T

@@ -20,9 +20,10 @@ import numpy as np
 from .matkernel import (
     DensityMatrix,
     hermiticity_defect,
-    _as_matrix,
     _real,
     _require_square,
+    _state,
+    _time,
 )
 
 COMMUTATOR_TOL = 1e-10
@@ -199,11 +200,9 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
     point to point; both legs take the form that :func:`_repeated` picks for
     their number of repeats.
     """
-    if _real(start, "start time") < 0 or _real(stop, "stop time") < start or steps < 1:
+    if _time(start, "start time") > _time(stop, "stop time") or steps < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
-    rho = _as_matrix(rho0)
-    if rho.shape != (model.dim, model.dim):
-        raise ValueError("state dimension does not match the model")
+    rho = _state(rho0, model.dim, "the model")
     gen = _shifted_generator(-1j * effective_hamiltonian(model), _weighted_jumps(model))
     pieces = math.ceil(start * gen.norm / PROPAGATE_NORM_LIMIT)
     state = _power(lambda x: _propagate(gen, x, start / pieces), model.dim, pieces, rho[np.newaxis])
@@ -379,12 +378,10 @@ def trotter_trajectory(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    rho = _as_matrix(rho0)[np.newaxis]
+    rho = _state(rho0, model.dim, "the model")[np.newaxis]
     first, second = _split_generators(model, split)
     for t in ts:
-        if _real(t, "evolution time") < 0:
-            raise ValueError("evolution time must be nonnegative")
-        dt = t / steps
+        dt = _time(t) / steps
 
         def stage(x: np.ndarray) -> np.ndarray:
             x = _propagate(first, x, dt / 2)

@@ -132,6 +132,22 @@ def _real(value, what: str) -> float:
     return float(value)
 
 
+def _time(value, what: str = "evolution time") -> float:
+    """``value`` as a ``float``: the one rule of an evolution time, a :func:`_real` that is not negative."""
+    t = _real(value, what)
+    if t < 0:
+        raise ValueError(f"{what} must be nonnegative")
+    return t
+
+
+def _state(value, dim: int, what: str) -> np.ndarray:
+    """``value`` as the complex matrix of :func:`_as_matrix`: the one rule of a state, whose shape is ``(dim, dim)``."""
+    mat = _as_matrix(value)
+    if mat.shape != (dim, dim):
+        raise ValueError(f"state of shape {mat.shape} does not match {what}")
+    return mat
+
+
 def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -31,6 +31,7 @@ from .matkernel import (
     _numbers,
     _real,
     _require_square,
+    _state,
 )
 
 KKT_TOL = 1e-8
@@ -95,11 +96,7 @@ def pauli_fidelities(channel: PauliChannel) -> np.ndarray:
 
 
 def _channel_input(channel, rho) -> np.ndarray:
-    mat = _as_matrix(rho)
-    dim = 2**channel.num_qubits
-    if mat.shape != (dim, dim):
-        raise ValueError(f"state of shape {mat.shape} does not match the {channel.num_qubits}-qubit channel")
-    return mat
+    return _state(rho, 2**channel.num_qubits, f"the {channel.num_qubits}-qubit channel")
 
 
 def apply_pauli_channel(channel: PauliChannel, rho) -> DensityMatrix:
@@ -169,8 +166,7 @@ def _pair_matrices(pairs) -> tuple[list[tuple[np.ndarray, np.ndarray]], int]:
     if not pairs:
         raise ValueError("need at least one (exact, noisy) pair")
     dim = pairs[0][0].shape[0]
-    if any(mat.shape != (dim, dim) for pair in pairs for mat in pair):
-        raise ValueError("inconsistent pair dimensions")
+    pairs = [(_state(exact, dim, "the first pair"), _state(noisy, dim, "the first pair")) for exact, noisy in pairs]
     return pairs, qubit_count(dim, "density matrix dimension")
 
 
@@ -313,13 +309,8 @@ def parity_twirl(rho, parity_op: np.ndarray) -> DensityMatrix:
     The parity operator must be a Hermitian unitary involution; the output
     commutes with it and is unvalidated (``raw=True``), whatever the input.
     """
-    tau = np.asarray(parity_op, dtype=complex)
-    if (
-        hermiticity_defect(tau) > 1e-10
-        or np.abs(tau @ tau - np.eye(tau.shape[0])).max() > 1e-10
-    ):
+    tau = _require_square(parity_op, "parity operator")
+    if hermiticity_defect(tau) > 1e-10 or np.abs(tau @ tau - np.eye(tau.shape[0])).max() > 1e-10:
         raise ValueError("parity operator must be Hermitian with tau^2 = I")
-    mat = _as_matrix(rho)
-    if mat.shape != tau.shape:
-        raise ValueError("dimension mismatch")
+    mat = _state(rho, tau.shape[0], "the parity operator")
     return DensityMatrix((mat + tau @ mat @ tau.conj().T) / 2, raw=True)

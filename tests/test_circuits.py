@@ -233,12 +233,18 @@ def test_postselect_and_trace_out_take_integer_indices(index):
 
 @pytest.mark.parametrize("index", [5, -1], ids=["past-the-register", "negative"])
 def test_postselect_and_trace_out_refuse_an_index_out_of_range(index):
+    # one qubit-index rule for every route that reads an index against a register of two qubits
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
-    with pytest.raises(ValueError, match="^ancilla index out of range$"):
-        qc.postselect(bell, [index])
-    with pytest.raises(ValueError, match="^qubit index out of range$"):
-        qc.trace_out(bell, [index])
+    for what, refuse in (
+        ("ancilla index", lambda: qc.postselect(bell, [index])),
+        ("qubit index", lambda: qc.trace_out(bell, [index])),
+        ("qubit index", lambda: qc.Circuit(1, 1, (qc.Gate("x", (index,)),))),
+        ("qubit index", lambda: qc.Circuit(1, 1, (qc.cnot(index, 0),))),
+        ("post-selection index", lambda: qc.Circuit(1, 1, (), postselect=(index,))),
+    ):
+        with pytest.raises(ValueError, match=f"^{what} {index} is outside the 2-qubit register$"):
+            refuse()
 
 
 @pytest.mark.parametrize("num_ancillas", [0, 1, 3])

@@ -265,8 +265,16 @@ def test_failed_run_keeps_the_out_it_did_not_make(tmp_path, monkeypatch):
     [
         (["experiment", "--out", "{dir}/o"], "need --config or --preset"),
         (["check", "--model", "pauli-xx-zz", "--param", "foo"], "--param expects key=value, got 'foo'"),
+        # a negative order is refused whatever the series variant, here the reduced one that auto picks
+        (["kraus", "--model", "qho-damped", "--time", "1", "--order", "-1"], "order must be nonnegative"),
+        (["circuit", "--model", "qho-damped", "--time", "1", "--order", "-2"], "order must be nonnegative"),
     ],
-    ids=["experiment-without-config-or-preset", "check-param-without-value"],
+    ids=[
+        "experiment-without-config-or-preset",
+        "check-param-without-value",
+        "kraus-negative-order",
+        "circuit-negative-order",
+    ],
 )
 def test_refused_arguments_exit_2_with_their_message(tmp_path, capsys, argv, message):
     assert run([arg.format(dir=tmp_path) for arg in argv]) == 2

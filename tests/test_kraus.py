@@ -9,7 +9,7 @@ import pytest
 import scipy.special
 from hypothesis import given, settings, strategies as st
 
-from kraussim import circuits, kraus, lindblad as lb, models
+from kraussim import circuits, kraus, lindblad as lb, mitigation as mit, models
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
 from conftest import assert_json_round_trip, haar_rotated, random_density, random_state
@@ -83,15 +83,50 @@ def test_evolution_times_are_finite_real_numbers_that_are_not_negative(pauli_spe
     # one time rule for every route; a non-finite time used to give a series of NaN terms
     message = "evolution time must be nonnegative" if t == -0.5 else f"evolution time must be a finite real number, got {t!r}"
     rho = np.eye(4) / 4
+    series = kraus.build_series(pauli_spec.model, 0.5, "reduced", 0)
+    psi = QuantumState(np.eye(4)[0])
     for build in (
         lambda: kraus.build_series(pauli_spec.model, t, "truncated", 3),
         lambda: kraus.effective_evolution(pauli_spec.model, t),
         lambda: kraus.apply_factored_evolution(pauli_spec.model, t, rho),
+        lambda: kraus.f_of_t(1.0, t),
         lambda: circuits.build_group_circuit(pauli_spec.model, t),
+        lambda: circuits.build_kraus_circuit(series.terms[-1], pauli_spec.model, t),
+        lambda: circuits.execute_series_tomography(pauli_spec.model, series, t, psi),
         lambda: next(lb.trotter_trajectory(pauli_spec.model, rho, [t], 4)),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+# route -> (a call of it on a state, what a state of another dimension does not match); every
+# model, series and channel has dimension 4
+XX_ZZ = models.build_model("pauli-xx-zz").model
+STATE_ROUTES = {
+    "exact_trajectory": (lambda rho: next(lb.exact_trajectory(XX_ZZ, rho, 0.0, 1.0, 3)), "the model"),
+    "trotter_trajectory": (lambda rho: next(lb.trotter_trajectory(XX_ZZ, rho, [0.0], 4)), "the model"),
+    "apply_series": (lambda rho: kraus.apply_series(kraus.build_tp_series(XX_ZZ, 0.5, 1), rho), "the series"),
+    "apply_factored_evolution": (lambda rho: kraus.apply_factored_evolution(XX_ZZ, 0.5, rho), "the model"),
+    "apply_qdc": (lambda rho: mit.apply_qdc(mit.DepolarizingChannel(2, 0.1), rho), "the 2-qubit channel"),
+    "apply_pauli_channel": (
+        lambda rho: mit.apply_pauli_channel(mit.PauliChannel(2, np.eye(16)[0]), rho),
+        "the 2-qubit channel",
+    ),
+    "invert_channel": (lambda rho: mit.invert_channel(mit.DepolarizingChannel(2, 0.1), rho), "the 2-qubit channel"),
+    "parity_twirl": (lambda rho: mit.parity_twirl(rho, models.fock_parity_operator(4)), "the parity operator"),
+    "fit_pauli_channel": (
+        lambda rho: mit.fit_pauli_channel([(np.eye(4) / 4, np.eye(4) / 4), (rho, rho)]),
+        "the first pair",
+    ),
+}
+
+
+@pytest.mark.parametrize("route, what", STATE_ROUTES.values(), ids=STATE_ROUTES)
+def test_a_state_of_another_dimension_is_refused_by_every_route(route, what):
+    # one state rule for every route; the Trotter route used to return the 2 x 2 input at t = 0
+    route(np.eye(4) / 4)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'state of shape (2, 2) does not match {what}')}$"):
+        route(np.eye(2) / 2)
 
 
 def test_effective_evolution_requires_shared_eigenbasis():

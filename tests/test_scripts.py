@@ -88,7 +88,7 @@ def test_same_outputs_finds_the_checkout_equal_to_itself():
         text=True,
     )
     assert done.returncode == 0, done.stdout + done.stderr
-    assert json.loads(done.stdout.splitlines()[-1]) == {"cases": 12, "differ": [], "nonzero_exit": []}
+    assert json.loads(done.stdout.splitlines()[-1]) == {"cases": 21, "differ": [], "nonzero_exit": []}
 
 
 def test_same_outputs_reports_the_largest_gap_of_each_moved_column(monkeypatch, capsys):
