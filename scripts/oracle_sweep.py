@@ -8,8 +8,9 @@ Each size in ``N_MAX`` (dimension ``d = n_max + 1``) evolves a random
 full-rank state drawn from ``SEED`` over ``POINTS`` grid points from 0 to
 ``STOP``.  The oracle is ``lindblad.exact_trajectory``; the series side is
 ``kraus.prepare``, ``kraus.series_trajectory`` at ``auto`` and order
-``n_max`` (the damped mode's series ends there) and ``kraus.apply_series``
-at each point.  The field side is ``analysis.WignerNodes`` on the
+``n_max`` (the damped mode's series ends there), in the blocks of points
+that ``cli.block_points`` gives an experiment, and ``kraus.apply_series``
+on each block.  The field side is ``analysis.WignerNodes`` on the
 default grid, built once, and one ``analysis.wigner`` step of the random
 state.  The last line of standard output is one JSON object with, per
 size, the median wall time of ``REPEATS`` runs of each side, the
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from kraussim import analysis, kraus, lindblad, models
+from kraussim import analysis, cli, kraus, lindblad, models
 
 from harness import REPEATS, layer_times, random_density, sweep, timed
 
@@ -43,7 +44,8 @@ def run_oracle(model, rho0) -> list[np.ndarray]:
 def run_series(model, rho0, n_max: int) -> list[np.ndarray]:
     prep = kraus.prepare(model)
     ts = np.linspace(0.0, STOP, POINTS)
-    return [kraus.apply_series(series, rho0) for series in kraus.series_trajectory(prep, ts, "auto", n_max)]
+    blocks = kraus.series_trajectory(prep, ts, "auto", n_max, lambda terms: cli.block_points(terms, model.dim))
+    return [state for block in blocks for state in kraus.apply_series(block, rho0)]
 
 
 def measure(n_max: int) -> dict:

@@ -5,15 +5,17 @@ Run from the root of a checkout, naming the ``src`` directory of each tree:
     python3 scripts/same_outputs.py BASE_SRC CHANGE_SRC [--seeds 0-3] [--workload NAME ...]
 
 Each case runs once against each tree, in a fresh interpreter with ``PYTHONPATH`` on that ``src``,
-no bytecode cache and BLAS on one thread, inside its own empty directory with relative paths, so
-that nothing a run prints names the tree it ran.  The cases are:
+no bytecode cache and BLAS on one thread, inside its own empty directory with relative paths, and
+the ``src`` path in what it prints (a warning names its module's file) reads ``<src>``, so that
+nothing a run prints names the tree it ran.  The cases are:
 
 * ``kraussim experiment --config cfg.json --check --out out`` for each workload and seed, with the
   config that ``perfbench/workloads.py`` generates (imported here, never written to);
 * ``kraussim experiment --preset P --check --out out`` for each of the four presets, which runs the
   ``twirl-qdc`` mitigation and the truncated ``schwinger-jz`` series that no workload runs, and for
   ``pauli-xx-zz`` with ``--method exact``, ``trotter`` and ``kraus-circuit`` and with ``--series
-  factored`` under ``kraus`` and ``kraus-circuit``;
+  factored`` under ``kraus`` and ``kraus-circuit``; two of them span several blocks of grid points:
+  ``pauli-xx-zz --steps 60 --mitigation pauli-fit`` and ``qho-cat --steps 130`` (``twirl-qdc``);
 * ``kraussim check`` for each registry model;
 * ``kraussim circuit --time 0.5`` for ``pauli-xx-zz`` (term circuits and ``--group``),
   ``qho-damped --scheme gray`` and ``schwinger-jz --order 2``.
@@ -51,6 +53,9 @@ PRESET_ARGS = (
     ("--preset", "pauli-xx-zz", "--method", "kraus-circuit"),
     ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus"),
     ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus-circuit"),
+    # grids that the series evaluates in several blocks of points (see cli.BLOCK_BYTES)
+    ("--preset", "pauli-xx-zz", "--steps", "60", "--mitigation", "pauli-fit"),
+    ("--preset", "qho-cat", "--steps", "130"),
 )
 CIRCUIT_ARGS = (
     ("--model", "pauli-xx-zz"),
@@ -83,7 +88,8 @@ def cases(workloads, seeds) -> dict[str, tuple[list[str], dict | None]]:
 
 
 def run(src: Path, argv: list[str], config: dict | None, workdir: Path) -> dict:
-    """Exit code, printed text and output files (relative path -> bytes) of one fresh-process run."""
+    """Exit code, printed text (``src`` read ``<src>``) and output files (relative path -> bytes) of one
+    fresh-process run."""
     workdir.mkdir()
     if config is not None:
         (workdir / "cfg.json").write_text(json.dumps(config))
@@ -101,7 +107,8 @@ def run(src: Path, argv: list[str], config: dict | None, workdir: Path) -> dict:
         for path in sorted(workdir.rglob("*"))
         if path.is_file() and path.name != "cfg.json"
     }
-    return {"code": done.returncode, "stdout": done.stdout, "stderr": done.stderr, "files": files}
+    stdout, stderr = (text.replace(os.fsencode(src), b"<src>") for text in (done.stdout, done.stderr))
+    return {"code": done.returncode, "stdout": stdout, "stderr": stderr, "files": files}
 
 
 def differences(base: dict, change: dict) -> list[str]:

@@ -48,14 +48,14 @@ def default_grid(extent: float = 5.0, step: float = 0.05) -> PhaseSpaceGrid:
 
 
 def quadrature_expectations(rho, mode_ops) -> tuple[tuple[float, float], ...]:
-    """Per-mode (x0, p0) expectations from the mode lowering operators."""
+    """Per-mode (x0, p0) expectations from the mode lowering operators, per state of a ``(..., d, d)`` stack."""
     mat = _as_matrix(rho)
     out = []
     for a_op in mode_ops:
         a_op = np.asarray(a_op, dtype=complex)
-        if a_op.shape != mat.shape:
+        if a_op.shape != mat.shape[-2:]:
             raise ValueError("mode operator dimension does not match the state")
-        mean_a = complex(np.trace(a_op @ mat))
+        mean_a = np.trace(a_op @ mat, axis1=-2, axis2=-1)
         x0 = math.sqrt(2.0) * mean_a.real
         p0 = math.sqrt(2.0) * mean_a.imag
         out.append((x0, p0))

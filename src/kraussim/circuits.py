@@ -386,6 +386,7 @@ def build_kraus_circuit(
     norm.  Calls for one (model, t, scheme) that pass one ``_shared`` dict build each dilation gate,
     keyed (slot, operator), and the T(t) block, keyed t, once.
     """
+    t = _time(t)
     shared = {} if _shared is None else _shared
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
@@ -400,7 +401,7 @@ def build_kraus_circuit(
             shared[slot, op_index] = Gate("unitary", (n_sys + 1 + slot, *system), matrix=prep.dilations[op_index])
         gates.append(shared[slot, op_index])
     if t not in shared:
-        shared[t] = _t_block_gates(prep, _time(t), system, n_sys, scheme)
+        shared[t] = _t_block_gates(prep, t, system, n_sys, scheme)
     return Circuit(n_sys, total_anc, (*gates, *shared[t]), postselect=tuple(range(n_sys, n_sys + total_anc)))
 
 

@@ -1,9 +1,11 @@
 """Batch experiment runner and command-line interface.
 
 One JSON config describes an experiment: model, initial state, time grid,
-execution method, mitigation chain and requested outputs.  Records stream
-per time step so long grids never hold every density matrix at once: the
-matrices go to one binary ``states.npy``, each phase-space field to one
+execution method, mitigation chain and requested outputs.  The grid is
+evaluated in blocks of consecutive points, as many as ``BLOCK_BYTES`` holds,
+each layer once per block and each decision per state, and records stream
+one per time step, so long grids never hold every density matrix at once:
+the matrices go to one binary ``states.npy``, each phase-space field to one
 ``fields/<name>.npy`` stacked the same way, the series' term table (once)
 and each step's rows and weights over it to ``run.json`` and the scalar
 columns to ``trajectory.csv``.  The output directory must be new or empty;
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import shutil
@@ -66,6 +69,9 @@ FIELD_GRID = analysis.default_grid()
 NOISE_PARAMETERS = {"qdc": "lambda", "pauli": "epsilons"}
 # The --check bound of the exact methods, and the rounding slack added to a series tail bound.
 CHECK_SLACK = 1e-9
+# The most bytes a block of grid points may take: each point's (K, d, d) series operators and its four
+# (d, d) states (oracle, raw, mitigated and physical).  A block holds at least one point.
+BLOCK_BYTES = 2**17
 
 
 class ConfigError(ValueError):
@@ -261,17 +267,28 @@ def _resolve_state(config: ExperimentConfig, dim: int) -> QuantumState:
     return state
 
 
+def block_points(terms: int, dim: int) -> int:
+    """The grid points a block holds when each point has ``terms`` series operators of dimension ``dim``."""
+    return max(1, BLOCK_BYTES // ((terms + 4) * dim * dim * np.dtype(complex).itemsize))
+
+
+def _each(func: Callable[[np.ndarray], np.ndarray], mats: np.ndarray) -> np.ndarray:
+    """``func`` applied to each ``(d, d)`` matrix of a ``(..., d, d)`` stack, stacked the same way."""
+    return np.array([func(mat) for mat in mats.reshape(-1, *mats.shape[-2:])]).reshape(mats.shape)
+
+
 def _build_noise(config: ExperimentConfig, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The configured noise channel as a map on matrices; the identity when none is set."""
+    """The configured noise channel as a map on stacks of matrices, one matrix at a time; the identity
+    when none is set."""
     if config.noise is None:
-        return lambda mat: mat
+        return lambda mats: mats
     doc = config.noise
     num_qubits = qubit_count(dim, "noise injection dimension")
     if doc["kind"] == "qdc":
         channel = mitigation.DepolarizingChannel(num_qubits, doc["lambda"])
-        return lambda mat: mitigation.apply_qdc(channel, mat).matrix
+        return lambda mats: _each(lambda mat: mitigation.apply_qdc(channel, mat).matrix, mats)
     channel = mitigation.PauliChannel(num_qubits, doc["epsilons"])
-    return lambda mat: mitigation.apply_pauli_channel(channel, mat).matrix
+    return lambda mats: _each(lambda mat: mitigation.apply_pauli_channel(channel, mat).matrix, mats)
 
 
 def _run_method(
@@ -279,10 +296,35 @@ def _run_method(
     model: LindbladModel | kraus.PreparedModel,
     psi0: QuantumState,
     rho0: np.ndarray,
-    ts: list[float],
+    ts: Iterable[float],
+    points: Callable[[int], int],
+) -> Iterator[tuple[np.ndarray | None, tuple, list[dict], list[float]]]:
+    """Yield the method's states over ``ts`` in blocks of consecutive points: the block's ``(b, d, d)``
+    raw states, the run's term table, and each point's diagnostics over it and check bound.  The
+    ``kraus`` series takes blocks of ``points(K)`` points; every other method runs point by point,
+    collected into blocks of ``points(0)``.  The exact method yields None: its states are the oracle's."""
+    if config.method == "kraus" and config.series != "factored":
+        for series in kraus.series_trajectory(model, ts, config.series, config.order, points):
+            steps = [{"rows": list(series.rows), "weights": weights} for weights in series.weights.tolist()]
+            block = kraus.apply_series(series, rho0), series.table, steps, (series.tail_bound + CHECK_SLACK).tolist()
+            del series  # the next block's operators are built once this block's are freed
+            yield block
+        return
+    each = _point_states(config, model, psi0, rho0, ts)
+    while block := list(itertools.islice(each, points(0))):
+        raws, tables, steps, bounds = zip(*block)
+        yield None if raws[0] is None else np.array(raws), tables[0], list(steps), list(bounds)
+
+
+def _point_states(
+    config: ExperimentConfig,
+    model: LindbladModel | kraus.PreparedModel,
+    psi0: QuantumState,
+    rho0: np.ndarray,
+    ts: Iterable[float],
 ) -> Iterator[tuple[np.ndarray | None, tuple, dict, float]]:
-    """Yield the method's raw state, the run's term table, the step's diagnostics over it and
-    the check bound at each time of ``ts``.  The exact method yields None: its state is the oracle's."""
+    """Yield the raw state, the run's term table, the step's diagnostics over it and the check bound at
+    each time of ``ts``, for every method but the ``kraus`` series."""
     if config.method == "exact":
         for _t in ts:
             yield None, (), {}, CHECK_SLACK
@@ -298,18 +340,15 @@ def _run_method(
                 yield circuits.apply_group_circuit(circuit, psi0), (), {}, CHECK_SLACK
     else:
         shots = config.shots if config.method == "kraus-circuit-shots" else None
-        trajectory = kraus.series_trajectory(model, ts, config.series, config.order)
+        ts, series_ts = itertools.tee(ts)
+        trajectory = kraus.series_trajectory(model, series_ts, config.series, config.order)
         for index, (t, series) in enumerate(zip(ts, trajectory)):
             bound = series.tail_bound + CHECK_SLACK
             step = {"rows": list(series.rows), "weights": series.weights.tolist()}
-            if config.method == "kraus":
-                yield kraus.apply_series(series, rho0), series.table, step, bound
-            else:
-                rho, diags = circuits.execute_series_tomography(
-                    model, series, t, psi0, shots=shots, seed=(config.seed, index)
-                )
-                step["survivals"] = [diag["survival"] for diag in diags]
-                yield rho, series.table, step, bound if shots is None else np.inf
+            seed = (config.seed, index)
+            rho, diags = circuits.execute_series_tomography(model, series, t, psi0, shots=shots, seed=seed)
+            step["survivals"] = [diag["survival"] for diag in diags]
+            yield rho, series.table, step, bound if shots is None else np.inf
 
 
 Spectrum = tuple[np.ndarray, np.ndarray]
@@ -318,19 +357,24 @@ Spectrum = tuple[np.ndarray, np.ndarray]
 def _build_mitigation(
     config: ExperimentConfig, dim: int
 ) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, Spectrum]]:
-    """The configured chain as a map ``(oracle, noisy) -> (mitigated, physical, (w, u))``, the step's one
-    physicality decision, with ``(w, u)`` the eigenpairs of the physical state's Hermitian part from the
-    step's one ``eigh``.  A chain twirls (``twirl-qdc``), inverts the channel fit on the first call's pair
-    and projects, and the projection is both values.  ``none`` keeps ``noisy``, as the physical state too
-    unless its hermiticity defect or its lowest eigenvalue is out of tolerance (no trace test).  Every
-    projection is :func:`project_to_physical`'s arithmetic on that ``eigh``."""
+    """The configured chain as a map ``(oracle, noisy) -> (mitigated, physical, (w, u))`` on one state or a
+    ``(b, d, d)`` stack, each state's one physicality decision, with ``(w, u)`` the eigenpairs of the physical
+    state's Hermitian part from one batched ``eigh``.  A chain twirls (``twirl-qdc``), inverts the channel fit
+    on the first call's first pair and projects, state by state, and the projection is both values.  ``none``
+    keeps ``noisy``, as the physical state too unless a state's hermiticity defect or lowest eigenvalue is
+    out of tolerance (no trace test): only such a state is projected.  Every projection is
+    :func:`project_to_physical`'s arithmetic on that ``eigh``."""
     if config.mitigation == "none":
 
         def keep(_oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray, Spectrum]:
             w, u = _hermitian_eigh(noisy)
-            if hermiticity_defect(noisy) <= HERMITICITY_TOL and w[0] >= EIGENVALUE_FLOOR:
+            kept = (hermiticity_defect(noisy) <= HERMITICITY_TOL) & (w[..., 0] >= EIGENVALUE_FLOOR)
+            if kept.all():
                 return noisy, noisy, (w, u)
-            return noisy, *_physical(w, u)
+            redo = ~kept
+            physical, w, u = noisy.copy(), w.copy(), u.copy()
+            physical[redo], (w[redo], u[redo]) = _physical(w[redo], u[redo])
+            return noisy, physical, (w, u)
 
         return keep
     num_qubits = qubit_count(dim, "mitigation dimension")
@@ -340,14 +384,15 @@ def _build_mitigation(
     def mitigate(oracle: np.ndarray, noisy: np.ndarray) -> tuple[np.ndarray, np.ndarray, Spectrum]:
         nonlocal channel
         if config.mitigation == "twirl-qdc":
-            noisy = mitigation.parity_twirl(noisy, parity).matrix
+            noisy = _each(lambda mat: mitigation.parity_twirl(mat, parity).matrix, noisy)
         if channel is None:
-            pairs = [(oracle, noisy)]
+            pairs = [(oracle.reshape(-1, dim, dim)[0], noisy.reshape(-1, dim, dim)[0])]
             if config.mitigation == "pauli-fit":
                 channel, _report = mitigation.fit_pauli_channel(pairs)
             else:
                 channel = mitigation.DepolarizingChannel(num_qubits, mitigation.fit_qdc_lambda(pairs))
-        projected, spectrum = _physical(*_hermitian_eigh(mitigation.invert_channel(channel, noisy).matrix))
+        inverted = _each(lambda mat: mitigation.invert_channel(channel, mat).matrix, noisy)
+        projected, spectrum = _physical(*_hermitian_eigh(inverted))
         return projected, projected, spectrum
 
     return mitigate
@@ -355,11 +400,11 @@ def _build_mitigation(
 
 def _step_outputs(
     config: ExperimentConfig, spec: models.ModelSpec, dim: int
-) -> Callable[[np.ndarray, np.ndarray], tuple[dict[str, float], dict[str, np.ndarray]]]:
-    """Check the output tokens and build one reader per distinct token once, with its
-    operator or Wigner nodes.  The returned function reads one step's observable
-    columns from its mitigated state and its phase-space fields from the physical one."""
-    columns: list[Callable[[np.ndarray], dict[str, float]]] = []
+) -> tuple[Callable[[np.ndarray], dict[str, np.ndarray]], Callable[[np.ndarray], dict[str, np.ndarray]]]:
+    """Check the output tokens and build one reader per distinct token once, with its operator or
+    Wigner nodes.  Returns the column reader, which reads each observable column at once from a block's
+    ``(b, d, d)`` stack of mitigated states, and the field reader of one physical state."""
+    columns: list[Callable[[np.ndarray], dict[str, np.ndarray]]] = []
     fields: dict[str, Callable[[np.ndarray], np.ndarray]] = {}
     for token in dict.fromkeys(config.outputs):
         if token.startswith("pauli:") or token == "parity":
@@ -367,13 +412,13 @@ def _step_outputs(
             op = models.fock_parity_operator(dim) if token == "parity" else pauli_string_matrix(label)
             if op.shape != (dim, dim):
                 raise ConfigError(f"Pauli label {label!r} does not match the dimension")
-            columns.append(lambda rho, token=token, op=op: {token: float(np.trace(op @ rho).real)})
+            columns.append(lambda rhos, token=token, op=op: {token: (op @ rhos).trace(axis1=-2, axis2=-1).real})
         elif token == "populations":
-            columns.append(lambda rho: {f"pop_{i}": float(val) for i, val in enumerate(np.diag(rho).real)})
+            columns.append(lambda rhos: {f"pop_{i}": pop for i, pop in enumerate(rhos.diagonal(0, -2, -1).real.T)})
         elif token == "quadratures" and spec.mode_ops:
             names = [f"{axis}0_{m}" for m in range(len(spec.mode_ops)) for axis in "xp"]
             columns.append(
-                lambda rho: dict(zip(names, itertools.chain(*analysis.quadrature_expectations(rho, spec.mode_ops))))
+                lambda rhos: dict(zip(names, itertools.chain(*analysis.quadrature_expectations(rhos, spec.mode_ops))))
             )
         elif token == "quadratures":
             raise ConfigError("quadratures need a bosonic model")
@@ -388,17 +433,24 @@ def _step_outputs(
             which = analysis.POSITION if token == "position-density" else analysis.MOMENTUM
             fields[token] = lambda rho, which=which: analysis.position_density(rho, FIELD_GRID, which)
 
-    def read(mitigated: np.ndarray, physical: np.ndarray):
-        values: dict[str, float] = {}
+    def read_columns(mitigated: np.ndarray) -> dict[str, np.ndarray]:
+        values: dict[str, np.ndarray] = {}
         for column in columns:
             values.update(column(mitigated))
-        return values, {token: field(physical) for token, field in fields.items()}
+        return values
 
-    return read
+    return read_columns, lambda physical: {token: field(physical) for token, field in fields.items()}
 
 
 def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
-    """Execute the configured method over the time grid, one record per step."""
+    """Execute the configured method over the time grid, one record per step.
+
+    The grid runs in blocks of consecutive points, as many as ``BLOCK_BYTES`` holds with each point's
+    ``(K, d, d)`` series operators and its four ``(d, d)`` states (:func:`block_points`).  The oracle and
+    the point-by-point methods fill a block one state at a time; the check distance, the noise, the
+    mitigation, the fidelity, the entropy and the observable columns then run once on the block's stack,
+    with every decision still made per state, and each field is read as its record is yielded.  The oracle
+    takes each time before the method does; an error in a block is raised before any of its records."""
     spec = _resolve_model(config)
     model = spec.model
     psi0 = _resolve_state(config, model.dim)
@@ -409,31 +461,54 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         kraus._require_conditions(work.report)
     noise = _build_noise(config, model.dim)
     mitigate = _build_mitigation(config, model.dim)
-    outputs = _step_outputs(config, spec, model.dim)
+    read_columns, read_fields = _step_outputs(config, spec, model.dim)
     ts = np.linspace(config.t_start, config.t_stop, config.steps).tolist()
     oracles = exact_trajectory(model, rho0, config.t_start, config.t_stop, config.steps)
-    methods = _run_method(config, work, psi0, rho0, ts)
-    for t, oracle, (raw, table, diagnostics, bound) in zip(ts, oracles, methods):
-        raw = oracle if raw is None else raw
-        check_distance = trace_distance(oracle, raw)
-        if check_distance == np.inf:
-            raise ConditionError(f"non-finite state at t={t:.6g}")
-        noisy = noise(raw)
+    # each point's oracle state, taken before the method takes its time, as a point-by-point run would
+    taken = [next(oracles)]
+
+    def take(times: list[float]) -> Iterator[float]:
+        for index, t in enumerate(times):
+            if index:
+                taken.append(next(oracles))
+            yield t
+
+    def records(
+        raws: np.ndarray | None, table: tuple, steps: list[dict], bounds: list[float]
+    ) -> Iterator[TrajectoryRecord]:
+        """The records of the method's next block; its arrays are freed once its last record is taken."""
+        nonlocal done
+        times = ts[done : done + len(steps)]
+        done += len(steps)
+        oracle = np.array(taken[: len(times)])
+        del taken[: len(times)]
+        raws = oracle if raws is None else raws
+        distances = trace_distance(oracle, raws)
+        if (distances == np.inf).any():
+            raise ConditionError(f"non-finite state at t={times[int(np.argmax(distances == np.inf))]:.6g}")
+        noisy = noise(raws)
         final, physical, (w, u) = mitigate(oracle, noisy)
-        observables, fields = outputs(final, physical)
-        yield TrajectoryRecord(
-            t=t,
-            raw=noisy,
-            mitigated=final,
-            fidelity_vs_oracle=_root_fidelity(_root(w, u), oracle),  # through sqrt(physical): one eigh per state
-            entropy=_entropy(w),
-            observables=observables,
-            diagnostics=diagnostics,
-            table=table,
-            fields=fields,
-            check_distance=check_distance,
-            check_bound=bound,
-        )
+        columns = {name: values.tolist() for name, values in read_columns(final).items()}
+        fidelities = _root_fidelity(_root(w, u), oracle).tolist()  # through sqrt(physical): one eigh per state
+        entropies = _entropy(w).tolist()
+        for index, t in enumerate(times):
+            yield TrajectoryRecord(
+                t=t,
+                raw=noisy[index],
+                mitigated=final[index],
+                fidelity_vs_oracle=fidelities[index],
+                entropy=entropies[index],
+                observables={name: values[index] for name, values in columns.items()},
+                diagnostics=steps[index],
+                table=table,
+                fields=read_fields(physical[index]),
+                check_distance=distances[index].item(),
+                check_bound=bounds[index],
+            )
+
+    done = 0
+    for block in _run_method(config, work, psi0, rho0, take(ts), functools.partial(block_points, dim=model.dim)):
+        yield from records(*block)
 
 
 def emit_report(records: Iterable[TrajectoryRecord], outdir: str | Path, steps: int) -> None:

@@ -30,7 +30,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -41,6 +41,8 @@ ZERO_OPERATOR_TOL = 1e-14
 GROUP_DETECT_TOL = 1e-10
 # The most terms a truncated series may hold; a larger table is refused before it is built.
 MAX_SERIES_TERMS = 2**16
+# The terms of a positive series that one pass of _positive_series adds at each element still summing.
+SERIES_CHUNK = 16
 
 
 class ConditionError(ValueError):
@@ -63,13 +65,15 @@ class KrausTerm:
 
 @dataclass(frozen=True)
 class KrausSeries:
-    """The series at one time over the term table that every point of its run shares.
+    """The series at one time, or at a block of times, over the term table that every point of its run shares.
 
     ``table`` holds each term's application sequence of Lindblad-operator indices
     (leftmost applied last), whose length is the term's order.  The point keeps the
     table ``rows`` of nonzero weight: ``weights`` are their weights and ``operators``
     their ``(K, d, d)`` stack of ``T(t) @ prod(L)`` over unit-norm operators, so term
-    k's Kraus matrix is ``weights[k] * operators[k]``.
+    k's Kraus matrix is ``weights[k] * operators[k]``.  A block of ``b`` points that
+    keep the same rows has a leading axis of ``b`` on ``weights``, ``operators`` and
+    ``tail_bound``; ``terms`` reads a one-point series.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -131,9 +135,12 @@ def f_of_t(alpha: float, t: float) -> float:
     t = _time(t)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    if alpha < 1e-12:
-        return t
-    return float(-np.expm1(-alpha * t) / alpha)
+    return float(_time_weight(alpha, t))
+
+
+def _time_weight(alpha: float, t):
+    """:func:`f_of_t` of a checked ``alpha`` at each checked time of ``t``, a float or an array."""
+    return t if alpha < 1e-12 else -np.expm1(-alpha * t) / alpha
 
 
 def effective_spectrum(model: LindbladModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -205,10 +212,15 @@ def effective_evolution(model: LindbladModel | PreparedModel, t: float) -> np.nd
     is ``max exp(-decays t / 2) <= 1`` by construction.  Raises
     :class:`ConditionError` when conditions (i) or (ii) fail.
     """
-    t = _time(t)
-    u, energies, decays = _require_spectrum(prepare(model))
+    return _contraction(_require_spectrum(prepare(model)), _time(t))
+
+
+def _contraction(spectrum: tuple[np.ndarray, np.ndarray, np.ndarray], t) -> np.ndarray:
+    """``T(t)`` at each checked time of ``t``, a float or an array, stacked along the shape of ``t``."""
+    u, energies, decays = spectrum
+    t = np.asarray(t)[..., np.newaxis]
     diag = np.exp(-1j * energies * t) * np.exp(-0.5 * decays * t)
-    return (u * diag) @ u.conj().T
+    return (u * diag[..., np.newaxis, :]) @ u.conj().T
 
 
 def _require_conditions(report: ConditionReport) -> None:
@@ -221,45 +233,69 @@ def _require_structure(prep: PreparedModel) -> None:
         raise ConditionError("no finite group or semigroup structure detected")
 
 
-def _positive_series(x: float, first: int, stride: int = 1, ratio: float = 1.0) -> float:
-    """``sum_j ratio^j x^(first + j stride) / (first + j stride)!`` for ``x, ratio >= 0``.
+def _positive_series(x, first, stride: int = 1, ratio: float = 1.0):
+    """``sum_j ratio^j x^(first + j stride) / (first + j stride)!`` for ``x, ratio >= 0``, at each element of
+    ``x`` and ``first``, broadcast together.
 
     Every term is nonnegative, so the sum is taken term by term, without
-    cancellation, until a term no longer raises it.  Each term is the last
-    times ``ratio`` and ``stride`` factors ``x / n``.
+    cancellation, until a term no longer raises it.  The first term is
+    ``1 * x / 1 * x / 2 * ... * x / first`` and each next one the last times
+    ``ratio`` and ``stride`` factors ``x / n``.  Each element stops on its
+    own and takes the float operations of its lone evaluation in the same
+    order: products and sums run along an axis (``cumprod``, ``cumsum``),
+    which multiplies and adds one element after the other, ``SERIES_CHUNK``
+    terms at a time.  A float ``x`` gives a numpy float.
     """
-    term = math.prod(x / n for n in range(1, first + 1))  # x^first / first!
-    total, n = 0.0, first
-    while total + term > total:
-        total += term
-        term *= ratio
-        for _ in range(stride):
-            n += 1
-            term *= x / n
-    return total
+    x, first = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(first))
+    shape, x, first = x.shape, x.ravel(), first.ravel()
+    with np.errstate(over="ignore", invalid="ignore"):  # a sum past the float range ends at inf, as a float's does
+        # x^first / first!: column k of the running products is 1 * x / 1 * ... * x / k
+        factors = x[:, np.newaxis] / np.arange(1, int(first.max(initial=0)) + 1)
+        term = np.cumprod(np.column_stack([np.ones(x.size), factors]), axis=1)[np.arange(x.size), first]
+        total, going = np.zeros(x.size), np.arange(x.size)  # the elements whose terms still raise their sum
+        steps = np.arange(1, SERIES_CHUNK * stride + 1).reshape(SERIES_CHUNK, stride)
+        for passed in itertools.count(0, SERIES_CHUNK * stride):
+            if not going.size:
+                break
+            # the next terms: each is the last times ratio and the stride factors x / n
+            ratios = np.full((going.size, SERIES_CHUNK, 1), ratio)
+            factors = np.concatenate([ratios, x[going, None, None] / (first[going, None, None] + passed + steps)], 2)
+            products = np.cumprod(np.column_stack([term[going], factors.reshape(going.size, -1)]), axis=1)
+            terms = products[:, :: stride + 1]  # the current term and the SERIES_CHUNK after it
+            sums = np.cumsum(np.column_stack([total[going], terms[:, :-1]]), axis=1)
+            rises = sums[:, 1:] > sums[:, :-1]
+            stop = np.where(rises.all(axis=1), SERIES_CHUNK, rises.argmin(axis=1))  # the first term that does not
+            rows = np.arange(going.size)
+            total[going], term[going] = sums[rows, stop], terms[rows, stop]
+            going = going[stop == SERIES_CHUNK]
+    return total.reshape(shape)[()]
 
 
-def _series_tail(x: float, order: int) -> float:
-    """Upper bound sum_{m > order} x^m / m!, clipped at 1, the largest trace distance.
+def _series_tail(x, order: int):
+    """Upper bound sum_{m > order} x^m / m!, clipped at 1, the largest trace distance, at each element of ``x``.
 
     From ``x >= order + 1`` on, the first term alone is at least 1; below,
     :func:`_positive_series` sums terms that fall at the ratio ``x / m < 1``.
     """
-    if x <= 0.0:
-        return 0.0
-    if x >= order + 1:
-        return 1.0
-    return min(_positive_series(x, order + 1), 1.0)
+    x = np.asarray(x, dtype=float)
+    tails = np.where(x <= 0.0, 0.0, 1.0)
+    summed = (x > 0.0) & (x < order + 1)
+    tails[summed] = np.minimum(_positive_series(x[summed], order + 1), 1.0)
+    return tails[()]
 
 
 def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     """Channel action ``sum_k K rho K^dag`` of a materialized series, as the complex
-    ``(dim, dim)`` array of that sum, neither validated nor symmetrized."""
-    rho = _state(rho0, series.operators.shape[1], "the series")
-    out = np.zeros_like(rho)
-    for weight, operator in zip(series.weights.tolist(), series.operators):
-        k = weight * operator
-        out += k @ rho @ k.conj().T
+    ``(dim, dim)`` array of that sum, neither validated nor symmetrized; a block
+    gives the ``(b, dim, dim)`` stack of its points, each summed term by term."""
+    dim = series.operators.shape[-1]
+    rho = _state(rho0, dim, "the series")
+    out = np.zeros((*series.weights.shape[:-1], dim, dim), dtype=complex)
+    # term first, complex as a float times a complex matrix is taken (w + 0j) * z, so cast once
+    weights = np.moveaxis(series.weights.astype(complex), -1, 0)[..., np.newaxis, np.newaxis]
+    for weight, operator in zip(weights, np.moveaxis(series.operators, -3, 0)):
+        kraus = weight * operator
+        out += kraus @ rho @ kraus.conj().swapaxes(-1, -2)
     return out
 
 
@@ -276,7 +312,7 @@ def gen_hyperbolic(ell: int, m: int, theta: float, x: float) -> float:
         raise ValueError("theta must be nonnegative")
     if not x >= 0:
         raise ValueError("x must be nonnegative")
-    return _positive_series(x, m, ell, theta)
+    return float(_positive_series(x, m, ell, theta))
 
 
 def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> GroupStructure | None:
@@ -337,15 +373,26 @@ def detect_group_structure(model: LindbladModel, unit_norm: bool = False) -> Gro
 
 
 def series_trajectory(
-    model: LindbladModel | PreparedModel, ts: Iterable[float], variant: str, order: int
+    model: LindbladModel | PreparedModel,
+    ts: Iterable[float],
+    variant: str,
+    order: int,
+    points: Callable[[int], int] | None = None,
 ) -> Iterator[KrausSeries]:
     """Yield the series at each time of ``ts``: ``reduced``, ``truncated`` at ``order``, or ``auto``.
 
     ``auto`` picks ``reduced`` exactly when the model has power-law structure.
     The operator products do not depend on time, so the term table and the
     stack of its products are built once, terms whose product vanishes pruned;
-    each point only builds ``T(t)``, one batched ``T(t) @ stack``, the weights
-    and the tail bound.  ``reduced`` is the exact finite series, one term per
+    the times only build ``T(t)``, one batched ``T(t) @ stack``, the weights
+    and the tail bound.  These run once per block of consecutive times:
+    ``points`` maps the table's term count to the times a block takes (at
+    least one), and each yielded series covers a block, with a leading axis
+    of its points.  A block is split where the kept rows change (``t = 0``
+    keeps only the identity), and a point whose weights leave the float range
+    ends it: the points before it are yielded, then its refusal raised.
+    Without ``points`` each series is one time's, with no leading axis.
+    ``reduced`` is the exact finite series, one term per
     power vector ``(m_1 .. m_N)`` with ``m_n < period_n`` and weight
     ``prod_n sqrt(F_{l,m}^theta(gamma_n f(t)))``.  ``truncated`` has one term
     per index vector of length ``<= order`` over the unit-norm operators;
@@ -359,6 +406,7 @@ def series_trajectory(
     prep = prepare(model)
     if variant == "auto":
         variant = "reduced" if prep.structure is not None else "truncated"
+    spectrum = _require_spectrum(prep)
     eye = np.eye(prep.dim, dtype=complex)
     work, structure = prep.normalized, prep.structure
     if variant == "reduced":
@@ -405,27 +453,66 @@ def series_trajectory(
     stack = np.array(products)
     del entries, products, eye
 
-    for t in ts:
-        t_op = effective_evolution(prep, t)
-        f_t = f_of_t(prep.report.alpha, t)
-        try:
-            if variant == "reduced":
-                # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))), one per (operator, power)
-                roots = [
-                    [math.sqrt(gen_hyperbolic(ell, m, theta, g * f_t)) for m in range(ell)]
-                    for ell, theta, g in zip(structure.periods, structure.thetas, work.gammas)
-                ]
-                weights = [math.prod(roots[n][m] for n, m in enumerate(powers)) for powers in factors]
-            else:
-                weights = [scale * math.sqrt(f_t ** len(indices)) for indices, scale in zip(table, factors)]
-        except OverflowError:  # a float power overflows with an exception, not with inf
-            weights = [math.inf]
-        if not all(math.isfinite(weight) for weight in weights):
-            raise _weight_overflow(t, max(work.gammas) * f_t)
-        kept = [row for row, weight in enumerate(weights) if weight != 0.0]
-        operators = t_op @ (stack if len(kept) == len(table) else stack[kept])
-        tail = 0.0 if terminates else _series_tail(f_t * sum(work.gammas), order)
-        yield KrausSeries(table, tuple(kept), np.array([weights[row] for row in kept]), operators, order, tail)
+    if variant == "reduced":
+        laws = list(zip(structure.periods, structure.thetas))
+        exponents = np.array(factors, dtype=int).reshape(len(table), len(laws))  # m_n of each term
+    else:
+        scales, orders = np.array(factors), [len(indices) for indices in table]
+    total_rate = sum(work.gammas)
+    size = 1 if points is None else max(1, points(len(table)))
+    times = iter(ts)
+    while block := [_time(t) for t in itertools.islice(times, size)]:
+        t = np.array(block)
+        f = _time_weight(prep.report.alpha, t)
+        if variant == "reduced":
+            # roots[n][m] = sqrt(F_{l_n, m}(gamma_n f(t))) over the block; the operators of one power law
+            # (l, theta) share one sum over their powers m
+            x = np.multiply.outer(work.gammas, f)
+            roots = [None] * len(laws)
+            for ell, theta in set(laws):
+                same = [n for n, law in enumerate(laws) if law == (ell, theta)]
+                shared = np.sqrt(_positive_series(x[same], np.arange(ell)[:, np.newaxis, np.newaxis], ell, theta))
+                for i, n in enumerate(same):
+                    roots[n] = shared[:, i]
+            # each term's prod_n roots[n][m_n], multiplied in operator order from 1 as math.prod does
+            with np.errstate(over="ignore", invalid="ignore"):  # past the float range, as floats do
+                weights = math.prod((roots[n][exponents[:, n]] for n in range(len(laws))), start=1)
+        else:
+            # each point's f(t) ** m by float arithmetic, for every order m of the table
+            powers = np.array([[_float_power(f_t, m) for m in range(max(orders) + 1)] for f_t in f.tolist()])
+            with np.errstate(invalid="ignore"):
+                weights = scales[:, np.newaxis] * np.sqrt(powers[:, orders].T)
+        weights = np.broadcast_to(weights, (len(table), len(block))).T  # (b, K)
+        finite = np.isfinite(weights).all(axis=-1)
+        good = len(block) if finite.all() else int(np.argmin(finite))
+        kept = weights[:good] != 0.0
+        changes = (np.flatnonzero((kept[1:] != kept[:-1]).any(axis=-1)) + 1).tolist()
+        t_ops = _contraction(spectrum, t[:good])
+        tails = [0.0] * good if terminates else _series_tail(f[:good] * total_rate, order).tolist()
+        for start, stop in itertools.pairwise([0, *changes, good] if good else []):
+            rows = np.flatnonzero(kept[start]).tolist()
+            kept_products = stack if len(rows) == len(table) else stack[rows]
+            at = start if points is None else slice(start, stop)  # a lone time has no leading axis
+            # the operators are built in the yield, so that while a block is out only its caller holds them
+            yield KrausSeries(
+                table,
+                tuple(rows),
+                weights[at, rows],
+                t_ops[at, np.newaxis] @ kept_products,
+                order,
+                tails[start] if points is None else np.array(tails[at]),
+            )
+        if good < len(block):
+            raise _weight_overflow(block[good], max(work.gammas) * f[good])
+
+
+def _float_power(x: float, m: int) -> float:
+    """``x ** m`` as a float computes it (libm's pow, which numpy's array power can miss by an ulp);
+    inf past the float range."""
+    try:
+        return x**m
+    except OverflowError:  # a float power overflows with an exception, not with inf
+        return math.inf
 
 
 def build_series(model: LindbladModel | PreparedModel, t: float, variant: str, order: int) -> KrausSeries:

@@ -20,6 +20,7 @@ import numpy as np
 from .matkernel import (
     DensityMatrix,
     hermiticity_defect,
+    _integer,
     _real,
     _require_square,
     _state,
@@ -200,7 +201,7 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
     point to point; both legs take the form that :func:`_repeated` picks for
     their number of repeats.
     """
-    if _time(start, "start time") > _time(stop, "stop time") or steps < 1:
+    if _time(start, "start time") > _time(stop, "stop time") or _integer(steps, "steps") < 1:
         raise ValueError("need 0 <= start <= stop and steps >= 1")
     rho = _state(rho0, model.dim, "the model")
     gen = _shifted_generator(-1j * effective_hamiltonian(model), _weighted_jumps(model))
@@ -376,7 +377,7 @@ def trotter_trajectory(
     stage takes the form that :func:`_repeated` picks for ``steps`` repeats.  This is
     a cross-validation path, not the production solver.
     """
-    if steps < 1:
+    if _integer(steps, "steps") < 1:
         raise ValueError("steps must be >= 1")
     rho = _state(rho0, model.dim, "the model")[np.newaxis]
     first, second = _split_generators(model, split)

@@ -148,18 +148,25 @@ def _state(value, dim: int, what: str) -> np.ndarray:
     return mat
 
 
-def _require_square(a: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _require_square(a: np.ndarray, what: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """``a`` as a complex square matrix of finite entries, or with ``stacked`` a ``(..., d, d)`` stack of them."""
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
+def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
+    """Largest entry of ``|A - A^dag|``, per matrix of a ``(..., d, d)`` stack; 0 for an empty matrix."""
     a = np.asarray(a)
-    return float(np.abs(a - a.conj().T).max()) if a.size else 0.0
+    return np.abs(a - _dagger(a)).max(axis=(-2, -1), initial=0.0)[()]
+
+
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose of each matrix of a ``(..., d, d)`` stack."""
+    return a.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -238,8 +245,8 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _root(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``U diag(sqrt(max(w, 0))) U^dag``, the PSD root of the matrix with eigenpairs ``(w, u)``."""
-    return (u * np.sqrt(np.clip(w, 0.0, None))) @ u.conj().T
+    """``U diag(sqrt(max(w, 0))) U^dag``, the PSD root of the matrix with eigenpairs ``(w, u)``, per stacked matrix."""
+    return (u * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _dagger(u)
 
 
 def sznagy_dilation(op: np.ndarray) -> np.ndarray:
@@ -259,23 +266,39 @@ def sznagy_dilation(op: np.ndarray) -> np.ndarray:
 
 
 def project_to_physical(matrix: np.ndarray) -> np.ndarray:
-    """Clip negative eigenvalues and renormalize to unit trace."""
+    """Clip negative eigenvalues and renormalize to unit trace, per matrix of a ``(..., d, d)`` stack."""
     return _physical(*_hermitian_eigh(matrix))[0]
 
 
+# The functions below take one matrix or a (..., d, d) stack of them (eigenvalues a (..., d) stack), do the
+# same float operations on each as on a lone one, and give a value per matrix; one matrix has no leading axis.
+
+
 def _hermitian_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenpairs ``(w, u)`` of the Hermitian part ``(M + M^dag) / 2`` of a finite square matrix."""
-    mat = _require_square(matrix)
-    return np.linalg.eigh((mat + mat.conj().T) / 2)
+    """Ascending eigenpairs ``(w, u)`` of the Hermitian part ``(M + M^dag) / 2`` of each finite square matrix."""
+    mat = _require_square(matrix, stacked=True)
+    return np.linalg.eigh((mat + _dagger(mat)) / 2)
 
 
 def _physical(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The state with eigenvectors ``u`` and eigenvalues ``w`` clipped at 0 to unit trace, and its eigenpairs."""
     w = np.clip(w, 0.0, None)
-    if (total := w.sum()) <= 0.0:
+    total = w.sum(axis=-1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("projection clipped every eigenvalue; degenerate input")
     w = w / total
-    return (u * w) @ u.conj().T, (w, u)
+    return (u * w[..., np.newaxis, :]) @ _dagger(u), (w, u)
+
+
+def _suffix_sums(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Per row of ``values``, the sum of the entries ``kept`` marks, a suffix of the row (the entries of an
+    ascending row above a threshold); each is numpy's sum of that slice, rounded as ``row[kept].sum()`` is."""
+    counts = kept.sum(axis=-1)
+    sums = np.empty(counts.shape)
+    for count in set(np.ravel(counts).tolist()):  # np.unique would import numpy.ma
+        rows = counts == count
+        sums[rows] = values[rows][..., values.shape[-1] - count :].sum(axis=-1)
+    return sums[()]
 
 
 def fidelity(rho, sigma) -> float:
@@ -288,14 +311,17 @@ def fidelity(rho, sigma) -> float:
     return _root_fidelity(psd_sqrt(a), b)
 
 
-def _root_fidelity(root: np.ndarray, sigma: np.ndarray) -> float:
+def _root_fidelity(root: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Fidelity of ``sigma`` with the state whose PSD root is ``root``; the fidelity is symmetric, so either may give it."""
     inner = root @ sigma @ root
-    w = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
+    w = np.linalg.eigvalsh((inner + _dagger(inner)) / 2)
     # eigenvalues at solver-noise level would pollute the square root
-    floor = max(float(w.max()), 0.0) * 1e-13
-    val = float(np.sqrt(w[w > floor]).sum() ** 2)
-    return min(max(val, 0.0), 1.0)
+    floor = np.maximum(w.max(axis=-1), 0.0) * 1e-13
+    kept = w > floor[..., np.newaxis]
+    sums = _suffix_sums(np.sqrt(np.where(kept, w, 0.0)), kept)
+    # squared one by one: a float's ** 2 is libm's pow, which an array's ** 2 (x * x) can miss by an ulp
+    squares = np.array([total**2 for total in np.ravel(sums).tolist()]).reshape(np.shape(sums))
+    return np.clip(squares, 0.0, 1.0)[()]
 
 
 def von_neumann_entropy(rho) -> float:
@@ -304,10 +330,11 @@ def von_neumann_entropy(rho) -> float:
     return _entropy(np.linalg.eigvalsh((mat + mat.conj().T) / 2))
 
 
-def _entropy(w: np.ndarray) -> float:
-    """-sum(w ln w) over the eigenvalues ``w``; zero and negative ones contribute 0."""
-    nz = w[w > 0.0]
-    return float(-(nz * np.log(nz)).sum())
+def _entropy(w: np.ndarray) -> float | np.ndarray:
+    """-sum(w ln w) over the ascending eigenvalues ``w``; zero and negative ones contribute 0."""
+    kept = w > 0.0
+    positive = np.where(kept, w, 1.0)
+    return -_suffix_sums(positive * np.log(positive), kept)
 
 
 def to_doc(value):
@@ -370,14 +397,14 @@ def from_doc(kind, doc):
     return doc
 
 
-def trace_distance(rho, sigma) -> float:
-    """Half the trace norm of the difference of two Hermitian matrices; ``inf``
-    when either has a non-finite entry, so that no bound accepts it."""
+def trace_distance(rho, sigma) -> float | np.ndarray:
+    """Half the trace norm of the difference of two Hermitian matrices, per pair of two ``(..., d, d)``
+    stacks; ``inf`` where either has a non-finite entry, so that no bound accepts it."""
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        return math.inf
-    diff = a - b
-    w = np.linalg.eigvalsh((diff + diff.conj().T) / 2)
-    return float(0.5 * np.abs(w).sum())
+    finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-2, -1))
+    distances = np.full(finite.shape, math.inf)
+    diff = a[finite] - b[finite]
+    distances[finite] = 0.5 * np.abs(np.linalg.eigvalsh((diff + _dagger(diff)) / 2)).sum(axis=-1)
+    return distances[()]

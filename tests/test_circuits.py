@@ -863,3 +863,11 @@ def test_statevector_matches_dense_gate_operators(rng, n):
     final = qc.simulate_statevector(qc.Circuit(n, 0, tuple(gates)), amps).amplitudes
     assert np.abs(final - expected).max() < 1e-12
     assert np.array_equal(amps, given)
+
+
+@pytest.mark.parametrize("shared", [None, {}], ids=["alone", "shared"])
+def test_kraus_circuit_reads_its_time_before_looking_up_the_shared_gates(pauli_spec, shared):
+    # an unhashable time used to fail the lookup with "unhashable type: 'list'"
+    term = kraus.build_series(pauli_spec.model, 0.5, "reduced", 0).terms[-1]
+    with pytest.raises(ValueError, match=r"^evolution time must be a finite real number, got \[0\.5\]$"):
+        qc.build_kraus_circuit(term, pauli_spec.model, [0.5], _shared=shared)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -608,13 +609,15 @@ def test_experiment_check_holds_each_step_to_its_own_bound(tmp_path, capsys):
 def test_kraus_check_fails_on_a_corrupted_weight(tmp_path, capsys, monkeypatch):
     real = kraus.series_trajectory
 
-    def corrupted(model, ts, variant, order):
-        for index, series in enumerate(real(model, ts, variant, order)):
-            if index == 5:
-                weights = series.weights.copy()
-                weights[0] *= 1.001
-                series = dataclasses.replace(series, weights=weights)
-            yield series
+    def corrupted(*args):
+        index = 0  # of the first point of each series, one time or a block of them
+        for series in real(*args):
+            weights = series.weights.copy()
+            points = weights.reshape(-1, weights.shape[-1])
+            if index <= 5 < index + len(points):
+                points[5 - index, 0] *= 1.001
+            index += len(points)
+            yield dataclasses.replace(series, weights=weights)
 
     monkeypatch.setattr(kraus, "series_trajectory", corrupted)
     assert run(["experiment", "--preset", "pauli-xx-zz", "--check", "--out", tmp_path / "o"]) == 3
@@ -644,9 +647,10 @@ def test_non_finite_method_state_fails_the_check(tmp_path, capsys, monkeypatch):
 
     def corrupted(series, rho0):
         out = real(series, rho0)
-        if len(calls) == 5:
-            out[0, 1] = np.nan
-        calls.append(series)
+        states = out.reshape(-1, *out.shape[-2:])  # one state or a block of them
+        if len(calls) <= 5 < len(calls) + len(states):
+            states[5 - len(calls), 0, 1] = np.nan
+        calls.extend(states)
         return out
 
     monkeypatch.setattr(kraus, "apply_series", corrupted)
@@ -696,18 +700,20 @@ def test_experiment_validates_only_the_initial_state(monkeypatch, case):
 
 
 def _decompositions_per_record(monkeypatch, doc):
-    """The ``np.linalg.eigh`` and ``eigvalsh`` calls made while each record of a run of ``doc`` is produced."""
+    """The matrices that ``np.linalg.eigh`` and ``eigvalsh`` decompose while each record of a run of ``doc``
+    is produced: the leading size of each call's input, 1 for one matrix.  A block's calls land on its
+    first record."""
     calls = []
     for name in ("eigh", "eigvalsh"):
 
-        def counted(*args, _func=getattr(np.linalg, name), **kwargs):
-            calls.append(_func)
-            return _func(*args, **kwargs)
+        def counted(matrices, *args, _func=getattr(np.linalg, name), **kwargs):
+            calls.append(math.prod(np.shape(matrices)[:-2]))
+            return _func(matrices, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     per_record = []
     for _record in cli.run_experiment(cli.ExperimentConfig.from_dict(doc)):
-        per_record.append(len(calls))
+        per_record.append(sum(calls))
         calls.clear()
     return per_record
 
@@ -721,7 +727,82 @@ def test_each_step_decomposes_three_matrices(monkeypatch, case):
     # projection, the entropy and the fidelity's root; the fidelity product and the check difference
     # take one eigvalsh each.  The first record also carries the run's setup and the channel fit.
     doc = {**cli.PRESETS["pauli-xx-zz"], **case, "time": {"start": 0.0, "stop": 1.0, "steps": 6}}
+    # t = 0 keeps only the identity term, so the other five points make one block
+    assert _decompositions_per_record(monkeypatch, doc)[1:] == [3 * 5, 0, 0, 0, 0]
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one point per block
     assert _decompositions_per_record(monkeypatch, doc)[1:] == [3] * 5
+
+
+def _ramped_pauli_noise(strength):
+    """Pauli noise weighing the 15 non-identity strings 1 : 2 : ... : 15."""
+    ramp = np.arange(1.0, 16.0)
+    return {"kind": "pauli", "epsilons": [1.0 - strength, *(strength * ramp / ramp.sum())]}
+
+
+# id -> (what the case changes in a 60-step pauli-xx-zz run); each has a block in which some states are
+# projected and others kept: the shot path's tomography estimates, the series' under strong noise
+BLOCK_CASES = {
+    "none": {"method": "kraus-circuit-shots", "shots": 64, "seed": 5, "noise": _ramped_pauli_noise(0.05)},
+    "qdc": {"noise": _ramped_pauli_noise(0.5), "mitigation": "qdc"},
+    "pauli-fit": {
+        "method": "kraus-circuit-shots",
+        "shots": 64,
+        "seed": 5,
+        "noise": _ramped_pauli_noise(0.3),
+        "mitigation": "pauli-fit",
+    },
+}
+
+
+@pytest.mark.filterwarnings("ignore:Pauli channel is rank deficient")
+@pytest.mark.parametrize("case", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_blocks_give_the_records_of_one_point_at_a_time(monkeypatch, case):
+    doc = {**cli.PRESETS["pauli-xx-zz"], **case, "time": {"start": 0.0, "stop": 2.0, "steps": 60}}
+    blocks = []  # [states, projected states] of each block's physicality decision
+    eigh, physical = cli._hermitian_eigh, cli._physical
+
+    def counted_eigh(mats):
+        blocks.append([math.prod(np.shape(mats)[:-2]), 0])
+        return eigh(mats)
+
+    def counted_physical(w, u):
+        blocks[-1][1] += int((w.min(axis=-1) < 0.0).sum())
+        return physical(w, u)
+
+    monkeypatch.setattr(cli, "_hermitian_eigh", counted_eigh)
+    monkeypatch.setattr(cli, "_physical", counted_physical)
+    records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
+    assert any(0 < projected < states for states, projected in blocks)
+    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one point per block
+    blocks.clear()
+    alone = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
+    assert [states for states, _ in blocks] == [1] * 60
+    assert len(records) == len(alone) == 60
+    for record, want in zip(records, alone):
+        for name in (f.name for f in dataclasses.fields(cli.TrajectoryRecord)):
+            got, expected = getattr(record, name), getattr(want, name)
+            assert type(got) is type(expected), name
+            if isinstance(got, np.ndarray):
+                assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+            else:
+                assert got == expected, name
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["blocks", "one-point-blocks"])
+def test_series_weight_overflow_inside_a_block_exits_3_at_its_first_point(tmp_path, capsys, monkeypatch, budget):
+    # the weights leave the float range between t = 600 and 650, inside the one block of all 17 points
+    if budget is not None:
+        monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+    doc = {
+        "model": "pauli-xx-zz",
+        "state": "pauli-xx-zz",
+        "time": {"stop": 800, "steps": 17},
+        "method": "kraus",
+        "series": "reduced",
+    }
+    assert run(["experiment", "--config", _write_config(tmp_path, doc), "--out", tmp_path / "o"]) == 3
+    refusal = "Kraus weights overflow at t=650: gamma*f(t) = 650 puts exp(gamma*f(t)) beyond the float range"
+    assert capsys.readouterr().err == f"numerical check failed: {refusal}\n"
 
 
 def _non_physical(rng, dim):

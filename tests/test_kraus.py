@@ -163,6 +163,7 @@ def test_series_tail_matches_the_incomplete_gamma_function():
         got = np.array([kraus._series_tail(float(x), order) for x in xs])
         # below the normal range (tiny, 2.2e-308) a float has no relative precision left
         assert np.all(np.abs(got - want) <= 1e-12 * want + np.finfo(float).tiny), order
+        assert kraus._series_tail(xs, order).tobytes() == got.tobytes()  # a block's tails are its points'
     for order in (0, 5):
         assert kraus._series_tail(0.0, order) == 0.0
         assert kraus._series_tail(-1.0, order) == 0.0
@@ -285,18 +286,22 @@ def test_gen_hyperbolic_validation():
 
 
 def test_reduced_series_evaluates_each_weight_once(pauli_spec, monkeypatch):
-    original = kraus.gen_hyperbolic
-    calls = []
+    # one root sqrt(F_{l,m}) per (operator, power) and point, however the sums are batched
+    original = kraus._positive_series
+    evaluated = []
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
+    def counted(x, first, *args):
+        evaluated.append(np.broadcast(x, first).size)
+        return original(x, first, *args)
 
     prep = kraus.prepare(pauli_spec.model)
-    monkeypatch.setattr(kraus, "gen_hyperbolic", counted)
+    monkeypatch.setattr(kraus, "_positive_series", counted)
     series = kraus.build_reduced_series(prep, 0.4)
     assert len(series.terms) == 16
-    assert len(calls) == sum(prep.structure.periods) == 8
+    assert sum(evaluated) == sum(prep.structure.periods) == 8
+    evaluated.clear()
+    (block,) = kraus.series_trajectory(prep, [0.4, 0.5, 0.6], "reduced", 0, lambda _terms: 3)
+    assert block.weights.shape == (3, 16) and sum(evaluated) == 3 * 8
 
 
 @settings(max_examples=30, deadline=None)
@@ -460,6 +465,71 @@ def test_rotated_nilpotent_is_detected_at_rounding_level():
     q = np.linalg.qr(random_state(np.random.default_rng(0), 1024).reshape(32, 32))[0]
     model = lb.LindbladModel(np.zeros((32, 32)), (q @ a @ q.conj().T,), (1.0,))
     assert kraus.detect_group_structure(model) == kraus.GroupStructure((32,), (0.0,))
+
+
+def _lone_positive_series(x: float, first: int, stride: int, ratio: float) -> float:
+    """The float-by-float evaluation that the array one must match: the sum of ``kraus._positive_series``
+    taken on one Python float."""
+    term = math.prod(x / n for n in range(1, first + 1))
+    total, n = 0.0, first
+    while total + term > total:
+        total += term
+        term *= ratio
+        for _ in range(stride):
+            n += 1
+            term *= x / n
+    return total
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("ratio", [1.0, 0.0])
+def test_positive_series_on_an_array_matches_each_lone_evaluation_bit_for_bit(first, ratio):
+    # each element stops on its own, so a block of weights is the weights of its points
+    edges = [0.0, 5e-324, 1e-300, 1e-8, 0.5, 1.0, 3.0, 40.0, 709.0, 712.0, 1500.0]
+    x = np.concatenate([edges, np.geomspace(1e-6, 800, 57)])
+    got = kraus._positive_series(x, first, 2, ratio)
+    want = np.array([_lone_positive_series(value, first, 2, ratio) for value in x.tolist()])
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    assert kraus._positive_series(x[:7].reshape(7, 1), first, 2, ratio).tobytes() == want[:7].tobytes()
+    for value, lone in zip(x.tolist(), want.tolist()):
+        assert kraus._positive_series(value, first, 2, ratio) == lone or math.isnan(lone)
+    # one call over several first powers, as the reduced series takes each power law's
+    firsts = np.arange(4)[:, np.newaxis]
+    many = kraus._positive_series(x, firsts + first, 2, ratio)
+    want = [[_lone_positive_series(value, m + first, 2, ratio) for value in x.tolist()] for m in range(4)]
+    assert many.shape == (4, x.size) and many.tobytes() == np.array(want).tobytes()
+
+
+def test_series_blocks_are_the_points_stacked(pauli_spec, qho_spec):
+    # a block of b points carries each point's rows, weights, operators and tail bound; blocks split
+    # where the kept rows change (t = 0 keeps only the identity) and hold at most the asked points
+    ts = np.linspace(0.0, 2.0, 11).tolist()
+    for model, variant, order in ((pauli_spec.model, "reduced", 0), (qho_spec.model, "truncated", 2)):
+        prep = kraus.prepare(model)
+        points = list(kraus.series_trajectory(prep, ts, variant, order))
+        blocks = list(kraus.series_trajectory(prep, ts, variant, order, lambda terms: 4))
+        assert [len(block.weights) for block in blocks] == [1, 3, 4, 3]
+        first = 0  # the block's first point
+        for block in blocks:
+            rho = random_density(np.random.default_rng(first), model.dim)
+            parts = zip(block.weights, block.operators, block.tail_bound.tolist(), kraus.apply_series(block, rho))
+            for point, (weights, operators, tail, state) in zip(points[first:], parts):
+                assert block.table is blocks[0].table and block.table == point.table and block.rows == point.rows
+                assert weights.tobytes() == point.weights.tobytes() and operators.tobytes() == point.operators.tobytes()
+                assert tail == point.tail_bound
+                assert state.tobytes() == kraus.apply_series(point, rho).tobytes()
+            first += len(block.weights)
+        assert first == len(ts)
+
+
+def test_series_weight_overflow_inside_a_block_yields_the_points_before_it(pauli_spec):
+    # the weights leave the float range between t = 600 and 650, as they do point by point: the
+    # block of 400 .. 750 is cut there
+    ts = np.linspace(0.0, 800.0, 17).tolist()
+    trajectory = kraus.series_trajectory(pauli_spec.model, ts, "reduced", 0, lambda _terms: 8)
+    assert [len(next(trajectory).weights) for _ in range(3)] == [1, 7, 5]
+    with pytest.raises(kraus.ConditionError, match="overflow at t=650: gamma"):
+        next(trajectory)
 
 
 def test_series_weight_overflow_is_a_condition_error(pauli_spec):

@@ -430,3 +430,17 @@ def test_model_doc_rejects_unknown_keys_and_unpaired_matrices(schwinger_spec):
     real = np.real(schwinger_spec.model.hamiltonian).tolist()
     with pytest.raises(ValueError, match=r"\[re, im\] pairs"):
         from_doc(lb.LindbladModel, {**doc, "hamiltonian": real})
+
+
+@pytest.mark.parametrize(
+    "trajectory",
+    [
+        lambda model, rho: lb.exact_trajectory(model, rho, 0.0, 1.0, 2.5),
+        lambda model, rho: lb.trotter_trajectory(model, rho, [0.5], 2.5),
+    ],
+    ids=["exact_trajectory", "trotter_trajectory"],
+)
+def test_a_step_count_that_is_not_an_integer_is_refused(pauli_spec, trajectory):
+    # the count goes through the one integer rule; it used to raise a TypeError from range()
+    with pytest.raises(ValueError, match=r"^steps must be an integer, got 2\.5$"):
+        next(trajectory(pauli_spec.model, np.eye(4) / 4))
