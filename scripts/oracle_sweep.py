@@ -14,7 +14,10 @@ on each block.  The field side is ``analysis.WignerNodes`` on the
 default grid, built once, and one ``analysis.wigner`` step of the random
 state.  The last line of standard output is one JSON object with, per
 size, the median wall time of ``REPEATS`` runs of each side, the
-``tracemalloc`` peak of one more run of each, the time spent in
+``tracemalloc`` peak of one more run of each, the norm bound of the
+oracle's generator (``oracle_norm_bound``, which sets its Taylor plan) and
+the generator applications of one oracle run (``oracle_applications``),
+the time spent in
 ``kraus.apply_series`` over one more series run (``apply_s``: the channel
 action apart from the series construction), the largest entry gap
 between the series and the oracle, and the largest gap between the field
@@ -41,6 +44,28 @@ def run_oracle(model, rho0) -> list[np.ndarray]:
     return list(lindblad.exact_trajectory(model, rho0, 0.0, STOP, POINTS))
 
 
+def oracle_plan(model, rho0) -> tuple[float, int]:
+    """The norm bound of the generator that one oracle run builds, and how often that run applies it."""
+    built, applied = [], []
+    build, apply = lindblad._shifted_generator, lindblad._ShiftedGenerator.__call__
+
+    def building(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    def applying(gen, x):
+        applied.append(x.shape[0])
+        return apply(gen, x)
+
+    lindblad._shifted_generator, lindblad._ShiftedGenerator.__call__ = building, applying
+    try:
+        run_oracle(model, rho0)
+    finally:
+        lindblad._shifted_generator, lindblad._ShiftedGenerator.__call__ = build, apply
+    (gen,) = built
+    return gen.norm, len(applied)
+
+
 def run_series(model, rho0, n_max: int) -> list[np.ndarray]:
     prep = kraus.prepare(model)
     ts = np.linspace(0.0, STOP, POINTS)
@@ -52,6 +77,7 @@ def measure(n_max: int) -> dict:
     model = models.build_model("qho-damped", n_max=n_max).model
     rho0 = random_density(np.random.default_rng([SEED, n_max]), model.dim)
     oracle_s, oracle_all, oracle_peak, oracle = timed(run_oracle, model, rho0)
+    norm_bound, applications = oracle_plan(model, rho0)
     series_s, series_all, series_peak, series = timed(run_series, model, rho0, n_max)
     series_layers, _ = layer_times(kraus, ("apply_series",), run_series, model, rho0, n_max)
     grid = analysis.default_grid()
@@ -62,6 +88,8 @@ def measure(n_max: int) -> dict:
         "oracle_s": oracle_s,
         "oracle_s_all": oracle_all,
         "oracle_tracemalloc_peak_mb": oracle_peak,
+        "oracle_norm_bound": norm_bound,
+        "oracle_applications": applications,
         "series_s": series_s,
         "series_s_all": series_all,
         "series_tracemalloc_peak_mb": series_peak,
@@ -79,7 +107,8 @@ def measure(n_max: int) -> dict:
 
 def progress(n_max: int, row: dict) -> str:
     return (
-        f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB), "
+        f"n_max {n_max}: oracle {row['oracle_s']:.4f} s ({row['oracle_tracemalloc_peak_mb']:.2f} MB, bound "
+        f"{row['oracle_norm_bound']:.1f}, {row['oracle_applications']} applications), "
         f"series {row['series_s']:.4f} s ({row['series_tracemalloc_peak_mb']:.2f} MB, apply {row['apply_s']:.4f} s), "
         f"series gap {row['series_gap']:.1e}; field build {row['field_build_s'] * 1e3:.2f} ms "
         f"({row['field_build_tracemalloc_peak_mb']:.2f} MB), step {row['field_step_s'] * 1e3:.2f} ms "

@@ -21,6 +21,7 @@ import csv
 import functools
 import itertools
 import json
+import math
 import shutil
 import sys
 import tempfile
@@ -483,9 +484,9 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
         oracle = np.array(taken[: len(times)])
         del taken[: len(times)]
         raws = oracle if raws is None else raws
-        distances = trace_distance(oracle, raws)
-        if (distances == np.inf).any():
-            raise ConditionError(f"non-finite state at t={times[int(np.argmax(distances == np.inf))]:.6g}")
+        distances = trace_distance(oracle, raws).tolist()
+        if math.inf in distances:
+            raise ConditionError(f"non-finite state at t={times[distances.index(math.inf)]:.6g}")
         noisy = noise(raws)
         final, physical, (w, u) = mitigate(oracle, noisy)
         columns = {name: values.tolist() for name, values in read_columns(final).items()}
@@ -502,7 +503,7 @@ def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
                 diagnostics=steps[index],
                 table=table,
                 fields=read_fields(physical[index]),
-                check_distance=distances[index].item(),
+                check_distance=distances[index],
                 check_bound=bounds[index],
             )
 

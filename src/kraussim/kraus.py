@@ -292,10 +292,10 @@ def apply_series(series: KrausSeries, rho0) -> np.ndarray:
     rho = _state(rho0, dim, "the series")
     out = np.zeros((*series.weights.shape[:-1], dim, dim), dtype=complex)
     # term first, complex as a float times a complex matrix is taken (w + 0j) * z, so cast once
-    weights = np.moveaxis(series.weights.astype(complex), -1, 0)[..., np.newaxis, np.newaxis]
-    for weight, operator in zip(weights, np.moveaxis(series.operators, -3, 0)):
+    weights = series.weights.astype(complex).T[..., np.newaxis, np.newaxis]
+    for weight, operator in zip(weights, series.operators.swapaxes(0, -3)):
         kraus = weight * operator
-        out += kraus @ rho @ kraus.conj().swapaxes(-1, -2)
+        out += kraus @ rho @ kraus.conj().mT
     return out
 
 
@@ -457,7 +457,8 @@ def series_trajectory(
         laws = list(zip(structure.periods, structure.thetas))
         exponents = np.array(factors, dtype=int).reshape(len(table), len(laws))  # m_n of each term
     else:
-        scales, orders = np.array(factors), [len(indices) for indices in table]
+        scales, orders = np.array(factors), np.array([len(indices) for indices in table])
+        powers_taken = int(orders.max()) + 1
     total_rate = sum(work.gammas)
     size = 1 if points is None else max(1, points(len(table)))
     times = iter(ts)
@@ -476,29 +477,29 @@ def series_trajectory(
                     roots[n] = shared[:, i]
             # each term's prod_n roots[n][m_n], multiplied in operator order from 1 as math.prod does
             with np.errstate(over="ignore", invalid="ignore"):  # past the float range, as floats do
-                weights = math.prod((roots[n][exponents[:, n]] for n in range(len(laws))), start=1)
+                weights = math.prod((roots[n][exponents[:, n]] for n in range(len(laws))), start=1).T
         else:
             # each point's f(t) ** m by float arithmetic, for every order m of the table
-            powers = np.array([[_float_power(f_t, m) for m in range(max(orders) + 1)] for f_t in f.tolist()])
+            powers = np.array([_float_powers(f_t, powers_taken) for f_t in f.tolist()])
             with np.errstate(invalid="ignore"):
-                weights = scales[:, np.newaxis] * np.sqrt(powers[:, orders].T)
-        weights = np.broadcast_to(weights, (len(table), len(block))).T  # (b, K)
+                weights = scales * np.sqrt(powers[:, orders])
+        # weights is (b, K); the block ends before its first point with a weight past the float range
         finite = np.isfinite(weights).all(axis=-1)
         good = len(block) if finite.all() else int(np.argmin(finite))
-        kept = weights[:good] != 0.0
-        changes = (np.flatnonzero((kept[1:] != kept[:-1]).any(axis=-1)) + 1).tolist()
+        kept = (weights[:good] != 0.0).tolist()
+        changes = [index for index in range(1, good) if kept[index] != kept[index - 1]]
         t_ops = _contraction(spectrum, t[:good])
         tails = [0.0] * good if terminates else _series_tail(f[:good] * total_rate, order).tolist()
         for start, stop in itertools.pairwise([0, *changes, good] if good else []):
-            rows = np.flatnonzero(kept[start]).tolist()
-            kept_products = stack if len(rows) == len(table) else stack[rows]
+            rows = [row for row, keep in enumerate(kept[start]) if keep]
+            columns = slice(None) if len(rows) == len(table) else rows
             at = start if points is None else slice(start, stop)  # a lone time has no leading axis
             # the operators are built in the yield, so that while a block is out only its caller holds them
             yield KrausSeries(
                 table,
                 tuple(rows),
-                weights[at, rows],
-                t_ops[at, np.newaxis] @ kept_products,
+                weights[at, columns],
+                t_ops[at, np.newaxis] @ stack[columns],
                 order,
                 tails[start] if points is None else np.array(tails[at]),
             )
@@ -506,13 +507,16 @@ def series_trajectory(
             raise _weight_overflow(block[good], max(work.gammas) * f[good])
 
 
-def _float_power(x: float, m: int) -> float:
-    """``x ** m`` as a float computes it (libm's pow, which numpy's array power can miss by an ulp);
-    inf past the float range."""
+def _float_powers(x: float, count: int) -> list[float]:
+    """``x ** m`` for ``m < count`` as a float computes each (libm's pow, which numpy's array power can
+    miss by an ulp); inf past the float range, which for ``x >= 0`` holds every higher power too."""
+    powers = []
     try:
-        return x**m
+        for m in range(count):
+            powers.append(x**m)
     except OverflowError:  # a float power overflows with an exception, not with inf
-        return math.inf
+        powers += [math.inf] * (count - len(powers))
+    return powers
 
 
 def build_series(model: LindbladModel | PreparedModel, t: float, variant: str, order: int) -> KrausSeries:

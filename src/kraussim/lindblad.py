@@ -220,10 +220,12 @@ def exact_trajectory(model: LindbladModel, rho0, start: float, stop: float, step
 class _ShiftedGenerator:
     """``D - shift I`` applied to d x d matrices: ``X -> A X + X A^dag + sum_k J_k X J_k^dag``.
 
-    ``A = a - (shift / 2) I`` for the unshifted part ``a`` of
-    :func:`_shifted_generator`.  The shift is the mean eigenvalue
-    ``tr(D) / dim^2``, which the Taylor propagation multiplies back in as
-    ``exp(shift h)``; ``norm`` bounds ``||D - shift I||_1`` from above.
+    ``A = a - (shift / 2 + i c) I`` for the unshifted part ``a`` of
+    :func:`_shifted_generator`, with ``c = Im tr(a) / dim``.  The shift is the
+    mean eigenvalue ``tr(D) / dim^2``, which the Taylor propagation multiplies
+    back in as ``exp(shift h)``; ``i c`` needs no such factor, since it enters
+    ``A X + X A^dag`` as ``-i c X + i c X``.  ``norm`` bounds
+    ``||D - shift I||_1`` from above by ``2 ||A||_1 + sum_k ||J_k||_1^2``.
     """
 
     a: np.ndarray
@@ -248,12 +250,16 @@ def _shifted_generator(a: np.ndarray, jumps: np.ndarray) -> _ShiftedGenerator:
     ``tr(D) = 2 dim Re tr(a) + sum_k |tr J_k|^2``, and
     ``||D - shift I||_1 <= 2 ||A||_1 + sum_k ||J_k||_1^2``, since
     ``||A (x) I||_1 = ||A||_1`` and ``||J (x) J^*||_1 = ||J||_1^2``.
+    ``A = a - (shift / 2 + i c) I`` with ``c = Im tr(a) / dim``: taking out
+    the mean imaginary part of ``a``'s diagonal leaves ``D`` as it is and
+    keeps the Hamiltonian's trace out of the bound.
     """
     dim = a.shape[0]
     a = np.array(a, dtype=complex)
     traces = np.trace(jumps, axis1=1, axis2=2)
-    shift = 2.0 * float(np.trace(a).real) / dim + float(np.sum(np.abs(traces) ** 2)) / dim**2
-    a.flat[:: dim + 1] -= shift / 2
+    trace_a = complex(np.trace(a))
+    shift = 2.0 * trace_a.real / dim + float(np.sum(np.abs(traces) ** 2)) / dim**2
+    a.flat[:: dim + 1] -= complex(shift / 2, trace_a.imag / dim)
     jump_norms = np.abs(jumps).sum(axis=1).max(axis=1)
     norm = 2.0 * float(np.abs(a).sum(axis=0).max()) + float(np.sum(jump_norms**2))
     return _ShiftedGenerator(a, a.conj().T, jumps, jumps.conj().transpose(0, 2, 1), shift, norm)

@@ -153,7 +153,7 @@ def _require_square(a: np.ndarray, what: str = "matrix", stacked: bool = False) 
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or (a.ndim > 2 and not stacked) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():  # a complex entry is finite when both of its parts are
         raise ValueError(f"{what} contains non-finite entries")
     return a
 
@@ -166,7 +166,7 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     """The conjugate transpose of each matrix of a ``(..., d, d)`` stack."""
-    return a.conj().swapaxes(-1, -2)
+    return a.conj().mT
 
 
 @dataclass(frozen=True)
@@ -245,8 +245,9 @@ def psd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def _root(w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``U diag(sqrt(max(w, 0))) U^dag``, the PSD root of the matrix with eigenpairs ``(w, u)``, per stacked matrix."""
-    return (u * np.sqrt(np.clip(w, 0.0, None))[..., np.newaxis, :]) @ _dagger(u)
+    """``U diag(sqrt(max(w, 0))) U^dag``, the PSD root of the matrix with eigenpairs ``(w, u)``, per stacked matrix.
+    ``np.maximum(w, 0.0)`` is ``np.clip(w, 0.0, None)`` bit for bit, without its Python wrapper."""
+    return (u * np.sqrt(np.maximum(w, 0.0))[..., np.newaxis, :]) @ _dagger(u)
 
 
 def sznagy_dilation(op: np.ndarray) -> np.ndarray:
@@ -282,7 +283,7 @@ def _hermitian_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _physical(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The state with eigenvectors ``u`` and eigenvalues ``w`` clipped at 0 to unit trace, and its eigenpairs."""
-    w = np.clip(w, 0.0, None)
+    w = np.maximum(w, 0.0)  # the clip at 0, as in _root
     total = w.sum(axis=-1, keepdims=True)
     if (total <= 0.0).any():
         raise ValueError("projection clipped every eigenvalue; degenerate input")
@@ -290,14 +291,15 @@ def _physical(w: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarra
     return (u * w[..., np.newaxis, :]) @ _dagger(u), (w, u)
 
 
-def _suffix_sums(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """Per row of ``values``, the sum of the entries ``kept`` marks, a suffix of the row (the entries of an
-    ascending row above a threshold); each is numpy's sum of that slice, rounded as ``row[kept].sum()`` is."""
+def _suffix_sums(w: np.ndarray, kept: np.ndarray, term: typing.Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Per row of the ascending ``w``, the sum of ``term`` over the entries ``kept`` marks, a suffix of the
+    row (the entries above a threshold); each is numpy's sum of ``term`` of that slice, rounded as
+    ``term(row[kept]).sum()`` is.  ``term`` sees only kept entries."""
     counts = kept.sum(axis=-1)
     sums = np.empty(counts.shape)
-    for count in set(np.ravel(counts).tolist()):  # np.unique would import numpy.ma
+    for count in set(counts.ravel().tolist()):  # np.unique would import numpy.ma
         rows = counts == count
-        sums[rows] = values[rows][..., values.shape[-1] - count :].sum(axis=-1)
+        sums[rows] = term(w[rows][..., w.shape[-1] - count :]).sum(axis=-1)
     return sums[()]
 
 
@@ -315,13 +317,11 @@ def _root_fidelity(root: np.ndarray, sigma: np.ndarray) -> float | np.ndarray:
     """Fidelity of ``sigma`` with the state whose PSD root is ``root``; the fidelity is symmetric, so either may give it."""
     inner = root @ sigma @ root
     w = np.linalg.eigvalsh((inner + _dagger(inner)) / 2)
-    # eigenvalues at solver-noise level would pollute the square root
-    floor = np.maximum(w.max(axis=-1), 0.0) * 1e-13
-    kept = w > floor[..., np.newaxis]
-    sums = _suffix_sums(np.sqrt(np.where(kept, w, 0.0)), kept)
+    # eigenvalues at solver-noise level would pollute the square root; the largest is the last
+    sums = _suffix_sums(w, w > np.maximum(w[..., -1:], 0.0) * 1e-13, np.sqrt)
     # squared one by one: a float's ** 2 is libm's pow, which an array's ** 2 (x * x) can miss by an ulp
-    squares = np.array([total**2 for total in np.ravel(sums).tolist()]).reshape(np.shape(sums))
-    return np.clip(squares, 0.0, 1.0)[()]
+    squares = [min(max(total**2, 0.0), 1.0) for total in sums.ravel().tolist()]
+    return np.array(squares).reshape(sums.shape)[()]
 
 
 def von_neumann_entropy(rho) -> float:
@@ -332,9 +332,7 @@ def von_neumann_entropy(rho) -> float:
 
 def _entropy(w: np.ndarray) -> float | np.ndarray:
     """-sum(w ln w) over the ascending eigenvalues ``w``; zero and negative ones contribute 0."""
-    kept = w > 0.0
-    positive = np.where(kept, w, 1.0)
-    return -_suffix_sums(positive * np.log(positive), kept)
+    return -_suffix_sums(w, w > 0.0, lambda positive: positive * np.log(positive))
 
 
 def to_doc(value):
@@ -399,12 +397,15 @@ def from_doc(kind, doc):
 
 def trace_distance(rho, sigma) -> float | np.ndarray:
     """Half the trace norm of the difference of two Hermitian matrices, per pair of two ``(..., d, d)``
-    stacks; ``inf`` where either has a non-finite entry, so that no bound accepts it."""
+    stacks; ``inf`` where their difference has a non-finite entry (either has one, or the difference
+    overflows), so that no bound accepts it."""
     a, b = _as_matrix(rho), _as_matrix(sigma)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch {a.shape} vs {b.shape}")
-    finite = np.isfinite(a).all(axis=(-2, -1)) & np.isfinite(b).all(axis=(-2, -1))
-    distances = np.full(finite.shape, math.inf)
-    diff = a[finite] - b[finite]
-    distances[finite] = 0.5 * np.abs(np.linalg.eigvalsh((diff + _dagger(diff)) / 2)).sum(axis=-1)
-    return distances[()]
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or a difference past the float range
+        diff = a - b
+    bad = ~np.isfinite(diff).all(axis=(-2, -1))
+    diff[bad] = 0.0  # decomposed, then given an infinite spectrum
+    w = np.linalg.eigvalsh((diff + _dagger(diff)) / 2)
+    w[bad] = math.inf
+    return 0.5 * np.abs(w).sum(axis=-1)

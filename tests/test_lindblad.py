@@ -9,6 +9,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 from hypothesis import given, settings, strategies as st
 
+from kraussim import cli
 from kraussim import lindblad as lb
 from kraussim import models
 from kraussim.matkernel import PAULI, DensityMatrix, from_doc, to_doc, trace_distance
@@ -176,12 +177,38 @@ def test_shifted_generator_matches_the_dense_superoperator(rng, key):
         assert np.abs(gen(x) - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("case", ["qho-fields", "qho-oracle", "pauli-tomo", "pauli-steps", "n_max=15", "n_max=31"])
+@pytest.mark.parametrize("key", ["qho-damped", "random"])
+def test_generator_bound_does_not_carry_the_hamiltonian_trace(rng, key):
+    # H + 40 I has the generator of H; the centred A takes the added trace out, so the bound stays
+    if key == "random":
+        g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        ops = tuple(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)) for _ in range(2))
+        model = lb.LindbladModel((g + g.conj().T) / 4, ops, (0.3, 0.7))
+    else:
+        model = models.build_model(key).model
+    raised = lb.LindbladModel(model.hamiltonian + 40.0 * np.eye(model.dim), model.lindblads, model.gammas)
+    n = model.dim**2
+    x = np.stack([random_density(rng, model.dim) for _ in range(3)])
+    norms = []
+    for each in (model, raised):
+        gen = oracle_generator(each)
+        want = ((dense_lindbladian(each) - gen.shift * np.eye(n)) @ x.reshape(3, -1).T).T.reshape(x.shape)
+        assert np.abs(gen(x) - want).max() < 1e-12
+        norms.append(gen.norm)
+    assert norms[1] == pytest.approx(norms[0], rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case", ["qho-fields", "qho-oracle", "pauli-tomo", "pauli-steps", "n_max=15", "n_max=31", "omega=25"]
+)
 def test_propagate_matches_scipy_on_oracle_generators(monkeypatch, rng, case):
-    # one step exp(dt D) of a benchmark workload's grid (seed 1), or of qho-damped at n_max with
+    # one step exp(dt D) of a benchmark workload's grid (seed 1), or of qho-damped at n_max (or at
+    # n_max 23 with omega 25, a large Hamiltonian trace that centring takes out of the plan) with
     # dt = 3/8, applied to a batch of three states
-    if case.startswith("n_max="):
-        model = models.build_model("qho-damped", n_max=int(case[6:])).model
+    if case.startswith(("n_max=", "omega=")):
+        name, value = case.split("=")
+        params = {"n_max": int(value)} if name == "n_max" else {"omega": float(value), "n_max": 23}
+        model = models.build_model("qho-damped", **params).model
         dt = 3.0 / 8
     else:
         monkeypatch.syspath_prepend(str(PERFBENCH))
@@ -193,6 +220,25 @@ def test_propagate_matches_scipy_on_oracle_generators(monkeypatch, rng, case):
     got = lb._propagate(oracle_generator(model), x, dt).reshape(3, -1)
     want = x.reshape(3, -1) @ scipy.linalg.expm(dt * dense_lindbladian(model)).T
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_oracle_generator_applications_on_the_qho_oracle_grid(monkeypatch):
+    # qho-oracle seed 1 (d = 24, 9 points to t = 3): 562 applications with the Hamiltonian's trace in the
+    # bound, 436 once it is centred out; a looser bound takes more
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    config = cli.ExperimentConfig.from_dict(importlib.import_module("workloads").make_config("qho-oracle", 1))
+    model = cli._resolve_model(config).model
+    rho0 = cli._resolve_state(config, model.dim).density().matrix
+    calls = []
+    apply = lb._ShiftedGenerator.__call__
+
+    def counted(gen, x):
+        calls.append(x.shape[0])
+        return apply(gen, x)
+
+    monkeypatch.setattr(lb._ShiftedGenerator, "__call__", counted)
+    assert len(list(lb.exact_trajectory(model, rho0, 0.0, 3.0, 9))) == 9
+    assert len(calls) == 436
 
 
 @pytest.mark.parametrize("scaled_norm, plan", [(0.0, (1, 1)), (2e-16, (1, 1)), (1.0, (18, 1)), (25.0, (50, 3))])

@@ -53,11 +53,12 @@ def test_fit_sweep_smallest_size(monkeypatch):
 def test_oracle_sweep_smallest_size(monkeypatch):
     row = load_script("oracle_sweep", monkeypatch).measure(3)
     assert set(row) == {
-        "dim", "oracle_s", "oracle_s_all", "oracle_tracemalloc_peak_mb", "series_s", "series_s_all",
-        "series_tracemalloc_peak_mb", "apply_s", "series_gap", "field_build_s", "field_build_s_all",
-        "field_build_tracemalloc_peak_mb", "field_step_s", "field_step_s_all", "field_step_tracemalloc_peak_mb",
-        "field_gap",
+        "dim", "oracle_s", "oracle_s_all", "oracle_tracemalloc_peak_mb", "oracle_norm_bound", "oracle_applications",
+        "series_s", "series_s_all", "series_tracemalloc_peak_mb", "apply_s", "series_gap", "field_build_s",
+        "field_build_s_all", "field_build_tracemalloc_peak_mb", "field_step_s", "field_step_s_all",
+        "field_step_tracemalloc_peak_mb", "field_gap",
     }
+    assert row["oracle_applications"] > 0 and row["oracle_norm_bound"] > 0
     assert row["apply_s"] > 0
     assert row["series_gap"] < 1e-9
     assert row["field_gap"] < 1e-9
