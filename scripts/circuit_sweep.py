@@ -14,9 +14,11 @@ standard output is one JSON object with, per size:
 
 - the median wall time over ``REPEATS`` runs of the grid in each mode, and
   the shot-draw time, taken as the shot run minus the infinite-shot run;
-- the time spent in ``build_kraus_circuit``, ``simulate_statevector``,
-  ``_basis_probabilities`` and ``tomography`` over one more run of each
-  mode, measured by wrapping those ``circuits`` attributes;
+- the time spent in each of ``LAYERS``, the ``circuits`` functions the
+  pipeline runs (``build_kraus_circuit``, ``_run_circuits`` on each group of
+  same-shaped term circuits, ``_postselected``, ``_basis_probabilities`` on
+  each chunk of surviving terms, and ``tomography``), over one more run of
+  each mode, measured by wrapping those ``circuits`` attributes;
 - the term count at each point and the gate count of the circuits built
   over the grid;
 - the ``tracemalloc`` peak of one more run of each mode;
@@ -45,7 +47,7 @@ STOP = 1.0
 SHOTS = 1024
 SEED = 0
 ORACLE_TOL = 1e-9
-LAYERS = ("build_kraus_circuit", "simulate_statevector", "_basis_probabilities", "tomography")
+LAYERS = ("build_kraus_circuit", "_run_circuits", "_postselected", "_basis_probabilities", "tomography")
 
 
 def draw_inputs(num_qubits: int) -> tuple[list[str], list[float], QuantumState]:

@@ -53,7 +53,7 @@ PRESET_ARGS = (
     ("--preset", "pauli-xx-zz", "--method", "kraus-circuit"),
     ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus"),
     ("--preset", "pauli-xx-zz", "--series", "factored", "--method", "kraus-circuit"),
-    # grids that the series evaluates in several blocks of points (see cli.BLOCK_BYTES)
+    # grids that the series evaluates in several blocks of points (see matkernel.BLOCK_BYTES)
     ("--preset", "pauli-xx-zz", "--steps", "60", "--mitigation", "pauli-fit"),
     ("--preset", "qho-cat", "--steps", "130"),
 )

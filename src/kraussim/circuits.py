@@ -6,6 +6,18 @@ ancilla first, so all terms of one :func:`execute_series_tomography` call share 
 block.  Non-unitary blocks enter through unitary dilations and block encodings whose
 ancillas are post-selected on reading 0; group-structured factors instead keep their
 ancilla registers, which purify the channel mixture.
+
+The emulator runs circuits as stacks along a leading axis.  A group of circuits that share
+their register, their post-selection and, gate position by gate position, their targets and
+controls runs each position once over a ``(K, 2^n)`` stack of registers: a gate that every
+circuit holds (T(t)'s) is one matrix broadcast over the stack, and each distinct dilation
+multiplies the registers that hold it.  :func:`simulate_statevector` is a group of one.  Each
+register takes ``(m, M)`` products of its own, never extra columns of a wider product, and
+post-selects through the strided view a lone register has, so its numbers are bit for bit
+those of its circuit run alone.  :func:`execute_series_tomography` runs one time point's term
+circuits in such groups (in practice, one per order) and their basis passes in chunks of
+consecutive surviving terms, both bounded by ``matkernel.BLOCK_BYTES``, and adds each term to
+the frequency table in term order.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ from .kraus import (
     _require_spectrum,
 )
 from .lindblad import LindbladModel
+from . import matkernel
 from .matkernel import PAULI, QuantumState, apply_to_axes, from_pauli_coefficients, pauli_coefficients
 from .matkernel import pauli_labels, pauli_string_matrix, qubit_count, _axis_orders, _integer, _real, _time
 from .matkernel import sznagy_dilation  # noqa: F401 (re-export: acceptance criterion 6 reads circuits.sznagy_dilation)
@@ -147,12 +160,22 @@ class ShotResult:
     counts: dict[str, float]
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate) -> np.ndarray:
-    """``gate`` on one copy of the register, targets then controls first: ``[:, -1]`` is where every control reads 1."""
-    to_front, back = _axis_orders(tensor.ndim, gate.targets + gate.controls)
-    flat = tensor.transpose(to_front).copy().reshape(2 ** len(gate.targets), 2 ** len(gate.controls), -1)
-    flat[:, -1] = gate.unitary() @ flat[:, -1]
-    return flat.reshape(tensor.shape).transpose(back)
+def _apply_gate(stack: np.ndarray, gates) -> np.ndarray:
+    """``gates[r]`` on register r of a ``(K, 2, ..., 2)`` stack, in one copy of the stack.
+
+    The gates share their targets and controls, which go first after the stack axis, targets then controls:
+    ``[:, :, -1]`` is where every control reads 1.  Each distinct gate object multiplies the registers that
+    hold it in one product, so a gate that all hold is one matrix broadcast over the stack.  Every register
+    takes a ``(m, M)`` product of its own, bit-identical to the product on that register alone.
+    """
+    first = gates[0]
+    to_front, back = _axis_orders(stack.ndim, (0, *[q + 1 for q in first.targets + first.controls]))
+    flat = stack.transpose(to_front).copy().reshape(len(stack), 2 ** len(first.targets), 2 ** len(first.controls), -1)
+    distinct = {id(gate): gate for gate in gates}
+    for gate in distinct.values():
+        rows = slice(None) if len(distinct) == 1 else [r for r, held in enumerate(gates) if held is gate]
+        flat[rows, :, -1] = gate.unitary() @ flat[rows, :, -1]
+    return flat.reshape(stack.shape).transpose(back)
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -160,27 +183,37 @@ def _amplitudes(state) -> np.ndarray:
     return state.amplitudes if isinstance(state, QuantumState) else np.asarray(state, dtype=complex)
 
 
+def _run_circuits(circuits, stack: np.ndarray) -> np.ndarray:
+    """Circuit r of a group on register r of a ``(K, 2^n)`` stack; returns the ``(K, 2^n)`` final registers.
+
+    The circuits of a group share their register and, gate position by gate position, the targets and
+    controls (:func:`_circuit_shape`), so each position is one :func:`_apply_gate` pass over the stack.
+    """
+    tensor = stack.reshape(len(circuits), *[2] * circuits[0].num_qubits)
+    for gates in zip(*[circuit.gates for circuit in circuits]):
+        tensor = _apply_gate(tensor, gates)
+    return tensor.reshape(len(circuits), -1)
+
+
+def _circuit_shape(circuit: Circuit) -> tuple:
+    """What the circuits of one group share: the register, the post-selection, and each gate's qubits."""
+    qubits = tuple([(gate.targets, gate.controls) for gate in circuit.gates])
+    return circuit.num_system_qubits, circuit.num_ancilla_qubits, circuit.postselect, qubits
+
+
 def simulate_statevector(circuit: Circuit, state) -> QuantumState:
-    """Exact action of the gate list on a full-register state."""
+    """Exact action of the gate list on a full-register state: a group of one circuit on a stack of one."""
     amps = _amplitudes(state)
     n = circuit.num_qubits
     if amps.size != 2**n:
         raise ValueError(f"state dimension {amps.size} does not match {n} qubits")
-    tensor = amps.reshape([2] * n) if n else amps
-    for gate in circuit.gates:
-        tensor = _apply_gate(tensor, gate)
-    return QuantumState(tensor.reshape(-1))
+    return QuantumState(_run_circuits([circuit], amps.reshape(1, -1))[0])
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole register (small circuits only)."""
+    """Dense unitary of the whole register (small circuits only): column j runs the circuit on basis state j."""
     dim = 2**circuit.num_qubits
-    out = np.empty((dim, dim), dtype=complex)
-    for j in range(dim):
-        basis = np.zeros(dim, dtype=complex)
-        basis[j] = 1.0
-        out[:, j] = simulate_statevector(circuit, basis).amplitudes
-    return out
+    return _run_circuits([circuit] * dim, np.eye(dim, dtype=complex)).T.copy()
 
 
 def embed_state(circuit: Circuit, system_state) -> np.ndarray:
@@ -206,14 +239,22 @@ def postselect(state, ancilla_indices) -> tuple[QuantumState | None, float]:
     ancillas = sorted(set(_qubits(ancilla_indices, n, "ancilla index")))
     if not ancillas:
         return QuantumState(amps), 1.0
-    slicer = [slice(None)] * n
-    for a in ancillas:
-        slicer[a] = 0
-    kept = amps.reshape([2] * n)[tuple(slicer)].reshape(-1)
-    prob = float(np.vdot(kept, kept).real)
+    (kept,), (prob,) = _postselected(amps.reshape(1, -1), ancillas)
     if prob <= 0.0:
         return None, 0.0
     return QuantumState(kept / np.sqrt(prob)), prob
+
+
+def _postselected(stack: np.ndarray, ancillas) -> tuple[np.ndarray, list[float]]:
+    """Each register of a ``(K, 2^n)`` stack with the sorted ``ancillas`` read as 0, unnormalized, and its
+    survival probability: ``np.vdot`` of the register's kept amplitudes, in the view a lone register has
+    (strided when the ancillas are the last qubits), since a contiguous copy can round differently."""
+    n = stack.shape[1].bit_length() - 1
+    slicer = [slice(None)] * (n + 1)
+    for a in ancillas:
+        slicer[a + 1] = 0
+    kept = stack.reshape(-1, *[2] * n)[tuple(slicer)].reshape(len(stack), -1)
+    return kept, [float(np.vdot(row, row).real) for row in kept]
 
 
 def trace_out(state, qubit_indices) -> np.ndarray:
@@ -474,27 +515,31 @@ _H = _SINGLE_QUBIT["h"]
 _BASIS_CHANGE = {"X": (_H,), "Y": (_ROTATIONS["phase"](-np.pi / 2), _H), "Z": ()}
 
 
-def _basis_probabilities(state: QuantumState, choices) -> np.ndarray:
+def _basis_probabilities(states, choices) -> np.ndarray:
     """Outcome probabilities of every basis that picks one letter of ``choices[q]`` for each qubit q.
 
-    ``"ZY"`` is one basis and ``["XYZ"] * n`` all 3^n of them.  Row r of the
-    ``(bases, 2^n)`` result is the r-th basis in ``itertools.product(*choices)``
-    order.  Each qubit's letters are applied as the separate factors of
-    ``_BASIS_CHANGE``, qubit by qubit, so every row is bit-identical to the
-    row of its single basis.
+    ``states`` is a ``(..., 2^n)`` stack of amplitudes, and a :class:`QuantumState` the stack with no
+    leading axis.  ``"ZY"`` is one basis and ``["XYZ"] * n`` all 3^n of them.  Row r of each state's
+    ``(bases, 2^n)`` table is the r-th basis in ``itertools.product(*choices)`` order.  Each qubit's
+    letters are applied as the separate factors of ``_BASIS_CHANGE``, qubit by qubit, and each state
+    takes products of its own (``apply_to_axes`` with the stack as its lead axis), so every row is
+    bit-identical to the row of its single basis and every table to the table of its state alone.
     """
+    amps = _amplitudes(states)
     n = len(choices)
-    if state.dim != 2**n:
-        raise ValueError(f"basis {choices!r} measures {n} qubits, but the state has dimension {state.dim}")
+    if amps.shape[-1] != 2**n:
+        raise ValueError(f"basis {choices!r} measures {n} qubits, but the state has dimension {amps.shape[-1]}")
     bad = set("".join(choices)) - set(_BASIS_CHANGE)
     if bad:
         raise ValueError(f"invalid basis letters {sorted(bad)} in {choices!r}")
-    # axes: one letter axis per qubit done so far, then the n qubit axes
-    stack = state.amplitudes.reshape([2] * n)
+    # axes: the stack, one letter axis per qubit done so far, then the n qubit axes
+    stack = amps.reshape(-1, *[2] * n)
     for q, letters in enumerate(choices):
-        rotated = [apply_to_axes(stack, [(2 * q, f) for f in _BASIS_CHANGE[c]]) for c in letters]
-        stack = np.stack(rotated, axis=q)
-    return np.abs(stack.reshape(-1, 2**n)) ** 2
+        steps = [[(1 + 2 * q, f) for f in _BASIS_CHANGE[c]] for c in letters]
+        stack = np.stack([apply_to_axes(stack, letter, lead=1) for letter in steps], axis=1 + q)
+    probs = np.abs(stack.reshape(*amps.shape[:-1], -1, 2**n))
+    probs **= 2  # in place, so a pass holds one float table
+    return probs
 
 
 def sample_shots(state: QuantumState, basis: str, shots: int, seed) -> ShotResult:
@@ -628,6 +673,18 @@ def execute_series_tomography(
     Returns the reconstructed (d, d) matrix of :func:`tomography` and one
     ``{"order", "indices", "weight", "survival"}`` diagnostic per term.
 
+    Every term's circuit comes from :func:`build_kraus_circuit`, with one
+    ``_shared`` dict per call.  Circuits of one shape (:func:`_circuit_shape`;
+    in practice, terms of one order) run as one group, each gate position
+    once over a stack of their registers, in parts whose three working
+    stacks fit ``matkernel.BLOCK_BYTES``.  Post-selection and the survival
+    stay one decision per term.  The surviving terms' reduced states then
+    take their basis passes in chunks of consecutive terms, as many as the
+    budget holds with each term's ``(3^n, 2^n)`` complex table, and after
+    each chunk every term is drawn and added to the frequencies in term
+    order, so no table of the whole series is held.  Each term's numbers
+    are those of its circuit run alone, bit for bit.
+
     ``shots=None`` runs the infinite-shot mode with exact probabilities; a
     shot count samples each (term, basis) draw from its own child seed
     ``[*seed, term_index, basis_index]`` through :func:`_shot_draws`, so its
@@ -635,21 +692,37 @@ def execute_series_tomography(
     """
     prep = prepare(model)
     n_sys = qubit_count(prep.dim, "system dimension")
-    frequencies = np.zeros((3**n_sys, 2**n_sys))
-    diagnostics: list[dict] = []
+    itemsize = np.dtype(complex).itemsize
     terms = series.terms
     draw = None if shots is None else _shot_draws(seed, shots, (len(terms), 3**n_sys))
     shared: dict = {}
-    for term_index, term in enumerate(terms):
-        circuit = build_kraus_circuit(term, prep, t, _shared=shared)
-        final = simulate_statevector(circuit, embed_state(circuit, initial_state))
-        reduced, survival = postselect(final, circuit.postselect)
-        if reduced is not None:
-            probs = _basis_probabilities(reduced, ["XYZ"] * n_sys)
+    circuits = [build_kraus_circuit(term, prep, t, _shared=shared) for term in terms]
+    groups: dict[tuple, list[int]] = {}
+    for index, circuit in enumerate(circuits):
+        groups.setdefault(_circuit_shape(circuit), []).append(index)
+    reduced = np.empty((len(terms), 2**n_sys), dtype=complex)
+    survivals = [0.0] * len(terms)
+    for group in groups.values():
+        first = circuits[group[0]]
+        start = embed_state(first, initial_state)
+        # a gate position holds the stack, its transposed copy and the product: three stacks of the part
+        size = max(1, matkernel.BLOCK_BYTES // (3 * start.size * itemsize))
+        for part in (group[i : i + size] for i in range(0, len(group), size)):
+            final = _run_circuits([circuits[i] for i in part], np.broadcast_to(start, (len(part), start.size)))
+            kept, probs = _postselected(final, sorted(first.postselect))
+            for index, row, prob in zip(part, kept, probs):
+                if prob > 0.0:
+                    reduced[index], survivals[index] = row / np.sqrt(prob), prob
+    frequencies = np.zeros((3**n_sys, 2**n_sys))
+    alive = [index for index, survival in enumerate(survivals) if survival > 0.0]
+    chunk = max(1, matkernel.BLOCK_BYTES // (3**n_sys * 2**n_sys * itemsize))
+    for part in (alive[i : i + chunk] for i in range(0, len(alive), chunk)):
+        for index, probs in zip(part, _basis_probabilities(reduced[part], ["XYZ"] * n_sys)):
             if draw is not None:
-                draw(probs, term_index)
-            frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
-        diagnostics.append(
-            {"order": term.order, "indices": list(term.indices), "weight": term.weight, "survival": survival}
-        )
+                draw(probs, index)
+            frequencies += terms[index].weight ** 2 * survivals[index] * probs / probs.sum(axis=1, keepdims=True)
+    diagnostics = [
+        {"order": term.order, "indices": list(term.indices), "weight": term.weight, "survival": survival}
+        for term, survival in zip(terms, survivals)
+    ]
     return tomography(frequencies), diagnostics

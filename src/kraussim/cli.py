@@ -2,7 +2,7 @@
 
 One JSON config describes an experiment: model, initial state, time grid,
 execution method, mitigation chain and requested outputs.  The grid is
-evaluated in blocks of consecutive points, as many as ``BLOCK_BYTES`` holds,
+evaluated in blocks of consecutive points, as many as ``matkernel.BLOCK_BYTES`` holds,
 each layer once per block and each decision per state, and records stream
 one per time step, so long grids never hold every density matrix at once:
 the matrices go to one binary ``states.npy``, each phase-space field to one
@@ -32,7 +32,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import analysis, circuits, kraus, mitigation, models
+from . import analysis, circuits, kraus, matkernel, mitigation, models
 from .kraus import ConditionError
 from .lindblad import (
     LindbladModel,
@@ -70,9 +70,6 @@ FIELD_GRID = analysis.default_grid()
 NOISE_PARAMETERS = {"qdc": "lambda", "pauli": "epsilons"}
 # The --check bound of the exact methods, and the rounding slack added to a series tail bound.
 CHECK_SLACK = 1e-9
-# The most bytes a block of grid points may take: each point's (K, d, d) series operators and its four
-# (d, d) states (oracle, raw, mitigated and physical).  A block holds at least one point.
-BLOCK_BYTES = 2**17
 
 
 class ConfigError(ValueError):
@@ -269,8 +266,9 @@ def _resolve_state(config: ExperimentConfig, dim: int) -> QuantumState:
 
 
 def block_points(terms: int, dim: int) -> int:
-    """The grid points a block holds when each point has ``terms`` series operators of dimension ``dim``."""
-    return max(1, BLOCK_BYTES // ((terms + 4) * dim * dim * np.dtype(complex).itemsize))
+    """The grid points a block holds when each point has ``terms`` series operators of dimension ``dim``: each
+    point takes its ``(K, d, d)`` operators and its four ``(d, d)`` states (oracle, raw, mitigated and physical)."""
+    return max(1, matkernel.BLOCK_BYTES // ((terms + 4) * dim * dim * np.dtype(complex).itemsize))
 
 
 def _each(func: Callable[[np.ndarray], np.ndarray], mats: np.ndarray) -> np.ndarray:
@@ -446,7 +444,7 @@ def _step_outputs(
 def run_experiment(config: ExperimentConfig) -> Iterator[TrajectoryRecord]:
     """Execute the configured method over the time grid, one record per step.
 
-    The grid runs in blocks of consecutive points, as many as ``BLOCK_BYTES`` holds with each point's
+    The grid runs in blocks of consecutive points, as many as ``matkernel.BLOCK_BYTES`` holds with each point's
     ``(K, d, d)`` series operators and its four ``(d, d)`` states (:func:`block_points`).  The oracle and
     the point-by-point methods fill a block one state at a time; the check distance, the noise, the
     mitigation, the fidelity, the entropy and the observable columns then run once on the block's stack,

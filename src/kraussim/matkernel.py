@@ -24,6 +24,10 @@ STATE_NORM_TOL = 1e-12
 PSD_REJECT_TOL = -1e-6
 DILATION_NORM_TOL = 1e-10
 DEFAULT_RCOND = 1e-12
+# The most bytes one block of stacked work may take; a block holds at least one item.  The grid's blocks of
+# points (``cli.block_points``) and the term circuits' groups and basis passes
+# (``circuits.execute_series_tomography``) take their sizes from it.
+BLOCK_BYTES = 2**17
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -74,14 +78,15 @@ def from_pauli_coefficients(coeffs) -> np.ndarray:
     return blocks.reshape([2] * (2 * n)).transpose(rows_then_columns).reshape(2**n, 2**n)
 
 
-def apply_to_axes(tensor: np.ndarray, steps) -> np.ndarray:
+def apply_to_axes(tensor: np.ndarray, steps, lead: int = 0) -> np.ndarray:
     """Apply each ``(axis, matrix)`` of ``steps`` in turn to that axis of ``tensor``:
-    ``out[..., i, ...] = sum_j matrix[i, j] tensor[..., j, ...]``."""
+    ``out[..., i, ...] = sum_j matrix[i, j] tensor[..., j, ...]``.  The first ``lead`` axes are a stack: each
+    of its items takes one ``(m, M)`` product of its own, so it is bit-identical to that item alone."""
     for axis, matrix in steps:
-        to_front, back = _axis_orders(tensor.ndim, (axis,))
+        to_front, back = _axis_orders(tensor.ndim, (*range(lead), axis))
         moved = tensor.transpose(to_front)
-        out = matrix @ moved.reshape(moved.shape[0], -1)
-        tensor = out.reshape(matrix.shape[0], *moved.shape[1:]).transpose(back)
+        out = matrix @ moved.reshape(*moved.shape[: lead + 1], -1)
+        tensor = out.reshape(*moved.shape[:lead], matrix.shape[0], *moved.shape[lead + 1 :]).transpose(back)
     return tensor
 
 

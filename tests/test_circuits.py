@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kraussim import circuits as qc
-from kraussim import kraus, lindblad as lb
+from kraussim import kraus, lindblad as lb, matkernel as mk, models
 from kraussim.matkernel import PAULI, QuantumState, from_doc, to_doc, trace_distance
 
 from conftest import align_phase, assert_json_round_trip, haar_rotated, haar_unitary, random_state
@@ -469,20 +469,35 @@ def test_all_bases_rows_equal_single_basis(rng, n):
 
 @pytest.mark.parametrize("shots", [None, 16])
 def test_series_tomography_one_basis_pass_per_term(pauli_spec, initial_states, monkeypatch, shots):
-    calls = []
+    # each surviving term is in exactly one basis pass, in term order, and a pass holds at most the terms
+    # whose (3^n, 2^n) complex tables fit the budget
+    passes = []
     original = qc._basis_probabilities
 
-    def counted(state, choices):
-        calls.append(list(choices))
-        return original(state, choices)
+    def counted(states, choices):
+        assert list(choices) == ["XYZ"] * 2
+        passes.append(np.array(states))
+        return original(states, choices)
 
     monkeypatch.setattr(qc, "_basis_probabilities", counted)
     psi = initial_states["pauli-xx-zz"]
-    series = kraus.build_reduced_series(pauli_spec.model, 0.9)
-    _, diags = qc.execute_series_tomography(pauli_spec.model, series, 0.9, psi, shots=shots)
-    surviving = sum(d["survival"] > 0 for d in diags)
-    assert surviving > 0
-    assert calls == [["XYZ"] * 2] * surviving
+    prep = kraus.prepare(pauli_spec.model)
+    series = kraus.build_reduced_series(prep, 0.9)
+    alone = []
+    for term in series.terms:
+        circuit = qc.build_kraus_circuit(term, prep, 0.9)
+        reduced, _ = qc.postselect(qc.simulate_statevector(circuit, qc.embed_state(circuit, psi)), circuit.postselect)
+        alone += [] if reduced is None else [reduced.amplitudes]
+    table_bytes = 9 * 4 * 16
+    for budget in (mk.BLOCK_BYTES, 3 * table_bytes + 1):
+        monkeypatch.setattr(mk, "BLOCK_BYTES", budget)
+        passes.clear()
+        _, diags = qc.execute_series_tomography(prep, series, 0.9, psi, shots=shots)
+        surviving = sum(d["survival"] > 0 for d in diags)
+        assert surviving == len(alone) > 3
+        chunk = budget // table_bytes
+        assert [len(p) for p in passes] == [min(chunk, surviving - i) for i in range(0, surviving, chunk)]
+        assert np.array_equal(np.concatenate(passes), alone)
 
 
 def test_pipeline_matches_apply_series(pauli_spec, initial_states):
@@ -575,6 +590,125 @@ def test_series_tomography_counts_match_a_generator_per_draw(pauli_spec, qho_spe
         assert np.array_equal(frequencies, _per_draw_frequencies(prep, series, t, psi, 64, seed))
 
 
+STACKED_CASES = ["pauli-xx-zz-truncated-3", "haar-rotated-truncated-3", "qho-damped-vacuum", "four-qubit-reduced"]
+
+
+def _stacked_case(case):
+    """(model, state, variant, order) of a case at t = 0.8: mixed orders with distinct dilations in one slot,
+    also with a dense T(t) basis change shared by every register; terms that vanish on the vacuum; and 64
+    surviving terms of four qubits, more than one basis pass holds."""
+    if case.endswith("truncated-3"):
+        model = models.build_model("pauli-xx-zz").model
+        if case.startswith("haar"):
+            model = haar_rotated(model, np.random.default_rng(11))
+        return model, models.benchmark_initial_states()["pauli-xx-zz"], "truncated", 3
+    if case == "qho-damped-vacuum":
+        return models.build_model("qho-damped").model, QuantumState(np.eye(4, dtype=complex)[0]), "truncated", 3
+    strings = ["XIZY", "ZZII", "IYXI", "XXXX", "IIZZ", "YIIY"]
+    model = models.build_model("pauli-xx-zz", pauli_strings=strings, gammas=[0.3, 0.5, 0.7, 0.9, 1.1, 1.3]).model
+    return model, QuantumState(random_state(np.random.default_rng(5), 16)), "reduced", 0
+
+
+def _drawn_counts(monkeypatch, counts):
+    """Make every draw of ``_shot_draws`` record its counts in ``counts`` under its index."""
+    shot_draws = qc._shot_draws
+
+    def recording(seed, shots, shape):
+        draw = shot_draws(seed, shots, shape)
+
+        def recorded(probs, *index):
+            counts[index] = draw(probs, *index).copy()
+            return probs
+
+        return recorded
+
+    monkeypatch.setattr(qc, "_shot_draws", recording)
+
+
+@pytest.mark.parametrize("budget", [None, 1], ids=["default-budget", "one-term-per-pass"])
+@pytest.mark.parametrize("shots", [None, 64])
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_stacked_series_tomography_equals_each_term_run_alone(monkeypatch, case, shots, budget):
+    model, psi, variant, order = _stacked_case(case)
+    prep = kraus.prepare(model)
+    series = kraus.build_series(prep, 0.8, variant, order)
+    n_sys = qc.qubit_count(prep.dim, "system dimension")
+    if budget is not None:
+        monkeypatch.setattr(mk, "BLOCK_BYTES", budget)
+    # each term alone: its circuit on a register of its own, then post-selection, basis pass and draw
+    want_counts, got_counts = {}, {}
+    _drawn_counts(monkeypatch, want_counts)
+    draw = None if shots is None else qc._shot_draws((4, 2), shots, (len(series.terms), 3**n_sys))
+    frequencies = np.zeros((3**n_sys, 2**n_sys))
+    survivals = []
+    for index, term in enumerate(series.terms):
+        circuit = qc.build_kraus_circuit(term, prep, 0.8)
+        final = qc.simulate_statevector(circuit, qc.embed_state(circuit, psi))
+        reduced, survival = qc.postselect(final, circuit.postselect)
+        survivals.append(survival)
+        if reduced is not None:
+            probs = qc._basis_probabilities(reduced, ["XYZ"] * n_sys)
+            if draw is not None:
+                draw(probs, index)
+            frequencies += term.weight**2 * survival * probs / probs.sum(axis=1, keepdims=True)
+    _drawn_counts(monkeypatch, got_counts)
+    rho, diags = qc.execute_series_tomography(prep, series, 0.8, psi, shots, seed=(4, 2))
+    assert np.array_equal(rho, qc.tomography(frequencies))
+    assert [d["survival"] for d in diags] == survivals
+    assert list(got_counts) == list(want_counts)
+    assert all(np.array_equal(got_counts[index], want_counts[index]) for index in want_counts)
+    if case.endswith("truncated-3"):  # orders 0-3, and slot 0 holds more than one dilation
+        assert {term.order for term in series.terms} == {0, 1, 2, 3}
+        assert len({term.indices[-1] for term in series.terms if term.order > 0}) > 1
+    elif case == "qho-damped-vacuum":
+        assert survivals[0] > 0.0 and survivals[1:] == [0.0] * (len(survivals) - 1)
+    else:
+        assert min(survivals) > 0.0 and len(survivals) == 64 > mk.BLOCK_BYTES // (81 * 16 * 16)
+
+
+def _lone_final(circuit, amps):
+    """The final register of ``circuit`` by the arithmetic of one register alone: one ``(m, M)`` product per
+    gate, as the emulator computed it before it ran circuits as stacks."""
+    n = circuit.num_qubits
+    tensor = np.asarray(amps).reshape([2] * n)
+    for gate in circuit.gates:
+        to_front, back = mk._axis_orders(n, gate.targets + gate.controls)
+        flat = tensor.transpose(to_front).copy().reshape(2 ** len(gate.targets), 2 ** len(gate.controls), -1)
+        flat[:, -1] = gate.unitary() @ flat[:, -1]
+        tensor = flat.reshape(tensor.shape).transpose(back)
+    return tensor.reshape(-1)
+
+
+def _lone_register(circuit, psi, n_sys):
+    """A term circuit's final register, survival and basis table by the arithmetic of one register alone
+    (:func:`_lone_final`, ``np.vdot`` of the strided kept view, as the ancillas are the last qubits, and one
+    ``(2, M)`` product per basis factor)."""
+    final = _lone_final(circuit, qc.embed_state(circuit, psi))
+    kept = final.reshape([2] * circuit.num_qubits)[(..., *[0] * circuit.num_ancilla_qubits)].reshape(-1)
+    survival = float(np.vdot(kept, kept).real)
+    if survival == 0.0:
+        return final, survival, None
+    table = (kept / np.sqrt(survival)).reshape([2] * n_sys)
+    for q in range(n_sys):
+        table = np.stack([mk.apply_to_axes(table, [(2 * q, f) for f in qc._BASIS_CHANGE[c]]) for c in "XYZ"], axis=q)
+    return final, survival, np.abs(table.reshape(-1, 2**n_sys)) ** 2
+
+
+@pytest.mark.parametrize("case", STACKED_CASES)
+def test_a_stack_of_one_keeps_the_arithmetic_of_a_lone_register(case):
+    model, psi, variant, order = _stacked_case(case)
+    prep = kraus.prepare(model)
+    n_sys = qc.qubit_count(prep.dim, "system dimension")
+    for term in kraus.build_series(prep, 0.8, variant, order).terms:
+        circuit = qc.build_kraus_circuit(term, prep, 0.8)
+        want_final, want_survival, want_table = _lone_register(circuit, psi, n_sys)
+        final = qc.simulate_statevector(circuit, qc.embed_state(circuit, psi))
+        reduced, survival = qc.postselect(final, circuit.postselect)
+        assert np.array_equal(final.amplitudes, want_final) and survival == want_survival
+        if reduced is not None:
+            assert np.array_equal(qc._basis_probabilities(reduced, ["XYZ"] * n_sys), want_table)
+
+
 @pytest.mark.parametrize("seed", [-1, (1, -1)])
 def test_series_tomography_refuses_a_negative_seed(pauli_spec, initial_states, seed):
     series = kraus.build_reduced_series(pauli_spec.model, 0.9)
@@ -611,10 +745,11 @@ def _tomography_cases(pauli_spec, qho_spec):
 
 
 def _run_with_scheme(monkeypatch, scheme):
-    """Make execute_series_tomography build its circuits with ``scheme``; returns the list of circuits it runs."""
-    build, simulate, ran = qc.build_kraus_circuit, qc.simulate_statevector, []
+    """Make execute_series_tomography build its circuits with ``scheme``; returns the list of circuits it runs,
+    group after group (in term order for a truncated series, whose terms come by order)."""
+    build, run, ran = qc.build_kraus_circuit, qc._run_circuits, []
     monkeypatch.setattr(qc, "build_kraus_circuit", lambda term, model, t, **kw: build(term, model, t, scheme, **kw))
-    monkeypatch.setattr(qc, "simulate_statevector", lambda circuit, state: ran.append(circuit) or simulate(circuit, state))
+    monkeypatch.setattr(qc, "_run_circuits", lambda circuits, stack: ran.extend(circuits) or run(circuits, stack))
     return ran
 
 
@@ -863,6 +998,29 @@ def test_statevector_matches_dense_gate_operators(rng, n):
     final = qc.simulate_statevector(qc.Circuit(n, 0, tuple(gates)), amps).amplitudes
     assert np.abs(final - expected).max() < 1e-12
     assert np.array_equal(amps, given)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_run_circuits_gives_each_register_the_numbers_of_its_circuit_alone(rng, n):
+    # a gate position holds one gate that every register shares, or unitaries that differ by register (some
+    # registers sharing one object); M = 1-3 columns are where a wider product would round differently
+    rows, positions = 5, []
+    for kind in ["h", "phase", "unitary", "ry", "unitary", "x", "unitary", "rz"] * 2:
+        gate = _random_gate(rng, kind, n)
+        if kind == "unitary" and rng.random() < 0.7:
+            size = 2 ** len(gate.targets)
+            own = [qc.Gate("unitary", gate.targets, gate.controls, matrix=haar_unitary(rng, size)) for _ in range(3)]
+            positions.append([own[r] for r in rng.integers(0, 3, size=rows)])
+        else:
+            positions.append([gate] * rows)
+    circuits = [qc.Circuit(n, 0, tuple(gates)) for gates in zip(*positions)]
+    states = np.array([random_state(rng, 2**n) for _ in range(rows)])
+    given = states.copy()
+    finals = qc._run_circuits(circuits, states)
+    assert np.array_equal(states, given)
+    for circuit, state, final in zip(circuits, states, finals):
+        assert np.array_equal(final, _lone_final(circuit, state))
+        assert np.array_equal(final, qc.simulate_statevector(circuit, state).amplitudes)
 
 
 @pytest.mark.parametrize("shared", [None, {}], ids=["alone", "shared"])

@@ -729,7 +729,7 @@ def test_each_step_decomposes_three_matrices(monkeypatch, case):
     doc = {**cli.PRESETS["pauli-xx-zz"], **case, "time": {"start": 0.0, "stop": 1.0, "steps": 6}}
     # t = 0 keeps only the identity term, so the other five points make one block
     assert _decompositions_per_record(monkeypatch, doc)[1:] == [3 * 5, 0, 0, 0, 0]
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one point per block
+    monkeypatch.setattr(mk, "BLOCK_BYTES", 1)  # one point per block
     assert _decompositions_per_record(monkeypatch, doc)[1:] == [3] * 5
 
 
@@ -773,7 +773,7 @@ def test_blocks_give_the_records_of_one_point_at_a_time(monkeypatch, case):
     monkeypatch.setattr(cli, "_physical", counted_physical)
     records = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
     assert any(0 < projected < states for states, projected in blocks)
-    monkeypatch.setattr(cli, "BLOCK_BYTES", 1)  # one point per block
+    monkeypatch.setattr(mk, "BLOCK_BYTES", 1)  # one point per block
     blocks.clear()
     alone = list(cli.run_experiment(cli.ExperimentConfig.from_dict(doc)))
     assert [states for states, _ in blocks] == [1] * 60
@@ -792,7 +792,7 @@ def test_blocks_give_the_records_of_one_point_at_a_time(monkeypatch, case):
 def test_series_weight_overflow_inside_a_block_exits_3_at_its_first_point(tmp_path, capsys, monkeypatch, budget):
     # the weights leave the float range between t = 600 and 650, inside the one block of all 17 points
     if budget is not None:
-        monkeypatch.setattr(cli, "BLOCK_BYTES", budget)
+        monkeypatch.setattr(mk, "BLOCK_BYTES", budget)
     doc = {
         "model": "pauli-xx-zz",
         "state": "pauli-xx-zz",
